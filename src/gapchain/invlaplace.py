@@ -27,7 +27,10 @@ Two algorithmically independent inverters:
     enclosure aspect ratio nu.
 
 Both inverters are pure and operate on caller-supplied transforms; the
-physics kernels live in the solver modules.
+physics kernels live in the solver modules.  ``rwa.laplace_invert`` hands
+both the resolvent 1/(s + G_hat(s)) built on the closed form
+``model.ghat``, which takes mpmath scalars for Piessens and complex
+batches for Talbot.
 """
 
 import math

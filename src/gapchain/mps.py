@@ -19,7 +19,7 @@ Coupling modes:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -421,26 +421,12 @@ def convergence_report(c: ChainCoefficients, cfg: EvolutionConfig,
     population by less than tol in sup norm."""
     base = evolve(c, cfg, atom_state, delta)
     devs = {}
-    for tag, kw in (
-        ("chi_max", dict(chi_max=2 * cfg.chi_max)),
-        ("d_b", dict(d_b=2 * cfg.d_b)),
-        ("dt", dict(dt=(cfg.dt if cfg.dt is not None else None))),
+    for tag, alt_cfg in (
+        ("chi_max", replace(cfg, chi_max=2 * cfg.chi_max)),
+        ("d_b", replace(cfg, d_b=2 * cfg.d_b)),
+        ("dt", replace(cfg, dt=0.5 * build_gates(c, delta, cfg).dt,
+                       sample_stride=2 * cfg.sample_stride)),
     ):
-        alt_cfg = EvolutionConfig(
-            t_max=cfg.t_max,
-            dt=cfg.dt,
-            d_b=cfg.d_b,
-            chi_max=cfg.chi_max,
-            svd_threshold=cfg.svd_threshold,
-            sample_stride=cfg.sample_stride,
-            mode=cfg.mode,
-        )
-        if tag == "dt":
-            gates = build_gates(c, delta, alt_cfg)
-            alt_cfg.dt = 0.5 * gates.dt
-            alt_cfg.sample_stride = 2 * cfg.sample_stride
-        else:
-            setattr(alt_cfg, tag, kw[tag])
         alt = evolve(c, alt_cfg, atom_state, delta)
         # sample grids can differ by a half step at the tail; compare on
         # the base grid

@@ -7,9 +7,10 @@ amplitude A(t) obeys the closed memory equation
 
 with the kernel G of ``model.bath_correlation``.  Three independent
 solvers are provided: direct Volterra time stepping, numerical inversion
-of the resolvent 1/(s + G_hat(s)), and exact diagonalization of the
-mapped chain.  They share no algorithmic machinery, so pairwise
-agreement is a genuine cross-check.
+of the resolvent 1/(s + G_hat(s)) with G_hat in the closed form of
+``model.ghat``, and exact diagonalization of the mapped chain.  They
+share no algorithmic machinery, so pairwise agreement is a genuine
+cross-check.
 
 Frames: the memory equation above propagates the interaction-picture
 amplitude (A = 1 for all t when alpha = 0).  The lab-frame amplitude
@@ -21,16 +22,15 @@ populations |A|^2 are frame-independent.
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-import mpmath
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from ._quad import complex_quad
 from .chainmap import ChainCoefficients
 from .invlaplace import piessens_invert, talbot_invert
-from .model import ModelParams, _band_rule, _laplace_nodes, bath_correlation
+from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
 __all__ = [
     "AmplitudeSeries",
@@ -177,51 +177,24 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
     return series.validate()
 
 
-def _resolvent_mp(p: ModelParams):
-    """1/(s + G_hat(s)) sampled by adaptive quadrature at mpmath precision.
-
-    Valid for Re s > 0 (collocation nodes are positive reals).  Split
-    points bracket the weight peak at u = sqrt(omega0).
-    """
-    pref = 2.0 * p.alpha / mpmath.pi
-    u_top = math.sqrt(p.omega_c)
-    splits = sorted({0.0, min(0.5 * math.sqrt(p.omega0), u_top),
-                     min(math.sqrt(p.omega0), u_top),
-                     min(2.0 * math.sqrt(p.omega0), u_top), u_top})
-
-    def F(s):
-        def ig(u):
-            return pref * u * u * mpmath.exp(-u * u / p.omega0) / (
-                s + 1j * (p.omega_b + u * u - p.delta))
-
-        ghat = mpmath.quad(ig, splits)
-        return 1 / (s + ghat)
-
-    return F
-
-
-def find_bound_pole(p: ModelParams, n_panels=256):
+def find_bound_pole(p: ModelParams):
     """Locate the discrete resolvent pole below the band, if present.
 
     Newton iteration on s + G_hat(s) = 0 seeded from the weak-coupling
-    root estimate.  Returns (location, residue) or None when no stable
-    pole exists on the physical sheet (then nothing is subtracted and
-    the inversion flags carry the burden).
+    root estimate, with the closed forms ``model.ghat`` and
+    ``model.ghat_slope``.  Returns (location, residue) or None when no
+    stable pole exists on the physical sheet (then nothing is subtracted
+    and the inversion flags carry the burden).
     """
     if p.alpha == 0.0:
         return None
     cls = classify_regime(p)
     if not (cls.regime == "below_band" and cls.pole_stable):
         return None
-    omega, w = _band_rule(p, n_panels=n_panels)
-    denom_base = 1j * (omega - p.delta)
-
     s = 1j * (cls.r1.real**2 + p.delta_L)
     for _ in range(80):
-        d = s + denom_base
-        g = np.dot(w, 1.0 / d)
-        gp = -np.dot(w, 1.0 / (d * d))
-        step = (s + g) / (1.0 + gp)
+        g = complex(ghat(p, s))
+        step = (s + g) / (1.0 + ghat_slope(p, s, g))
         s = s - step
         if abs(step) <= 1e-14 * max(1.0, abs(s)):
             break
@@ -230,13 +203,14 @@ def find_bound_pole(p: ModelParams, n_panels=256):
     gap = s.imag - p.delta_L  # pole must sit strictly below the band edge
     if abs(s.real) > 1e-9 * p.omega_c or gap <= 1e-4 * p.omega_c:
         return None
-    gp = -np.dot(w, 1.0 / (s + denom_base) ** 2)
-    return complex(s), complex(1.0 / (1.0 + gp))
+    return s, 1.0 / (1.0 + ghat_slope(p, s, complex(ghat(p, s))))
 
 
 def laplace_invert(p: ModelParams, times, n=32, flag_tol=1e-3, cross_check=True):
     """Invert the resolvent transform A_hat(s) = 1/(s + G_hat(s)).
 
+    Both inverters sample the same closed form ``model.ghat``: Piessens
+    at mpmath precision, Talbot in double precision on its contour.
     Piessens' Chebyshev-expansion method is the primary inverter; an
     independent Talbot-contour quadrature cross-checks every point and
     disagreements beyond flag_tol are flagged (late-time expansion decay
@@ -257,15 +231,15 @@ def laplace_invert(p: ModelParams, times, n=32, flag_tol=1e-3, cross_check=True)
     t_max = float(times.max())
     pole = find_bound_pole(p)
     poles = [pole] if pole is not None else []
-    values, _ = piessens_invert(_resolvent_mp(p), times, n=n,
-                                b=3.0 / t_max, poles=poles)
+
+    def resolvent(s):
+        return 1 / (s + ghat(p, s))
+
+    values, _ = piessens_invert(resolvent, times, n=n, b=3.0 / t_max, poles=poles)
     flags = None
     if cross_check:
-        def F(s):
-            return 1.0 / (s + _laplace_nodes(p, s))
-
         s_max = max(abs(p.delta - p.omega_b), p.band_top - p.delta) + p.omega_s + 1.0
-        ref, spread = talbot_invert(F, times, s_max)
+        ref, spread = talbot_invert(resolvent, times, s_max)
         flags = (np.abs(values - ref) > flag_tol) | (spread > flag_tol)
     series = AmplitudeSeries(times, values, "laplace", p, p.delta,
                              frame="interaction", flags=flags)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ from gapchain.model import (
     bath_correlation,
     correlation_by_quadrature,
     derived_scales,
+    ghat,
+    ghat_slope,
     laplace_of_G,
     spectral_density,
     _laplace_integral,
-    _laplace_nodes,
 )
 from gapchain._quad import complex_quad
 
@@ -214,9 +216,94 @@ class TestLaplace:
     def test_fixed_rule_matches_adaptive(self):
         p = params(delta=2.0)
         pts = np.array([3.0 + 1j, 0.5 - 200j, 40.0 + 0j, -30.0 + 900j, -5.0 - 320j])
-        vec = _laplace_nodes(p, pts)
+        vec = ghat(p, pts)
         for s, v in zip(pts, vec):
             assert v == pytest.approx(_laplace_integral(p, s), rel=1e-8)
+
+
+def s_at(p, z):
+    """The s where z = omega_b - delta - i s, the variable of ghat's closed form."""
+    return 1j * (z - p.omega_b + p.delta)
+
+
+def mp_band_integral(p, s):
+    """Adaptive mpmath quadrature of G_hat over the band, band top taken in mp."""
+    u_top = mpmath.sqrt(p.omega_c)
+    splits = [0] + [min(k * mpmath.sqrt(p.omega0), u_top) for k in (0.5, 1, 2)] + [u_top]
+
+    def ig(u):
+        return u * u * mpmath.exp(-u * u / p.omega0) / (s + 1j * (p.omega_b + u * u - p.delta))
+
+    return 2 * p.alpha / mpmath.pi * mpmath.quad(ig, sorted(set(splits)))
+
+
+# (omega_c/omega0 = 8, omega_c/omega0 = 5) corners
+GHAT_CORNERS = [params(delta=3.0), ModelParams(alpha=1.0, omega_b=2.0, omega0=20.0,
+                                               omega_c=100.0, delta=1.0)]
+
+
+class TestGhatClosedForm:
+    """model.ghat against the adaptive oracle where a fixed rule is weakest."""
+
+    @pytest.mark.parametrize("p", GHAT_CORNERS, ids=["wc8w0", "wc5w0"])
+    @pytest.mark.parametrize(
+        "z_over_wc",
+        [
+            1e-9 + 1e-10j, 1e-6, -1e-6j, 1e-4 + 1e-4j,  # band edge, z -> 0
+            -1.001 + 1e-3j, -1.001 - 1e-3j,  # just past the hard band top
+            -0.999 + 1e-3j, -0.999 - 1e-3j,  # just inside it
+            -1.0 + 1e-3j, -1.0 - 1e-3j,  # straight above and below it
+            -2.0 + 1e-12j, -5.0 - 1e-9j, -1.5 + 1e-6j,  # Talbot crossing of the tail cut
+            -0.5 + 1e-3j, -0.5 - 1e-3j, -0.01 - 1e-3j, -0.99 + 1e-3j,  # 1e-3 omega_c off the cut
+        ],
+    )
+    def test_matches_adaptive_oracle(self, p, z_over_wc):
+        s = s_at(p, z_over_wc * p.omega_c)
+        assert complex(ghat(p, s)) == pytest.approx(_laplace_integral(p, s), rel=1e-10)
+
+    def test_finite_where_exp_overflows(self):
+        # omega_c/omega0 = 800: (z + omega_c)/omega0 passes e^x's overflow at 709
+        p = ModelParams(alpha=1.0, omega_b=2.0, omega0=1.0, omega_c=800.0, delta=1.0)
+        for z in (1000.0 + 5j, -300.0 - 1e-3j, 2.0 + 0j):
+            s = s_at(p, z)
+            assert complex(ghat(p, s)) == pytest.approx(_laplace_integral(p, s), rel=1e-10)
+
+    def test_batch_equals_pointwise(self):
+        p = GHAT_CORNERS[0]
+        pts = s_at(p, np.array([-3.0 * p.omega_c + 2j, 0.3 * p.omega_c - 5j, 7.0 + 40j]))
+        batch = ghat(p, pts)
+        for s, v in zip(pts, batch):
+            assert complex(ghat(p, s)) == pytest.approx(v, rel=1e-14)
+
+    @pytest.mark.parametrize("p", GHAT_CORNERS, ids=["wc8w0", "wc5w0"])
+    def test_slope_matches_quadrature(self, p):
+        pref = 2.0 * p.alpha / math.pi
+        for s in (s_at(p, 0.2 * p.omega0 + 0j), s_at(p, -0.5 * p.omega_c + 0.1 * p.omega_c * 1j),
+                  3.0 + 40j):
+            ref = -pref * complex_quad(
+                lambda u: u * u * np.exp(-u * u / p.omega0)
+                / (s + 1j * (p.omega_b + u * u - p.delta)) ** 2,
+                0.0, math.sqrt(p.omega_c), epsrel=1e-12, limit=4000,
+            )
+            assert ghat_slope(p, s, complex(ghat(p, s))) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("p", GHAT_CORNERS, ids=["wc8w0", "wc5w0"])
+    def test_mp_path_matches_adaptive_mp_quadrature(self, p):
+        # Piessens collocates at real s, where the mp path must hold 40 digits
+        with mpmath.workdps(60):
+            for s in (mpmath.mpf("0.75"), mpmath.mpf(12), mpmath.mpf("47.25")):
+                val = ghat(p, s)
+                ref = mp_band_integral(p, s)
+                assert abs(val - ref) <= mpmath.mpf(10) ** -40 * abs(ref)
+                assert complex(val) == pytest.approx(complex(ghat(p, complex(s))), rel=1e-12)
+
+    def test_mp_path_at_hard_band_top(self):
+        # delta = omega_b + omega_c puts the E1 log singularity at s = 0
+        p = ModelParams(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0, delta=102.0)
+        with mpmath.workdps(60):
+            for s in (mpmath.mpf("0.05"), mpmath.mpf(1)):
+                ref = mp_band_integral(p, s)
+                assert abs(ghat(p, s) - ref) <= mpmath.mpf(10) ** -40 * abs(ref)
 
 
 class TestDerivedScales:

@@ -201,6 +201,26 @@ class TestLaplaceInvert:
         )
         assert not s.flags.any()
 
+    def test_hard_band_top_matches_frozen_inversion(self):
+        # delta = omega_b + omega_c puts the band-top log singularity of
+        # G_hat at s = 0.  Frozen from the adaptive-quadrature transform;
+        # the Chebyshev expansion cannot resolve that branch point, so the
+        # Talbot cross-check flags every point, then as now.
+        p = reduced(delta=102.0)
+        s = laplace_invert(p, np.linspace(0.1, 1.5, 8))
+        frozen = [
+            0.9850243631610737 - 0.03368313950516372j,
+            0.9716914411504257 - 0.11755624448755464j,
+            0.9600096274743581 - 0.20719130460465351j,
+            0.9160805801498022 - 0.2793767920107844j,
+            0.8795003111578542 - 0.3590062018782396j,
+            0.843649284908614 - 0.44122618049127604j,
+            0.8229143152772528 - 0.5329431887911963j,
+            0.724439908949994 - 0.5745034068972872j,
+        ]
+        np.testing.assert_allclose(s.values, frozen, rtol=0.0, atol=1e-10)
+        assert s.flags.all()
+
     def test_flags_fire_for_crude_expansion(self):
         p = reduced(delta=1.0)
         s = laplace_invert(p, np.linspace(0.2, 2.0, 7), n=4)
