@@ -4,6 +4,10 @@ Estimators accept raw (times, values) arrays or the package's series
 objects, with the observable chosen by context: population traces back
 the stationary-value and decay readings, the sigma_x coherence backs
 the oscillation-frequency readings.
+
+A detuning sweep (crossover_scan) measures the columns named in
+SWEEP_COLUMNS at every point; SweepResult.columns holds one array per
+name, and the CLI writes the same names as its CSV columns.
 """
 
 import cmath
@@ -27,6 +31,7 @@ __all__ = [
     "PoleEstimate",
     "StationaryEstimate",
     "SweepResult",
+    "SWEEP_COLUMNS",
     "oscillation_frequency",
     "zero_crossing_frequency",
     "stationary_value",
@@ -36,26 +41,19 @@ __all__ = [
 ]
 
 
-def _coherence_signal(ts):
-    """(times, values) carrying the oscillating coherence."""
+def _signal(ts, coherence):
+    """(times, values) of the observable an estimator reads.
+
+    Only a TEBD TimeSeries carries both observables: coherence=True
+    selects its sigma_x, otherwise its excited population.  Other
+    series carry one observable, which is returned either way.
+    """
     if isinstance(ts, TimeSeries):
-        return ts.times, ts.sigma_x.real
+        return ts.times, ts.sigma_x.real if coherence else ts.pop_excited
     if isinstance(ts, CoherenceTrace):
         return ts.times, np.asarray(ts.sigma_x, dtype=float)
     if isinstance(ts, AmplitudeSeries):
         return ts.times, ts.population()
-    times, values = ts
-    return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
-
-
-def _population_signal(ts):
-    """(times, values) carrying the excited population."""
-    if isinstance(ts, TimeSeries):
-        return ts.times, ts.pop_excited
-    if isinstance(ts, AmplitudeSeries):
-        return ts.times, ts.population()
-    if isinstance(ts, CoherenceTrace):
-        return ts.times, np.asarray(ts.sigma_x, dtype=float)
     times, values = ts
     return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
 
@@ -112,7 +110,7 @@ def oscillation_frequency(ts) -> float:
     Requires at least three full periods inside the window and a peak
     standing 3x above the spectral median.
     """
-    times, values = _coherence_signal(ts)
+    times, values = _signal(ts, coherence=True)
     omega, _ = _dominant_peak(times, values)
     span = times[-1] - times[0]
     if span * omega < 3.0 * 2.0 * math.pi:
@@ -124,7 +122,7 @@ def oscillation_frequency(ts) -> float:
 
 def zero_crossing_frequency(ts) -> float:
     """Cross-check estimator: pi over the mean zero-crossing spacing."""
-    times, values = _coherence_signal(ts)
+    times, values = _signal(ts, coherence=True)
     w = np.hanning(values.size)
     resid = values - np.sum(values * w) / np.sum(w)
     sign = np.sign(resid)
@@ -155,7 +153,7 @@ def stationary_value(ts) -> StationaryEstimate:
     exceeds 0.05.  Errors out if a resolved oscillation (>= 3 cycles)
     has fewer than 10 periods in the window.
     """
-    times, values = _population_signal(ts)
+    times, values = _signal(ts, coherence=False)
     span = times[-1] - times[0]
     try:
         omega = oscillation_frequency((times, values))
@@ -184,7 +182,7 @@ def decay_rate(ts) -> float:
     if isinstance(ts, AmplitudeSeries):
         times, values = ts.times, np.abs(ts.values)
     else:
-        times, values = _population_signal(ts)
+        times, values = _signal(ts, coherence=False)
     resid = np.abs(values - values[-max(values.size // 10, 1):].mean())
     peaks, _ = find_peaks(resid)
     peaks = peaks[resid[peaks] > 1e-12 * resid.max()]
@@ -254,17 +252,18 @@ def rwa_pole_estimates(p: ModelParams) -> PoleEstimate:
     return PoleEstimate(PoleRegime.SMALL_FINITE, s_plus, -s_plus)
 
 
+SWEEP_COLUMNS = ("stationary_pop_rwa", "stationary_pop_full",
+                 "freq_rwa", "freq_full", "decay_rwa")
+
+
 @dataclass
 class SweepResult:
-    """Per-delta measurements of a crossover scan; NaN marks absent or
-    failed entries, with the reason kept in the point's manifest."""
+    """Per-delta measurements of a crossover scan, one array per name in
+    SWEEP_COLUMNS; NaN marks absent or failed entries, with the reason
+    kept in the point's manifest."""
 
     delta_grid: np.ndarray
-    stationary_pop_rwa: np.ndarray
-    stationary_pop_full: np.ndarray
-    freq_rwa: np.ndarray
-    freq_full: np.ndarray
-    decay_rates: np.ndarray
+    columns: dict
     manifests: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -272,12 +271,21 @@ class SweepResult:
             raise ValueError("delta_grid must be strictly increasing")
 
 
+def _measure(row, failures, column, estimator, signal):
+    """row[column] = estimator(signal), or the refusal under failures."""
+    try:
+        row[column] = float(estimator(signal))
+    except ValueError as err:
+        failures[column] = str(err)
+
+
 def _scan_point(delta, base_params, methods, cfgs):
     """One sweep point; returns (delta, row dict, manifest dict)."""
     p = dataclasses.replace(base_params, delta=delta)
-    row = {k: math.nan for k in ("stationary_pop_rwa", "stationary_pop_full",
-                                 "freq_rwa", "freq_full", "decay_rwa")}
-    manifest = {"delta": delta, "methods": sorted(methods), "failures": {}}
+    row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
+    failures = {}
+    manifest = {"delta": delta, "methods": sorted(methods),
+                "failures": failures}
 
     if "rwa" in methods:
         rc = dict(cfgs.get("rwa", {}))
@@ -289,20 +297,13 @@ def _scan_point(delta, base_params, methods, cfgs):
             series = chain_evolve(map_to_chain(p, n), delta, t_max,
                                   samples=samples)
             manifest["rwa"]["chain_sites"] = n
-            try:
-                row["stationary_pop_rwa"] = float(stationary_value(series))
-            except ValueError as err:
-                manifest["failures"]["stationary_pop_rwa"] = str(err)
-            try:
-                row["freq_rwa"] = oscillation_frequency(rwa_coherence(series))
-            except ValueError as err:
-                manifest["failures"]["freq_rwa"] = str(err)
-            try:
-                row["decay_rwa"] = decay_rate(series)
-            except ValueError as err:
-                manifest["failures"]["decay_rwa"] = str(err)
+            _measure(row, failures, "stationary_pop_rwa", stationary_value,
+                     series)
+            _measure(row, failures, "freq_rwa", oscillation_frequency,
+                     rwa_coherence(series))
+            _measure(row, failures, "decay_rwa", decay_rate, series)
         except (ValueError, RuntimeError) as err:
-            manifest["failures"]["rwa"] = str(err)
+            failures["rwa"] = str(err)
 
     if "full" in methods:
         fc = cfgs.get("full")
@@ -318,19 +319,13 @@ def _scan_point(delta, base_params, methods, cfgs):
             c = map_to_chain(p, n)
             manifest["full"]["chain_sites"] = n
             if "population" in observables:
-                ts = mps_evolve(c, fc, "excited", delta)
-                try:
-                    row["stationary_pop_full"] = float(stationary_value(ts))
-                except ValueError as err:
-                    manifest["failures"]["stationary_pop_full"] = str(err)
+                _measure(row, failures, "stationary_pop_full",
+                         stationary_value, mps_evolve(c, fc, "excited", delta))
             if "coherence" in observables:
-                ts = mps_evolve(c, fc, "plus_superposition", delta)
-                try:
-                    row["freq_full"] = oscillation_frequency(ts)
-                except ValueError as err:
-                    manifest["failures"]["freq_full"] = str(err)
+                _measure(row, failures, "freq_full", oscillation_frequency,
+                         mps_evolve(c, fc, "plus_superposition", delta))
         except (ValueError, RuntimeError) as err:
-            manifest["failures"]["full"] = str(err)
+            failures["full"] = str(err)
 
     return delta, row, manifest
 
@@ -351,24 +346,17 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     grid = np.asarray(sorted(float(d) for d in delta_grid))
-    if grid.size == 0:
-        return SweepResult(grid, *(np.empty(0) for _ in range(5)))
 
-    done = {}
+    results = {}
     if prior is not None:
         for i, d in enumerate(prior.delta_grid):
-            done[float(d)] = (
-                {"stationary_pop_rwa": prior.stationary_pop_rwa[i],
-                 "stationary_pop_full": prior.stationary_pop_full[i],
-                 "freq_rwa": prior.freq_rwa[i],
-                 "freq_full": prior.freq_full[i],
-                 "decay_rwa": prior.decay_rates[i]},
+            results[float(d)] = (
+                {k: prior.columns[k][i] for k in SWEEP_COLUMNS},
                 prior.manifests[i] if i < len(prior.manifests) else
                 {"delta": float(d), "resumed": True},
             )
 
-    todo = [d for d in grid if d not in done]
-    results = dict(done)
+    todo = [d for d in grid if d not in results]
     if jobs > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_scan_point, d, base_params, methods, cfgs)
@@ -381,14 +369,8 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
             d, row, manifest = _scan_point(d, base_params, methods, cfgs)
             results[d] = (row, manifest)
 
-    rows = [results[float(d)][0] for d in grid]
-    manifests = [results[float(d)][1] for d in grid]
+    rows = [results[float(d)] for d in grid]
     return SweepResult(
-        delta_grid=grid,
-        stationary_pop_rwa=np.array([r["stationary_pop_rwa"] for r in rows]),
-        stationary_pop_full=np.array([r["stationary_pop_full"] for r in rows]),
-        freq_rwa=np.array([r["freq_rwa"] for r in rows]),
-        freq_full=np.array([r["freq_full"] for r in rows]),
-        decay_rates=np.array([r["decay_rwa"] for r in rows]),
-        manifests=manifests,
-    )
+        grid, {k: np.array([row[k] for row, _ in rows], dtype=float)
+               for k in SWEEP_COLUMNS},
+        [manifest for _, manifest in rows])

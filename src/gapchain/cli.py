@@ -13,8 +13,12 @@ run produces.
 
 Configuration comes from an INI file (sections [model], [chain],
 [evolution], [analysis], [output]), from a JSON file with the same
-section names, or from flags; flags override file values.  A manifest
-is itself a valid JSON config (its ``config`` block is unwrapped).
+section names, or from flags; flags override file values.  The flags
+are the config keys: key ``section.some_key`` is the flag
+``--some-key``, except ``output.directory``, which is ``--out-dir``.  A
+flag value is parsed exactly like the same value in an INI file.  A
+manifest is itself a valid JSON config (its ``config`` block is
+unwrapped).
 
 Exit codes: 0 success, 1 numerical failure (diagnostics.json written
 to the output directory), 2 configuration error (every violation is
@@ -60,36 +64,41 @@ class ConfigError(Exception):
 
 
 def _as_float(value, key, errors):
-    if isinstance(value, bool):
-        errors.append(f"{key}: expected a number, got {value!r}")
-        return None
+    """a finite number"""
     try:
-        return float(value)
+        if not isinstance(value, bool) and math.isfinite(float(value)):
+            return float(value)
     except (TypeError, ValueError):
-        errors.append(f"{key}: expected a number, got {value!r}")
-        return None
+        pass
+    errors.append(f"{key}: expected a finite number, got {value!r}")
+    return None
 
 
 def _as_int(value, key, errors):
-    if isinstance(value, bool):
-        errors.append(f"{key}: expected an integer, got {value!r}")
-        return None
-    try:
-        f = float(value)
-    except (TypeError, ValueError):
-        errors.append(f"{key}: expected an integer, got {value!r}")
-        return None
-    if f != int(f):
+    """an integer"""
+    f = _as_float(value, key, [])
+    if f is None or f != int(f):
         errors.append(f"{key}: expected an integer, got {value!r}")
         return None
     return int(f)
 
 
 def _as_str(value, key, errors):
+    """a path"""
     return str(value)
 
 
+def _as_mode(value, key, errors):
+    """RWA or FULL (any case)"""
+    mode = str(value).upper()
+    if mode not in ("RWA", "FULL"):
+        errors.append(f"{key}: must be RWA or FULL")
+        return None
+    return mode
+
+
 def _as_formats(value, key, errors):
+    """comma list from csv,json,svg"""
     if isinstance(value, str):
         items = [s.strip() for s in value.split(",") if s.strip()]
     elif isinstance(value, (list, tuple)):
@@ -106,7 +115,7 @@ def _as_formats(value, key, errors):
 
 
 def _as_exclude(value, key, errors):
-    """Time windows to drop, as 'lo:hi,lo:hi' or a list of [lo, hi] pairs."""
+    """time windows to drop, lo:hi,lo:hi (in JSON, [lo, hi] pairs)"""
     pairs = []
     if isinstance(value, str):
         for part in value.split(","):
@@ -137,37 +146,26 @@ def _as_exclude(value, key, errors):
     return tuple(out)
 
 
+# The one list of config keys: each becomes a flag --<key-with-dashes>
+# (renamed only through _FLAG_NAMES), an INI/JSON key of its section and
+# a field of that section's dataclass.  A validator's docstring is the
+# flag's help text.
 _SCHEMA = {
     "model": {"alpha": _as_float, "omega_b": _as_float, "omega0": _as_float,
               "omega_c": _as_float, "delta": _as_float},
     "chain": {"n_sites": _as_int, "n_quad": _as_int},
     "evolution": {"t_max": _as_float, "dt": _as_float, "d_b": _as_int,
                   "chi_max": _as_int, "svd_threshold": _as_float,
-                  "sample_stride": _as_int, "mode": _as_str},
+                  "sample_stride": _as_int, "mode": _as_mode},
     "analysis": {"fit_window_low": _as_float, "fit_window_high": _as_float,
                  "exclude": _as_exclude},
     "output": {"directory": _as_str, "formats": _as_formats},
 }
 
+_FLAG_NAMES = {("output", "directory"): "--out-dir"}
+
 _NEEDS_MODEL = {"chain-coeffs", "rwa", "evolve", "polaron", "sweep"}
 _NEEDS_TMAX = {"rwa", "evolve"}
-
-# argparse dest -> (section, key) for the shared configuration flags
-_FLAG_MAP = {
-    "alpha": ("model", "alpha"), "omega_b": ("model", "omega_b"),
-    "omega0": ("model", "omega0"), "omega_c": ("model", "omega_c"),
-    "delta": ("model", "delta"),
-    "n_sites": ("chain", "n_sites"), "n_quad": ("chain", "n_quad"),
-    "t_max": ("evolution", "t_max"), "dt": ("evolution", "dt"),
-    "d_b": ("evolution", "d_b"), "chi_max": ("evolution", "chi_max"),
-    "svd_threshold": ("evolution", "svd_threshold"),
-    "sample_stride": ("evolution", "sample_stride"),
-    "mode": ("evolution", "mode"),
-    "fit_window_low": ("analysis", "fit_window_low"),
-    "fit_window_high": ("analysis", "fit_window_high"),
-    "exclude": ("analysis", "exclude"),
-    "out_dir": ("output", "directory"), "formats": ("output", "formats"),
-}
 
 
 @dataclass(frozen=True)
@@ -180,12 +178,13 @@ class ChainOptions:
 class AnalysisOptions:
     """Pre-processing applied before the estimators run.
 
-    fit_window trims the series to [low, high] fractions of its time
-    span; exclude drops absolute-time windows (transients, switch-on
-    artifacts) from whatever remains.
+    The series is trimmed to [fit_window_low, fit_window_high] fractions
+    of its time span; exclude drops absolute-time windows (transients,
+    switch-on artifacts) from whatever remains.
     """
 
-    fit_window: tuple = (0.0, 1.0)
+    fit_window_low: float = 0.0
+    fit_window_high: float = 1.0
     exclude: tuple = ()
 
 
@@ -206,26 +205,22 @@ class RunConfig:
     output: OutputOptions
 
     def to_dict(self):
-        """JSON-ready echo; parse_config(data=...) inverts it exactly."""
+        """JSON-ready echo; parse_config(data=...) inverts it exactly.
+
+        A key holding an empty default (None or ()) is left out, since
+        parsing restores it; an empty section is left out too.
+        """
         d = {}
-        if self.model is not None:
-            d["model"] = {k: getattr(self.model, k) for k in _SCHEMA["model"]}
-        chain = {k: getattr(self.chain, k) for k in ("n_sites", "n_quad")
-                 if getattr(self.chain, k) is not None}
-        if chain:
-            d["chain"] = chain
-        if self.evolution is not None:
-            evo = {k: getattr(self.evolution, k)
-                   for k in _SCHEMA["evolution"]}
-            if evo["dt"] is None:
-                del evo["dt"]
-            d["evolution"] = evo
-        d["analysis"] = {"fit_window_low": self.analysis.fit_window[0],
-                         "fit_window_high": self.analysis.fit_window[1]}
-        if self.analysis.exclude:
-            d["analysis"]["exclude"] = [list(w) for w in self.analysis.exclude]
-        d["output"] = {"directory": self.output.directory,
-                       "formats": list(self.output.formats)}
+        for sec, keys in _SCHEMA.items():
+            obj = getattr(self, sec)
+            if obj is None:
+                continue
+            empty = {f.name for f in dataclasses.fields(obj)
+                     if f.default in (None, ())}
+            block = {k: getattr(obj, k) for k in keys
+                     if k not in empty or getattr(obj, k) not in (None, ())}
+            if block:
+                d[sec] = block
         return d
 
 
@@ -281,81 +276,59 @@ def parse_config(path=None, data=None, overrides=None,
     for (sec, key), value in (overrides or {}).items():
         merged.setdefault(sec, {})[key] = value
 
-    typed = {}
+    typed = {sec: {} for sec in _SCHEMA}
     for sec, block in merged.items():
         for key, value in block.items():
             tv = _SCHEMA[sec][key](value, f"{sec}.{key}", errors)
             if tv is not None:
-                typed.setdefault(sec, {})[key] = tv
+                typed[sec][key] = tv
 
-    model = None
-    msec = typed.get("model", {})
-    if msec or subcommand in _NEEDS_MODEL:
-        missing = [k for k in ("alpha", "omega_b", "omega0", "omega_c")
-                   if k not in msec]
-        if subcommand in _NEEDS_MODEL:
-            errors.extend(f"model.{k}: required" for k in missing)
-        if not missing:
-            try:
-                model = ModelParams(alpha=msec["alpha"],
-                                    omega_b=msec["omega_b"],
-                                    omega0=msec["omega0"],
-                                    omega_c=msec["omega_c"],
-                                    delta=msec.get("delta", 0.0))
-            except ValueError as err:
-                errors.append(f"model: {err}")
+    model = _build(ModelParams, "model", typed, errors,
+                   required=subcommand in _NEEDS_MODEL)
     if subcommand == "polaron" and model is not None and model.delta <= 0.0:
         errors.append("model.delta: must be positive "
                       "(the theory renormalizes a finite splitting)")
 
-    csec = typed.get("chain", {})
-    n_sites, n_quad = csec.get("n_sites"), csec.get("n_quad")
-    if n_sites is not None and n_sites < 2:
-        errors.append("chain.n_sites: must be at least 2")
-    if n_quad is not None and n_quad < 2:
-        errors.append("chain.n_quad: must be at least 2")
-    if subcommand == "chain-coeffs" and n_sites is None:
+    chain = ChainOptions(**typed["chain"])
+    for key in _SCHEMA["chain"]:
+        if getattr(chain, key) is not None and getattr(chain, key) < 2:
+            errors.append(f"chain.{key}: must be at least 2")
+    if subcommand == "chain-coeffs" and chain.n_sites is None:
         errors.append("chain.n_sites: required for chain-coeffs")
 
-    evolution = None
-    esec = typed.get("evolution", {})
-    if esec or subcommand in _NEEDS_TMAX:
-        if "t_max" not in esec:
-            errors.append("evolution.t_max: required")
-        else:
-            mode = str(esec.get("mode", "RWA")).upper()
-            if mode not in ("RWA", "FULL"):
-                errors.append("evolution.mode: must be RWA or FULL")
-            else:
-                try:
-                    evolution = EvolutionConfig(
-                        t_max=esec["t_max"], dt=esec.get("dt"),
-                        d_b=esec.get("d_b", 6),
-                        chi_max=esec.get("chi_max", 64),
-                        svd_threshold=esec.get("svd_threshold", 1e-10),
-                        sample_stride=esec.get("sample_stride", 10),
-                        mode=mode)
-                except ValueError as err:
-                    errors.append(f"evolution: {err}")
+    evolution = _build(EvolutionConfig, "evolution", typed, errors,
+                       required=bool(typed["evolution"])
+                       or subcommand in _NEEDS_TMAX)
 
-    asec = typed.get("analysis", {})
-    lo = asec.get("fit_window_low", 0.0)
-    hi = asec.get("fit_window_high", 1.0)
-    if not 0.0 <= lo < hi <= 1.0:
+    analysis_opts = AnalysisOptions(**typed["analysis"])
+    if not (0.0 <= analysis_opts.fit_window_low
+            < analysis_opts.fit_window_high <= 1.0):
         errors.append("analysis.fit_window_low/high: "
                       "need 0 <= low < high <= 1")
-        lo, hi = 0.0, 1.0
-    analysis_opts = AnalysisOptions(fit_window=(lo, hi),
-                                    exclude=asec.get("exclude", ()))
-
-    osec = typed.get("output", {})
-    output = OutputOptions(directory=osec.get("directory", "gapchain-out"),
-                           formats=osec.get("formats", ("csv", "json", "svg")))
 
     if errors:
         raise ConfigError(sorted(errors))
-    return RunConfig(model, ChainOptions(n_sites, n_quad), evolution,
-                     analysis_opts, output)
+    return RunConfig(model, chain, evolution, analysis_opts,
+                     OutputOptions(**typed["output"]))
+
+
+def _build(cls, sec, typed, errors, required):
+    """cls(**typed[sec]), or None when a field without default is unset.
+
+    Unset fields are config errors only when the section is required.
+    """
+    missing = [f.name for f in dataclasses.fields(cls)
+               if f.default is dataclasses.MISSING
+               and f.name not in typed[sec]]
+    if required:
+        errors.extend(f"{sec}.{k}: required" for k in missing)
+    if missing:
+        return None
+    try:
+        return cls(**typed[sec])
+    except ValueError as err:
+        errors.append(f"{sec}: {err}")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +356,22 @@ def _jsonsafe(obj):
 
 
 def _emit(outdir: Path, name: str, text: str):
-    """Atomic write (temp then rename), confined to the output directory."""
+    """Atomic write (temp then rename), confined to the output directory.
+
+    Returns name, for the run's list of outputs.
+    """
     if Path(name).name != name:
         raise ConfigError([f"output: artifact name {name!r} must not "
                            "contain path separators"])
     tmp = outdir / (name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, outdir / name)
+    return name
 
 
 def _emit_json(outdir, name, obj):
-    _emit(outdir, name, json.dumps(_jsonsafe(obj), indent=2,
-                                   sort_keys=True) + "\n")
+    return _emit(outdir, name, json.dumps(_jsonsafe(obj), indent=2,
+                                          sort_keys=True) + "\n")
 
 
 def _csv_text(meta, cols):
@@ -452,7 +429,7 @@ def _model_meta(p: ModelParams):
 
 def _apply_windows(times, values, opts: AnalysisOptions):
     """Trim to the fit window fractions, then drop excluded intervals."""
-    lo, hi = opts.fit_window
+    lo, hi = opts.fit_window_low, opts.fit_window_high
     t0, t1 = times[0], times[-1]
     keep = (times >= t0 + lo * (t1 - t0)) & (times <= t0 + hi * (t1 - t0))
     for wlo, whi in opts.exclude:
@@ -477,14 +454,13 @@ def _cmd_chain_coeffs(cfg, args, outdir):
             "hop: coupling to the next site; nan on the last row"]
     hop = np.append(c.t, math.nan)
     if "csv" in fmts:
-        _emit(outdir, "chain_coeffs.csv", _csv_text(meta, [
-            ("n", np.arange(n), "i"), ("eps", c.eps, "f"), ("hop", hop, "f")]))
-        outputs.append("chain_coeffs.csv")
+        outputs.append(_emit(outdir, "chain_coeffs.csv", _csv_text(meta, [
+            ("n", np.arange(n), "i"), ("eps", c.eps, "f"),
+            ("hop", hop, "f")])))
     if "json" in fmts:
-        _emit_json(outdir, "chain_coeffs.json",
-                   {"g": c.g, "weight_norm": c.weight_norm,
-                    "eps": c.eps, "hop": c.t})
-        outputs.append("chain_coeffs.json")
+        outputs.append(_emit_json(outdir, "chain_coeffs.json",
+                                  {"g": c.g, "weight_norm": c.weight_norm,
+                                   "eps": c.eps, "hop": c.t}))
     if "svg" in fmts:
         idx = np.arange(n, dtype=float)
         svg = render_line_plot(
@@ -492,8 +468,7 @@ def _cmd_chain_coeffs(cfg, args, outdir):
              Series(idx[:-1], c.t, label="t_n", marker="open")],
             xlabel="site n", ylabel="frequency",
             title="chain coefficients", marker_stride=max(1, n // 40))
-        _emit(outdir, "chain_coeffs.svg", svg)
-        outputs.append("chain_coeffs.svg")
+        outputs.append(_emit(outdir, "chain_coeffs.svg", svg))
     conv = {"n_sites": n, "n_quad": cfg.chain.n_quad}
     return outputs, conv, {}, 0
 
@@ -501,7 +476,10 @@ def _cmd_chain_coeffs(cfg, args, outdir):
 def _cmd_rwa(cfg, args, outdir):
     p, fmts = cfg.model, cfg.output.formats
     t_max = cfg.evolution.t_max
-    solver = args.solver
+    errors = _below_floor("rwa", args, samples=2)
+    if errors:
+        raise ConfigError(errors)
+    solver, samples = args.solver, args.samples or 1001
     conv = {"solver": solver}
     invocation = {"solver": solver, "samples": args.samples,
                   "self_check": not args.no_self_check}
@@ -511,13 +489,11 @@ def _cmd_rwa(cfg, args, outdir):
         conv["dt"] = float(series.times[1] - series.times[0])
         conv["self_check"] = "skipped" if args.no_self_check else "passed"
     elif solver == "laplace":
-        samples = args.samples or 1001
         times = np.linspace(0.0, t_max, samples + 1)[1:]  # inverter needs t>0
         series = laplace_invert(p, times)
         conv["flagged_points"] = (None if series.flags is None
                                   else int(series.flags.sum()))
     else:
-        samples = args.samples or 1001
         n = cfg.chain.n_sites or chain_length_for(p, t_max)
         c = map_to_chain(p, n, M=cfg.chain.n_quad)
         series = chain_evolve(c, p.delta, t_max, samples=samples)
@@ -530,15 +506,13 @@ def _cmd_rwa(cfg, args, outdir):
         cols.append(("flag", series.flags.astype(int), "i"))
     outputs = []
     if "csv" in fmts:
-        _emit(outdir, "rwa.csv", _csv_text(meta, cols))
-        outputs.append("rwa.csv")
+        outputs.append(_emit(outdir, "rwa.csv", _csv_text(meta, cols)))
     if "svg" in fmts:
         svg = render_line_plot(
             [Series(series.times, pop, label="pop", marker="none")],
             xlabel="t", ylabel="excited population",
             title=f"rwa ({solver})")
-        _emit(outdir, "rwa.svg", svg)
-        outputs.append("rwa.svg")
+        outputs.append(_emit(outdir, "rwa.svg", svg))
     return outputs, conv, invocation, 0
 
 
@@ -564,8 +538,7 @@ def _cmd_evolve(cfg, args, outdir):
             ("flag", ts.flags.astype(int), "i")]
     outputs = []
     if "csv" in fmts:
-        _emit(outdir, "evolve.csv", _csv_text(meta, cols))
-        outputs.append("evolve.csv")
+        outputs.append(_emit(outdir, "evolve.csv", _csv_text(meta, cols)))
     if "svg" in fmts:
         svg = render_line_plot(
             [Series(ts.times, ts.pop_excited, label="pop_excited",
@@ -574,8 +547,7 @@ def _cmd_evolve(cfg, args, outdir):
             xlabel="t", ylabel="emitter observables",
             title=f"evolve ({evo.mode})",
             marker_stride=max(1, ts.times.size // 40))
-        _emit(outdir, "evolve.svg", svg)
-        outputs.append("evolve.svg")
+        outputs.append(_emit(outdir, "evolve.svg", svg))
     charge = ts.conserved_charge
     conv = {"chain_sites": n, "dt": ts.dt,
             "flagged_samples": int(ts.flags.sum()),
@@ -592,17 +564,19 @@ def _cmd_polaron(cfg, args, outdir):
     doc = {"delta": p.delta, "delta_tilde": sol.delta_tilde, "phi": sol.phi,
            "p_up_relaxed": sol.p_up_relaxed, "p_up_dressed": sol.p_up_dressed,
            "iterations": sol.iterations, "residual": sol.residual}
-    _emit_json(outdir, "polaron.json", doc)
     conv = {"iterations": sol.iterations, "residual": sol.residual}
-    return ["polaron.json"], conv, {}, 0
-
-
-_SUMMARY_COLS = ("stationary_pop_rwa", "stationary_pop_full",
-                 "freq_rwa", "freq_full", "decay_rwa")
+    return [_emit_json(outdir, "polaron.json", doc)], conv, {}, 0
 
 
 def _point_name(delta):
     return f"point_delta_{repr(float(delta))}.csv"
+
+
+def _below_floor(sub, args, **floors):
+    """Config errors for count options given below their floor."""
+    return [f"{sub}.{name}: must be at least {floor}"
+            for name, floor in floors.items()
+            if getattr(args, name) is not None and getattr(args, name) < floor]
 
 
 def _load_prior(outdir: Path):
@@ -614,24 +588,20 @@ def _load_prior(outdir: Path):
         for m in meta:
             if m.startswith("manifest:"):
                 manifest = json.loads(m[len("manifest:"):].strip())
-        row = {k: float(cols[k][0]) for k in _SUMMARY_COLS}
-        points.append((float(cols["delta"][0]), row, manifest))
+        points.append((float(cols["delta"][0]), cols, manifest))
     if not points:
         return None
     points.sort(key=lambda item: item[0])
-    grid = np.array([d for d, _, _ in points])
-    arrays = {k: np.array([row[k] for _, row, _ in points])
-              for k in _SUMMARY_COLS}
-    return analysis.SweepResult(grid, arrays["stationary_pop_rwa"],
-                                arrays["stationary_pop_full"],
-                                arrays["freq_rwa"], arrays["freq_full"],
-                                arrays["decay_rwa"],
-                                [m for _, _, m in points])
+    return analysis.SweepResult(
+        np.array([d for d, _, _ in points]),
+        {k: np.array([float(cols[k][0]) for _, cols, _ in points])
+         for k in analysis.SWEEP_COLUMNS},
+        [m for _, _, m in points])
 
 
 def _cmd_sweep(cfg, args, outdir):
     p, fmts = cfg.model, cfg.output.formats
-    errors = []
+    errors = _below_floor("sweep", args, samples=2, jobs=1)
     try:
         deltas = [float(s) for s in args.deltas.split(",") if s.strip()]
     except ValueError:
@@ -678,48 +648,39 @@ def _cmd_sweep(cfg, args, outdir):
                                      p, cfgs=cfgs, prior=prior, jobs=jobs)
 
     outputs = []
-    grid = result.delta_grid
-    arrays = {"stationary_pop_rwa": result.stationary_pop_rwa,
-              "stationary_pop_full": result.stationary_pop_full,
-              "freq_rwa": result.freq_rwa, "freq_full": result.freq_full,
-              "decay_rwa": result.decay_rates}
+    grid, columns = result.delta_grid, result.columns
     if "csv" in fmts:
         for i, d in enumerate(grid):
             meta = [_model_meta(p),
                     "manifest: " + json.dumps(_jsonsafe(result.manifests[i]),
                                               sort_keys=True)]
             cols = [("delta", [d], "f")]
-            cols += [(k, [arrays[k][i]], "f") for k in _SUMMARY_COLS]
-            _emit(outdir, _point_name(d), _csv_text(meta, cols))
-            outputs.append(_point_name(d))
+            cols += [(k, [columns[k][i]], "f") for k in analysis.SWEEP_COLUMNS]
+            outputs.append(_emit(outdir, _point_name(d),
+                                 _csv_text(meta, cols)))
         cols = [("delta", grid, "f")]
-        cols += [(k, arrays[k], "f") for k in _SUMMARY_COLS]
-        _emit(outdir, "summary.csv", _csv_text([_model_meta(p)], cols))
-        outputs.append("summary.csv")
+        cols += [(k, columns[k], "f") for k in analysis.SWEEP_COLUMNS]
+        outputs.append(_emit(outdir, "summary.csv",
+                             _csv_text([_model_meta(p)], cols)))
     if "svg" in fmts:
-        freq_series = [Series(grid, arrays["freq_rwa"], label="freq_rwa",
-                              marker="filled")]
-        if "full" in methods:
-            freq_series.append(Series(grid, arrays["freq_full"],
-                                      label="freq_full", marker="open"))
-        freq_series = [s for s in freq_series if np.isfinite(s.y).any()]
-        if freq_series:
-            _emit(outdir, "freq_vs_delta.svg", render_line_plot(
-                freq_series, xlabel="delta", ylabel="frequency",
-                title="oscillation frequency vs detuning"))
-            outputs.append("freq_vs_delta.svg")
-        pop_series = [Series(grid, arrays["stationary_pop_rwa"],
-                             label="stationary_pop_rwa", marker="filled")]
-        if "full" in methods:
-            pop_series.append(Series(grid, arrays["stationary_pop_full"],
-                                     label="stationary_pop_full", marker="open"))
-        pop_series = [s for s in pop_series
-                      if np.isfinite(s.y[s.y > 0]).any()]
-        if pop_series:
-            _emit(outdir, "stationary_pop_vs_delta.svg", render_line_plot(
-                pop_series, xlabel="delta", ylabel="stationary population",
-                title="stationary population vs detuning", log_y=True))
-            outputs.append("stationary_pop_vs_delta.svg")
+        for name, prefix, ylabel, title, log_y in (
+                ("freq_vs_delta.svg", "freq", "frequency",
+                 "oscillation frequency vs detuning", False),
+                ("stationary_pop_vs_delta.svg", "stationary_pop",
+                 "stationary population", "stationary population vs detuning",
+                 True)):
+            # the rwa curve is drawn whenever it holds data, the full curve
+            # only when this run asked for the full method
+            series = [Series(grid, columns[f"{prefix}_{m}"],
+                             label=f"{prefix}_{m}", marker=marker)
+                      for m, marker in (("rwa", "filled"), ("full", "open"))
+                      if m == "rwa" or m in methods]
+            series = [s for s in series
+                      if np.isfinite(s.y[s.y > 0] if log_y else s.y).any()]
+            if series:
+                outputs.append(_emit(outdir, name, render_line_plot(
+                    series, xlabel="delta", ylabel=ylabel, title=title,
+                    log_y=log_y)))
 
     failures = {repr(float(d)): m["failures"]
                 for d, m in zip(grid, result.manifests) if m.get("failures")}
@@ -795,11 +756,11 @@ def _cmd_analyze(cfg, args, outdir):
             "regime": est.regime.value, "s_plus": est.s_plus,
             "s_minus": est.s_minus, "gamma": est.gamma,
             "frequency": abs(est.s_plus.imag)}
-    _emit_json(outdir, "analysis.json", doc)
     conv = {"estimators_failed": failed}
     invocation = {"input": str(args.input), "signal": signal, "x": tcol,
                   "estimators": names}
-    return ["analysis.json"], conv, invocation, 1 if failed else 0
+    return ([_emit_json(outdir, "analysis.json", doc)], conv, invocation,
+            1 if failed else 0)
 
 
 def _cmd_plot(cfg, args, outdir):
@@ -870,25 +831,12 @@ def _add_config_flags(sp):
     g = sp.add_argument_group("configuration")
     g.add_argument("--config", metavar="FILE",
                    help="INI or JSON config file (flags override it)")
-    g.add_argument("--alpha", type=float)
-    g.add_argument("--omega-b", type=float, dest="omega_b")
-    g.add_argument("--omega0", type=float)
-    g.add_argument("--omega-c", type=float, dest="omega_c")
-    g.add_argument("--delta", type=float)
-    g.add_argument("--n-sites", type=int, dest="n_sites")
-    g.add_argument("--n-quad", type=int, dest="n_quad")
-    g.add_argument("--t-max", type=float, dest="t_max")
-    g.add_argument("--dt", type=float)
-    g.add_argument("--d-b", type=int, dest="d_b")
-    g.add_argument("--chi-max", type=int, dest="chi_max")
-    g.add_argument("--svd-threshold", type=float, dest="svd_threshold")
-    g.add_argument("--sample-stride", type=int, dest="sample_stride")
-    g.add_argument("--mode", choices=("RWA", "FULL"))
-    g.add_argument("--fit-window-low", type=float, dest="fit_window_low")
-    g.add_argument("--fit-window-high", type=float, dest="fit_window_high")
-    g.add_argument("--exclude", help="time windows to drop, lo:hi,lo:hi")
-    g.add_argument("--out-dir", dest="out_dir", help="output directory")
-    g.add_argument("--formats", help="comma list from csv,json,svg")
+    for sec, keys in _SCHEMA.items():
+        for key, parse in keys.items():
+            g.add_argument(
+                _FLAG_NAMES.get((sec, key), "--" + key.replace("_", "-")),
+                dest=f"{sec}.{key}", metavar=key.upper(),
+                help=f"{sec}.{key}: {parse.__doc__}")
 
 
 def _build_parser():
@@ -909,7 +857,8 @@ def _build_parser():
     sp.add_argument("--solver", choices=("volterra", "laplace", "chain"),
                     default="volterra")
     sp.add_argument("--samples", type=int,
-                    help="time samples for laplace/chain (default 1001)")
+                    help="time samples for laplace/chain, at least 2 "
+                         "(default 1001)")
     sp.add_argument("--no-self-check", action="store_true",
                     help="skip the volterra step-halving check")
 
@@ -929,12 +878,14 @@ def _build_parser():
     sp.add_argument("--methods", default="rwa",
                     help="comma list from rwa,full (default rwa)")
     sp.add_argument("--samples", type=int,
-                    help="time samples per rwa point (default 2001)")
+                    help="time samples per rwa point, at least 2 "
+                         "(default 2001)")
     sp.add_argument("--full-observables", dest="full_observables",
                     default="population,coherence",
                     help="comma list from population,coherence")
     sp.add_argument("--jobs", type=int,
-                    help="parallel workers (default: available cores)")
+                    help="parallel workers, at least 1 "
+                         "(default: available cores)")
     sp.add_argument("--resume", action="store_true",
                     help="reuse point CSVs already in the output directory")
 
@@ -972,12 +923,9 @@ def _build_parser():
 
 
 def _flag_overrides(args):
-    out = {}
-    for dest, seckey in _FLAG_MAP.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            out[seckey] = value
-    return out
+    """{(section, key): raw flag value} for every config flag given."""
+    return {tuple(dest.split(".")): value for dest, value in vars(args).items()
+            if "." in dest and value is not None}
 
 
 def main(argv=None) -> int:
@@ -985,31 +933,26 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(path=args.config, overrides=_flag_overrides(args),
                            subcommand=args.subcommand)
+        outdir = Path(cfg.output.directory)
+        outdir.mkdir(parents=True, exist_ok=True)
+        t0 = time.monotonic()
+        try:
+            outputs, conv, invocation, code = _DISPATCH[args.subcommand](
+                cfg, args, outdir)
+        except (ValueError, RuntimeError, ArithmeticError) as err:
+            diag = {"subcommand": args.subcommand,
+                    "error": type(err).__name__, "message": str(err),
+                    "config": cfg.to_dict()}
+            _emit_json(outdir, "diagnostics.json", diag)
+            print(f"numerical failure: {err}", file=sys.stderr)
+            print(f"diagnostics written to {outdir / 'diagnostics.json'}",
+                  file=sys.stderr)
+            return 1
     except ConfigError as err:
         print("configuration error:", file=sys.stderr)
         for line in err.errors:
             print(f"  {line}", file=sys.stderr)
         return 2
-
-    outdir = Path(cfg.output.directory)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.monotonic()
-    try:
-        outputs, conv, invocation, code = _DISPATCH[args.subcommand](
-            cfg, args, outdir)
-    except ConfigError as err:
-        print("configuration error:", file=sys.stderr)
-        for line in err.errors:
-            print(f"  {line}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError, ArithmeticError) as err:
-        diag = {"subcommand": args.subcommand, "error": type(err).__name__,
-                "message": str(err), "config": cfg.to_dict()}
-        _emit_json(outdir, "diagnostics.json", diag)
-        print(f"numerical failure: {err}", file=sys.stderr)
-        print(f"diagnostics written to {outdir / 'diagnostics.json'}",
-              file=sys.stderr)
-        return 1
 
     manifest = {
         "subcommand": args.subcommand,

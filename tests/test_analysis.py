@@ -303,36 +303,35 @@ def wideband_scan():
 
 class TestCrossoverScan:
     def test_population_decreases_with_splitting(self, wideband_scan):
-        pops = wideband_scan.stationary_pop_rwa
+        pops = wideband_scan.columns["stationary_pop_rwa"]
         assert np.all(np.isfinite(pops))
         assert np.all(np.diff(pops) < 0)
 
     def test_population_small_above_crossover(self, wideband_scan):
         p = ModelParams(**WIDEBAND)
         threshold = p.omega_b + p.omega_s + 0.5 * p.alpha ** 2
-        pops = wideband_scan.stationary_pop_rwa
+        pops = wideband_scan.columns["stationary_pop_rwa"]
         grid = wideband_scan.delta_grid
         assert np.all(pops[grid >= threshold] < 0.05)
         assert pops[0] > 0.05  # bound-state side retains population
 
     def test_frequencies_increase_above_crossover(self, wideband_scan):
-        freqs = wideband_scan.freq_rwa[1:]
+        freqs = wideband_scan.columns["freq_rwa"][1:]
         assert np.all(np.isfinite(freqs))
         assert np.all(np.diff(freqs) > 0)
 
     def test_failed_points_leave_nan_and_manifest_reason(self, wideband_scan):
         # the slow bound-state oscillation at the first point holds under
         # three periods in the default window: refused, not guessed
-        assert math.isnan(wideband_scan.freq_rwa[0])
+        assert math.isnan(wideband_scan.columns["freq_rwa"][0])
         reason = wideband_scan.manifests[0]["failures"]["freq_rwa"]
         assert "insufficient periods" in reason
 
     def test_every_nan_has_a_recorded_failure(self, wideband_scan):
-        keys = {"stationary_pop_rwa": wideband_scan.stationary_pop_rwa,
-                "freq_rwa": wideband_scan.freq_rwa,
-                "decay_rwa": wideband_scan.decay_rates}
+        keys = ("stationary_pop_rwa", "freq_rwa", "decay_rwa")
         for i in range(wideband_scan.delta_grid.size):
-            for key, col in keys.items():
+            for key in keys:
+                col = wideband_scan.columns[key]
                 if math.isnan(col[i]):
                     assert key in wideband_scan.manifests[i]["failures"]
 
@@ -354,7 +353,7 @@ class TestCrossoverScan:
         res = crossover_scan([], methods=("rwa",),
                              base_params=ModelParams(**WIDEBAND))
         assert res.delta_grid.size == 0
-        assert res.stationary_pop_rwa.size == 0
+        assert res.columns["stationary_pop_rwa"].size == 0
 
     def test_full_method_requires_evolution_config(self):
         with pytest.raises(ValueError, match="EvolutionConfig"):
@@ -367,11 +366,11 @@ class TestCrossoverScan:
         nan2 = np.array([math.nan, math.nan])
         prior = SweepResult(
             delta_grid=np.array([18.0, 30.0]),
-            stationary_pop_rwa=np.array([0.123, 0.456]),
-            stationary_pop_full=nan2.copy(),
-            freq_rwa=np.array([1.0, 2.0]),
-            freq_full=nan2.copy(),
-            decay_rates=np.array([9.0, 8.0]),
+            columns={"stationary_pop_rwa": np.array([0.123, 0.456]),
+                     "stationary_pop_full": nan2.copy(),
+                     "freq_rwa": np.array([1.0, 2.0]),
+                     "freq_full": nan2.copy(),
+                     "decay_rwa": np.array([9.0, 8.0])},
             manifests=[{"delta": 18.0, "sentinel": True},
                        {"delta": 30.0, "sentinel": True}],
         )
@@ -379,10 +378,10 @@ class TestCrossoverScan:
                              base_params=base,
                              cfgs={"rwa": {"t_max": 1.5, "samples": 801}},
                              prior=prior)
-        assert res.stationary_pop_rwa[0] == 0.123
-        assert res.stationary_pop_rwa[2] == 0.456
-        assert res.freq_rwa[0] == 1.0
-        assert res.decay_rates[2] == 8.0
+        assert res.columns["stationary_pop_rwa"][0] == 0.123
+        assert res.columns["stationary_pop_rwa"][2] == 0.456
+        assert res.columns["freq_rwa"][0] == 1.0
+        assert res.columns["decay_rwa"][2] == 8.0
         assert res.manifests[0].get("sentinel") is True
         assert res.manifests[1].get("sentinel") is None  # freshly computed
 
@@ -393,9 +392,9 @@ class TestCrossoverScan:
                                 base_params=base, cfgs=cfgs)
         parallel = crossover_scan([20.0, 30.0], methods=("rwa",),
                                   base_params=base, cfgs=cfgs, jobs=2)
-        for name in ("stationary_pop_rwa", "freq_rwa", "decay_rates"):
-            assert np.array_equal(getattr(serial, name),
-                                  getattr(parallel, name), equal_nan=True)
+        for name in ("stationary_pop_rwa", "freq_rwa", "decay_rwa"):
+            assert np.array_equal(serial.columns[name],
+                                  parallel.columns[name], equal_nan=True)
         assert serial.manifests == parallel.manifests
 
     def test_full_method_runs_and_reports(self):
@@ -405,12 +404,14 @@ class TestCrossoverScan:
         res = crossover_scan([3.0], methods=("full",), base_params=base,
                              cfgs={"full": fc,
                                    "full_observables": ("population",)})
-        assert res.stationary_pop_full[0] == pytest.approx(0.584, abs=0.03)
+        assert res.columns["stationary_pop_full"][0] == pytest.approx(
+            0.584, abs=0.03)
         m = res.manifests[0]
         assert m["failures"] == {}
         assert m["full"]["chain_sites"] == 70
         assert m["full"]["observables"] == ["population"]
-        assert math.isnan(res.freq_full[0])  # coherence not requested
+        # coherence not requested
+        assert math.isnan(res.columns["freq_full"][0])
 
     def test_unsorted_grid_is_sorted(self):
         res = crossover_scan([30.0, 18.0], methods=("rwa",),

@@ -9,14 +9,45 @@ sweep resume protocol.
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gapchain.cli import ConfigError, main, parse_config
+from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _build_parser,
+                          _flag_overrides, main, parse_config)
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
+
+# one non-default value per config key, as it would be typed
+SAMPLE_VALUES = {
+    ("model", "alpha"): "0.5", ("model", "omega_b"): "4.0",
+    ("model", "omega0"): "90.0", ("model", "omega_c"): "700.0",
+    ("model", "delta"): "2.5",
+    ("chain", "n_sites"): "40", ("chain", "n_quad"): "500",
+    ("evolution", "t_max"): "0.7", ("evolution", "dt"): "0.001",
+    ("evolution", "d_b"): "5", ("evolution", "chi_max"): "24",
+    ("evolution", "svd_threshold"): "1e-9",
+    ("evolution", "sample_stride"): "3", ("evolution", "mode"): "full",
+    ("analysis", "fit_window_low"): "0.2",
+    ("analysis", "fit_window_high"): "0.8",
+    ("analysis", "exclude"): "0.1:0.2,0.5:0.6",
+    ("output", "directory"): "elsewhere", ("output", "formats"): "csv,svg",
+}
+SCHEMA_KEYS = [(sec, key) for sec, keys in _SCHEMA.items() for key in keys]
+
+
+def flag_for(sec, key):
+    if (sec, key) == ("output", "directory"):
+        return "--out-dir"
+    return "--" + key.replace("_", "-")
+
+
+def ini_text(config):
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n"
+                                          for k, v in block.items())
+                   for sec, block in config.items())
 
 
 def model_flags(delta=None, **over):
@@ -125,6 +156,10 @@ class TestParseConfig:
         path.write_text(json.dumps(cfg.to_dict()))
         assert parse_config(path=path, subcommand="polaron") == cfg
 
+    def test_infinite_exclude_window_is_legal(self):
+        cfg = parse_config(data={"analysis": {"exclude": "1:inf"}})
+        assert cfg.analysis.exclude == ((1.0, math.inf),)
+
     def test_bad_exclude_window(self):
         with pytest.raises(ConfigError) as err:
             parse_config(data={"analysis": {"exclude": "3:1"}})
@@ -148,7 +183,87 @@ class TestParseConfig:
         assert any(e.startswith("evolution.t_max") for e in err.value.errors)
 
 
+class TestFlagFileParity:
+    """Every config key works as a flag, equal to the same INI value."""
+
+    @pytest.mark.parametrize("sec,key", SCHEMA_KEYS,
+                             ids=[f"{s}.{k}" for s, k in SCHEMA_KEYS])
+    def test_flag_equals_ini_value(self, tmp_path, sec, key):
+        value = SAMPLE_VALUES[(sec, key)]
+        base = {"model": dict(WIDEBAND), "evolution": {"t_max": 1.0}}
+        base_ini = tmp_path / "base.ini"
+        base_ini.write_text(ini_text(base))
+        base.setdefault(sec, {})[key] = value
+        full_ini = tmp_path / "full.ini"
+        full_ini.write_text(ini_text(base))
+
+        args = _build_parser().parse_args(
+            ["rwa", "--config", str(base_ini), flag_for(sec, key), value])
+        via_flag = parse_config(path=args.config,
+                                overrides=_flag_overrides(args),
+                                subcommand="rwa")
+        via_file = parse_config(path=full_ini, subcommand="rwa")
+        assert via_flag == via_file
+        assert via_flag != parse_config(path=base_ini, subcommand="rwa")
+
+    @pytest.mark.parametrize("sub", sorted(_DISPATCH))
+    def test_help_lists_every_config_flag(self, sub, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([sub, "--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        for sec, key in SCHEMA_KEYS:
+            assert re.search(re.escape(flag_for(sec, key)) + r"\b", text), \
+                (sub, sec, key)
+
+
 class TestExitCodes:
+    def test_bad_flag_value_names_the_key(self, tmp_path, capsys):
+        code = main(["polaron", *model_flags(delta=30), "--alpha", "abc",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "model.alpha: expected a finite number" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("delivery", ["ini", "flag"])
+    @pytest.mark.parametrize("sec,key,value", [
+        ("chain", "n_sites", "inf"), ("chain", "n_sites", "nan"),
+        ("evolution", "t_max", "inf"), ("evolution", "t_max", "nan"),
+        ("model", "alpha", "-inf")])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys,
+                                                sec, key, value, delivery):
+        config = {"model": dict(WIDEBAND, delta=2.0),
+                  "evolution": {"t_max": 0.5}}
+        config.setdefault(sec, {})[key] = value
+        out = tmp_path / "out"
+        argv = ["rwa", "--solver", "chain", "--out-dir", str(out)]
+        if delivery == "ini":
+            ini = tmp_path / "run.ini"
+            ini.write_text(ini_text(config))
+            argv += ["--config", str(ini)]
+        else:
+            argv += [f"{flag_for(s, k)}={v}"  # '=' keeps -inf a value
+                     for s, block in config.items() for k, v in block.items()]
+        code = main(argv)
+        assert code == 2
+        assert f"{sec}.{key}: expected" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["rwa", "--solver", "laplace", "--samples", "0"], "rwa.samples"),
+        (["rwa", "--solver", "chain", "--samples", "1"], "rwa.samples"),
+        (["sweep", "--deltas", "20", "--samples", "0"], "sweep.samples"),
+        (["sweep", "--deltas", "20", "--jobs", "0"], "sweep.jobs"),
+        (["sweep", "--deltas", "20", "--jobs", "-1"], "sweep.jobs"),
+    ])
+    def test_count_below_floor_exits_2(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        code = main([*argv, *model_flags(delta=2), "--t-max", "0.5",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert f"{key}: must be at least" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_missing_alpha_exits_2(self, tmp_path, capsys):
         code = main(["polaron", "--omega-b", "5", "--omega0", "100",
                      "--omega-c", "800", "--delta", "30",
@@ -324,6 +439,18 @@ class TestSweepCommand:
         assert (out / "point_delta_20.0.csv").read_bytes() == first
         _, summary = read_csv(out / "summary.csv")
         assert list(summary["delta"]) == [20.0, 30.0]
+
+    def test_resumed_sweep_matches_fresh_run(self, tmp_path):
+        resumed, fresh = tmp_path / "resumed", tmp_path / "fresh"
+        argv = ["sweep", *model_flags(), "--t-max", "1.5",
+                "--samples", "801", "--jobs", "1"]
+        assert main(argv + ["--deltas", "20", "--out-dir", str(resumed)]) == 0
+        assert main(argv + ["--deltas", "20,30", "--resume",
+                            "--out-dir", str(resumed)]) == 0
+        assert main(argv + ["--deltas", "20,30", "--out-dir", str(fresh)]) == 0
+        for name in ("summary.csv", "point_delta_20.0.csv",
+                     "point_delta_30.0.csv"):
+            assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
 
     def test_full_method_needs_full_mode(self, tmp_path, capsys):
         code = main(["sweep", *model_flags(), "--deltas", "1",
