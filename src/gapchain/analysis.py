@@ -6,19 +6,20 @@ the stationary-value and decay readings, the sigma_x coherence backs
 the oscillation-frequency readings.
 
 A detuning sweep (crossover_scan) measures the columns named in
-SWEEP_COLUMNS at every point; SweepResult.columns holds one array per
-name, and the CLI writes the same names as its CSV columns.
+SWEEP_COLUMNS at every point and yields each point as it finishes;
+SweepResult.collect assembles points into one array per name, and the
+CLI writes the same names as its CSV columns.
 """
 
 import cmath
 import dataclasses
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .chainmap import chain_length_for, map_to_chain
 from .model import ModelParams, spectral_density
@@ -169,6 +170,19 @@ def stationary_value(ts) -> StationaryEstimate:
                               abs(slope) * span > 0.05)
 
 
+def _peaks(x):
+    """Indices of the local maxima of x, plateaus at their middle sample.
+
+    Same result as scipy.signal.find_peaks(x) with default arguments.
+    Built on comparisons, not differences: inf - inf is NaN, so a
+    difference-based test would miss a plateau at inf.
+    """
+    a, b = x[:-1], x[1:]
+    j = np.flatnonzero(a != b)
+    k = np.flatnonzero((b[j[:-1]] > a[j[:-1]]) & (b[j[1:]] < a[j[1:]]))
+    return (j[k] + 1 + j[k + 1]) // 2
+
+
 def decay_rate(ts) -> float:
     """Envelope decay rate from a log-linear fit.
 
@@ -184,7 +198,7 @@ def decay_rate(ts) -> float:
     else:
         times, values = _signal(ts, coherence=False)
     resid = np.abs(values - values[-max(values.size // 10, 1):].mean())
-    peaks, _ = find_peaks(resid)
+    peaks = _peaks(resid)
     peaks = peaks[resid[peaks] > 1e-12 * resid.max()]
     if peaks.size >= 3:
         t_p, v_p = times[peaks], resid[peaks]
@@ -264,11 +278,20 @@ class SweepResult:
 
     delta_grid: np.ndarray
     columns: dict
-    manifests: list = field(default_factory=list)
+    manifests: list
 
     def __post_init__(self):
         if np.any(np.diff(self.delta_grid) <= 0):
             raise ValueError("delta_grid must be strictly increasing")
+
+    @classmethod
+    def collect(cls, points):
+        """Sort (delta, row, manifest) points by delta and stack the rows."""
+        points = sorted(points, key=lambda point: point[0])
+        return cls(np.array([d for d, _, _ in points], dtype=float),
+                   {k: np.array([row[k] for _, row, _ in points], dtype=float)
+                    for k in SWEEP_COLUMNS},
+                   [manifest for _, _, manifest in points])
 
 
 def _measure(row, failures, column, estimator, signal):
@@ -277,6 +300,16 @@ def _measure(row, failures, column, estimator, signal):
         row[column] = float(estimator(signal))
     except ValueError as err:
         failures[column] = str(err)
+
+
+@functools.lru_cache(maxsize=8)
+def _chain(base_params, t_max):
+    """Light-cone chain for evolutions up to t_max.
+
+    delta does not enter the mapping, so every point of a sweep shares
+    one chain, mapped once per process.
+    """
+    return map_to_chain(base_params, chain_length_for(base_params, t_max))
 
 
 def _scan_point(delta, base_params, methods, cfgs):
@@ -293,10 +326,9 @@ def _scan_point(delta, base_params, methods, cfgs):
         samples = rc.get("samples", 2001)
         manifest["rwa"] = {"t_max": t_max, "samples": samples}
         try:
-            n = chain_length_for(p, t_max)
-            series = chain_evolve(map_to_chain(p, n), delta, t_max,
-                                  samples=samples)
-            manifest["rwa"]["chain_sites"] = n
+            c = _chain(base_params, t_max)
+            series = chain_evolve(c, p.delta, t_max, samples=samples)
+            manifest["rwa"]["chain_sites"] = c.N
             _measure(row, failures, "stationary_pop_rwa", stationary_value,
                      series)
             _measure(row, failures, "freq_rwa", oscillation_frequency,
@@ -315,15 +347,14 @@ def _scan_point(delta, base_params, methods, cfgs):
                             "chi_max": fc.chi_max, "dt": fc.dt,
                             "observables": sorted(observables)}
         try:
-            n = chain_length_for(p, fc.t_max)
-            c = map_to_chain(p, n)
-            manifest["full"]["chain_sites"] = n
+            c = _chain(base_params, fc.t_max)
+            manifest["full"]["chain_sites"] = c.N
             if "population" in observables:
                 _measure(row, failures, "stationary_pop_full",
-                         stationary_value, mps_evolve(c, fc, "excited", delta))
+                         stationary_value, mps_evolve(c, fc, "excited", p.delta))
             if "coherence" in observables:
                 _measure(row, failures, "freq_full", oscillation_frequency,
-                         mps_evolve(c, fc, "plus_superposition", delta))
+                         mps_evolve(c, fc, "plus_superposition", p.delta))
         except (ValueError, RuntimeError) as err:
             failures["full"] = str(err)
 
@@ -331,46 +362,30 @@ def _scan_point(delta, base_params, methods, cfgs):
 
 
 def crossover_scan(delta_grid, methods, base_params: ModelParams,
-                   cfgs=None, prior: SweepResult | None = None,
-                   jobs=1) -> SweepResult:
-    """Sweep the emitter splitting and measure each point.
+                   cfgs=None, jobs=1):
+    """Sweep the emitter splitting, yielding each point as it finishes.
 
     methods: subset of {"rwa", "full"}.  cfgs: {"rwa": {t_max, samples},
-    "full": EvolutionConfig, "full_observables": (...)}.  Points already
-    present in ``prior`` (matched by delta) are reused, so an interrupted
-    sweep can resume.  Per-point failures are recorded in the manifest
+    "full": EvolutionConfig, "full_observables": (...)}.  Each point is
+    a (delta, row, manifest) triple: in ascending delta with jobs=1, in
+    completion order with more workers.  SweepResult.collect assembles
+    points into arrays.  Per-point failures are recorded in the manifest
     and leave NaN entries; the scan continues.
     """
     cfgs = cfgs or {}
     unknown = set(methods) - {"rwa", "full"}
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
-    grid = np.asarray(sorted(float(d) for d in delta_grid))
-
-    results = {}
-    if prior is not None:
-        for i, d in enumerate(prior.delta_grid):
-            results[float(d)] = (
-                {k: prior.columns[k][i] for k in SWEEP_COLUMNS},
-                prior.manifests[i] if i < len(prior.manifests) else
-                {"delta": float(d), "resumed": True},
-            )
-
-    todo = [d for d in grid if d not in results]
-    if jobs > 1 and len(todo) > 1:
+    grid = sorted(float(d) for d in delta_grid)
+    if jobs > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_scan_point, d, base_params, methods, cfgs)
-                       for d in todo]
-            for fut in futures:
-                d, row, manifest = fut.result()
-                results[d] = (row, manifest)
+                       for d in grid]
+            try:
+                for fut in as_completed(futures):
+                    yield fut.result()
+            finally:  # a failed or abandoned scan starts no further point
+                pool.shutdown(cancel_futures=True)
     else:
-        for d in todo:
-            d, row, manifest = _scan_point(d, base_params, methods, cfgs)
-            results[d] = (row, manifest)
-
-    rows = [results[float(d)] for d in grid]
-    return SweepResult(
-        grid, {k: np.array([row[k] for row, _ in rows], dtype=float)
-               for k in SWEEP_COLUMNS},
-        [manifest for _, manifest in rows])
+        for d in grid:
+            yield _scan_point(d, base_params, methods, cfgs)

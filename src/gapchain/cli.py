@@ -48,7 +48,7 @@ from .model import ModelParams
 from .mps import EvolutionConfig, evolve
 from .polaron import silbey_harris_solve
 from .rwa import chain_evolve, laplace_invert, volterra_solve
-from .svgplot import Series, render_line_plot
+from .svgplot import MARKERS, Series, render_line_plot
 
 
 class ConfigError(Exception):
@@ -228,7 +228,7 @@ def _load_file(path: Path, errors):
     """Read INI or JSON config into {section: {key: raw value}}."""
     try:
         text = path.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         errors.append(f"config: cannot read {path}: {err}")
         return {}
     if path.suffix.lower() == ".json" or text.lstrip().startswith("{"):
@@ -580,36 +580,34 @@ def _below_floor(sub, args, **floors):
 
 
 def _load_prior(outdir: Path):
-    """Rebuild a SweepResult from the point CSVs already in outdir."""
-    points = []
+    """{delta: (delta, row, manifest)} from the point CSVs in outdir."""
+    points = {}
     for path in sorted(outdir.glob("point_delta_*.csv")):
         meta, cols = _read_csv(path)
         manifest = {}
         for m in meta:
             if m.startswith("manifest:"):
                 manifest = json.loads(m[len("manifest:"):].strip())
-        points.append((float(cols["delta"][0]), cols, manifest))
-    if not points:
-        return None
-    points.sort(key=lambda item: item[0])
-    return analysis.SweepResult(
-        np.array([d for d, _, _ in points]),
-        {k: np.array([float(cols[k][0]) for _, cols, _ in points])
-         for k in analysis.SWEEP_COLUMNS},
-        [m for _, _, m in points])
+        d = float(cols["delta"][0])
+        points[d] = (d, {k: float(cols[k][0]) for k in analysis.SWEEP_COLUMNS},
+                     manifest)
+    return points
 
 
 def _cmd_sweep(cfg, args, outdir):
     p, fmts = cfg.model, cfg.output.formats
     errors = _below_floor("sweep", args, samples=2, jobs=1)
-    try:
-        deltas = [float(s) for s in args.deltas.split(",") if s.strip()]
-    except ValueError:
-        errors.append(f"sweep.deltas: not a comma list of numbers: "
-                      f"{args.deltas!r}")
-        deltas = []
+    errors += [f"chain.{key}: not used by sweep, which sizes each chain "
+               "from its t_max" for key in _SCHEMA["chain"]
+               if getattr(cfg.chain, key) is not None]
+    deltas = [_as_float(s.strip(), "sweep.deltas", errors)
+              for s in args.deltas.split(",") if s.strip()]
     if not deltas:
         errors.append("sweep.deltas: at least one detuning is required")
+    elif None not in deltas and (min(deltas) < 0.0
+                                 or len(set(deltas)) < len(deltas)):
+        errors.append("sweep.deltas: detunings must be non-negative and "
+                      f"distinct, got {args.deltas!r}")
     methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
     bad = [m for m in methods if m not in ("rwa", "full")]
     if bad:
@@ -640,24 +638,27 @@ def _cmd_sweep(cfg, args, outdir):
         cfgs["full"] = cfg.evolution
         cfgs["full_observables"] = observables
 
-    prior = _load_prior(outdir) if args.resume else None
-    prior_deltas = set() if prior is None else set(
-        float(d) for d in prior.delta_grid)
+    prior = _load_prior(outdir) if args.resume else {}
+    resumed = [prior[d] for d in deltas if d in prior]
     jobs = args.jobs or os.cpu_count() or 1
-    result = analysis.crossover_scan(np.asarray(deltas, dtype=float), methods,
-                                     p, cfgs=cfgs, prior=prior, jobs=jobs)
-
-    outputs = []
-    grid, columns = result.delta_grid, result.columns
-    if "csv" in fmts:
-        for i, d in enumerate(grid):
-            meta = [_model_meta(p),
-                    "manifest: " + json.dumps(_jsonsafe(result.manifests[i]),
-                                              sort_keys=True)]
+    outputs = [_point_name(d) for d, _, _ in resumed if "csv" in fmts]
+    fresh = []
+    for point in analysis.crossover_scan(
+            [d for d in deltas if d not in prior], methods, p, cfgs=cfgs,
+            jobs=jobs):
+        fresh.append(point)
+        if "csv" in fmts:  # on disk at once, so a failed run keeps it
+            d, row, manifest = point
+            meta = [_model_meta(p), "manifest: " + json.dumps(
+                _jsonsafe(manifest), sort_keys=True)]
             cols = [("delta", [d], "f")]
-            cols += [(k, [columns[k][i]], "f") for k in analysis.SWEEP_COLUMNS]
+            cols += [(k, [row[k]], "f") for k in analysis.SWEEP_COLUMNS]
             outputs.append(_emit(outdir, _point_name(d),
                                  _csv_text(meta, cols)))
+
+    result = analysis.SweepResult.collect(resumed + fresh)
+    grid, columns = result.delta_grid, result.columns
+    if "csv" in fmts:
         cols = [("delta", grid, "f")]
         cols += [(k, columns[k], "f") for k in analysis.SWEEP_COLUMNS]
         outputs.append(_emit(outdir, "summary.csv",
@@ -684,12 +685,10 @@ def _cmd_sweep(cfg, args, outdir):
 
     failures = {repr(float(d)): m["failures"]
                 for d, m in zip(grid, result.manifests) if m.get("failures")}
-    conv = {"computed_points": [float(d) for d in grid
-                                if float(d) not in prior_deltas],
-            "resumed_points": [float(d) for d in grid
-                               if float(d) in prior_deltas],
+    conv = {"computed_points": sorted(d for d, _, _ in fresh),
+            "resumed_points": sorted(d for d, _, _ in resumed),
             "failures": failures}
-    invocation = {"deltas": [float(d) for d in deltas],
+    invocation = {"deltas": deltas,
                   "methods": list(methods), "jobs": jobs,
                   "resume": bool(args.resume), "samples": args.samples,
                   "full_observables": list(observables)}
@@ -771,6 +770,10 @@ def _cmd_plot(cfg, args, outdir):
               if args.labels else [])
     markers = ([s.strip() for s in args.markers.split(",")]
                if args.markers else [])
+    bad = [m for m in markers if m not in MARKERS]
+    if bad:
+        raise ConfigError([f"plot.markers: unknown marker(s) {', '.join(bad)} "
+                           f"(choose from {', '.join(MARKERS)})"])
     if args.alpha2_time and cfg.model is None:
         raise ConfigError(["model.alpha: required for --alpha2-time"])
     out_name = args.out

@@ -40,6 +40,9 @@ import numpy as np
 
 __all__ = ["piessens_invert", "talbot_invert", "shifted_chebyshev_monomial"]
 
+_TALBOT_TOL = 1e-8  # quadrature resolution; node count grows with log 1/tol
+_TALBOT_MU = 4.0  # max Re(s t) on the contour: weights stay <= e^4
+
 
 def shifted_chebyshev_monomial(n):
     """Monomial coefficients of T*_k(x) on [0,1] for k < n, exact integers.
@@ -74,7 +77,7 @@ def _clenshaw_shifted(coeffs, x):
     return coeffs[0] + (2.0 * x - 1.0) * u1 - u2
 
 
-def piessens_invert(transform, times, n=32, b=1.0, dps=None, poles=()):
+def piessens_invert(transform, times, n=32, b=1.0, poles=()):
     """Invert a Laplace transform by shifted-Chebyshev expansion in exp(-b t).
 
     Parameters
@@ -88,8 +91,6 @@ def piessens_invert(transform, times, n=32, b=1.0, dps=None, poles=()):
     n : expansion order (collocation at n real nodes s_j = b(j+1/2)).
     b : inverse time scale of the expansion variable x = exp(-b t).
         Accuracy windows roughly t in [0, few/b].
-    dps : mpmath working digits; default scales with n to cover the
-        moment-matrix conditioning.
     poles : sequence of (location, residue)
         Simple poles subtracted from F before fitting and re-added
         analytically, f += residue * exp(location * t).
@@ -106,10 +107,9 @@ def piessens_invert(transform, times, n=32, b=1.0, dps=None, poles=()):
         raise ValueError("expansion order n must be >= 2")
     if b <= 0.0:
         raise ValueError("time scale b must be positive")
-    if dps is None:
-        dps = max(50, 40 + 2 * n)
     C = shifted_chebyshev_monomial(n)
-    with mpmath.workdps(dps):
+    # working digits grow with n to cover the moment-matrix conditioning
+    with mpmath.workdps(max(50, 40 + 2 * n)):
         bb = mpmath.mpf(b)
         s_nodes = [bb * (2 * j + 1) / 2 for j in range(n)]
         V = mpmath.zeros(n, n)
@@ -151,7 +151,7 @@ def _talbot_sum(transform, tgroup, mu, nu, M):
     return (w @ Fds) / (1j * M)
 
 
-def talbot_invert(transform, times, s_max, tol=1e-8, mu_scale=4.0):
+def talbot_invert(transform, times, s_max):
     """Invert a Laplace transform on a contour enclosing |Im s| <= s_max.
 
     Parameters
@@ -161,9 +161,6 @@ def talbot_invert(transform, times, s_max, tol=1e-8, mu_scale=4.0):
     times : array_like of t > 0.
     s_max : enclosure bound: all singularities lie within
         |Im s| <= s_max, Re s <= 0.
-    tol : target quadrature resolution (node count grows with log 1/tol).
-    mu_scale : contour decay scale; max Re(s t) on the contour, so the
-        exponential weights stay <= e^{mu_scale}.
 
     Returns
     -------
@@ -173,7 +170,8 @@ def talbot_invert(transform, times, s_max, tol=1e-8, mu_scale=4.0):
 
     Times are processed in octave groups sharing one contour, so the
     transform is evaluated O(log(t_max/t_min)) times regardless of grid
-    size.
+    size.  Each contour targets a quadrature resolution of 1e-8 and keeps
+    its exponential weights at or below e^4.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -192,11 +190,11 @@ def talbot_invert(transform, times, s_max, tol=1e-8, mu_scale=4.0):
         sel = (times > lo) & (times <= hi)
         if not sel.any():
             continue
-        mu = mu_scale / hi
+        mu = _TALBOT_MU / hi
         # vertical stretch reaches 1.25x the enclosure bound but never
         # drops below the classical nu = 1 contour shape
         nu = max(1.0, 2.5 * s_max / (math.pi * mu))
-        M0 = max(64, int(math.ceil(nu * math.log(1.0 / tol) / 0.45)))
+        M0 = max(64, int(math.ceil(nu * math.log(1.0 / _TALBOT_TOL) / 0.45)))
         v0 = _talbot_sum(transform, times[sel], mu, nu, M0)
         v1 = _talbot_sum(transform, times[sel], mu, nu, int(1.05 * M0) + 8)
         values[sel] = v0

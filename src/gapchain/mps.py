@@ -416,9 +416,9 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
 
 
 def convergence_report(c: ChainCoefficients, cfg: EvolutionConfig,
-                       atom_state="excited", delta=0.0, tol=5e-3):
+                       atom_state="excited", delta=0.0):
     """Doubling protocol: chi x2, d_b x2, dt/2 must each move the excited
-    population by less than tol in sup norm."""
+    population by less than 5e-3 in sup norm."""
     base = evolve(c, cfg, atom_state, delta)
     devs = {}
     for tag, alt_cfg in (
@@ -432,5 +432,5 @@ def convergence_report(c: ChainCoefficients, cfg: EvolutionConfig,
         # the base grid
         alt_pop = np.interp(base.times, alt.times, alt.pop_excited)
         devs[tag] = float(np.max(np.abs(base.pop_excited - alt_pop)))
-    devs["converged"] = all(v < tol for k, v in devs.items() if k != "converged")
+    devs["converged"] = all(v < 5e-3 for k, v in devs.items() if k != "converged")
     return devs

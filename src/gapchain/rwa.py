@@ -47,6 +47,9 @@ __all__ = [
     "rwa_coherence",
 ]
 
+_ATOL = 1e-6  # slack of AmplitudeSeries.validate on |A| <= 1 and A(0) = 1
+_FLAG_TOL = 1e-3  # Piessens-Talbot disagreement that flags a Laplace point
+
 
 @dataclass
 class AmplitudeSeries:
@@ -74,9 +77,10 @@ class AmplitudeSeries:
         if self.frame not in ("interaction", "lab"):
             raise ValueError(f"unknown frame {self.frame!r}")
 
-    def validate(self, atol=1e-6):
+    def validate(self):
+        """self if |A| <= 1 and A(0) = 1 hold to 1e-6; ValueError if not."""
         mod = np.abs(self.values)
-        ok = mod <= 1.0 + atol
+        ok = mod <= 1.0 + _ATOL
         if self.flags is not None:
             ok |= self.flags
         if not ok.all():
@@ -85,7 +89,7 @@ class AmplitudeSeries:
                 f"contractivity violated: |A({self.times[j]:g})| = {mod[j]:.6g}"
             )
         if self.times.size and self.times[0] == 0.0:
-            if abs(self.values[0] - 1.0) > atol:
+            if abs(self.values[0] - 1.0) > _ATOL:
                 raise ValueError(f"A(0) = {self.values[0]:.6g}, expected 1")
         return self
 
@@ -206,14 +210,14 @@ def find_bound_pole(p: ModelParams):
     return s, 1.0 / (1.0 + ghat_slope(p, s, complex(ghat(p, s))))
 
 
-def laplace_invert(p: ModelParams, times, n=32, flag_tol=1e-3, cross_check=True):
+def laplace_invert(p: ModelParams, times, n=32, cross_check=True):
     """Invert the resolvent transform A_hat(s) = 1/(s + G_hat(s)).
 
     Both inverters sample the same closed form ``model.ghat``: Piessens
     at mpmath precision, Talbot in double precision on its contour.
     Piessens' Chebyshev-expansion method is the primary inverter; an
     independent Talbot-contour quadrature cross-checks every point and
-    disagreements beyond flag_tol are flagged (late-time expansion decay
+    disagreements beyond 1e-3 are flagged (late-time expansion decay
     is expected and reported rather than hidden).  cross_check=False
     skips the contour pass for parameter corners where the enclosure
     aspect ratio makes it prohibitively wide (flags are then None).
@@ -240,7 +244,7 @@ def laplace_invert(p: ModelParams, times, n=32, flag_tol=1e-3, cross_check=True)
     if cross_check:
         s_max = max(abs(p.delta - p.omega_b), p.band_top - p.delta) + p.omega_s + 1.0
         ref, spread = talbot_invert(resolvent, times, s_max)
-        flags = (np.abs(values - ref) > flag_tol) | (spread > flag_tol)
+        flags = (np.abs(values - ref) > _FLAG_TOL) | (spread > _FLAG_TOL)
     series = AmplitudeSeries(times, values, "laplace", p, p.delta,
                              frame="interaction", flags=flags)
     return series.validate()

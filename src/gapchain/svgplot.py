@@ -24,6 +24,9 @@ __all__ = ["Series", "render_line_plot"]
 
 PALETTE = ("#1f5fa8", "#c23a22", "#2e7d32", "#7b1fa2", "#c77f02", "#37474f")
 
+MARKERS = ("none", "filled", "open")
+
+_WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_B = 64.0, 18.0, 48.0
 
 
@@ -43,7 +46,7 @@ class Series:
             raise ValueError("series x and y must be 1-d and equally long")
         if self.x.size == 0:
             raise ValueError(f"series {self.label!r} is empty")
-        if self.marker not in ("none", "filled", "open"):
+        if self.marker not in MARKERS:
             raise ValueError("marker must be 'none', 'filled', or 'open'")
 
 
@@ -101,9 +104,8 @@ def _segments(x, y):
 
 
 def render_line_plot(series_list, xlabel="", ylabel="", title="",
-                     log_y=False, width=640, height=440,
-                     marker_stride=1) -> str:
-    """Render curves to an SVG 1.1 document string.
+                     log_y=False, marker_stride=1) -> str:
+    """Render curves to a 640 x 440 SVG 1.1 document string.
 
     marker_stride draws every k-th marker so dense series stay legible;
     the line itself always uses every point.
@@ -140,8 +142,8 @@ def render_line_plot(series_list, xlabel="", ylabel="", title="",
                                          float(all_y.max()))
 
     top = 34.0 if title else 16.0
-    px0, px1 = _MARGIN_L, width - _MARGIN_R
-    py0, py1 = height - _MARGIN_B, top  # y grows downward in SVG
+    px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
+    py0, py1 = _HEIGHT - _MARGIN_B, top  # y grows downward in SVG
 
     def sx(v):
         return px0 + (v - x_lo) / (x_hi - x_lo) * (px1 - px0)
@@ -151,14 +153,14 @@ def render_line_plot(series_list, xlabel="", ylabel="", title="",
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         '<g font-family="Helvetica, Arial, sans-serif" font-size="12" '
         'fill="#222222">',
     ]
     if title:
-        out.append(f'<text x="{_coord(width / 2)}" y="20" '
+        out.append(f'<text x="{_coord(_WIDTH / 2)}" y="20" '
                    f'text-anchor="middle" font-size="14">{_escape(title)}</text>')
 
     # frame and ticks
@@ -182,7 +184,7 @@ def render_line_plot(series_list, xlabel="", ylabel="", title="",
                    f'text-anchor="end">{label}</text>')
     if xlabel:
         out.append(f'<text x="{_coord((px0 + px1) / 2)}" '
-                   f'y="{_coord(height - 10)}" '
+                   f'y="{_coord(_HEIGHT - 10)}" '
                    f'text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         cx, cy = 15.0, (py0 + py1) / 2

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from gapchain.analysis import (
     PoleRegime,
     SweepResult,
+    _peaks,
     crossover_scan,
     decay_rate,
     oscillation_frequency,
@@ -176,6 +177,16 @@ class TestDecayRate:
         with pytest.raises(ValueError, match="too few points"):
             decay_rate((t, np.exp(-t)))
 
+    def test_peaks_match_scipy_find_peaks(self):
+        # few distinct levels make plateaus common; NaN and +-inf break
+        # any difference-based plateau test, and length 0 is included
+        from scipy.signal import find_peaks
+        rng = np.random.default_rng(7)
+        levels = np.array([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf, np.nan])
+        for _ in range(4000):
+            x = rng.choice(levels[:rng.integers(2, 8)], rng.integers(0, 25))
+            assert np.array_equal(_peaks(x), find_peaks(x)[0]), x
+
 
 class TestSyntheticProperty:
     """Randomized decaying-cosine signals: y = e^{-rt} cos(ft+p) + c.
@@ -297,8 +308,8 @@ class TestPhysicsContracts:
 @pytest.fixture(scope="module")
 def wideband_scan():
     base = ModelParams(**WIDEBAND)
-    return crossover_scan(np.arange(10.0, 31.0, 4.0), methods=("rwa",),
-                          base_params=base)
+    return SweepResult.collect(crossover_scan(
+        np.arange(10.0, 31.0, 4.0), methods=("rwa",), base_params=base))
 
 
 class TestCrossoverScan:
@@ -346,52 +357,30 @@ class TestCrossoverScan:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
-            crossover_scan([1.0], methods=("rwa", "exact"),
-                           base_params=ModelParams(**WIDEBAND))
+            SweepResult.collect(crossover_scan(
+                [1.0], methods=("rwa", "exact"),
+                base_params=ModelParams(**WIDEBAND)))
 
     def test_empty_grid(self):
-        res = crossover_scan([], methods=("rwa",),
-                             base_params=ModelParams(**WIDEBAND))
+        res = SweepResult.collect(crossover_scan(
+            [], methods=("rwa",), base_params=ModelParams(**WIDEBAND)))
         assert res.delta_grid.size == 0
         assert res.columns["stationary_pop_rwa"].size == 0
 
     def test_full_method_requires_evolution_config(self):
         with pytest.raises(ValueError, match="EvolutionConfig"):
-            crossover_scan([1.0], methods=("full",),
-                           base_params=ModelParams(**WIDEBAND))
-
-    def test_resume_reuses_prior_rows_verbatim(self):
-        # sentinel values prove reused points are carried, not recomputed
-        base = ModelParams(**WIDEBAND)
-        nan2 = np.array([math.nan, math.nan])
-        prior = SweepResult(
-            delta_grid=np.array([18.0, 30.0]),
-            columns={"stationary_pop_rwa": np.array([0.123, 0.456]),
-                     "stationary_pop_full": nan2.copy(),
-                     "freq_rwa": np.array([1.0, 2.0]),
-                     "freq_full": nan2.copy(),
-                     "decay_rwa": np.array([9.0, 8.0])},
-            manifests=[{"delta": 18.0, "sentinel": True},
-                       {"delta": 30.0, "sentinel": True}],
-        )
-        res = crossover_scan([18.0, 24.0, 30.0], methods=("rwa",),
-                             base_params=base,
-                             cfgs={"rwa": {"t_max": 1.5, "samples": 801}},
-                             prior=prior)
-        assert res.columns["stationary_pop_rwa"][0] == 0.123
-        assert res.columns["stationary_pop_rwa"][2] == 0.456
-        assert res.columns["freq_rwa"][0] == 1.0
-        assert res.columns["decay_rwa"][2] == 8.0
-        assert res.manifests[0].get("sentinel") is True
-        assert res.manifests[1].get("sentinel") is None  # freshly computed
+            SweepResult.collect(crossover_scan(
+                [1.0], methods=("full",),
+                base_params=ModelParams(**WIDEBAND)))
 
     def test_parallel_jobs_match_serial(self):
         base = ModelParams(**WIDEBAND)
         cfgs = {"rwa": {"t_max": 1.5, "samples": 801}}
-        serial = crossover_scan([20.0, 30.0], methods=("rwa",),
-                                base_params=base, cfgs=cfgs)
-        parallel = crossover_scan([20.0, 30.0], methods=("rwa",),
-                                  base_params=base, cfgs=cfgs, jobs=2)
+        serial = SweepResult.collect(crossover_scan(
+            [20.0, 30.0], methods=("rwa",), base_params=base, cfgs=cfgs))
+        parallel = SweepResult.collect(crossover_scan(
+            [20.0, 30.0], methods=("rwa",), base_params=base, cfgs=cfgs,
+            jobs=2))
         for name in ("stationary_pop_rwa", "freq_rwa", "decay_rwa"):
             assert np.array_equal(serial.columns[name],
                                   parallel.columns[name], equal_nan=True)
@@ -401,9 +390,9 @@ class TestCrossoverScan:
         base = ModelParams(**REDUCED)
         fc = EvolutionConfig(t_max=0.4, dt=2e-3, d_b=4, chi_max=16,
                              svd_threshold=1e-8, sample_stride=5, mode="FULL")
-        res = crossover_scan([3.0], methods=("full",), base_params=base,
-                             cfgs={"full": fc,
-                                   "full_observables": ("population",)})
+        res = SweepResult.collect(crossover_scan(
+            [3.0], methods=("full",), base_params=base,
+            cfgs={"full": fc, "full_observables": ("population",)}))
         assert res.columns["stationary_pop_full"][0] == pytest.approx(
             0.584, abs=0.03)
         m = res.manifests[0]
@@ -414,9 +403,9 @@ class TestCrossoverScan:
         assert math.isnan(res.columns["freq_full"][0])
 
     def test_unsorted_grid_is_sorted(self):
-        res = crossover_scan([30.0, 18.0], methods=("rwa",),
-                             base_params=ModelParams(**WIDEBAND),
-                             cfgs={"rwa": {"t_max": 1.5, "samples": 801}})
+        res = SweepResult.collect(crossover_scan(
+            [30.0, 18.0], methods=("rwa",), base_params=ModelParams(**WIDEBAND),
+            cfgs={"rwa": {"t_max": 1.5, "samples": 801}}))
         assert list(res.delta_grid) == [18.0, 30.0]
 
 

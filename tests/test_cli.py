@@ -10,11 +10,15 @@ sweep resume protocol.
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapchain
+from gapchain import analysis
 from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _build_parser,
                           _flag_overrides, main, parse_config)
 
@@ -264,6 +268,31 @@ class TestExitCodes:
         assert f"{key}: must be at least" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--deltas", "nan"], "sweep.deltas: expected a finite number"),
+        (["--deltas", "20,abc"], "sweep.deltas: expected a finite number"),
+        (["--deltas=-1"], "sweep.deltas: detunings must be non-negative"),
+        (["--deltas", "20,30,20"], "and distinct"),
+        (["--deltas", "20", "--n-sites", "3"], "chain.n_sites: not used"),
+        (["--deltas", "20", "--n-quad", "500"], "chain.n_quad: not used"),
+    ])
+    def test_bad_sweep_input_exits_2_before_any_point(self, tmp_path, capsys,
+                                                      argv, message):
+        out = tmp_path / "out"
+        code = main(["sweep", *argv, *model_flags(), "--t-max", "1.5",
+                     "--jobs", "1", "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no point, no diagnostics
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.ini"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        code = main(["polaron", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config: cannot read {path}" in capsys.readouterr().err
+
     def test_missing_alpha_exits_2(self, tmp_path, capsys):
         code = main(["polaron", "--omega-b", "5", "--omega0", "100",
                      "--omega-c", "800", "--delta", "30",
@@ -452,6 +481,72 @@ class TestSweepCommand:
                      "point_delta_30.0.csv"):
             assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
 
+    def test_resume_reuses_point_csv_verbatim(self, tmp_path):
+        # sentinel values prove the resumed point is read, not recomputed
+        out = tmp_path / "out"
+        argv = ["sweep", *model_flags(), "--t-max", "1.5",
+                "--samples", "801", "--jobs", "1", "--out-dir", str(out)]
+        assert main(argv + ["--deltas", "20"]) == 0
+        point = out / "point_delta_20.0.csv"
+        lines = point.read_text().splitlines()
+        lines[-1] = "20.0,0.125,nan,1.5,2.5,9.0"
+        point.write_text("\n".join(lines) + "\n")
+        edited = point.read_bytes()
+        assert main(argv + ["--deltas", "20,30", "--resume"]) == 0
+        assert point.read_bytes() == edited
+        _, summary = read_csv(out / "summary.csv")
+        assert [summary[k][0] for k in ("stationary_pop_rwa", "freq_rwa",
+                                        "freq_full", "decay_rwa")] == \
+            [0.125, 1.5, 2.5, 9.0]
+        assert "point_delta_20.0.csv" in manifest(out)["outputs"]
+
+    def test_failed_point_keeps_finished_points(self, tmp_path, monkeypatch):
+        scan_point = analysis._scan_point
+
+        def overflow_at_30(delta, *rest):
+            if delta == 30.0:
+                raise OverflowError("injected failure at delta 30")
+            return scan_point(delta, *rest)
+
+        argv = ["sweep", *model_flags(), "--t-max", "1.5", "--samples", "801",
+                "--jobs", "1", "--deltas", "20,25,30"]
+        broken, fresh = tmp_path / "broken", tmp_path / "fresh"
+        monkeypatch.setattr(analysis, "_scan_point", overflow_at_30)
+        assert main(argv + ["--out-dir", str(broken)]) == 1
+        assert sorted(p.name for p in broken.glob("point_*.csv")) == [
+            "point_delta_20.0.csv", "point_delta_25.0.csv"]
+        monkeypatch.undo()
+        assert main(argv + ["--resume", "--out-dir", str(broken)]) == 0
+        assert main(argv + ["--out-dir", str(fresh)]) == 0
+        for name in ("summary.csv", "point_delta_20.0.csv",
+                     "point_delta_25.0.csv", "point_delta_30.0.csv"):
+            assert (broken / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_chain_is_mapped_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        map_to_chain = analysis.map_to_chain
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return map_to_chain(*args, **kwargs)
+
+        analysis._chain.cache_clear()
+        monkeypatch.setattr(analysis, "map_to_chain", counted)
+        assert main(["sweep", *model_flags(), "--t-max", "1.5",
+                     "--samples", "801", "--jobs", "1",
+                     "--deltas", "20,25,30",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+    def test_mapping_failure_recorded_at_every_point(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", *model_flags(alpha=0.0), "--t-max", "1.5",
+                     "--jobs", "1", "--deltas", "20,30",
+                     "--out-dir", str(out)]) == 0
+        failures = manifest(out)["convergence"]["failures"]
+        assert sorted(failures) == ["20.0", "30.0"]
+        assert all("alpha = 0" in f["rwa"] for f in failures.values())
+
     def test_full_method_needs_full_mode(self, tmp_path, capsys):
         code = main(["sweep", *model_flags(), "--deltas", "1",
                      "--methods", "rwa,full", "--t-max", "0.1",
@@ -565,6 +660,16 @@ class TestPlotCommand:
         err = capsys.readouterr().err
         assert "plot.y" in err and "nope" in err
 
+    def test_unknown_marker_exits_2(self, tmp_path, capsys):
+        a, _ = self.two_series(tmp_path)
+        out = tmp_path / "out"
+        code = main(["plot", "--csv", str(a), "--y", "pop",
+                     "--markers", "bogus", "--out-dir", str(out)])
+        assert code == 2
+        assert "plot.markers: unknown marker(s) bogus" in \
+            capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing\nt,pop\n")
@@ -632,3 +737,13 @@ class TestManifest:
         assert doc["outputs"] == ["rwa.csv"]
         assert doc["invocation"]["solver"] == "volterra"
         assert doc["wall_time_s"] >= 0.0
+
+
+def test_import_loads_neither_scipy_signal_nor_stats():
+    src = str(Path(gapchain.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import gapchain.cli; "
+            "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+            % src)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
