@@ -5,20 +5,25 @@ polynomial chain), rwa (single-excitation solvers), evolve (TEBD),
 polaron (variational renormalization), sweep (detuning scans), analyze
 (estimators over a stored series) and plot (deterministic SVG
 overlays).  Every run writes a ``manifest.json`` echoing the full
-configuration, library versions, wall time and convergence outcomes.
-Re-running the same subcommand with the manifest as its config file
-regenerates every artifact byte for byte; the manifest's own
-``wall_time_s`` and ``timestamp`` fields are the only volatile data a
-run produces.
+configuration, the subcommand's own options included, with library
+versions, wall time and convergence outcomes.  Re-running any
+subcommand with its manifest as the config file regenerates every
+artifact byte for byte; the manifest's own ``wall_time_s`` and
+``timestamp`` fields are the only volatile data a run produces.
 
-Configuration comes from an INI file (sections [model], [chain],
-[evolution], [analysis], [output]), from a JSON file with the same
-section names, or from flags; flags override file values.  The flags
-are the config keys: key ``section.some_key`` is the flag
-``--some-key``, except ``output.directory``, which is ``--out-dir``.  A
-flag value is parsed exactly like the same value in an INI file.  A
-manifest is itself a valid JSON config (its ``config`` block is
-unwrapped).
+Configuration comes from an INI file, from a JSON file with the same
+sections, or from flags; flags override file values.  The sections
+[model], [chain], [evolution], [analysis] and [output] are shared.  A
+section named after a subcommand ([rwa], [evolve], [sweep], [analyze],
+[plot]) holds that subcommand's own options and is ignored by every
+other subcommand, so one file can serve several.  The flags are the
+config keys of the shared sections and of the subcommand's own: key
+``section.some_key`` is the flag ``--some-key``, except
+``output.directory``, which is ``--out-dir``.  A flag value is parsed
+exactly like the same value in an INI file; a switch (``--resume``)
+takes no value and is ``resume = true`` in a file, and ``--csv``
+repeats.  A manifest (a JSON object with a ``subcommand`` key) is
+itself a valid config: its ``config`` block is unwrapped.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics.json written
 to the output directory), 2 configuration error (every violation is
@@ -84,8 +89,18 @@ def _as_int(value, key, errors):
 
 
 def _as_str(value, key, errors):
-    """a path"""
+    """text (a path, column name or title)"""
     return str(value)
+
+
+def _as_bool(value, key, errors):
+    """a switch (as a flag, bare; in a file, true or false)"""
+    if isinstance(value, bool):
+        return value
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(str(value).lower())
+    if state is None:
+        errors.append(f"{key}: expected true or false, got {value!r}")
+    return state
 
 
 def _as_mode(value, key, errors):
@@ -97,31 +112,61 @@ def _as_mode(value, key, errors):
     return mode
 
 
-def _as_formats(value, key, errors):
-    """comma list from csv,json,svg"""
-    if isinstance(value, str):
-        items = [s.strip() for s in value.split(",") if s.strip()]
-    elif isinstance(value, (list, tuple)):
-        items = [str(s) for s in value]
-    else:
-        errors.append(f"{key}: expected a comma list, got {value!r}")
+def _choice(*allowed, many=False):
+    """Validator of one of allowed or (many) a comma list of them; any
+    item passes if none is given.  A list is taken item by item."""
+    def check(value, key, errors):
+        if not many:
+            items = [str(value).strip()]
+        elif isinstance(value, (list, tuple)):
+            items = [str(s) for s in value]
+        else:
+            items = [s.strip() for s in str(value).split(",") if s.strip()]
+        bad = [s for s in items if allowed and s not in allowed]
+        if bad:
+            noun = key.rpartition(".")[2].rstrip("s")
+            errors.append(f"{key}: unknown {noun}(s) {', '.join(bad)} "
+                          f"(choose from {', '.join(allowed)})")
+            return None
+        return tuple(items) if many else items[0]
+    names = ", ".join(allowed)
+    check.__doc__ = (f"one of {names}" if not many else
+                     f"comma list from {names}" if allowed else "comma list")
+    return check
+
+
+_as_list = _choice(many=True)
+
+
+def _at_least(floor):
+    """Validator of an integer no smaller than floor."""
+    def check(value, key, errors):
+        n = _as_int(value, key, errors)
+        if n is not None and n < floor:
+            errors.append(f"{key}: must be at least {floor}")
+            return None
+        return n
+    check.__doc__ = f"an integer, at least {floor}"
+    return check
+
+
+def _as_deltas(value, key, errors):
+    """comma list of distinct non-negative detunings"""
+    deltas = [_as_float(s, key, errors) for s in _as_list(value, key, errors)]
+    if None in deltas:
         return None
-    bad = [s for s in items if s not in ("csv", "json", "svg")]
-    if bad:
-        errors.append(f"{key}: unknown format(s) {', '.join(bad)} "
-                      "(choose from csv, json, svg)")
+    if deltas and (min(deltas) < 0.0 or len(set(deltas)) < len(deltas)):
+        errors.append(f"{key}: detunings must be non-negative and "
+                      f"distinct, got {value!r}")
         return None
-    return tuple(items)
+    return tuple(deltas)
 
 
 def _as_exclude(value, key, errors):
     """time windows to drop, lo:hi,lo:hi (in JSON, [lo, hi] pairs)"""
     pairs = []
     if isinstance(value, str):
-        for part in value.split(","):
-            part = part.strip()
-            if not part:
-                continue
+        for part in _as_list(value, key, errors):
             bits = part.split(":")
             if len(bits) != 2:
                 errors.append(f"{key}: window {part!r} is not lo:hi")
@@ -146,26 +191,60 @@ def _as_exclude(value, key, errors):
     return tuple(out)
 
 
+def _est_stationary(signal):
+    v = analysis.stationary_value(signal)
+    return {"value": float(v), "drift_slope": float(v.drift_slope),
+            "nonstationary": bool(v.nonstationary)}
+
+
+_ESTIMATORS = {
+    "frequency": lambda s: {"value": float(analysis.oscillation_frequency(s))},
+    "zero_crossing": lambda s: {
+        "value": float(analysis.zero_crossing_frequency(s))},
+    "stationary": _est_stationary,
+    "decay": lambda s: {"value": float(analysis.decay_rate(s))},
+}
+
+
 # The one list of config keys: each becomes a flag --<key-with-dashes>
 # (renamed only through _FLAG_NAMES), an INI/JSON key of its section and
-# a field of that section's dataclass.  A validator's docstring is the
-# flag's help text.
+# a field of that section's dataclass (_TYPES).  A validator's docstring
+# is the flag's help text.  Sections named after a subcommand are its own.
 _SCHEMA = {
     "model": {"alpha": _as_float, "omega_b": _as_float, "omega0": _as_float,
               "omega_c": _as_float, "delta": _as_float},
-    "chain": {"n_sites": _as_int, "n_quad": _as_int},
+    "chain": {"n_sites": _at_least(2), "n_quad": _at_least(2)},
     "evolution": {"t_max": _as_float, "dt": _as_float, "d_b": _as_int,
                   "chi_max": _as_int, "svd_threshold": _as_float,
                   "sample_stride": _as_int, "mode": _as_mode},
     "analysis": {"fit_window_low": _as_float, "fit_window_high": _as_float,
                  "exclude": _as_exclude},
-    "output": {"directory": _as_str, "formats": _as_formats},
+    "output": {"directory": _as_str,
+               "formats": _choice("csv", "json", "svg", many=True)},
+    "rwa": {"solver": _choice("volterra", "laplace", "chain"),
+            "samples": _at_least(2), "no_self_check": _as_bool},
+    "evolve": {"atom_state": _choice("excited", "ground",
+                                     "plus_superposition")},
+    "sweep": {"deltas": _as_deltas, "methods": _choice("rwa", "full",
+                                                       many=True),
+              "samples": _at_least(2),
+              "full_observables": _choice("population", "coherence",
+                                          many=True),
+              "jobs": _at_least(1), "resume": _as_bool},
+    "analyze": {"input": _as_str, "x": _as_str, "signal": _as_str,
+                "estimators": _choice(*_ESTIMATORS, many=True)},
+    "plot": {"csv": _as_list, "x": _as_str, "y": _as_list,
+             "labels": _as_list, "markers": _choice(*MARKERS, many=True),
+             "log_y": _as_bool, "alpha2_time": _as_bool, "title": _as_str,
+             "out": _as_str},
 }
 
 _FLAG_NAMES = {("output", "directory"): "--out-dir"}
+_FLAG_ACTIONS = {("plot", "csv"): "append"}  # --csv repeats for overlays
 
-_NEEDS_MODEL = {"chain-coeffs", "rwa", "evolve", "polaron", "sweep"}
-_NEEDS_TMAX = {"rwa", "evolve"}
+_NEEDS = {"chain-coeffs": {"model"}, "rwa": {"model", "evolution"},
+          "evolve": {"model", "evolution"}, "polaron": {"model"},
+          "sweep": {"model"}}
 
 
 @dataclass(frozen=True)
@@ -195,6 +274,56 @@ class OutputOptions:
 
 
 @dataclass(frozen=True)
+class RwaOptions:
+    solver: str = "volterra"
+    samples: int = 1001  # laplace/chain time grid; volterra steps by dt
+    no_self_check: bool = False  # skip volterra's step-halving check
+
+
+@dataclass(frozen=True)
+class EvolveOptions:
+    atom_state: str = "excited"
+
+
+@dataclass(frozen=True)
+class SweepOptions:
+    deltas: tuple
+    methods: tuple = ("rwa",)
+    samples: int | None = None  # per rwa point; None: crossover_scan's
+    full_observables: tuple = ("population", "coherence")
+    jobs: int | None = None  # parallel workers; None: available cores
+    resume: bool = False  # reuse point CSVs in the output directory
+
+
+@dataclass(frozen=True)
+class AnalyzeOptions:
+    input: str  # a series CSV written by rwa or evolve
+    x: str = "t"
+    signal: str | None = None  # None: pop or pop_excited; 'amplitude': |A|
+    estimators: tuple = tuple(_ESTIMATORS)
+
+
+@dataclass(frozen=True)
+class PlotOptions:
+    csv: tuple
+    y: tuple  # read from every csv
+    x: str = "t"
+    labels: tuple = ()
+    markers: tuple = ()  # unset ones: filled, open, then none
+    log_y: bool = False
+    alpha2_time: bool = False  # scale the x axis by alpha^2
+    title: str = ""
+    out: str = "plot.svg"  # inside the output directory
+
+
+_TYPES = {"model": ModelParams, "chain": ChainOptions,
+          "evolution": EvolutionConfig, "analysis": AnalysisOptions,
+          "output": OutputOptions, "rwa": RwaOptions,
+          "evolve": EvolveOptions, "sweep": SweepOptions,
+          "analyze": AnalyzeOptions, "plot": PlotOptions}
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Validated configuration for one CLI run."""
 
@@ -203,6 +332,11 @@ class RunConfig:
     evolution: EvolutionConfig | None
     analysis: AnalysisOptions
     output: OutputOptions
+    rwa: RwaOptions | None = None  # only the running subcommand's is set
+    evolve: EvolveOptions | None = None
+    sweep: SweepOptions | None = None
+    analyze: AnalyzeOptions | None = None
+    plot: PlotOptions | None = None
 
     def to_dict(self):
         """JSON-ready echo; parse_config(data=...) inverts it exactly.
@@ -237,11 +371,11 @@ def _load_file(path: Path, errors):
         except json.JSONDecodeError as err:
             errors.append(f"config: {path} is not valid JSON: {err}")
             return {}
+        if isinstance(raw, dict) and "subcommand" in raw:
+            raw = raw.get("config")  # a manifest doubles as a config file
         if not isinstance(raw, dict):
             errors.append(f"config: {path} must hold a JSON object")
             return {}
-        if isinstance(raw.get("config"), dict) and "model" in raw["config"]:
-            raw = raw["config"]  # a manifest doubles as a config file
         return {sec: dict(block) for sec, block in raw.items()
                 if isinstance(block, dict) and sec in _SCHEMA}
     cp = configparser.ConfigParser()
@@ -258,13 +392,16 @@ def parse_config(path=None, data=None, overrides=None,
     """Merge file, dict and flag inputs into a validated RunConfig.
 
     All violations are collected and raised together in one
-    ConfigError, each line addressed as section.key.
+    ConfigError, each line addressed as section.key.  The section of
+    any subcommand other than this one is ignored.
     """
     errors = []
     if path is not None:
         data = _load_file(Path(path), errors)
     merged = {}
     for sec, block in (data or {}).items():
+        if sec in _DISPATCH and sec != subcommand:
+            continue
         if sec not in _SCHEMA:
             errors.append(f"{sec}: unknown section")
             continue
@@ -283,43 +420,48 @@ def parse_config(path=None, data=None, overrides=None,
             if tv is not None:
                 typed[sec][key] = tv
 
-    model = _build(ModelParams, "model", typed, errors,
-                   required=subcommand in _NEEDS_MODEL)
-    if subcommand == "polaron" and model is not None and model.delta <= 0.0:
+    needed = _NEEDS.get(subcommand, set()) | {subcommand}
+    built = {sec: _build(cls, sec, typed, errors,
+                         required=bool(typed[sec]) or sec in needed)
+             for sec, cls in _TYPES.items()
+             if sec not in _DISPATCH or sec == subcommand}
+    cfg = RunConfig(**built)
+
+    if (subcommand == "polaron" and cfg.model is not None
+            and cfg.model.delta <= 0.0):
         errors.append("model.delta: must be positive "
                       "(the theory renormalizes a finite splitting)")
-
-    chain = ChainOptions(**typed["chain"])
-    for key in _SCHEMA["chain"]:
-        if getattr(chain, key) is not None and getattr(chain, key) < 2:
-            errors.append(f"chain.{key}: must be at least 2")
-    if subcommand == "chain-coeffs" and chain.n_sites is None:
+    if subcommand == "chain-coeffs" and cfg.chain.n_sites is None:
         errors.append("chain.n_sites: required for chain-coeffs")
-
-    evolution = _build(EvolutionConfig, "evolution", typed, errors,
-                       required=bool(typed["evolution"])
-                       or subcommand in _NEEDS_TMAX)
-
-    analysis_opts = AnalysisOptions(**typed["analysis"])
-    if not (0.0 <= analysis_opts.fit_window_low
-            < analysis_opts.fit_window_high <= 1.0):
+    if subcommand == "sweep":
+        errors += [f"chain.{key}: not used by sweep, which sizes each "
+                   "chain from its t_max" for key in typed["chain"]]
+        if cfg.sweep is not None and "full" in cfg.sweep.methods:
+            if cfg.evolution is None:
+                errors.append("evolution.t_max: required when sweep "
+                              "methods include full")
+            elif cfg.evolution.mode != "FULL":
+                errors.append("evolution.mode: must be FULL for sweep "
+                              "method full")
+    if not (0.0 <= cfg.analysis.fit_window_low
+            < cfg.analysis.fit_window_high <= 1.0):
         errors.append("analysis.fit_window_low/high: "
                       "need 0 <= low < high <= 1")
 
     if errors:
         raise ConfigError(sorted(errors))
-    return RunConfig(model, chain, evolution, analysis_opts,
-                     OutputOptions(**typed["output"]))
+    return cfg
 
 
 def _build(cls, sec, typed, errors, required):
     """cls(**typed[sec]), or None when a field without default is unset.
 
-    Unset fields are config errors only when the section is required.
+    An empty list counts as unset.  Unset fields are config errors only
+    when the section is required.
     """
     missing = [f.name for f in dataclasses.fields(cls)
                if f.default is dataclasses.MISSING
-               and f.name not in typed[sec]]
+               and typed[sec].get(f.name, ()) == ()]
     if required:
         errors.extend(f"{sec}.{k}: required" for k in missing)
     if missing:
@@ -399,7 +541,7 @@ def _read_csv(path: Path):
     """Inverse of _csv_text: (metadata lines, {column: float array})."""
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError([f"input: cannot read {path}: {err}"])
     meta, header, rows = [], None, []
     for line in text.splitlines():
@@ -415,7 +557,11 @@ def _read_csv(path: Path):
         if len(cells) != len(header):
             raise ConfigError([f"input: {path} row has {len(cells)} cells, "
                                f"header has {len(header)}"])
-        rows.append([float(c) for c in cells])
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ConfigError([f"input: {path} has a non-numeric cell in "
+                               f"row {line!r}"]) from None
     if header is None or not rows:
         raise ConfigError([f"input: {path} is empty (no data rows)"])
     table = np.asarray(rows, dtype=float)
@@ -441,10 +587,12 @@ def _apply_windows(times, values, opts: AnalysisOptions):
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (outputs, convergence, invocation, exit_code)
+# subcommands; each returns (outputs, convergence, exit_code) and its
+# docstring is its help line
 
 
-def _cmd_chain_coeffs(cfg, args, outdir):
+def _cmd_chain_coeffs(cfg, outdir):
+    """orthogonal-polynomial chain coefficients"""
     p, fmts = cfg.model, cfg.output.formats
     n = cfg.chain.n_sites
     c = map_to_chain(p, n, M=cfg.chain.n_quad)
@@ -470,24 +618,20 @@ def _cmd_chain_coeffs(cfg, args, outdir):
             title="chain coefficients", marker_stride=max(1, n // 40))
         outputs.append(_emit(outdir, "chain_coeffs.svg", svg))
     conv = {"n_sites": n, "n_quad": cfg.chain.n_quad}
-    return outputs, conv, {}, 0
+    return outputs, conv, 0
 
 
-def _cmd_rwa(cfg, args, outdir):
+def _cmd_rwa(cfg, outdir):
+    """single-excitation amplitude A(t)"""
     p, fmts = cfg.model, cfg.output.formats
     t_max = cfg.evolution.t_max
-    errors = _below_floor("rwa", args, samples=2)
-    if errors:
-        raise ConfigError(errors)
-    solver, samples = args.solver, args.samples or 1001
+    solver, samples = cfg.rwa.solver, cfg.rwa.samples
     conv = {"solver": solver}
-    invocation = {"solver": solver, "samples": args.samples,
-                  "self_check": not args.no_self_check}
     if solver == "volterra":
         series = volterra_solve(p, t_max, dt=cfg.evolution.dt,
-                                self_check=not args.no_self_check)
+                                self_check=not cfg.rwa.no_self_check)
         conv["dt"] = float(series.times[1] - series.times[0])
-        conv["self_check"] = "skipped" if args.no_self_check else "passed"
+        conv["self_check"] = "skipped" if cfg.rwa.no_self_check else "passed"
     elif solver == "laplace":
         times = np.linspace(0.0, t_max, samples + 1)[1:]  # inverter needs t>0
         series = laplace_invert(p, times)
@@ -513,17 +657,18 @@ def _cmd_rwa(cfg, args, outdir):
             xlabel="t", ylabel="excited population",
             title=f"rwa ({solver})")
         outputs.append(_emit(outdir, "rwa.svg", svg))
-    return outputs, conv, invocation, 0
+    return outputs, conv, 0
 
 
-def _cmd_evolve(cfg, args, outdir):
+def _cmd_evolve(cfg, outdir):
+    """TEBD evolution of the joint state"""
     p, fmts = cfg.model, cfg.output.formats
-    evo = cfg.evolution
+    evo, atom_state = cfg.evolution, cfg.evolve.atom_state
     n = cfg.chain.n_sites or chain_length_for(p, evo.t_max)
     c = map_to_chain(p, n, M=cfg.chain.n_quad)
-    ts = evolve(c, evo, atom_state=args.atom_state, delta=p.delta)
+    ts = evolve(c, evo, atom_state=atom_state, delta=p.delta)
     meta = [_model_meta(p), f"mode: {evo.mode}",
-            f"atom_state: {args.atom_state}", f"chain_sites: {n}",
+            f"atom_state: {atom_state}", f"chain_sites: {n}",
             f"dt: {float(ts.dt)!r}"]
     cols = [("t", ts.times, "f"),
             ("sigma_x", ts.sigma_x.real, "f"),
@@ -555,28 +700,22 @@ def _cmd_evolve(cfg, args, outdir):
             "total_norm_drift": float(np.sum(ts.norm_drift)),
             "final_max_bond": int(ts.max_bond[-1]),
             "charge_drift": float(np.max(np.abs(charge - charge[0])))}
-    return outputs, conv, {"atom_state": args.atom_state}, 0
+    return outputs, conv, 0
 
 
-def _cmd_polaron(cfg, args, outdir):
+def _cmd_polaron(cfg, outdir):
+    """variational renormalized splitting"""
     p = cfg.model
     sol = silbey_harris_solve(p)
     doc = {"delta": p.delta, "delta_tilde": sol.delta_tilde, "phi": sol.phi,
            "p_up_relaxed": sol.p_up_relaxed, "p_up_dressed": sol.p_up_dressed,
            "iterations": sol.iterations, "residual": sol.residual}
     conv = {"iterations": sol.iterations, "residual": sol.residual}
-    return [_emit_json(outdir, "polaron.json", doc)], conv, {}, 0
+    return [_emit_json(outdir, "polaron.json", doc)], conv, 0
 
 
 def _point_name(delta):
     return f"point_delta_{repr(float(delta))}.csv"
-
-
-def _below_floor(sub, args, **floors):
-    """Config errors for count options given below their floor."""
-    return [f"{sub}.{name}: must be at least {floor}"
-            for name, floor in floors.items()
-            if getattr(args, name) is not None and getattr(args, name) < floor]
 
 
 def _load_prior(outdir: Path):
@@ -594,53 +733,23 @@ def _load_prior(outdir: Path):
     return points
 
 
-def _cmd_sweep(cfg, args, outdir):
-    p, fmts = cfg.model, cfg.output.formats
-    errors = _below_floor("sweep", args, samples=2, jobs=1)
-    errors += [f"chain.{key}: not used by sweep, which sizes each chain "
-               "from its t_max" for key in _SCHEMA["chain"]
-               if getattr(cfg.chain, key) is not None]
-    deltas = [_as_float(s.strip(), "sweep.deltas", errors)
-              for s in args.deltas.split(",") if s.strip()]
-    if not deltas:
-        errors.append("sweep.deltas: at least one detuning is required")
-    elif None not in deltas and (min(deltas) < 0.0
-                                 or len(set(deltas)) < len(deltas)):
-        errors.append("sweep.deltas: detunings must be non-negative and "
-                      f"distinct, got {args.deltas!r}")
-    methods = tuple(s.strip() for s in args.methods.split(",") if s.strip())
-    bad = [m for m in methods if m not in ("rwa", "full")]
-    if bad:
-        errors.append(f"sweep.methods: unknown method(s) {', '.join(bad)}")
-    observables = tuple(s.strip() for s in args.full_observables.split(",")
-                        if s.strip())
-    bad = [o for o in observables if o not in ("population", "coherence")]
-    if bad:
-        errors.append("sweep.full-observables: unknown observable(s) "
-                      + ", ".join(bad))
-    if "full" in methods and cfg.evolution is None:
-        errors.append("evolution.t_max: required when sweep methods "
-                      "include full")
-    if ("full" in methods and cfg.evolution is not None
-            and cfg.evolution.mode != "FULL"):
-        errors.append("evolution.mode: must be FULL for sweep method full")
-    if errors:
-        raise ConfigError(errors)
-
-    cfgs = {}
+def _cmd_sweep(cfg, outdir):
+    """detuning scan with per-point resume"""
+    p, fmts, o = cfg.model, cfg.output.formats, cfg.sweep
+    deltas, methods = o.deltas, o.methods
     rc = {}
     if cfg.evolution is not None:
         rc["t_max"] = cfg.evolution.t_max
-    if args.samples:
-        rc["samples"] = args.samples
-    cfgs["rwa"] = rc
+    if o.samples is not None:
+        rc["samples"] = o.samples
+    cfgs = {"rwa": rc}
     if "full" in methods:
         cfgs["full"] = cfg.evolution
-        cfgs["full_observables"] = observables
+        cfgs["full_observables"] = o.full_observables
 
-    prior = _load_prior(outdir) if args.resume else {}
+    prior = _load_prior(outdir) if o.resume else {}
     resumed = [prior[d] for d in deltas if d in prior]
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = o.jobs or os.cpu_count() or 1
     outputs = [_point_name(d) for d, _, _ in resumed if "csv" in fmts]
     fresh = []
     for point in analysis.crossover_scan(
@@ -687,36 +796,18 @@ def _cmd_sweep(cfg, args, outdir):
                 for d, m in zip(grid, result.manifests) if m.get("failures")}
     conv = {"computed_points": sorted(d for d, _, _ in fresh),
             "resumed_points": sorted(d for d, _, _ in resumed),
-            "failures": failures}
-    invocation = {"deltas": deltas,
-                  "methods": list(methods), "jobs": jobs,
-                  "resume": bool(args.resume), "samples": args.samples,
-                  "full_observables": list(observables)}
-    return outputs, conv, invocation, 0
+            "failures": failures, "jobs": jobs}
+    return outputs, conv, 0
 
 
-def _est_stationary(signal):
-    v = analysis.stationary_value(signal)
-    return {"value": float(v), "drift_slope": float(v.drift_slope),
-            "nonstationary": bool(v.nonstationary)}
-
-
-_ESTIMATORS = {
-    "frequency": lambda s: {"value": float(analysis.oscillation_frequency(s))},
-    "zero_crossing": lambda s: {
-        "value": float(analysis.zero_crossing_frequency(s))},
-    "stationary": _est_stationary,
-    "decay": lambda s: {"value": float(analysis.decay_rate(s))},
-}
-
-
-def _cmd_analyze(cfg, args, outdir):
-    meta, cols = _read_csv(Path(args.input))
-    tcol = args.x
-    if tcol not in cols:
-        raise ConfigError([f"analyze.x: column {tcol!r} not in {args.input} "
+def _cmd_analyze(cfg, outdir):
+    """estimators over a stored series"""
+    o = cfg.analyze
+    meta, cols = _read_csv(Path(o.input))
+    if o.x not in cols:
+        raise ConfigError([f"analyze.x: column {o.x!r} not in {o.input} "
                            f"(columns: {', '.join(cols)})"])
-    signal = args.signal
+    signal = o.signal
     if signal is None:
         signal = next((c for c in ("pop", "pop_excited") if c in cols), None)
         if signal is None:
@@ -728,24 +819,18 @@ def _cmd_analyze(cfg, args, outdir):
         values = cols[signal]
     else:
         raise ConfigError([f"analyze.signal: column {signal!r} not in "
-                           f"{args.input} (columns: {', '.join(cols)})"])
-    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
-    bad = [n for n in names if n not in _ESTIMATORS]
-    if bad:
-        raise ConfigError([f"analyze.estimators: unknown estimator(s) "
-                           f"{', '.join(bad)} (choose from "
-                           f"{', '.join(_ESTIMATORS)})"])
+                           f"{o.input} (columns: {', '.join(cols)})"])
 
-    times, values = _apply_windows(cols[tcol], values, cfg.analysis)
+    times, values = _apply_windows(cols[o.x], values, cfg.analysis)
     results = {}
     failed = []
-    for name in names:
+    for name in o.estimators:
         try:
             results[name] = _ESTIMATORS[name]((times, values))
         except ValueError as err:
             results[name] = {"error": str(err)}
             failed.append(name)
-    doc = {"input": str(args.input), "signal": signal,
+    doc = {"input": o.input, "signal": signal,
            "n_points": int(times.size),
            "t_range": [float(times[0]), float(times[-1])],
            "results": results}
@@ -756,63 +841,45 @@ def _cmd_analyze(cfg, args, outdir):
             "s_minus": est.s_minus, "gamma": est.gamma,
             "frequency": abs(est.s_plus.imag)}
     conv = {"estimators_failed": failed}
-    invocation = {"input": str(args.input), "signal": signal, "x": tcol,
-                  "estimators": names}
-    return ([_emit_json(outdir, "analysis.json", doc)], conv, invocation,
+    return ([_emit_json(outdir, "analysis.json", doc)], conv,
             1 if failed else 0)
 
 
-def _cmd_plot(cfg, args, outdir):
-    ycols = [s.strip() for s in args.y.split(",") if s.strip()]
-    if not ycols:
-        raise ConfigError(["plot.y: at least one column is required"])
-    labels = ([s.strip() for s in args.labels.split(",")]
-              if args.labels else [])
-    markers = ([s.strip() for s in args.markers.split(",")]
-               if args.markers else [])
-    bad = [m for m in markers if m not in MARKERS]
-    if bad:
-        raise ConfigError([f"plot.markers: unknown marker(s) {', '.join(bad)} "
-                           f"(choose from {', '.join(MARKERS)})"])
-    if args.alpha2_time and cfg.model is None:
+def _cmd_plot(cfg, outdir):
+    """deterministic SVG overlay of CSVs"""
+    o = cfg.plot
+    if o.alpha2_time and cfg.model is None:
         raise ConfigError(["model.alpha: required for --alpha2-time"])
-    out_name = args.out
-    if not out_name.endswith(".svg"):
-        out_name += ".svg"
+    out_name = o.out if o.out.endswith(".svg") else o.out + ".svg"
 
     series_list = []
-    for path in args.csv:
+    for path in o.csv:
         _, cols = _read_csv(Path(path))
-        if args.x not in cols:
-            raise ConfigError([f"plot.x: column {args.x!r} not in {path} "
+        if o.x not in cols:
+            raise ConfigError([f"plot.x: column {o.x!r} not in {path} "
                                f"(columns: {', '.join(cols)})"])
-        for ycol in ycols:
+        for ycol in o.y:
             if ycol not in cols:
                 raise ConfigError([f"plot.y: column {ycol!r} not in {path} "
                                    f"(columns: {', '.join(cols)})"])
-            x = cols[args.x]
-            if args.alpha2_time:
+            x = cols[o.x]
+            if o.alpha2_time:
                 x = x * cfg.model.alpha ** 2
             k = len(series_list)
-            label = (labels[k] if k < len(labels)
+            label = (o.labels[k] if k < len(o.labels)
                      else f"{Path(path).stem}:{ycol}")
-            marker = (markers[k] if k < len(markers)
+            marker = (o.markers[k] if k < len(o.markers)
                       else ("filled", "open")[k] if k < 2 else "none")
             series_list.append(Series(x, cols[ycol], label=label,
                                       marker=marker))
     stride = max(1, max(s.x.size for s in series_list) // 40)
     svg = render_line_plot(
         series_list,
-        xlabel=(args.x + " * alpha^2") if args.alpha2_time else args.x,
-        ylabel=", ".join(ycols), title=args.title, log_y=args.log_y,
+        xlabel=(o.x + " * alpha^2") if o.alpha2_time else o.x,
+        ylabel=", ".join(o.y), title=o.title, log_y=o.log_y,
         marker_stride=stride)
     _emit(outdir, out_name, svg)
-    invocation = {"csv": [str(s) for s in args.csv], "x": args.x,
-                  "y": ycols, "labels": labels, "markers": markers,
-                  "log_y": bool(args.log_y),
-                  "alpha2_time": bool(args.alpha2_time),
-                  "title": args.title, "out": out_name}
-    return [out_name], {}, invocation, 0
+    return [out_name], {}, 0
 
 
 _DISPATCH = {
@@ -830,18 +897,6 @@ _DISPATCH = {
 # argument parsing
 
 
-def _add_config_flags(sp):
-    g = sp.add_argument_group("configuration")
-    g.add_argument("--config", metavar="FILE",
-                   help="INI or JSON config file (flags override it)")
-    for sec, keys in _SCHEMA.items():
-        for key, parse in keys.items():
-            g.add_argument(
-                _FLAG_NAMES.get((sec, key), "--" + key.replace("_", "-")),
-                dest=f"{sec}.{key}", metavar=key.upper(),
-                help=f"{sec}.{key}: {parse.__doc__}")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gapchain",
@@ -850,78 +905,23 @@ def _build_parser():
     parser.add_argument("--version", action="version",
                         version=f"gapchain {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = subs.add_parser("chain-coeffs",
-                         help="orthogonal-polynomial chain coefficients")
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("rwa", help="single-excitation amplitude A(t)")
-    _add_config_flags(sp)
-    sp.add_argument("--solver", choices=("volterra", "laplace", "chain"),
-                    default="volterra")
-    sp.add_argument("--samples", type=int,
-                    help="time samples for laplace/chain, at least 2 "
-                         "(default 1001)")
-    sp.add_argument("--no-self-check", action="store_true",
-                    help="skip the volterra step-halving check")
-
-    sp = subs.add_parser("evolve", help="TEBD evolution of the joint state")
-    _add_config_flags(sp)
-    sp.add_argument("--atom-state",
-                    choices=("excited", "ground", "plus_superposition"),
-                    default="excited")
-
-    sp = subs.add_parser("polaron", help="variational renormalized splitting")
-    _add_config_flags(sp)
-
-    sp = subs.add_parser("sweep", help="detuning scan with per-point resume")
-    _add_config_flags(sp)
-    sp.add_argument("--deltas", required=True,
-                    help="comma list of detunings")
-    sp.add_argument("--methods", default="rwa",
-                    help="comma list from rwa,full (default rwa)")
-    sp.add_argument("--samples", type=int,
-                    help="time samples per rwa point, at least 2 "
-                         "(default 2001)")
-    sp.add_argument("--full-observables", dest="full_observables",
-                    default="population,coherence",
-                    help="comma list from population,coherence")
-    sp.add_argument("--jobs", type=int,
-                    help="parallel workers, at least 1 "
-                         "(default: available cores)")
-    sp.add_argument("--resume", action="store_true",
-                    help="reuse point CSVs already in the output directory")
-
-    sp = subs.add_parser("analyze", help="estimators over a stored series")
-    _add_config_flags(sp)
-    sp.add_argument("--input", required=True, metavar="CSV",
-                    help="series CSV produced by rwa/evolve")
-    sp.add_argument("--x", default="t", help="time column (default t)")
-    sp.add_argument("--signal",
-                    help="column to analyze (default pop/pop_excited; "
-                         "'amplitude' means hypot(re_A, im_A))")
-    sp.add_argument("--estimators",
-                    default="frequency,zero_crossing,stationary,decay",
-                    help="comma list from frequency,zero_crossing,"
-                         "stationary,decay")
-
-    sp = subs.add_parser("plot", help="deterministic SVG overlay of CSVs")
-    _add_config_flags(sp)
-    sp.add_argument("--csv", action="append", required=True, metavar="FILE",
-                    help="input CSV; repeat for overlays")
-    sp.add_argument("--x", default="t", help="x column (default t)")
-    sp.add_argument("--y", required=True,
-                    help="comma list of y columns, applied to every CSV")
-    sp.add_argument("--labels", help="comma list of legend labels")
-    sp.add_argument("--markers",
-                    help="comma list from none,filled,open "
-                         "(default: filled, open, then none)")
-    sp.add_argument("--log-y", action="store_true", dest="log_y")
-    sp.add_argument("--alpha2-time", action="store_true", dest="alpha2_time",
-                    help="scale the x axis by alpha^2")
-    sp.add_argument("--title", default="")
-    sp.add_argument("--out", default="plot.svg",
-                    help="output SVG name inside the output directory")
+    for sub, cmd in _DISPATCH.items():
+        g = subs.add_parser(sub, help=cmd.__doc__).add_argument_group(
+            "configuration")
+        g.add_argument("--config", metavar="FILE",
+                       help="INI or JSON config file (flags override it)")
+        for sec, keys in _SCHEMA.items():
+            if sec in _DISPATCH and sec != sub:
+                continue
+            for key, parse in keys.items():
+                kw = ({"action": "store_true", "default": None}
+                      if parse is _as_bool else
+                      {"action": _FLAG_ACTIONS.get((sec, key), "store"),
+                       "metavar": key.upper()})
+                g.add_argument(
+                    _FLAG_NAMES.get((sec, key), "--" + key.replace("_", "-")),
+                    dest=f"{sec}.{key}", help=f"{sec}.{key}: {parse.__doc__}",
+                    **kw)
     return parser
 
 
@@ -940,8 +940,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.monotonic()
         try:
-            outputs, conv, invocation, code = _DISPATCH[args.subcommand](
-                cfg, args, outdir)
+            outputs, conv, code = _DISPATCH[args.subcommand](cfg, outdir)
         except (ValueError, RuntimeError, ArithmeticError) as err:
             diag = {"subcommand": args.subcommand,
                     "error": type(err).__name__, "message": str(err),
@@ -960,7 +959,6 @@ def main(argv=None) -> int:
     manifest = {
         "subcommand": args.subcommand,
         "config": cfg.to_dict(),
-        "invocation": invocation,
         "versions": {"gapchain": __version__,
                      "python": ".".join(map(str, sys.version_info[:3])),
                      "numpy": np.__version__, "scipy": scipy.__version__},

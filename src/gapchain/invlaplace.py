@@ -5,8 +5,8 @@ Two algorithmically independent inverters:
 ``piessens_invert``
     Chebyshev-expansion method: the time function is expanded as
     f(t) = sum_k c_k T*_k(exp(-b t)) with shifted Chebyshev polynomials
-    T*_k on [0, 1].  Each basis function has the exact transform
-    sum_m C[k][m]/(s + m b) (C integer), so the coefficients follow from
+    T*_k on [0, 1].  Each basis function has an exact transform, built
+    by the Chebyshev recurrence, so the coefficients follow from
     collocating F at real points s_j = b (j + 1/2).  The collocation
     matrix is a disguised moment matrix and is exponentially
     ill-conditioned, so the fit is carried out in extended precision and
@@ -38,33 +38,29 @@ import math
 import mpmath
 import numpy as np
 
-__all__ = ["piessens_invert", "talbot_invert", "shifted_chebyshev_monomial"]
+__all__ = ["piessens_invert", "talbot_invert"]
 
 _TALBOT_TOL = 1e-8  # quadrature resolution; node count grows with log 1/tol
 _TALBOT_MU = 4.0  # max Re(s t) on the contour: weights stay <= e^4
 
 
-def shifted_chebyshev_monomial(n):
-    """Monomial coefficients of T*_k(x) on [0,1] for k < n, exact integers.
+def _collocation_matrix(n, b):
+    """V[j][k] = transform of T*_k(exp(-b t)) at s_j = b (j + 1/2), j, k < n.
 
-    Returns a list of lists; C[k][m] multiplies x^m.  The recurrence
-    T*_{k+1} = (4x-2) T*_k - T*_{k-1} stays in integer arithmetic.
+    Multiplying by x = exp(-b t) shifts s_j to s_{j+1}, so the recurrence
+    T*_{k+1} = (4x - 2) T*_k - T*_{k-1} reads
+    V[j][k+1] = 4 V[j+1][k] - 2 V[j][k] - V[j][k-1], from V[j][0] = 1/s_j
+    and V[j][1] = 2 V[j+1][0] - V[j][0].  Column k is needed on rows
+    j < 2n - 1 - k.  Runs at the caller's mpmath precision.
     """
-    if n <= 0:
-        return []
-    C = [[1]]
-    if n > 1:
-        C.append([-1, 2])
-    for k in range(2, n):
-        prev, prev2 = C[k - 1], C[k - 2]
-        cur = [0] * (k + 1)
-        for m, c in enumerate(prev):
-            cur[m] -= 2 * c
-            cur[m + 1] += 4 * c
-        for m, c in enumerate(prev2):
-            cur[m] -= c
-        C.append(cur)
-    return C
+    bb = mpmath.mpf(b)
+    cols = [[1 / (bb * (2 * j + 1) / 2) for j in range(2 * n - 1)]]
+    cols.append([2 * cols[0][j + 1] - cols[0][j] for j in range(2 * n - 2)])
+    for k in range(1, n - 1):
+        cur, prev = cols[k], cols[k - 1]
+        cols.append([4 * cur[j + 1] - 2 * cur[j] - prev[j]
+                     for j in range(len(cur) - 1)])
+    return mpmath.matrix([[cols[k][j] for k in range(n)] for j in range(n)])
 
 
 def _clenshaw_shifted(coeffs, x):
@@ -107,19 +103,11 @@ def piessens_invert(transform, times, n=32, b=1.0, poles=()):
         raise ValueError("expansion order n must be >= 2")
     if b <= 0.0:
         raise ValueError("time scale b must be positive")
-    C = shifted_chebyshev_monomial(n)
     # working digits grow with n to cover the moment-matrix conditioning
     with mpmath.workdps(max(50, 40 + 2 * n)):
         bb = mpmath.mpf(b)
         s_nodes = [bb * (2 * j + 1) / 2 for j in range(n)]
-        V = mpmath.zeros(n, n)
-        for j, s in enumerate(s_nodes):
-            for k in range(n):
-                acc = mpmath.mpf(0)
-                for m, c in enumerate(C[k]):
-                    if c:
-                        acc += mpmath.mpf(c) / (s + m * bb)
-                V[j, k] = acc
+        V = _collocation_matrix(n, b)
         rhs = []
         for s in s_nodes:
             val = mpmath.mpc(transform(s))

@@ -38,8 +38,33 @@ SAMPLE_VALUES = {
     ("analysis", "fit_window_high"): "0.8",
     ("analysis", "exclude"): "0.1:0.2,0.5:0.6",
     ("output", "directory"): "elsewhere", ("output", "formats"): "csv,svg",
+    ("rwa", "solver"): "laplace", ("rwa", "samples"): "21",
+    ("rwa", "no_self_check"): "true",
+    ("evolve", "atom_state"): "plus_superposition",
+    ("sweep", "deltas"): "20,30", ("sweep", "methods"): "rwa,full",
+    ("sweep", "samples"): "801", ("sweep", "full_observables"): "population",
+    ("sweep", "jobs"): "2", ("sweep", "resume"): "true",
+    ("analyze", "input"): "other.csv", ("analyze", "x"): "time",
+    ("analyze", "signal"): "amplitude", ("analyze", "estimators"): "decay",
+    ("plot", "csv"): "b.csv", ("plot", "x"): "time", ("plot", "y"): "pop,re_A",
+    ("plot", "labels"): "first,second", ("plot", "markers"): "open,filled",
+    ("plot", "log_y"): "true", ("plot", "alpha2_time"): "true",
+    ("plot", "title"): "overlay", ("plot", "out"): "fig.svg",
 }
 SCHEMA_KEYS = [(sec, key) for sec, keys in _SCHEMA.items() for key in keys]
+# the subcommand whose run reads each shared section; a section named after
+# a subcommand is read by that subcommand
+READER = {"model": "rwa", "chain": "rwa", "evolution": "rwa",
+          "analysis": "analyze", "output": "rwa"}
+# the smallest config each reader accepts
+BASE_CONFIG = {
+    "rwa": {"model": WIDEBAND, "evolution": {"t_max": 1.0}},
+    "evolve": {"model": WIDEBAND, "evolution": {"t_max": 1.0}},
+    "sweep": {"model": WIDEBAND, "evolution": {"t_max": 1.0, "mode": "FULL"},
+              "sweep": {"deltas": "20"}},
+    "analyze": {"analyze": {"input": "series.csv"}},
+    "plot": {"plot": {"csv": "a.csv", "y": "pop"}},
+}
 
 
 def flag_for(sec, key):
@@ -188,37 +213,60 @@ class TestParseConfig:
 
 
 class TestFlagFileParity:
-    """Every config key works as a flag, equal to the same INI value."""
+    """Every config key works as a flag, equal to the same INI/JSON value."""
 
     @pytest.mark.parametrize("sec,key", SCHEMA_KEYS,
                              ids=[f"{s}.{k}" for s, k in SCHEMA_KEYS])
     def test_flag_equals_ini_value(self, tmp_path, sec, key):
+        sub = READER.get(sec, sec)
         value = SAMPLE_VALUES[(sec, key)]
-        base = {"model": dict(WIDEBAND), "evolution": {"t_max": 1.0}}
+        base = {name: dict(block) for name, block in BASE_CONFIG[sub].items()}
         base_ini = tmp_path / "base.ini"
         base_ini.write_text(ini_text(base))
         base.setdefault(sec, {})[key] = value
-        full_ini = tmp_path / "full.ini"
+        full_ini, full_json = tmp_path / "full.ini", tmp_path / "full.json"
         full_ini.write_text(ini_text(base))
+        full_json.write_text(json.dumps(base))
 
+        flag = [flag_for(sec, key)]
+        if value != "true":  # a switch is a bare flag
+            flag.append(value)
         args = _build_parser().parse_args(
-            ["rwa", "--config", str(base_ini), flag_for(sec, key), value])
+            [sub, "--config", str(base_ini), *flag])
         via_flag = parse_config(path=args.config,
                                 overrides=_flag_overrides(args),
-                                subcommand="rwa")
-        via_file = parse_config(path=full_ini, subcommand="rwa")
-        assert via_flag == via_file
-        assert via_flag != parse_config(path=base_ini, subcommand="rwa")
+                                subcommand=sub)
+        assert via_flag == parse_config(path=full_ini, subcommand=sub)
+        assert via_flag == parse_config(path=full_json, subcommand=sub)
+        assert via_flag != parse_config(path=base_ini, subcommand=sub)
 
     @pytest.mark.parametrize("sub", sorted(_DISPATCH))
     def test_help_lists_every_config_flag(self, sub, capsys):
+        # the shared keys and the subcommand's own, compared by section.key
+        # since --samples and --x belong to two sections; no other
+        # subcommand's own keys
         with pytest.raises(SystemExit) as stop:
             main([sub, "--help"])
         assert stop.value.code == 0
         text = capsys.readouterr().out
         for sec, key in SCHEMA_KEYS:
-            assert re.search(re.escape(flag_for(sec, key)) + r"\b", text), \
-                (sub, sec, key)
+            own = sec not in _DISPATCH or sec == sub
+            assert (f"{sec}.{key}:" in text) == own, (sub, sec, key)
+            if own:
+                assert re.search(re.escape(flag_for(sec, key)) + r"\b",
+                                 text), (sub, sec, key)
+
+    def test_other_subcommand_sections_are_ignored(self, tmp_path):
+        ini = tmp_path / "shared.ini"
+        ini.write_text(ini_text({"model": dict(WIDEBAND, delta=2.0),
+                                 "evolution": {"t_max": 1.0},
+                                 "rwa": {"solver": "laplace"},
+                                 "sweep": {"deltas": "20,30", "bogus": "1"}}))
+        assert parse_config(path=ini, subcommand="rwa").rwa.solver == \
+            "laplace"
+        cfg = parse_config(path=ini, subcommand="polaron")
+        assert cfg.rwa is None and cfg.sweep is None
+        assert "rwa" not in cfg.to_dict()
 
 
 class TestExitCodes:
@@ -283,7 +331,7 @@ class TestExitCodes:
                      "--jobs", "1", "--out-dir", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []  # no point, no diagnostics
+        assert not out.exists()  # no point, no diagnostics
 
     def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bin.ini"
@@ -292,6 +340,40 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert f"config: cannot read {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--input", "{csv}", "--alpha", "1", "--delta", "8"],
+        ["plot", "--csv", "{csv}", "--y", "pop", "--alpha", "1",
+         "--alpha2-time"],
+    ], ids=["analyze", "plot"])
+    def test_partial_model_exits_2(self, tmp_path, capsys, argv):
+        csv, t = tmp_path / "series.csv", np.linspace(0.0, 25.0, 201)
+        write_series_csv(csv, t, np.exp(-0.3 * t))
+        out = tmp_path / "out"
+        code = main([a.format(csv=csv) for a in argv]
+                    + ["--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        for key in ("omega_b", "omega0", "omega_c"):
+            assert f"model.{key}: required" in err
+        assert "model.alpha" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00bad",
+                                         b"t,pop\n0,1\n1,abc\n"],
+                             ids=["non-utf8", "non-numeric"])
+    @pytest.mark.parametrize("sub", ["analyze", "plot"])
+    def test_malformed_input_csv_exits_2(self, tmp_path, capsys, sub,
+                                         content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        argv = (["analyze", "--input", str(path)] if sub == "analyze"
+                else ["plot", "--csv", str(path), "--y", "pop"])
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input: " in err and str(path) in err
+        assert not (out / "diagnostics.json").exists()
 
     def test_missing_alpha_exits_2(self, tmp_path, capsys):
         code = main(["polaron", "--omega-b", "5", "--omega0", "100",
@@ -713,6 +795,52 @@ class TestPlotCommand:
         assert not (tmp_path / "escape.svg").exists()
 
 
+# non-default own options at tiny corners; {s}, {a} and {b} are input CSVs
+RERUN_ARGV = {
+    "chain-coeffs": ["chain-coeffs", *model_flags(delta=2), "--n-sites", "8"],
+    "rwa": ["rwa", "--solver", "laplace", "--samples", "21",
+            *model_flags(delta=2), "--t-max", "0.5"],
+    "evolve": ["evolve", "--atom-state", "plus_superposition", "--alpha", "1",
+               "--omega-b", "2", "--omega0", "20", "--omega-c", "100",
+               "--delta", "3", "--t-max", "0.1", "--dt", "0.002",
+               "--d-b", "4", "--chi-max", "8", "--sample-stride", "5",
+               "--n-sites", "12"],
+    "polaron": ["polaron", *model_flags(delta=30)],
+    "sweep": ["sweep", *model_flags(), "--deltas", "30,20", "--t-max", "1.5",
+              "--samples", "801", "--jobs", "1"],
+    "analyze": ["analyze", "--input", "{s}", "--fit-window-low", "0.2",
+                "--estimators", "decay,frequency"],
+    "plot": ["plot", "--csv", "{a}", "--csv", "{b}", "--y", "pop",
+             "--labels", "first,second", "--markers", "open,filled",
+             "--log-y", "--title", "two decays", "--out", "decays"],
+}
+
+
+class TestManifestRerun:
+    """Each subcommand reruns from its own manifest.json, byte for byte."""
+
+    @pytest.mark.parametrize("sub", sorted(RERUN_ARGV))
+    def test_rerun_regenerates_every_artifact(self, tmp_path, sub):
+        t = np.linspace(0.0, 25.0, 2001)
+        paths = {k: tmp_path / f"{k}.csv" for k in "sab"}
+        write_series_csv(paths["s"], t, 0.2 + np.exp(-0.5 * t) * np.cos(8 * t))
+        write_series_csv(paths["a"], t, np.exp(-0.2 * t))
+        write_series_csv(paths["b"], t, 0.5 * np.exp(-0.1 * t))
+        argv = [arg.format(**paths) for arg in RERUN_ARGV[sub]]
+        out_a, out_b = tmp_path / "first", tmp_path / "again"
+        assert main(argv + ["--out-dir", str(out_a)]) == 0
+        assert main([sub, "--config", str(out_a / "manifest.json"),
+                     "--out-dir", str(out_b)]) == 0
+        ma, mb = manifest(out_a), manifest(out_b)
+        assert ma["outputs"] and ma["outputs"] == mb["outputs"]
+        for name in ma["outputs"]:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        for doc in (ma, mb):
+            del doc["wall_time_s"], doc["timestamp"]
+            del doc["config"]["output"]["directory"]
+        assert ma == mb
+
+
 class TestManifest:
     def test_only_outdir_is_touched(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -735,7 +863,7 @@ class TestManifest:
         assert doc["config"]["model"]["omega_b"] == 5.0
         assert doc["config"]["output"]["formats"] == ["csv"]
         assert doc["outputs"] == ["rwa.csv"]
-        assert doc["invocation"]["solver"] == "volterra"
+        assert doc["config"]["rwa"]["solver"] == "volterra"
         assert doc["wall_time_s"] >= 0.0
 
 

@@ -1,6 +1,8 @@
 """Inverse Laplace transforms: Chebyshev-expansion inversion with pole
 subtraction, Talbot contour quadrature, and their failure modes."""
 
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 import pytest
@@ -8,37 +10,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapchain.invlaplace import (
+    _collocation_matrix,
     _talbot_sum,
     piessens_invert,
-    shifted_chebyshev_monomial,
     talbot_invert,
 )
 
 
-class TestShiftedChebyshev:
-    def test_low_order_closed_forms(self):
-        # T*_0 = 1, T*_1 = 2x-1, T*_2 = 8x^2-8x+1, T*_3 = 32x^3-48x^2+18x-1
-        C = shifted_chebyshev_monomial(4)
-        assert C[0] == [1]
-        assert C[1] == [-1, 2]
-        assert C[2] == [1, -8, 8]
-        assert C[3] == [-1, 18, -48, 32]
-
-    def test_matches_chebyshev_on_mapped_argument(self):
-        # T*_k(x) = T_k(2x - 1) on [0, 1]
-        C = shifted_chebyshev_monomial(12)
-        x = np.linspace(0.0, 1.0, 41)
-        for k, row in enumerate(C):
-            mine = sum(c * x**m for m, c in enumerate(row))
-            ref = np.polynomial.chebyshev.chebval(2.0 * x - 1.0, [0] * k + [1])
-            np.testing.assert_allclose(mine, ref, atol=1e-9)
-
-    def test_coefficients_are_exact_integers(self):
-        C = shifted_chebyshev_monomial(20)
-        assert all(isinstance(c, int) for row in C for c in row)
-        # leading coefficient of T*_k is 2^(2k-1)
-        for k in range(1, 20):
-            assert C[k][-1] == 2 ** (2 * k - 1)
+class TestCollocationMatrix:
+    def test_matches_exact_rational_sums(self):
+        # V[j][k] = sum_m C[k][m] / (j + m + 1/2) at b = 1, where C[k][m]
+        # are the integer monomial coefficients of T*_k(x) = T_k(2x - 1)
+        n = 32
+        C = [[1], [-1, 2]]
+        for k in range(2, n):
+            cur = [0] * (k + 1)
+            for m, c in enumerate(C[k - 1]):
+                cur[m] -= 2 * c
+                cur[m + 1] += 4 * c
+            for m, c in enumerate(C[k - 2]):
+                cur[m] -= c
+            C.append(cur)
+        assert C[3] == [-1, 18, -48, 32]  # T*_3 = 32x^3 - 48x^2 + 18x - 1
+        with mpmath.workdps(40 + 2 * n):
+            V = _collocation_matrix(n, 1.0)
+            for j in range(n):
+                for k in range(n):
+                    exact = sum(Fraction(c) / (Fraction(2 * j + 1, 2) + m)
+                                for m, c in enumerate(C[k]))
+                    ref = mpmath.mpf(exact.numerator) / exact.denominator
+                    assert abs(V[j, k] - ref) <= 1e-75 * abs(ref), (j, k)
 
 
 class TestPiessens:
