@@ -723,10 +723,18 @@ def _load_prior(outdir: Path):
     points = {}
     for path in sorted(outdir.glob("point_delta_*.csv")):
         meta, cols = _read_csv(path)
+        missing = sorted({"delta", *analysis.SWEEP_COLUMNS} - cols.keys())
+        if missing:
+            raise ConfigError([f"input: {path} lacks columns {missing}"])
         manifest = {}
         for m in meta:
             if m.startswith("manifest:"):
-                manifest = json.loads(m[len("manifest:"):].strip())
+                try:
+                    manifest = json.loads(m[len("manifest:"):].strip())
+                except json.JSONDecodeError:
+                    manifest = None
+        if not isinstance(manifest, dict):
+            raise ConfigError([f"input: {path} manifest is not a JSON object"])
         d = float(cols["delta"][0])
         points[d] = (d, {k: float(cols[k][0]) for k in analysis.SWEEP_COLUMNS},
                      manifest)

@@ -296,7 +296,8 @@ def classify_regime(p: ModelParams) -> RegimeClassification:
     Thresholds on the shifted detuning Delta_L_tilde: below_band for
     Delta_L_tilde <= 0 (closed-below tie-break), gap_dip for
     0 < Delta_L_tilde < alpha^2/2 (pole coefficient vanishes), and
-    above_band otherwise (decaying resonance pole).
+    above_band otherwise (decaying resonance pole, though these broad-band
+    asymptotics miss the real bound state above the hard band top).
     """
     D = p.delta_L - 0.5 * p.omega_s
     disc = 0.25 * p.alpha**2 - D
@@ -328,8 +329,9 @@ def classify_regime(p: ModelParams) -> RegimeClassification:
 def stationary_population(p: ModelParams):
     """Long-time excited population |A(inf)|^2 predicted by the pole analysis.
 
-    Nonzero only for a stable below-band pole; decaying above-band poles
-    and the gap-dip case relax completely.
+    Nonzero only for a stable below-band pole: the gap dip and every
+    above-band pole are taken to relax, so this misses the real bound state
+    above the hard band top omega_b + omega_c, where the chain stays trapped.
     """
     cls = classify_regime(p)
     if cls.regime == "below_band" and cls.pole_stable:

@@ -6,18 +6,20 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.special import roots_legendre
 
 from gapchain._quad import gauss_legendre_panels
 from gapchain.chainmap import (
     ChainCoefficients,
     DiscretizedWeight,
+    _sqrt_rule,
     chain_length_for,
     discretize_weight,
     head_site_correlation,
     map_to_chain,
     stieltjes_recurrence,
 )
-from gapchain.model import ModelParams, correlation_by_quadrature
+from gapchain.model import ModelParams, correlation_by_quadrature, spectral_density
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 
@@ -60,6 +62,16 @@ class TestDiscretizeWeight:
         a = discretize_weight(p, 2000).total_weight
         b = discretize_weight(p, 4000).total_weight
         assert abs(b - a) < 1e-10 * abs(a)
+
+
+class TestSqrtRule:
+    @pytest.mark.parametrize("M", [2, 7, 16, 101])
+    def test_positive_weights_exact_to_degree_M_minus_1(self, M):
+        u, du = _sqrt_rule(M)
+        assert np.all(du > 0.0) and np.all((u > 0.0) & (u < 1.0))
+        assert du.sum() == pytest.approx(1.0, abs=1e-14)
+        for d in range(M):
+            assert abs(du @ u**d - 1.0 / (d + 1)) < 1e-14
 
 
 class TestStieltjesRecurrence:
@@ -147,6 +159,38 @@ class TestMapToChain:
     def test_eigenvalues_confined_to_band(self):
         p = params()
         c = map_to_chain(p, 300)
+        lam = eigh_tridiagonal(c.eps, c.t, eigvals_only=True)
+        tol = 1e-9 * p.omega_c
+        assert lam.min() >= p.omega_b - tol
+        assert lam.max() <= p.band_top + tol
+
+    def test_matches_gauss_legendre_oracle(self):
+        # independent rule: Stieltjes on the M-point Gauss-Legendre rule in
+        # u = sqrt(k), the discretization the Fejer rule replaced
+        p, N, M = params(), 300, 6000
+        x, glw = roots_legendre(M)
+        u = 0.5 * (x + 1.0)
+        k = u * u
+        J = spectral_density(p, p.omega_b + p.omega_c * k)
+        w = (p.omega_c / math.pi) * J * u * glw  # dk = 2u du, du = glw/2
+        alpha, beta = stieltjes_recurrence(DiscretizedWeight(k, w, M), N)
+        c = map_to_chain(p, N, M=M)
+        assert c.g == pytest.approx(math.sqrt(beta[0]), rel=1e-11)
+        assert np.allclose(c.eps, p.omega_b + p.omega_c * alpha, rtol=1e-11, atol=0)
+        assert np.allclose(c.t, p.omega_c * np.sqrt(beta[1:]), rtol=1e-11, atol=0)
+
+    def test_ten_nodes_per_site_suffice(self):
+        # the M >= 10N guard of stieltjes_recurrence, at the sweep chain length
+        a = map_to_chain(params(), 650, M=6500)
+        b = map_to_chain(params(), 650, M=26000)
+        assert abs(b.g - a.g) < 1e-12 * a.g
+        assert np.all(np.abs(b.eps - a.eps) < 1e-12 * np.abs(a.eps))
+        assert np.all(np.abs(b.t - a.t) < 1e-12 * np.abs(a.t))
+
+    def test_long_chain_maps_into_band(self):
+        p = params()
+        c = map_to_chain(p, 4000)
+        assert np.all(c.t > 0.0)
         lam = eigh_tridiagonal(c.eps, c.t, eigvals_only=True)
         tol = 1e-9 * p.omega_c
         assert lam.min() >= p.omega_b - tol

@@ -582,6 +582,33 @@ class TestSweepCommand:
             [0.125, 1.5, 2.5, 9.0]
         assert "point_delta_20.0.csv" in manifest(out)["outputs"]
 
+    @pytest.mark.parametrize("header,manifest_line,message", [
+        ("stationary_pop_rwa,stationary_pop_full,freq_rwa,freq_full,"
+         "decay_rwa", "{}", "lacks columns ['delta']"),
+        ("delta,stationary_pop_rwa,stationary_pop_full,freq_rwa,decay_rwa",
+         "{}", "lacks columns ['freq_full']"),
+        ("delta,stationary_pop_rwa,stationary_pop_full,freq_rwa,freq_full,"
+         "decay_rwa", "{not json", "manifest is not a JSON object"),
+        ("delta,stationary_pop_rwa,stationary_pop_full,freq_rwa,freq_full,"
+         "decay_rwa", "[1, 2]", "manifest is not a JSON object"),
+    ], ids=["no-delta", "no-sweep-column", "manifest-not-json",
+            "manifest-not-object"])
+    def test_bad_point_csv_on_resume_exits_2(self, tmp_path, capsys, header,
+                                             manifest_line, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        cells = ",".join("20.0" if h == "delta" else "0.5"
+                         for h in header.split(","))
+        point = out / "point_delta_20.0.csv"
+        point.write_text(f"# manifest: {manifest_line}\n{header}\n{cells}\n")
+        code = main(["sweep", *model_flags(), "--deltas", "20",
+                     "--t-max", "1.5", "--jobs", "1", "--resume",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert f"input: {point} {message}" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_failed_point_keeps_finished_points(self, tmp_path, monkeypatch):
         scan_point = analysis._scan_point
 
