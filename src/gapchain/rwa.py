@@ -250,18 +250,20 @@ def laplace_invert(p: ModelParams, times, n=32, cross_check=True):
     return series.validate()
 
 
-def chain_state_amplitudes(c: ChainCoefficients, delta, times):
+def chain_state_amplitudes(c: ChainCoefficients, delta, times,
+                           sites=slice(None)):
     """Amplitude matrix of e^{-iHt}|site 0> in the site basis, rows = times.
 
     Column 0 is the emitter amplitude A(t) (lab frame); the remaining
-    columns are the chain-mode photon amplitudes.
+    columns are the chain-mode photon amplitudes.  ``sites`` (a slice or
+    an index list into the sites 0..N) keeps only those columns.
     """
     diag = np.concatenate(([delta], c.eps))
     off = np.concatenate(([c.g], c.t)) if c.N > 0 else np.array([c.g])
     lam, V = eigh_tridiagonal(diag, off)
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * np.outer(times, lam))
-    return (phases * V[0, :][None, :]) @ V.T
+    return (phases * V[0]) @ V[sites].T
 
 
 def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
@@ -277,7 +279,7 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
     if samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.linspace(0.0, t_max, samples)
-    amps = chain_state_amplitudes(c, delta, times)
+    amps = chain_state_amplitudes(c, delta, times, sites=[0, -1])
     tail = np.abs(amps[:, -1]) ** 2
     bad = tail >= 1e-6
     if bad.any():

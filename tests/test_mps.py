@@ -118,13 +118,36 @@ class TestBuildGates:
     def test_gates_unitary(self, chain):
         cfg = EvolutionConfig(t_max=1.0, d_b=4, mode="FULL")
         gates = mps.build_gates(chain, DELTA, cfg)
-        for batch in (gates.even_half, gates.odd_full):
+        for batch in (gates.even_half, gates.odd_full, gates.even_full):
             for U in batch:
                 if U is None:
                     continue
                 dl, dr = U.shape[0], U.shape[1]
                 m = U.reshape(dl * dr, dl * dr)
                 assert np.abs(m @ m.conj().T - np.eye(dl * dr)).max() < 1e-12
+
+    @pytest.mark.parametrize("mode,d_b", [("RWA", 2), ("FULL", 4)])
+    def test_chain_gates_fix_vacuum_and_even_full_is_squared(self, chain,
+                                                             mode, d_b):
+        # H_j|00> = 0 on every chain bond, which is what lets tebd_step
+        # skip vacuum pairs; the merged even gate is the half gate squared
+        cfg = EvolutionConfig(t_max=1.0, d_b=d_b, mode=mode)
+        gates = mps.build_gates(chain, DELTA, cfg)
+        e00 = np.zeros(d_b * d_b, dtype=complex)
+        e00[0] = 1.0
+        for j in range(1, chain.N):
+            for batch in (gates.even_half, gates.odd_full, gates.even_full):
+                if batch[j] is None:
+                    continue
+                m = batch[j].reshape(d_b * d_b, d_b * d_b)
+                np.testing.assert_array_equal(m[:, 0], e00)
+        for half, full in zip(gates.even_half, gates.even_full):
+            assert (half is None) == (full is None)
+            if half is not None:
+                dl, dr = half.shape[0], half.shape[1]
+                m = half.reshape(dl * dr, dl * dr)
+                np.testing.assert_array_equal(full.reshape(dl * dr, dl * dr),
+                                              m @ m)
 
     def test_rwa_generators_commute_with_excitation(self, chain):
         d_b = 3
@@ -228,6 +251,47 @@ class TestConservation:
         assert full_run.max_bond.max() <= full_run.config.chi_max
 
 
+class TestMergedSteps:
+    @pytest.mark.parametrize("mode,d_b", [("RWA", 2), ("FULL", 4)])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_k_steps_match_k_single_steps(self, chain, mode, d_b, k):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=d_b, chi_max=16, mode=mode)
+        gates = mps.build_gates(chain, DELTA, cfg)
+        merged = mps.init_state(chain, cfg, "plus_superposition")
+        single = mps.init_state(chain, cfg, "plus_superposition")
+        mps.tebd_step(merged, gates, k)
+        for _ in range(k):
+            mps.tebd_step(single, gates)
+        for obs in ("sigma_z", "sigma_x"):
+            assert abs(mps.measure(merged, 0, obs)
+                       - mps.measure(single, 0, obs)) < 1e-12
+
+    def test_sites_beyond_front_untouched(self, chain):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
+        gates = mps.build_gates(chain, DELTA, cfg)
+        st = mps.init_state(chain, cfg, "excited")
+        before = list(st.site_tensors)
+        mps.tebd_step(st, gates)
+        # one step reaches site 3 (bonds 0, 1, 2 in that order)
+        assert all(st.site_tensors[i] is not before[i] for i in range(4))
+        assert all(st.site_tensors[i] is before[i]
+                   for i in range(4, st.n_sites))
+
+    @pytest.mark.parametrize("amp,skipped", [(1e-8, False), (1e-25, True)])
+    def test_skip_bound_is_relative_to_threshold_squared(self, chain, amp,
+                                                         skipped):
+        # far ahead of the front: only the excited amplitude decides
+        site = 10
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
+        gates = mps.build_gates(chain, DELTA, cfg)
+        st = mps.init_state(chain, cfg, "excited")
+        B = st.site_tensors[site].copy()
+        B[0, 1, 0] = amp
+        st.site_tensors[site] = B
+        mps.tebd_step(st, gates)
+        assert (st.site_tensors[site] is B) == skipped
+
+
 class TestTruncationSafeguards:
     def test_explosion_raises(self, chain):
         rng = np.random.default_rng(7)
@@ -238,6 +302,23 @@ class TestTruncationSafeguards:
         gates = mps.build_gates(c2, DELTA, cfg)
         with pytest.raises(RuntimeError, match="truncation explosion"):
             mps.tebd_step(st, gates)
+
+    def test_explosion_raises_in_merged_steps(self):
+        # the check runs per step: the merged call raises in step 1, having
+        # applied exactly the gates of that step
+        rng = np.random.default_rng(7)
+        d_b = 12
+        c2 = map_to_chain(reduced(), 2)
+        cfg = EvolutionConfig(t_max=0.1, d_b=d_b, chi_max=8, mode="FULL")
+        gates = mps.build_gates(c2, DELTA, cfg)
+        single = random_canonical_state(d_b, rng)
+        merged = MPSState(list(single.site_tensors), list(single.lambdas))
+        with pytest.raises(RuntimeError, match="truncation explosion"):
+            mps.tebd_step(single, gates)
+        with pytest.raises(RuntimeError, match="truncation explosion"):
+            mps.tebd_step(merged, gates, 5)
+        assert (merged.cumulative_discarded_weight
+                == single.cumulative_discarded_weight)
 
     def test_top_fock_negligible_at_default_depth(self, chain):
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=6, chi_max=32, mode="FULL")
