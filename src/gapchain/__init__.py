@@ -4,7 +4,7 @@ Submodules
 ----------
 model      : spectral density, bath correlation kernel, derived scales
 chainmap   : orthogonal-polynomial mapping of the continuum onto a chain
-invlaplace : generic numerical inverse Laplace transforms (two methods)
+invlaplace : Filon rule of the band cut integral and Talbot Laplace inversion
 rwa        : exact single-excitation solvers and the analytic long-time form
 mps        : matrix-product-state TEBD evolution (full and RWA couplings)
 polaron    : variational polaron theory of the renormalized splitting

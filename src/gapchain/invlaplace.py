@@ -1,21 +1,16 @@
-"""Numerical inverse Laplace transforms.
+"""Numerical inverse Laplace transforms and the Fourier rule of the cut integral.
 
-Two algorithmically independent inverters:
-
-``piessens_invert``
-    Chebyshev-expansion method: the time function is expanded as
-    f(t) = sum_k c_k T*_k(exp(-b t)) with shifted Chebyshev polynomials
-    T*_k on [0, 1].  Each basis function has an exact transform, built
-    by the Chebyshev recurrence, so the coefficients follow from
-    collocating F at real points s_j = b (j + 1/2).  The collocation
-    matrix is a disguised moment matrix and is exponentially
-    ill-conditioned, so the fit is carried out in extended precision and
-    F must be sampled in extended precision as well; the returned
-    coefficients are well-scaled doubles (the basis is bounded by 1).
-    Undamped spectral content (poles on the imaginary axis) is an
-    endpoint singularity of the x = exp(-b t) variable and ruins the
-    expansion's convergence; callers subtract known poles via ``poles``
-    and the inverter adds them back exactly.
+``filon_fourier``
+    int f(x) e^{-i x t} dx over a panelled interval, for every t at once.
+    On each panel f is replaced by its Legendre interpolant on 32 Gauss
+    nodes, and each Legendre polynomial is integrated against the
+    oscillator exactly: int_{-1}^{1} P_k(x) e^{-i kappa x} dx =
+    2 (-i)^k j_k(kappa).  The rule is Gauss-Legendre at t = 0 and exact
+    for a polynomial f of degree < 32 at every t, so its error does not
+    grow with the number of oscillations per panel (Iserles & Norsett,
+    *BIT* 44 (2004) 755).  ``rwa.cut_invert`` integrates the emitter's
+    spectral density over the band with it: once the resolvent's poles
+    are known, the Bromwich contour collapses onto the branch cut.
 
 ``talbot_invert``
     Deformed-contour quadrature on s(theta) = mu(theta cot theta +
@@ -26,101 +21,51 @@ Two algorithmically independent inverters:
     into the right half plane.  Node counts scale linearly with the
     enclosure aspect ratio nu.
 
-Both inverters are pure and operate on caller-supplied transforms; the
-physics kernels live in the solver modules.  ``rwa.laplace_invert`` hands
-both the resolvent 1/(s + G_hat(s)) built on the closed form
-``model.ghat``, which takes mpmath scalars for Piessens and complex
-batches for Talbot.
+Both are pure and operate on caller-supplied functions; the physics
+kernels live in the solver modules.  ``rwa.laplace_invert`` hands Talbot
+the resolvent 1/(s + G_hat(s)) built on the closed form ``model.ghat``
+as the independent cross-check of the cut integral.
 """
 
 import math
 
-import mpmath
 import numpy as np
+from scipy.special import spherical_jn
 
-__all__ = ["piessens_invert", "talbot_invert"]
+__all__ = ["filon_fourier", "talbot_invert"]
 
 _TALBOT_TOL = 1e-8  # quadrature resolution; node count grows with log 1/tol
 _TALBOT_MU = 4.0  # max Re(s t) on the contour: weights stay <= e^4
+_FILON_X, _FILON_W = np.polynomial.legendre.leggauss(32)
+_FILON_K = np.arange(32)
+# node values f_j -> Legendre coefficients (k + 1/2) sum_j w_j P_k(x_j) f_j,
+# times the 2 (-i)^k of int_{-1}^{1} P_k e^{-i kappa x} dx = 2 (-i)^k j_k(kappa)
+_FILON_COEF = (np.polynomial.legendre.legvander(_FILON_X, 31)
+               * (_FILON_W[:, None] * (_FILON_K + 0.5)) * (2.0 * (-1j) ** _FILON_K))
+_FILON_CHUNK = 16  # times per (times, panels, degree) table of j_k
 
 
-def _collocation_matrix(n, b):
-    """V[j][k] = transform of T*_k(exp(-b t)) at s_j = b (j + 1/2), j, k < n.
+def filon_fourier(f, edges, times):
+    """int_{edges[0]}^{edges[-1]} f(x) e^{-i x t} dx for each t in ``times``.
 
-    Multiplying by x = exp(-b t) shifts s_j to s_{j+1}, so the recurrence
-    T*_{k+1} = (4x - 2) T*_k - T*_{k-1} reads
-    V[j][k+1] = 4 V[j+1][k] - 2 V[j][k] - V[j][k-1], from V[j][0] = 1/s_j
-    and V[j][1] = 2 V[j+1][0] - V[j][0].  Column k is needed on rows
-    j < 2n - 1 - k.  Runs at the caller's mpmath precision.
+    f is called once, on the (panels, 32) array of Gauss nodes.  The j_k
+    table is built for 16 times at a time, so temporaries stay at
+    16 x panels x 32 doubles however many times are asked for.
     """
-    bb = mpmath.mpf(b)
-    cols = [[1 / (bb * (2 * j + 1) / 2) for j in range(2 * n - 1)]]
-    cols.append([2 * cols[0][j + 1] - cols[0][j] for j in range(2 * n - 2)])
-    for k in range(1, n - 1):
-        cur, prev = cols[k], cols[k - 1]
-        cols.append([4 * cur[j + 1] - 2 * cur[j] - prev[j]
-                     for j in range(len(cur) - 1)])
-    return mpmath.matrix([[cols[k][j] for k in range(n)] for j in range(n)])
-
-
-def _clenshaw_shifted(coeffs, x):
-    """sum_k coeffs[k] T*_k(x) for ndarray x in [0,1]."""
-    y = 2.0 * (2.0 * x - 1.0)
-    u1 = np.zeros_like(x, dtype=complex)
-    u2 = np.zeros_like(x, dtype=complex)
-    for k in range(len(coeffs) - 1, 0, -1):
-        u1, u2 = coeffs[k] + y * u1 - u2, u1
-    return coeffs[0] + (2.0 * x - 1.0) * u1 - u2
-
-
-def piessens_invert(transform, times, n=32, b=1.0, poles=()):
-    """Invert a Laplace transform by shifted-Chebyshev expansion in exp(-b t).
-
-    Parameters
-    ----------
-    transform : callable
-        F(s) evaluated at an mpmath scalar; must return a value mpmath
-        can convert (mpf/mpc/complex).  Evaluations happen inside the
-        extended-precision context, and the transform should carry that
-        precision: sampling F in double precision defeats the solve.
-    times : array_like of t >= 0.
-    n : expansion order (collocation at n real nodes s_j = b(j+1/2)).
-    b : inverse time scale of the expansion variable x = exp(-b t).
-        Accuracy windows roughly t in [0, few/b].
-    poles : sequence of (location, residue)
-        Simple poles subtracted from F before fitting and re-added
-        analytically, f += residue * exp(location * t).
-
-    Returns
-    -------
-    values : complex ndarray on ``times``.
-    coeffs : |c_k| ndarray, a convergence diagnostic (tail ~ error).
-    """
+    edges = np.asarray(edges, dtype=float)
     times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0.0:
-        raise ValueError("piessens_invert requires t >= 0")
-    if n < 2:
-        raise ValueError("expansion order n must be >= 2")
-    if b <= 0.0:
-        raise ValueError("time scale b must be positive")
-    # working digits grow with n to cover the moment-matrix conditioning
-    with mpmath.workdps(max(50, 40 + 2 * n)):
-        bb = mpmath.mpf(b)
-        s_nodes = [bb * (2 * j + 1) / 2 for j in range(n)]
-        V = _collocation_matrix(n, b)
-        rhs = []
-        for s in s_nodes:
-            val = mpmath.mpc(transform(s))
-            for loc, res in poles:
-                val -= mpmath.mpc(res) / (s - mpmath.mpc(loc))
-            rhs.append(val)
-        sol = mpmath.lu_solve(V, mpmath.matrix(rhs))
-    coeffs = np.array([complex(sol[k]) for k in range(n)])
-    x = np.exp(-b * times)
-    values = _clenshaw_shifted(coeffs, x)
-    for loc, res in poles:
-        values = values + complex(res) * np.exp(complex(loc) * times)
-    return values, np.abs(coeffs)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
+        raise ValueError("edges must be an increasing sequence of >= 2 points")
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    coef = (f(mid[:, None] + half[:, None] * _FILON_X) @ _FILON_COEF) * half[:, None]
+    out = np.empty(times.size, dtype=complex)
+    for i in range(0, times.size, _FILON_CHUNK):
+        t = times[i:i + _FILON_CHUNK]
+        jk = spherical_jn(_FILON_K, np.outer(t, half)[..., None])
+        out[i:i + _FILON_CHUNK] = np.sum(
+            np.einsum("tpk,pk->tp", jk, coef) * np.exp(-1j * np.outer(t, mid)), axis=1)
+    return out
 
 
 def _talbot_sum(transform, tgroup, mu, nu, M):

@@ -17,13 +17,10 @@ with Omega^2 = alpha * omega0^{3/2} / (2 sqrt(pi)).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
-from mpmath.calculus.quadrature import GaussLegendre
 from scipy import special
 
 from ._quad import complex_quad, real_quad
@@ -209,28 +206,16 @@ def _exp_e1(x):
         return np.where(np.isfinite(v), v, (1.0 - (1.0 - 2.0 / x) / x) / x)
 
 
-# (number type, sqrt, exp, erfcx, e^x E1(x), pi) in double and in mpmath precision
-_DOUBLE = (float, np.sqrt, np.exp, special.erfcx, _exp_e1, math.pi)
-_MP = (mpmath.mpf, mpmath.sqrt, mpmath.exp, lambda y: mpmath.exp(y * y) * mpmath.erfc(y),
-       lambda x: mpmath.exp(x) * mpmath.e1(x), mpmath.pi)
+def _tail_rule(omega0, omega_c):
+    """24-node Gauss-Legendre (nodes, weights) for int_{sqrt(omega_c)}^inf 2w e^{-w^2/omega0} f(w) dw.
 
-
-@functools.lru_cache(maxsize=16)
-def _tail_rule(omega0, omega_c, prec):
-    """Gauss-Legendre (nodes, weights) for int_{sqrt(omega_c)}^inf 2w e^{-w^2/omega0} f(w) dw.
-
-    Cut where the Gaussian has fallen by 2^-prec; prec/4 nodes or more (24
-    in double precision, 96 at the 104 digits of a 32-term Piessens fit).
+    Cut where the Gaussian has fallen by 2^-53, the double-precision unit.
     """
-    rule = GaussLegendre(mpmath.mp).calc_nodes(1 + math.ceil(math.log2(prec / 12)), prec)
-    with mpmath.workprec(prec):
-        w0, wc = mpmath.mpf(omega0), mpmath.mpf(omega_c)
-        r = mpmath.sqrt(wc / w0)
-        half = mpmath.sqrt(w0) * (mpmath.sqrt(r * r + prec * mpmath.ln(2)) - r) / 2
-        nodes = [mpmath.sqrt(wc) + half * (1 + x) for x, _ in rule]
-        weights = [half * lam * 2 * w * mpmath.exp(-w * w / w0)
-                   for (_, lam), w in zip(rule, nodes)]
-    return nodes, weights
+    x, lam = np.polynomial.legendre.leggauss(24)
+    r = math.sqrt(omega_c / omega0)
+    half = math.sqrt(omega0) * (math.sqrt(r * r + 53.0 * math.log(2.0)) - r) / 2.0
+    nodes = math.sqrt(omega_c) + half * (1.0 + x)
+    return nodes, half * lam * 2.0 * nodes * np.exp(-nodes * nodes / omega0)
 
 
 def ghat(p: ModelParams, s):
@@ -248,21 +233,20 @@ def ghat(p: ModelParams, s):
     (Re c >= 0), so one fixed ``_tail_rule`` serves every s and no point
     switches to a band quadrature.
 
-    s is a complex ndarray (double precision, temporaries the size of s)
-    or an mpmath scalar (working precision, band top included).
+    s is a complex scalar or ndarray; temporaries are the size of s.  Just
+    right of the cut, at s = -i(omega - delta) + 0, Re G_hat = J(omega)
+    and Im G_hat is the principal-value shift, which is what the cut
+    integral of ``rwa.cut_invert`` samples.
     """
-    is_mp = isinstance(s, (mpmath.mpf, mpmath.mpc))
-    num, sqrt, exp, erfcx, exp_e1, pi = _MP if is_mp else _DOUBLE
-    if not is_mp:
-        s = np.asarray(s, dtype=complex)
-    w0, wc = num(p.omega0), num(p.omega_c)
-    z = num(p.omega_b) - num(p.delta) - 1j * s
-    c = sqrt(-z)
-    full = sqrt(pi * w0) - pi * sqrt(z) * erfcx(sqrt(z / w0))
-    rule = _tail_rule(p.omega0, p.omega_c, mpmath.mp.prec if is_mp else 53)
-    tail = c * exp(-wc / w0) * exp_e1((z + wc) / w0) + sum(
-        num(wk) / (num(xk) + c) for xk, wk in zip(*rule))
-    return num(p.alpha) / (1j * pi) * (full - tail)
+    s = np.asarray(s, dtype=complex)
+    z = p.omega_b - p.delta - 1j * s
+    c = np.sqrt(-z)
+    full = math.sqrt(math.pi * p.omega0) - math.pi * np.sqrt(z) * special.erfcx(
+        np.sqrt(z / p.omega0))
+    nodes, weights = _tail_rule(p.omega0, p.omega_c)
+    tail = c * math.exp(-p.omega_c / p.omega0) * _exp_e1((z + p.omega_c) / p.omega0) + sum(
+        wk / (xk + c) for xk, wk in zip(nodes, weights))
+    return p.alpha / (1j * math.pi) * (full - tail)
 
 
 def ghat_slope(p: ModelParams, s, g):

@@ -6,11 +6,16 @@ amplitude A(t) obeys the closed memory equation
     dA/dt = -integral_0^t G(t - tau) A(tau) d tau,
 
 with the kernel G of ``model.bath_correlation``.  Three independent
-solvers are provided: direct Volterra time stepping, numerical inversion
-of the resolvent 1/(s + G_hat(s)) with G_hat in the closed form of
+solvers are provided: direct Volterra time stepping, inversion of the
+resolvent 1/(s + G_hat(s)) with G_hat in the closed form of
 ``model.ghat``, and exact diagonalization of the mapped chain.  They
 share no algorithmic machinery, so pairwise agreement is a genuine
-cross-check.
+cross-check.  The inversion collapses the Bromwich contour onto the
+band: A(t) is the sum of the real-axis poles (a bound state below the
+edge, and one above the hard band top) plus the Fourier integral of the
+emitter's spectral density over the band, the spectral form of band-edge
+decay (John & Quang, *PRA* 50, 1764 (1994)).  A Talbot contour
+quadrature of the same resolvent checks every point.
 
 Frames: the memory equation above propagates the interaction-picture
 amplitude (A = 1 for all t when alpha = 0).  The lab-frame amplitude
@@ -25,11 +30,12 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import optimize
 from scipy.linalg import eigh_tridiagonal
 
 from ._quad import complex_quad
 from .chainmap import ChainCoefficients
-from .invlaplace import piessens_invert, talbot_invert
+from .invlaplace import filon_fourier, talbot_invert
 from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "CoherenceTrace",
     "volterra_solve",
     "laplace_invert",
+    "cut_invert",
     "chain_evolve",
     "chain_state_amplitudes",
     "classify_regime",
@@ -48,7 +55,12 @@ __all__ = [
 ]
 
 _ATOL = 1e-6  # slack of AmplitudeSeries.validate on |A| <= 1 and A(0) = 1
-_FLAG_TOL = 1e-3  # Piessens-Talbot disagreement that flags a Laplace point
+_FLAG_TOL = 1e-3  # cut-Talbot disagreement that flags a Laplace point
+_OFF_CUT = 1e-30  # Re s just right of the cut, where Re G_hat = J to 1e-14
+# Panel breakpoints of the cut integral, fixed by the model alone:
+_U_PANELS = 64  # cosine-spaced in u = sqrt(omega - omega_b)
+_TOP_OCTAVES = np.arange(6, 40)  # band_top - omega_c 2^-k: the band-top log
+_PEAK_OCTAVES = np.arange(-4, 20)  # omega_r +- Gamma 2^k: an in-band resonance
 
 
 @dataclass
@@ -182,69 +194,93 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
 
 
 def find_bound_pole(p: ModelParams):
-    """Locate the discrete resolvent pole below the band, if present.
+    """Every real-axis pole of the resolvent 1/(s + G_hat(s)), as [(location, residue)].
 
-    Newton iteration on s + G_hat(s) = 0 seeded from the weak-coupling
-    root estimate, with the closed forms ``model.ghat`` and
-    ``model.ghat_slope``.  Returns (location, residue) or None when no
-    stable pole exists on the physical sheet (then nothing is subtracted
-    and the inversion flags carry the burden).
+    Off the band, s = -i nu gives s + G_hat = i g(nu) with the real
+    g(nu) = Im G_hat(-i nu + 0) - nu, which falls strictly on each side of
+    the band.  So there is at most one pole below the edge, where g(nu_b)
+    < 0, and exactly one above the top, where the log singularity sends g
+    to +inf.  Each root is bracketed in the log of its distance d from the
+    band end, between the last representable d and one past which the sign
+    of g is fixed by |Im G_hat| <= max(omega_s/2, Omega^2/d).  The residue
+    is 1/(1 + dG_hat/ds).  A pole closer to the top than double precision
+    resolves has a weight pi d / J(band top) below that resolution too,
+    and is skipped.
     """
     if p.alpha == 0.0:
-        return None
-    cls = classify_regime(p)
-    if not (cls.regime == "below_band" and cls.pole_stable):
-        return None
-    s = 1j * (cls.r1.real**2 + p.delta_L)
-    for _ in range(80):
-        g = complex(ghat(p, s))
-        step = (s + g) / (1.0 + ghat_slope(p, s, g))
-        s = s - step
-        if abs(step) <= 1e-14 * max(1.0, abs(s)):
-            break
-    else:
-        return None
-    gap = s.imag - p.delta_L  # pole must sit strictly below the band edge
-    if abs(s.real) > 1e-9 * p.omega_c or gap <= 1e-4 * p.omega_c:
-        return None
-    return s, 1.0 / (1.0 + ghat_slope(p, s, complex(ghat(p, s))))
+        return []
+    poles = []
+    for end, side in ((p.omega_b - p.delta, -1.0), (p.band_top - p.delta, 1.0)):
+        lo = math.log(8.0 * np.finfo(float).eps * (abs(end) + p.omega_c))
+        hi = math.log(abs(end) + p.omega2 + p.omega_s + 1.0)
+
+        def h(x):  # g at distance e^x from the band end
+            nu = end + side * math.exp(x)
+            return float(ghat(p, _OFF_CUT - 1j * nu).imag) - nu
+
+        if not h(lo) * h(hi) < 0.0:
+            continue
+        nu = end + side * math.exp(optimize.brentq(h, lo, hi, xtol=1e-15))
+        s = _OFF_CUT - 1j * nu
+        poles.append((-1j * nu, 1.0 / (1.0 + ghat_slope(p, s, complex(ghat(p, s))))))
+    return poles
 
 
-def laplace_invert(p: ModelParams, times, n=32, cross_check=True):
+def _cut_edges(p: ModelParams):
+    """Panel breakpoints of the band in nu = omega - delta.
+
+    Cosine spacing in u = sqrt(omega - omega_b) resolves the sqrt edge;
+    octaves down to omega_c 2^-39 resolve the band-top log; when the
+    shifted emitter line omega_r = delta + Im G_hat(+0) lies in the band,
+    octaves of its width Gamma = Re G_hat(+0) resolve the Lorentzian peak.
+    """
+    nu_b, nu_t = p.omega_b - p.delta, p.band_top - p.delta
+    u = math.sqrt(p.omega_c) * 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, _U_PANELS + 1)))
+    nu = [nu_b + u * u, nu_t - p.omega_c * 2.0 ** -_TOP_OCTAVES]
+    g0 = complex(ghat(p, _OFF_CUT))
+    if nu_b < g0.imag < nu_t and g0.real > 0.0:
+        nu += [g0.imag - g0.real * 2.0**_PEAK_OCTAVES, g0.imag + g0.real * 2.0**_PEAK_OCTAVES]
+    return np.unique(np.clip(np.concatenate(nu), nu_b, nu_t))
+
+
+def cut_invert(p: ModelParams, times):
+    """Interaction-frame amplitude A(t) from the collapsed Bromwich contour.
+
+    A(t) = sum_p Z_p e^{s_p t} + int_band rho(omega) e^{-i(omega - delta)t} d omega,
+    with the poles of ``find_bound_pole`` and the emitter's spectral density
+    rho = (1/pi) Re[1/(s + G_hat(s))] just right of the cut, integrated by
+    ``invlaplace.filon_fourier`` on the panels of ``_cut_edges``.
+    """
+    times = np.asarray(times, dtype=float)
+    if p.alpha == 0.0:
+        return np.ones(times.size, dtype=complex)
+
+    def density(nu):
+        s = _OFF_CUT - 1j * nu
+        return (1.0 / (s + ghat(p, s))).real / math.pi
+
+    values = filon_fourier(density, _cut_edges(p), times)
+    for loc, res in find_bound_pole(p):
+        values = values + res * np.exp(loc * times)
+    return values
+
+
+def laplace_invert(p: ModelParams, times):
     """Invert the resolvent transform A_hat(s) = 1/(s + G_hat(s)).
 
-    Both inverters sample the same closed form ``model.ghat``: Piessens
-    at mpmath precision, Talbot in double precision on its contour.
-    Piessens' Chebyshev-expansion method is the primary inverter; an
-    independent Talbot-contour quadrature cross-checks every point and
-    disagreements beyond 1e-3 are flagged (late-time expansion decay
-    is expected and reported rather than hidden).  cross_check=False
-    skips the contour pass for parameter corners where the enclosure
-    aspect ratio makes it prohibitively wide (flags are then None).
+    ``cut_invert`` is the primary inverter.  An independent Talbot
+    contour quadrature of the same closed form ``model.ghat`` checks every
+    point, and disagreements or Talbot spreads beyond 1e-3 are flagged.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
     if times.min() <= 0.0:
         raise ValueError("laplace_invert requires all times > 0")
-    if p.alpha == 0.0:
-        vals = np.ones(times.size, dtype=complex)
-        return AmplitudeSeries(times, vals, "laplace", p, p.delta,
-                               frame="interaction",
-                               flags=np.zeros(times.size, dtype=bool))
-    t_max = float(times.max())
-    pole = find_bound_pole(p)
-    poles = [pole] if pole is not None else []
-
-    def resolvent(s):
-        return 1 / (s + ghat(p, s))
-
-    values, _ = piessens_invert(resolvent, times, n=n, b=3.0 / t_max, poles=poles)
-    flags = None
-    if cross_check:
-        s_max = max(abs(p.delta - p.omega_b), p.band_top - p.delta) + p.omega_s + 1.0
-        ref, spread = talbot_invert(resolvent, times, s_max)
-        flags = (np.abs(values - ref) > _FLAG_TOL) | (spread > _FLAG_TOL)
+    values = cut_invert(p, times)
+    s_max = max(abs(p.delta - p.omega_b), p.band_top - p.delta) + p.omega_s + 1.0
+    ref, spread = talbot_invert(lambda s: 1 / (s + ghat(p, s)), times, s_max)
+    flags = (np.abs(values - ref) > _FLAG_TOL) | (spread > _FLAG_TOL)
     series = AmplitudeSeries(times, values, "laplace", p, p.delta,
                              frame="interaction", flags=flags)
     return series.validate()

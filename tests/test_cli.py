@@ -465,6 +465,17 @@ class TestRwaCommand:
         assert np.all(np.abs(cols["re_A"] + 1j * cols["im_A"]) <= 1 + 1e-6)
         assert manifest(out)["convergence"]["flagged_points"] >= 0
 
+    def test_laplace_weak_coupling_exits_zero(self, tmp_path):
+        # weak coupling puts a narrow line in the band; every point must
+        # stay contractive (|A| <= 1 + 1e-6) and unflagged
+        out = tmp_path / "out"
+        code = main(["rwa", "--solver", "laplace", "--alpha", "0.02",
+                     "--omega-b", "2", "--omega0", "20", "--omega-c", "100",
+                     "--delta", "30", "--t-max", "1.5", "--samples", "100",
+                     "--out-dir", str(out)])
+        assert code == 0
+        assert manifest(out)["convergence"]["flagged_points"] == 0
+
     def test_chain_solver_reports_sites(self, tmp_path):
         out = tmp_path / "out"
         code = main(["rwa", "--solver", "chain", *model_flags(delta=2),
@@ -897,7 +908,7 @@ class TestManifest:
 def test_import_loads_neither_scipy_signal_nor_stats():
     src = str(Path(gapchain.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import gapchain.cli; "
-            "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))"
+            "print(sorted({'scipy.signal', 'scipy.stats', 'mpmath'} & set(sys.modules)))"
             % src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)

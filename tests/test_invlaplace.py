@@ -1,111 +1,62 @@
-"""Inverse Laplace transforms: Chebyshev-expansion inversion with pole
-subtraction, Talbot contour quadrature, and their failure modes."""
+"""Inverse Laplace transforms and the Fourier rule of the cut integral:
+Filon-Legendre panels, Talbot contour quadrature, and their failure modes."""
 
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gapchain.invlaplace import (
-    _collocation_matrix,
-    _talbot_sum,
-    piessens_invert,
-    talbot_invert,
-)
+from gapchain.invlaplace import _talbot_sum, filon_fourier, talbot_invert
 
 
-class TestCollocationMatrix:
-    def test_matches_exact_rational_sums(self):
-        # V[j][k] = sum_m C[k][m] / (j + m + 1/2) at b = 1, where C[k][m]
-        # are the integer monomial coefficients of T*_k(x) = T_k(2x - 1)
-        n = 32
-        C = [[1], [-1, 2]]
-        for k in range(2, n):
-            cur = [0] * (k + 1)
-            for m, c in enumerate(C[k - 1]):
-                cur[m] -= 2 * c
-                cur[m + 1] += 4 * c
-            for m, c in enumerate(C[k - 2]):
-                cur[m] -= c
-            C.append(cur)
-        assert C[3] == [-1, 18, -48, 32]  # T*_3 = 32x^3 - 48x^2 + 18x - 1
-        with mpmath.workdps(40 + 2 * n):
-            V = _collocation_matrix(n, 1.0)
-            for j in range(n):
-                for k in range(n):
-                    exact = sum(Fraction(c) / (Fraction(2 * j + 1, 2) + m)
-                                for m, c in enumerate(C[k]))
-                    ref = mpmath.mpf(exact.numerator) / exact.denominator
-                    assert abs(V[j, k] - ref) <= 1e-75 * abs(ref), (j, k)
+def monomial_fourier(n, a, b, t):
+    """int_a^b x^m e^{-i t x} dx for m = 0..n by parts, upward (stable for t > n)."""
+    ea, eb = np.exp(-1j * t * a), np.exp(-1j * t * b)
+    out = [(eb - ea) / (-1j * t)]
+    for m in range(1, n + 1):
+        out.append((b**m * eb - a**m * ea) / (-1j * t) + m / (1j * t) * out[-1])
+    return np.array(out)
 
 
-class TestPiessens:
-    def test_exponential_pair(self):
-        # 1/(s + 5/2)  <->  exp(-5t/2), frozen at the contract tolerance
-        times = np.linspace(0.1, 3.0, 25)
-        vals, coeffs = piessens_invert(lambda s: 1 / (s + mpmath.mpf(5) / 2), times, n=32)
-        assert np.max(np.abs(vals - np.exp(-2.5 * times))) < 1e-8
-        assert coeffs[-1] < 1e-8  # expansion converged, not truncated
+class TestFilon:
+    EDGES = [-1.0, -0.25, 0.5, 1.0]
+    COEFFS = np.random.default_rng(3).uniform(-1.0, 1.0, 32)  # degree 31
 
-    def test_pole_subtraction_is_exact(self):
-        # a pure undamped pole leaves a zero remainder for the expansion
-        times = np.linspace(0.1, 3.0, 11)
-        loc = 0.3j
-        vals, coeffs = piessens_invert(
-            lambda s: 1 / (s - loc), times, n=12, poles=[(loc, 1.0)]
-        )
-        assert np.max(np.abs(vals - np.exp(loc * times))) < 1e-12
-        assert np.max(coeffs) < 1e-20
+    def poly(self, x):
+        return np.polynomial.polynomial.polyval(x, self.COEFFS)
 
-    def test_oscillatory_pole_needs_subtraction(self):
-        # without subtraction an undamped oscillation is an endpoint
-        # singularity of the expansion variable and convergence stalls;
-        # this documents why callers must pass known poles explicitly
-        times = np.linspace(0.1, 10.0, 21)
-        truth = np.exp(3j * times)
-        bad, _ = piessens_invert(lambda s: 1 / (s - 3j), times, n=24)
-        good, _ = piessens_invert(lambda s: 1 / (s - 3j), times, n=24, poles=[(3j, 1.0)])
-        assert np.max(np.abs(bad - truth)) > 1e-3
-        assert np.max(np.abs(good - truth)) < 1e-12
+    def test_exact_for_polynomials_at_zero_frequency(self):
+        # t = 0 is plain 32-node Gauss-Legendre: exact to degree 63
+        exact = sum(Fraction(float(c)) * (Fraction(1) ** (m + 1) - Fraction(-1) ** (m + 1))
+                    / (m + 1) for m, c in enumerate(self.COEFFS))
+        val = filon_fourier(self.poly, self.EDGES, np.array([0.0]))[0]
+        assert val == pytest.approx(float(exact), rel=1e-14, abs=1e-15)
 
-    def test_two_pole_mixture(self):
-        times = np.linspace(0.2, 4.0, 17)
-        vals, _ = piessens_invert(
-            lambda s: 1 / (s + 1) + mpmath.mpf(1) / 2 / (s + 3), times, n=24
-        )
-        truth = np.exp(-times) + 0.5 * np.exp(-3.0 * times)
-        assert np.max(np.abs(vals - truth)) < 1e-8
+    def test_exact_for_polynomials_at_large_kappa(self):
+        # kappa = t * (panel half width) from 50 to 4e4, far past the
+        # 32 nodes' sampling of the oscillator
+        times = np.array([200.0, 1e3, 3e4, 1e5])
+        vals = filon_fourier(self.poly, self.EDGES, times)
+        for t, v in zip(times, vals):
+            ref = sum(c * sum(monomial_fourier(31, lo, hi, t)[m]
+                              for lo, hi in zip(self.EDGES, self.EDGES[1:]))
+                      for m, c in enumerate(self.COEFFS))
+            assert abs(v - ref) <= 1e-13
 
-    @settings(max_examples=8, deadline=None)
-    @given(
-        lams=st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3),
-        amps=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
-    )
-    def test_damped_mixtures_property(self, lams, amps):
-        # decay rate lambda maps to the power x^(lambda/b) of the
-        # expansion variable, so coefficients fall off algebraically as
-        # k^-(2 lambda/b + 1); b = 0.5 keeps the worst draw at k^-3
-        amps = amps[: len(lams)]
-        times = np.linspace(0.1, 3.0, 7)
-
-        def F(s):
-            return sum(a / (s + lam) for a, lam in zip(amps, lams))
-
-        vals, _ = piessens_invert(F, times, n=32, b=0.5)
-        truth = sum(a * np.exp(-lam * times) for a, lam in zip(amps, lams))
-        assert np.max(np.abs(vals - truth)) < 1e-4
+    def test_closed_form_fourier_integral(self):
+        # int_0^3 e^{-1.3 x} e^{-i t x} dx = (1 - e^{-3(1.3 + i t)})/(1.3 + i t),
+        # over more times than one block of the Bessel table
+        times = np.concatenate([np.linspace(0.0, 200.0, 37), [1e3, 1e5]])
+        vals = filon_fourier(lambda x: np.exp(-1.3 * x), np.linspace(0.0, 3.0, 9), times)
+        q = 1.3 + 1j * times
+        np.testing.assert_allclose(vals, (1.0 - np.exp(-3.0 * q)) / q, rtol=0, atol=1e-14)
 
     def test_input_validation(self):
-        F = lambda s: 1 / (s + 1)
-        with pytest.raises(ValueError):
-            piessens_invert(F, np.array([-0.1, 1.0]))
-        with pytest.raises(ValueError):
-            piessens_invert(F, np.array([1.0]), n=1)
-        with pytest.raises(ValueError):
-            piessens_invert(F, np.array([1.0]), b=0.0)
+        f = lambda x: np.ones_like(x)
+        for edges in ([0.0], [0.0, 1.0, 1.0], [1.0, 0.0]):
+            with pytest.raises(ValueError):
+                filon_fourier(f, edges, np.array([1.0]))
+        assert filon_fourier(f, [0.0, 1.0], np.array([])).size == 0
 
 
 class TestTalbot:

@@ -15,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapchain import rwa
+from gapchain._quad import complex_quad
 from gapchain.chainmap import ChainCoefficients, chain_length_for, map_to_chain
-from gapchain.model import ModelParams
+from gapchain.model import ModelParams, _laplace_integral
 from gapchain.rwa import (
     AmplitudeSeries,
     analytic_longtime,
     chain_evolve,
     chain_state_amplitudes,
     classify_regime,
+    cut_invert,
     find_bound_pole,
     laplace_invert,
     rwa_coherence,
@@ -203,27 +206,48 @@ class TestLaplaceInvert:
 
     def test_hard_band_top_matches_frozen_inversion(self):
         # delta = omega_b + omega_c puts the band-top log singularity of
-        # G_hat at s = 0.  Frozen from the adaptive-quadrature transform;
-        # the Chebyshev expansion cannot resolve that branch point, so the
-        # Talbot cross-check flags every point, then as now.
+        # G_hat at s = 0 and a bound state of weight 0.90 just above the
+        # top.  Frozen from the exact chain (125 sites, tail 7e-33), which
+        # agrees with Talbot to 3e-13.
         p = reduced(delta=102.0)
         s = laplace_invert(p, np.linspace(0.1, 1.5, 8))
         frozen = [
-            0.9850243631610737 - 0.03368313950516372j,
-            0.9716914411504257 - 0.11755624448755464j,
-            0.9600096274743581 - 0.20719130460465351j,
-            0.9160805801498022 - 0.2793767920107844j,
-            0.8795003111578542 - 0.3590062018782396j,
-            0.843649284908614 - 0.44122618049127604j,
-            0.8229143152772528 - 0.5329431887911963j,
-            0.724439908949994 - 0.5745034068972872j,
+            0.9890015262681054 - 0.03613193077469865j,
+            0.9752724920923984 - 0.11985783934247528j,
+            0.9550211701307596 - 0.203922623475159j,
+            0.9276678410217933 - 0.2869524579173491j,
+            0.8931371990524603 - 0.36790278557073874j,
+            0.8515731558837507 - 0.44592673071259764j,
+            0.803254351557272 - 0.5202573203775462j,
+            0.7485380497687707 - 0.5901728031687543j,
         ]
         np.testing.assert_allclose(s.values, frozen, rtol=0.0, atol=1e-10)
-        assert s.flags.all()
+        assert not s.flags.any()
 
-    def test_flags_fire_for_crude_expansion(self):
-        p = reduced(delta=1.0)
-        s = laplace_invert(p, np.linspace(0.2, 2.0, 7), n=4)
+    @pytest.mark.parametrize("p", [
+        reduced(delta=2.0),  # delta = omega_b, the band edge
+        reduced(delta=110.0),  # the bound state above the hard band top
+        reduced(alpha=0.02, delta=30.0),  # weak coupling, narrow in-band line
+        wideband(delta=1.0), wideband(delta=3.0), wideband(delta=20.0),
+        reduced(delta=3.0), reduced(delta=50.0),
+    ], ids=["edge", "above-top", "weak", "wb1", "wb3", "wb20", "r3", "r50"])
+    def test_matches_exact_chain(self, p):
+        t_max = 1.5
+        sc = chain_evolve(map_to_chain(p, chain_length_for(p, t_max)), p.delta,
+                          t_max, samples=31).to_interaction()
+        sl = laplace_invert(p, sc.times[1:])
+        assert np.max(np.abs(sl.values - sc.values[1:])) <= 1e-10
+        assert not sl.flags.any()
+        # the pole weights and the band integral of the density sum to 1
+        assert abs(cut_invert(p, [0.0])[0] - 1.0) <= 1e-10
+
+    def test_flags_fire_for_crude_cut_rule(self, monkeypatch):
+        # one 32-node panel over the whole band cannot follow the
+        # emitter's in-band Lorentzian line; Talbot must catch it
+        monkeypatch.setattr(rwa, "_U_PANELS", 1)
+        monkeypatch.setattr(rwa, "_TOP_OCTAVES", np.arange(0))
+        monkeypatch.setattr(rwa, "_PEAK_OCTAVES", np.arange(0))
+        s = laplace_invert(reduced(delta=50.0), np.linspace(0.2, 2.0, 7))
         assert s.flags.all()
 
     def test_input_validation(self):
@@ -236,14 +260,29 @@ class TestLaplaceInvert:
 
 class TestBoundPole:
     def test_wideband_corner_pole_and_residue(self):
-        # frozen from the Newton refinement of s + G_hat(s) = 0
-        loc, res = find_bound_pole(wideband(delta=1.0))
+        # frozen from the Newton refinement of s + G_hat(s) = 0; the pole
+        # above the band top lies closer than double precision resolves
+        [(loc, res)] = find_bound_pole(wideband(delta=1.0))
         assert loc == pytest.approx(3.5722151654985j, abs=1e-9)
         assert res == pytest.approx(0.9083367101827, abs=1e-9)
 
     def test_no_pole_when_decoupled_or_in_dip(self):
-        assert find_bound_pole(reduced(alpha=0.0, delta=1.0)) is None
-        assert find_bound_pole(midscale(0.25**2 / 4.0)) is None
+        assert find_bound_pole(reduced(alpha=0.0, delta=1.0)) == []
+        assert find_bound_pole(midscale(0.25**2 / 4.0)) == []
+
+    @pytest.mark.parametrize("p", [wideband(delta=1.0), reduced(delta=3.0),
+                                   reduced(delta=102.0), reduced(delta=110.0)],
+                             ids=["wb1-below", "r3-below", "r102-above", "r110-above"])
+    def test_poles_match_adaptive_transform(self, p):
+        # s + G_hat(s) = 0 and Z = 1/(1 + G_hat'(s)), both by adaptive quadrature
+        [(loc, res)] = find_bound_pole(p)
+        assert loc.real == 0.0
+        assert -_laplace_integral(p, loc) == pytest.approx(loc, rel=1e-9)
+        slope = -2.0 * p.alpha / np.pi * complex_quad(
+            lambda u: u * u * np.exp(-u * u / p.omega0)
+            / (loc + 1j * (p.omega_b + u * u - p.delta)) ** 2,
+            0.0, np.sqrt(p.omega_c), epsrel=1e-12, limit=4000)
+        assert res == pytest.approx(1.0 / (1.0 + slope), rel=1e-9)
 
 
 class TestClassifyRegime:
@@ -314,9 +353,9 @@ class TestAnalyticLongtime:
         # populations agree to 0.01 across t alpha^2 in [1, 5]
         p = ModelParams(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4, delta=0.5)
         ts = np.linspace(25.0, 125.0, 11)
-        ref = laplace_invert(p, ts, cross_check=False)
+        ref = cut_invert(p, ts)
         vals = np.array([analytic_longtime(p, t) for t in ts])
-        assert np.max(np.abs(np.abs(vals) ** 2 - ref.population())) < 0.01
+        assert np.max(np.abs(np.abs(vals) ** 2 - np.abs(ref) ** 2)) < 0.01
 
     def test_gap_dip_branch_cut_tail(self):
         # in the dip the amplitude is pure branch-cut integral; the
