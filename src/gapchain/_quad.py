@@ -1,24 +1,10 @@
-"""Adaptive quadrature helpers shared across modules."""
+"""Adaptive quadrature of complex-valued integrands."""
 
 from __future__ import annotations
 
 import warnings
 
-import numpy as np
 from scipy import integrate
-
-
-def real_quad(f, a, b, epsabs=1e-10, epsrel=1e-8, limit=2000):
-    """Integrate real-valued f over [a, b]; raise if the requested tolerance is missed."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    if err > 50.0 * max(epsabs, epsrel * abs(val)):
-        raise RuntimeError(
-            f"quadrature did not converge on [{a}, {b}]: "
-            f"estimated error {err:.3e} for value {val:.6e}"
-        )
-    return val
 
 
 def complex_quad(f, a, b, epsabs=1e-10, epsrel=1e-8, limit=2000):
@@ -40,14 +26,3 @@ def complex_quad(f, a, b, epsabs=1e-10, epsrel=1e-8, limit=2000):
         )
     return val
 
-
-def gauss_legendre_panels(edges, order=16):
-    """Composite Gauss-Legendre nodes/weights for the panel edge sequence."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.asarray(edges, dtype=float)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    half = 0.5 * (hi - lo)
-    nodes = (lo + half * (x[None, :] + 1.0)).ravel()
-    weights = (half * w[None, :]).ravel()
-    return nodes, weights

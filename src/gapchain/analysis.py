@@ -250,7 +250,7 @@ def rwa_pole_estimates(p: ModelParams) -> PoleEstimate:
     E = max(w_b, alpha*sqrt(w0/pi)); delta < 0.1 w_b -> delta_to_zero,
     delta > 3 E -> large, else small_finite.
     """
-    e_env = p.alpha * math.sqrt(p.omega0 / math.pi)
+    e_env = p.e_en_approx
     scale = max(p.omega_b, e_env)
     if p.delta > 3.0 * scale:
         s_plus = 1j * p.delta + p.alpha * math.sqrt(p.delta)

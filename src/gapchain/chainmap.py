@@ -2,7 +2,8 @@
 
 The band is parametrized by the linear dispersion omega(k) = omega_b + omega_c*k
 on k in [0, 1] with coupling weight h^2(k) = omega_c*J(omega(k))/pi, so that the
-chain model shares the bath correlation of the closed-form kernel exactly.
+chain model shares the bath correlation of ``model.bath_correlation`` exactly,
+hard band top included (a chain needs a measure of finite support).
 Recurrence coefficients come from the Stieltjes procedure on an oversampled
 global Fejer (first rule) discretization of the measure (never from raw moments,
 which are hopelessly ill-conditioned for this weight beyond n ~ 20).

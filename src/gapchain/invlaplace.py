@@ -36,6 +36,7 @@ __all__ = ["filon_fourier", "talbot_invert"]
 
 _TALBOT_TOL = 1e-8  # quadrature resolution; node count grows with log 1/tol
 _TALBOT_MU = 4.0  # max Re(s t) on the contour: weights stay <= e^4
+_TALBOT_BLOCK = 2**22  # (times + 8) x nodes entries per block of the Talbot sum
 _FILON_X, _FILON_W = np.polynomial.legendre.leggauss(32)
 _FILON_K = np.arange(32)
 # node values f_j -> Legendre coefficients (k + 1/2) sum_j w_j P_k(x_j) f_j,
@@ -72,16 +73,21 @@ def _talbot_sum(transform, tgroup, mu, nu, M):
     # midpoint rule; M must be even or a node lands on the theta=0
     # removable singularity and silently drops the largest term
     M += M % 2
-    k = np.arange(M)
-    theta = -np.pi + (k + 0.5) * (2.0 * np.pi / M)
-    cot = np.cos(theta) / np.sin(theta)
-    s = mu * (theta * cot + 1j * nu * theta)
-    ds = mu * (cot - theta / np.sin(theta) ** 2 + 1j * nu)
-    Fds = np.asarray(transform(s), dtype=complex) * ds
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        w = np.exp(s[None, :] * tgroup[:, None])
-        w = np.where(np.isfinite(w), w, 0.0)
-    return (w @ Fds) / (1j * M)
+    # the transform's temporaries count as 8 rows (model.ghat keeps ~8 per node)
+    step = max(1, _TALBOT_BLOCK // (tgroup.size + 8))
+    total = 0.0
+    for k0 in range(0, M, step):
+        k = np.arange(k0, min(k0 + step, M))
+        theta = -np.pi + (k + 0.5) * (2.0 * np.pi / M)
+        cot = np.cos(theta) / np.sin(theta)
+        s = mu * (theta * cot + 1j * nu * theta)
+        ds = mu * (cot - theta / np.sin(theta) ** 2 + 1j * nu)
+        Fds = np.asarray(transform(s), dtype=complex) * ds
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            w = np.exp(s[None, :] * tgroup[:, None])
+            w = np.where(np.isfinite(w), w, 0.0)
+        total += w @ Fds
+    return total / (1j * M)
 
 
 def talbot_invert(transform, times, s_max):
@@ -104,7 +110,8 @@ def talbot_invert(transform, times, s_max):
     Times are processed in octave groups sharing one contour, so the
     transform is evaluated O(log(t_max/t_min)) times regardless of grid
     size.  Each contour targets a quadrature resolution of 1e-8 and keeps
-    its exponential weights at or below e^4.
+    its exponential weights at or below e^4; node blocks of <= 2^22 weights
+    bound its memory.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:

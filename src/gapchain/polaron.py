@@ -4,7 +4,7 @@ The dressing of the atomic states by coherent field displacements
 renormalizes the bare splitting Delta to Delta_tilde, fixed by the
 self-consistency condition
 
-    Delta_tilde = Delta * exp[ -(2/pi) Int_{w_b}^inf dw J(w)/(w+Delta_tilde)^2 ].
+    Delta_tilde = Delta * exp[ -(2/pi) Int_{w_b}^{w_b+w_c} dw J(w)/(w+Delta_tilde)^2 ].
 
 The overlap factor Phi = Delta_tilde/Delta sets the residual excited
 population: (1-Phi)/2 once the emitter can relax to the joint ground
@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+from scipy import optimize
 
-from ._quad import gauss_legendre_panels
-from .model import ModelParams
+from .model import ModelParams, ghat, ghat_slope
 
 __all__ = [
     "PolaronSolution",
@@ -55,45 +54,21 @@ class BoundaryPrediction(NamedTuple):
 
 
 def _renorm_integral(p: ModelParams, delta_tilde):
-    """(2/pi) Int_{w_b}^{w_b + 60 w0} J(w) / (w + delta_tilde)^2 dw.
+    """(2/pi) Int_band J(w) / (w + delta_tilde)^2 dw = 2 Re G_hat'(s), s = i(delta + delta_tilde).
 
-    Substituting w = w_b + v^2 removes the edge square root; the
-    exponential tail beyond 60 w0 is below e^-60 of the integrand scale.
-    Panels double geometrically from the shortest feature scale (the
-    denominator knee or the gaussian width, whichever is smaller).
+    There s + i(w - delta) = i(w + delta_tilde), so dG_hat/ds =
+    (1/pi) Int_band J(w) / (w + delta_tilde)^2 dw, real and positive.
     """
-    v_hi = math.sqrt(60.0 * p.omega0)
-    s = 0.5 * min(math.sqrt(p.omega_b + delta_tilde), math.sqrt(p.omega0), v_hi)
-    edges = [0.0]
-    e = s
-    while e < v_hi:
-        edges.append(e)
-        e *= 2.0
-    edges.append(v_hi)
-    v, w = gauss_legendre_panels(edges, order=24)
-    f = v**2 * np.exp(-(v**2) / p.omega0) / (v**2 + p.omega_b + delta_tilde) ** 2
-    return 4.0 * p.alpha / math.pi * float(np.dot(w, f))
-
-
-def _bisect(f, lo, hi, tol, max_iter=200):
-    flo = f(lo)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    s = 1j * (p.delta + delta_tilde)
+    return 2.0 * float(ghat_slope(p, s, ghat(p, s)).real)
 
 
 def silbey_harris_solve(p: ModelParams) -> PolaronSolution:
     """Damped fixed-point solve of the self-consistency condition.
 
     Iterates x <- x/2 + RHS(x)/2 from x = Delta; if the defect ever
-    stops decreasing the scalar root is bracketed and bisected instead.
+    stops decreasing the scalar root is bracketed in (0, Delta] and found
+    by Brent's method instead.
     """
     if p.delta <= 0.0:
         raise ValueError("delta must be positive: the overlap factor "
@@ -114,9 +89,10 @@ def silbey_harris_solve(p: ModelParams) -> PolaronSolution:
         iterations += 1
         if new_defect >= defect:
             logger.info("damped polaron iteration stalled at defect %.3e "
-                        "after %d steps; switching to bisection",
+                        "after %d steps; switching to Brent's method",
                         new_defect, iterations)
-            x = _bisect(lambda y: y - rhs(y), 1e-300, p.delta, 1e-13 * p.delta)
+            x = optimize.brentq(lambda y: y - rhs(y), 1e-300, p.delta,
+                                xtol=1e-13 * p.delta)
             defect = abs(x - rhs(x))
             break
         x, defect = x_new, new_defect

@@ -1,11 +1,14 @@
 """Inverse Laplace transforms and the Fourier rule of the cut integral:
 Filon-Legendre panels, Talbot contour quadrature, and their failure modes."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gapchain import invlaplace
 from gapchain.invlaplace import _talbot_sum, filon_fourier, talbot_invert
 
 
@@ -98,6 +101,26 @@ class TestTalbot:
         np.testing.assert_allclose(
             grouped, times * np.exp(-1.5 * times), rtol=0, atol=1e-8
         )
+
+    def test_node_blocks_bound_memory(self, monkeypatch):
+        # one octave of 32 times on a ~16k-node contour: the unblocked
+        # weight matrix alone would take 8.3 MB
+        times = np.linspace(0.5, 1.0, 33)[1:]
+        F = lambda s: 1.0 / (s - 1500j)
+        whole, whole_spread = talbot_invert(F, times, s_max=2000.0)
+        assert np.max(np.abs(whole - np.exp(1500j * times))) < 1e-10
+        monkeypatch.setattr(invlaplace, "_TALBOT_BLOCK", 2**12)
+        tracemalloc.start()
+        try:
+            vals, spread = talbot_invert(F, times, s_max=2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(vals, whole, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(spread, whole_spread, rtol=0, atol=1e-14)
+        nu = 2.5 * 2000.0 / (math.pi * invlaplace._TALBOT_MU)
+        nodes = nu * math.log(1.0 / invlaplace._TALBOT_TOL) / 0.45
+        assert peak < times.size * nodes * 16
 
     def test_input_validation(self):
         F = lambda s: 1.0 / (s + 1.0)

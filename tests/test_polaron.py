@@ -1,6 +1,7 @@
 """Variational-polaron solver tests: self-consistency fixed point,
 residual-population branches, closed-form approximations."""
 
+import logging
 import math
 import time
 
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from gapchain import polaron
 from gapchain.model import ModelParams
 from gapchain.polaron import (
     BoundaryPrediction,
-    _bisect,
     _renorm_integral,
     adiabatic_renorm,
     approx_large_delta,
@@ -28,8 +30,8 @@ def wideband(delta):
 
 def renorm_integral_oracle(p, delta_tilde, n=1_000_001):
     """Independent 1e6-point trapezoid on the square-root-substituted
-    integrand: (4a/pi) Int v^2 e^{-v^2/w0} / (v^2+w_b+dt)^2 dv."""
-    v = np.linspace(0.0, math.sqrt(60.0 * p.omega0), n)
+    integrand over the band: (4a/pi) Int_0^sqrt(w_c) v^2 e^{-v^2/w0} / (v^2+w_b+dt)^2 dv."""
+    v = np.linspace(0.0, math.sqrt(p.omega_c), n)
     f = v**2 * np.exp(-(v**2) / p.omega0) / (v**2 + p.omega_b + delta_tilde) ** 2
     return 4.0 * p.alpha / math.pi * float(np.trapezoid(f, v))
 
@@ -42,7 +44,7 @@ class TestQuadrature:
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_matches_oracle_wide_band(self):
-        # omega0 >> omega_b stresses the panel layout near v = 0
+        # omega0 >> omega_b: the denominator knee sits far inside the gaussian
         p = ModelParams(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4,
                         delta=0.5)
         got = _renorm_integral(p, 0.01)
@@ -97,8 +99,21 @@ class TestSolve:
         def defect(x):
             return x - p.delta * math.exp(-_renorm_integral(p, x))
 
-        root = _bisect(defect, 1e-300, p.delta, 1e-13 * p.delta)
+        root = brentq(defect, 1e-300, p.delta, xtol=1e-13 * p.delta)
         assert root == pytest.approx(sol.delta_tilde, rel=1e-9)
+
+    def test_stalled_iteration_falls_back_to_brent(self, monkeypatch, caplog):
+        # a steep integral makes the damped map overshoot: with
+        # x* = delta e^{-200 x*/delta}, its slope at the root is -1.49
+        monkeypatch.setattr(polaron, "_renorm_integral",
+                            lambda p, x: 200.0 * x / p.delta)
+        p = wideband(30.0)
+        with caplog.at_level(logging.INFO, logger="gapchain.polaron"):
+            sol = silbey_harris_solve(p)
+        assert "stalled" in caplog.text
+        assert sol.iterations < 500
+        rhs = p.delta * math.exp(-200.0 * sol.delta_tilde / p.delta)
+        assert abs(sol.delta_tilde - rhs) < 1e-10 * p.delta
 
     @settings(max_examples=60, deadline=None)
     @given(
