@@ -15,7 +15,7 @@ import cmath
 import dataclasses
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 
@@ -370,7 +370,8 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
     a (delta, row, manifest) triple: in ascending delta with jobs=1, in
     completion order with more workers.  SweepResult.collect assembles
     points into arrays.  Per-point failures are recorded in the manifest
-    and leave NaN entries; the scan continues.
+    and leave NaN entries; the scan continues.  Points lost to a dead
+    worker (a signal, the OOM killer) come back failed under "worker".
     """
     cfgs = cfgs or {}
     unknown = set(methods) - {"rwa", "full"}
@@ -379,11 +380,17 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
     grid = sorted(float(d) for d in delta_grid)
     if jobs > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_scan_point, d, base_params, methods, cfgs)
-                       for d in grid]
+            futures = {pool.submit(_scan_point, d, base_params, methods, cfgs): d
+                       for d in grid}
             try:
                 for fut in as_completed(futures):
-                    yield fut.result()
+                    try:
+                        point = fut.result()
+                    except BrokenExecutor as err:
+                        point = (futures[fut], dict.fromkeys(SWEEP_COLUMNS, math.nan),
+                                 {"delta": futures[fut], "methods": sorted(methods),
+                                  "failures": {"worker": str(err)}})
+                    yield point
             finally:  # a failed or abandoned scan starts no further point
                 pool.shutdown(cancel_futures=True)
     else:

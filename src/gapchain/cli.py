@@ -763,8 +763,9 @@ def _cmd_sweep(cfg, outdir):
             [d for d in deltas if d not in prior], methods, p, cfgs=cfgs,
             jobs=jobs):
         fresh.append(point)
-        if "csv" in fmts:  # on disk at once, so a failed run keeps it
-            d, row, manifest = point
+        d, row, manifest = point
+        # on disk at once, so a failed run keeps it; none if its worker died
+        if "csv" in fmts and "worker" not in manifest["failures"]:
             meta = [_model_meta(p), "manifest: " + json.dumps(
                 _jsonsafe(manifest), sort_keys=True)]
             cols = [("delta", [d], "f")]

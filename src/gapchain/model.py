@@ -169,6 +169,9 @@ def correlation_by_quadrature(p: ModelParams, t):
 
     The substitution omega = omega_b + u^2 removes the square-root edge
     singularity; the integrand is then smooth on [0, sqrt(omega_c)].
+    It is an oracle only while omega_c t is small: at the shifted corner
+    (omega0 = 1e4, omega_c = 4e4) its relative error is 7e-13 for t <= 0.01,
+    2e-10 for t <= 0.1 and 2e-9 for t <= 1, and it raises at t = 10.
     """
     t = float(t)
     if t < 0:

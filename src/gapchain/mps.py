@@ -20,8 +20,13 @@ skips the gates ahead of the light cone.
 The state is kept in right-canonical form with the bond Schmidt spectra
 stored alongside (Hastings' update: the new left tensor is obtained by
 contracting the gated two-site block with the new right isometry, so no
-singular value is ever divided by).  Observables are evaluated in mixed
-canonical form: the left environment of site j is diag(lambda_{j-1}^2).
+singular value is ever divided by).  Both modes conserve the parity
+sum_i s_i mod 2, and each bond stores that parity of the sites to its
+right per Schmidt vector (charges), so each gate's SVD runs on the two
+parity blocks (Singh, Pfeifer & Vidal, PRA 83, 115125 (2011)).  Site 0's
+left index holds one parity sector of the initial state per value, with
+amplitudes ``head``.  Observables are evaluated in mixed canonical form:
+the left environment of site j is diag(lambda_{j-1}^2); site 0 takes head.
 
 Coupling modes:
   RWA  : g (sigma^+ a_0 + sigma^- a_0^dag); conserves total excitation
@@ -31,7 +36,7 @@ Coupling modes:
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -67,7 +72,9 @@ class EvolutionConfig:
     gates); the hard cap dt * max_onsite <= 0.5 is enforced when gates
     are built.  svd_threshold is the relative Schmidt-value cutoff of
     each truncation; svd_threshold**2 also bounds the excited amplitudes
-    of a chain pair whose gate is skipped as vacuum.
+    of a chain pair whose gate is skipped as vacuum.  In either mode,
+    measure takes any operator on the emitter, but only parity-preserving
+    ones on a chain site of a state that mixes both parities.
     """
 
     t_max: float
@@ -98,15 +105,18 @@ class EvolutionConfig:
 
 @dataclass
 class MPSState:
-    """Right-canonical MPS with stored bond spectra.
+    """Right-canonical MPS with stored bond spectra and parity charges.
 
     site_tensors[i] has shape (chi_left, d_i, chi_right); lambdas[j]
-    holds the Schmidt values of bond (j, j+1).  norm_loss accumulates
-    the pre-renormalization norm deficit of truncations since creation.
+    holds the Schmidt values of bond (j, j+1), charges[j] the parity of
+    sites j+1..N per right Schmidt vector (charges[N] = [0], charges[-1]
+    that of each sector of head); norm_loss sums truncation norm deficits.
     """
 
     site_tensors: list
     lambdas: list
+    charges: list
+    head: np.ndarray
     cumulative_discarded_weight: float = 0.0
     norm_loss: float = 0.0
 
@@ -125,12 +135,13 @@ class MPSState:
     def left_weights(self, site):
         """Squared Schmidt weights of the bond left of ``site``."""
         if site == 0:
-            return np.ones(self.site_tensors[0].shape[0])
+            return np.abs(self.head) ** 2
         return self.lambdas[site - 1] ** 2
 
 
 def init_state(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited"):
-    """Product state: emitter in the requested state, chain in vacuum."""
+    """Product state: emitter in the requested state, chain in vacuum;
+    each emitter level present is one sector of site 0's left index."""
     pures = {
         "ground": np.array([1.0, 0.0], dtype=complex),
         "excited": np.array([0.0, 1.0], dtype=complex),
@@ -138,13 +149,11 @@ def init_state(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited")
     }
     if atom_state not in pures:
         raise ValueError(f"unknown atom_state {atom_state!r}")
-    tensors = [pures[atom_state].reshape(1, 2, 1)]
-    vac = np.zeros(cfg.d_b, dtype=complex)
-    vac[0] = 1.0
-    for _ in range(c.N):
-        tensors.append(vac.reshape(1, cfg.d_b, 1))
-    lambdas = [np.ones(1) for _ in range(c.N)]
-    return MPSState(tensors, lambdas)
+    sectors = np.flatnonzero(pures[atom_state])
+    vac = np.eye(cfg.d_b, 1, dtype=complex).reshape(1, cfg.d_b, 1)
+    tensors = [np.eye(2, dtype=complex)[sectors].reshape(-1, 2, 1)] + [vac] * c.N
+    charges = [np.zeros(1, dtype=int)] * (c.N + 1) + [sectors]
+    return MPSState(tensors, [np.ones(1)] * c.N, charges, pures[atom_state][sectors])
 
 
 @dataclass
@@ -226,32 +235,39 @@ def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
 
 
 def _apply_gate(state: MPSState, j, U, chi_max, svd_threshold):
-    """Gate on bond (j, j+1) with Hastings' division-free update."""
+    """Gate on bond (j, j+1): parity-blocked SVD, Hastings' update."""
     B1, B2 = state.site_tensors[j], state.site_tensors[j + 1]
     chi_l, dl = B1.shape[0], B1.shape[1]
     dr, chi_r = B2.shape[1], B2.shape[2]
     # theta_bare excludes the left bond spectrum; gates act on physical
     # indices only, so the spectrum can be attached afterwards
-    theta_bare = np.tensordot(B1, B2, axes=(2, 0))  # (chi_l, dl, dr, chi_r)
-    theta_bare = np.tensordot(U, theta_bare, axes=([2, 3], [1, 2]))
-    theta_bare = theta_bare.transpose(2, 0, 1, 3)  # back to (chi_l, dl, dr, chi_r)
-    lam_l = state.left_weights(j) ** 0.5
-    theta = lam_l[:, None, None, None] * theta_bare
-    mat = theta.reshape(chi_l * dl, dr * chi_r)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    theta_bare = B1.reshape(chi_l * dl, -1) @ B2.reshape(B2.shape[0], -1)
+    theta_bare = U.reshape(dl * dr, dl * dr) @ theta_bare.reshape(chi_l, dl * dr, chi_r)
+    mat = (state.left_weights(j) ** 0.5)[:, None, None] * theta_bare
+    mat = mat.reshape(chi_l * dl, dr * chi_r)
+    # rows (a, s) and columns (t, c) by the parity of sites j+1..N
+    rows = ((state.charges[j - 1][:, None] + np.arange(dl)) % 2).ravel()
+    cols = ((np.arange(dr)[:, None] + state.charges[j + 1]) % 2).ravel()
+    (_, s0, v0), (_, s1, v1) = [np.linalg.svd(mat[np.ix_(rows == p, cols == p)],
+                                              full_matrices=False) for p in (0, 1)]
+    s = np.concatenate([s0, s1])
+    order = np.argsort(-s)
+    s = s[order]
     total = float(np.sum(s**2))
-    keep = min(chi_max, int(np.sum(s >= svd_threshold * s[0])), s.size)
-    keep = max(keep, 1)
+    keep = max(1, min(chi_max, int(np.sum(s >= svd_threshold * s[0]))))
     kept = float(np.sum(s[:keep] ** 2))
     discarded = max(0.0, 1.0 - kept / total)
     s_kept = s[:keep] / math.sqrt(kept)
-    B2_new = vh[:keep].reshape(keep, dr, chi_r)
+    vh = np.zeros((s.size, cols.size), dtype=complex)
+    vh[:s0.size, cols == 0], vh[s0.size:, cols == 1] = v0, v1
+    B2_new = vh[order[:keep]]
     # division-free left update: contract the bare block with the new
     # right isometry instead of peeling lambda back off
-    B1_new = np.tensordot(theta_bare, B2_new.conj(), axes=([2, 3], [1, 2]))
-    state.site_tensors[j] = B1_new
-    state.site_tensors[j + 1] = B2_new
+    B1_new = theta_bare.reshape(chi_l * dl, -1) @ B2_new.conj().T
+    state.site_tensors[j] = B1_new.reshape(chi_l, dl, keep)
+    state.site_tensors[j + 1] = B2_new.reshape(keep, dr, chi_r)
     state.lambdas[j] = s_kept
+    state.charges[j] = (order[:keep] >= s0.size).astype(int)
     return discarded
 
 
@@ -303,11 +319,24 @@ def tebd_step(state: MPSState, gates: Gates, steps=1):
     return worst, loss
 
 
+def _left_env(state: MPSState, j, op, dims):
+    """(left weights, B_j) for <op> on sites j, j+1, ...; diag(lambda^2)
+    drops the terms between two sectors, so head is contracted into site 0
+    and an op on a chain site of a two-sector state must keep parity."""
+    if j == 0:
+        return np.ones(1), np.tensordot(state.head, state.site_tensors[0], 1)[None]
+    q = np.indices(dims).sum(axis=0).ravel() % 2
+    if state.head.size > 1 and np.any(np.asarray(op)[q[:, None] != q]):
+        raise ValueError("parity-changing operator on a chain site of a two-sector state")
+    return state.left_weights(j), state.site_tensors[j]
+
+
 def measure(state: MPSState, site, observable):
     """<O> at one site, in mixed-canonical form.
 
     observable: a (d, d) matrix or one of the names "sigma_x",
-    "sigma_y", "sigma_z" (emitter) / "n" (boson number).
+    "sigma_y", "sigma_z" (emitter) / "n" (boson number).  A chain site of
+    a two-sector state takes only parity-preserving ones (ValueError).
     """
     if isinstance(observable, str):
         named = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
@@ -320,8 +349,7 @@ def measure(state: MPSState, site, observable):
             raise ValueError(f"unknown observable {observable!r}")
     else:
         op = np.asarray(observable, dtype=complex)
-    B = state.site_tensors[site]
-    w = state.left_weights(site)
+    w, B = _left_env(state, site, op, op.shape[:1])
     # rho[s, s'] = sum_a w_a B[a,s,b] conj(B[a,s',b]) = (psi psi*)[s, s']
     rho = np.tensordot(w[:, None, None] * B, B.conj(), axes=([0, 2], [0, 2]))
     return complex(np.trace(op @ rho))
@@ -331,8 +359,8 @@ def measure_bond(state: MPSState, j, op):
     """<O> for a two-site operator on bond (j, j+1), mixed-canonical."""
     B1, B2 = state.site_tensors[j], state.site_tensors[j + 1]
     dl, dr = B1.shape[1], B2.shape[1]
+    w, B1 = _left_env(state, j, op, (dl, dr))
     theta = np.tensordot(B1, B2, axes=(2, 0))
-    w = state.left_weights(j)
     theta_w = w[:, None, None, None] * theta
     rho = np.tensordot(theta_w, theta.conj(), axes=([0, 3], [0, 3]))
     # rho indices (s, t, s', t') -> matrix (st, s't') = psi psi*
@@ -358,7 +386,7 @@ def top_fock_occupation(state: MPSState):
 
 def _product_expectation(state: MPSState, ops):
     """<O_0 x O_1 x ... x O_N> for one single-site operator per site."""
-    env = np.ones((1, 1), dtype=complex)
+    env = np.outer(state.head, state.head.conj())
     for B, op in zip(state.site_tensors, ops):
         tmp = np.tensordot(env, B, axes=(0, 0))  # (a', s, b)
         tmp = np.tensordot(np.asarray(op, dtype=complex), tmp, axes=(1, 1))  # (s', a', b)

@@ -9,7 +9,10 @@ sweep resume protocol.
 
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +109,16 @@ def read_csv(path):
 
 def manifest(outdir):
     return json.loads((Path(outdir) / "manifest.json").read_text())
+
+
+_scan_point = analysis._scan_point
+
+
+def sigkill_at_25(delta, *rest):
+    """Sweep point whose worker process kills itself at delta = 25."""
+    if delta == 25.0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _scan_point(delta, *rest)
 
 
 def write_series_csv(path, times, values, name="pop"):
@@ -637,6 +650,31 @@ class TestSweepCommand:
             "point_delta_20.0.csv", "point_delta_25.0.csv"]
         monkeypatch.undo()
         assert main(argv + ["--resume", "--out-dir", str(broken)]) == 0
+        assert main(argv + ["--out-dir", str(fresh)]) == 0
+        for name in ("summary.csv", "point_delta_20.0.csv",
+                     "point_delta_25.0.csv", "point_delta_30.0.csv"):
+            assert (broken / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the patched point")
+    def test_killed_worker_keeps_finished_points(self, tmp_path, monkeypatch):
+        argv = ["sweep", *model_flags(), "--t-max", "1.5", "--samples", "801",
+                "--jobs", "2", "--deltas", "20,25,30"]
+        broken, fresh = tmp_path / "broken", tmp_path / "fresh"
+        monkeypatch.setattr(analysis, "_scan_point", sigkill_at_25)
+        assert main(argv + ["--out-dir", str(broken)]) == 0
+        failures = manifest(broken)["convergence"]["failures"]
+        assert "25.0" in failures
+        assert all(list(f) == ["worker"] for f in failures.values())
+        lost = sorted(float(d) for d in failures)
+        assert sorted(p.name for p in broken.glob("point_*.csv")) == [
+            f"point_delta_{d!r}.csv" for d in (20.0, 25.0, 30.0)
+            if d not in lost]
+        monkeypatch.undo()
+        assert main(argv + ["--resume", "--out-dir", str(broken)]) == 0
+        conv = manifest(broken)["convergence"]
+        assert conv["computed_points"] == lost
+        assert conv["failures"] == {}
         assert main(argv + ["--out-dir", str(fresh)]) == 0
         for name in ("summary.csv", "point_delta_20.0.csv",
                      "point_delta_25.0.csv", "point_delta_30.0.csv"):

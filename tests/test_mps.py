@@ -38,17 +38,45 @@ def full_run(chain):
     return mps.evolve(chain, cfg, "excited", DELTA)
 
 
+def parities(*dims):
+    """Parity of each flattened index of sites with the given dimensions."""
+    return np.indices(dims).sum(axis=0).ravel() % 2
+
+
+def blocked_split(mat, rows, cols):
+    """mat = us @ vh parity block by parity block, Schmidt values sorted:
+    (us, s, vh, charge of each right vector)."""
+    parts = []
+    for p in (0, 1):
+        r, c = np.flatnonzero(rows == p), np.flatnonzero(cols == p)
+        u, s, vh = np.linalg.svd(mat[np.ix_(r, c)], full_matrices=False)
+        for k in range(s.size):
+            us_k = np.zeros(mat.shape[0], dtype=complex)
+            vh_k = np.zeros(mat.shape[1], dtype=complex)
+            us_k[r], vh_k[c] = u[:, k] * s[k], vh[k]
+            parts.append((s[k], p, us_k, vh_k))
+    parts.sort(key=lambda part: -part[0])
+    s, q, us, vh = zip(*parts)
+    return np.array(us).T, np.array(s), np.array(vh), np.array(q)
+
+
 def random_canonical_state(d_b, rng):
-    """Exact right-canonical 3-site MPS of a random dense wavefunction."""
+    """Exact right-canonical 3-site MPS of a random odd-parity wavefunction,
+    decomposed block by block so that every bond carries exact charges."""
     psi = rng.normal(size=(2, d_b, d_b)) + 1j * rng.normal(size=(2, d_b, d_b))
+    psi.ravel()[parities(2, d_b, d_b) == 0] = 0.0
     psi /= np.linalg.norm(psi)
-    u, s12, vh = np.linalg.svd(psi.reshape(2 * d_b, d_b), full_matrices=False)
+    us, s12, vh, q12 = blocked_split(psi.reshape(2 * d_b, d_b),
+                                     1 - parities(2, d_b), parities(d_b))
     b2 = vh.reshape(s12.size, d_b, 1)
-    rest = (u * s12).reshape(2, d_b * s12.size)
-    u0, s01, vh0 = np.linalg.svd(rest, full_matrices=False)
-    b1 = vh0.reshape(s01.size, d_b, s12.size)
-    b0 = (u0 * s01).reshape(1, 2, s01.size)
-    return MPSState([b0, b1, b2], [s01, s12])
+    us, s01, vh, q01 = blocked_split(us.reshape(2, d_b * s12.size),
+                                     1 - parities(2),
+                                     (parities(d_b)[:, None] + q12).ravel() % 2)
+    b1 = vh.reshape(s01.size, d_b, s12.size)
+    b0 = us.reshape(1, 2, s01.size)
+    return MPSState([b0, b1, b2], [s01, s12],
+                    [q01, q12, np.zeros(1, dtype=int), np.ones(1, dtype=int)],
+                    np.ones(1, dtype=complex))
 
 
 class TestEvolutionConfig:
@@ -88,8 +116,11 @@ class TestInitState:
     def test_atom_preparations(self, chain, atom_state, sz, sx):
         cfg = EvolutionConfig(t_max=1.0, d_b=4, mode="FULL")
         st = mps.init_state(chain, cfg, atom_state)
+        # one left index value per parity sector of the emitter state
+        sectors = 2 if atom_state == "plus_superposition" else 1
         assert st.n_sites == chain.N + 1
-        assert st.site_tensors[0].shape == (1, 2, 1)
+        assert st.site_tensors[0].shape == (sectors, 2, 1)
+        assert st.head.shape == (sectors,)
         assert st.site_tensors[1].shape == (1, 4, 1)
         assert mps.measure(st, 0, np.eye(2)).real == pytest.approx(1.0)
         assert mps.measure(st, 0, "sigma_z").real == pytest.approx(sz, abs=1e-14)
@@ -292,6 +323,74 @@ class TestMergedSteps:
         assert (st.site_tensors[site] is B) == skipped
 
 
+def strang_on_vector(gates, psi, steps):
+    """``steps`` Strang steps of ``gates`` applied to a full state vector."""
+    for _ in range(steps):
+        for layer in (gates.even_half, gates.odd_full, gates.even_half):
+            for j, U in enumerate(layer):
+                if U is not None:
+                    psi = np.moveaxis(np.tensordot(U, psi, axes=([2, 3], [j, j + 1])),
+                                      (0, 1), (j, j + 1))
+    return psi
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("atom_state", ["excited", "plus_superposition"])
+    def test_tensors_vanish_outside_parity_blocks(self, chain, atom_state):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
+        gates = mps.build_gates(chain, DELTA, cfg)
+        st = mps.init_state(chain, cfg, atom_state)
+        mps.tebd_step(st, gates, 60)
+        assert st.max_bond > 2
+        for i, B in enumerate(st.site_tensors):
+            # charges[-1] is the left edge, charges[N] the right edge
+            off = (st.charges[i - 1][:, None, None] + np.arange(B.shape[1])[:, None]
+                   + st.charges[i]) % 2 == 1
+            assert np.all(B[off] == 0.0)
+            assert np.any(B[~off] != 0.0)
+
+    @pytest.mark.parametrize("mode,atom_state", [
+        ("FULL", "excited"), ("FULL", "plus_superposition"),
+        ("RWA", "plus_superposition")])
+    def test_matches_state_vector(self, mode, atom_state):
+        d_b = 4
+        c4 = map_to_chain(reduced(), 4)
+        # nothing is truncated: chi_max exceeds every bond's full rank, and
+        # the threshold keeps every nonzero Schmidt value
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=d_b, chi_max=64,
+                              svd_threshold=1e-300, mode=mode)
+        gates = mps.build_gates(c4, DELTA, cfg)
+        st = mps.init_state(c4, cfg, atom_state)
+        psi = np.zeros((2,) + (d_b,) * c4.N, dtype=complex)
+        psi[(slice(None),) + (0,) * c4.N] = {
+            "excited": [0.0, 1.0], "plus_superposition": [0.5**0.5, 0.5**0.5]}[atom_state]
+        for _ in range(5):
+            mps.tebd_step(st, gates, 40)
+            psi = strang_on_vector(gates, psi, 40)
+            for name, op in (("sigma_x", mps.SIGMA_X), ("sigma_y", mps.SIGMA_Y),
+                             ("sigma_z", mps.SIGMA_Z)):
+                exact = np.vdot(psi, np.tensordot(op, psi, axes=(1, 0)))
+                assert abs(mps.measure(st, 0, name) - exact) < 1e-12
+                ops = [op] + [np.eye(d_b)] * c4.N
+                assert abs(mps._product_expectation(st, ops) - exact) < 1e-12
+        assert st.cumulative_discarded_weight == 0.0
+
+    def test_parity_changing_chain_operator_needs_one_sector(self, chain):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, mode="FULL")
+        x = np.diag(np.sqrt(np.arange(1.0, 4.0)), k=1)
+        x = x + x.T  # a + a^dag
+        plus = mps.init_state(chain, cfg, "plus_superposition")
+        with pytest.raises(ValueError, match="parity"):
+            mps.measure(plus, 1, x)
+        with pytest.raises(ValueError, match="parity"):
+            mps.measure_bond(plus, 1, np.kron(x, np.eye(4)))
+        excited = mps.init_state(chain, cfg, "excited")
+        assert mps.measure(excited, 1, x) == 0.0
+        # site 0 carries head, so emitter operators of either parity are exact
+        assert mps.measure_bond(plus, 0, np.kron(mps.SIGMA_X, np.eye(4))) == \
+            pytest.approx(1.0, abs=1e-14)
+
+
 class TestTruncationSafeguards:
     def test_explosion_raises(self, chain):
         rng = np.random.default_rng(7)
@@ -312,7 +411,8 @@ class TestTruncationSafeguards:
         cfg = EvolutionConfig(t_max=0.1, d_b=d_b, chi_max=8, mode="FULL")
         gates = mps.build_gates(c2, DELTA, cfg)
         single = random_canonical_state(d_b, rng)
-        merged = MPSState(list(single.site_tensors), list(single.lambdas))
+        merged = MPSState(list(single.site_tensors), list(single.lambdas),
+                          list(single.charges), single.head)
         with pytest.raises(RuntimeError, match="truncation explosion"):
             mps.tebd_step(single, gates)
         with pytest.raises(RuntimeError, match="truncation explosion"):
