@@ -4,7 +4,7 @@ Submodules
 ----------
 model      : spectral density, bath correlation kernel, derived scales
 chainmap   : orthogonal-polynomial mapping of the continuum onto a chain
-invlaplace : Filon rule of the band cut integral and Talbot Laplace inversion
+invlaplace : Filon rule of the band cut integral and the steepest-descent ray rule
 rwa        : exact single-excitation solvers and the analytic long-time form
 mps        : matrix-product-state TEBD evolution (full and RWA couplings)
 polaron    : variational polaron theory of the renormalized splitting
@@ -17,9 +17,7 @@ from .model import (
     DerivedScales,
     ModelParams,
     bath_correlation,
-    correlation_by_quadrature,
     derived_scales,
-    laplace_of_G,
     spectral_density,
 )
 
@@ -29,9 +27,7 @@ __all__ = [
     "DerivedScales",
     "ModelParams",
     "bath_correlation",
-    "correlation_by_quadrature",
     "derived_scales",
-    "laplace_of_G",
     "spectral_density",
     "__version__",
 ]

@@ -636,6 +636,7 @@ def _cmd_rwa(cfg, outdir):
         times = np.linspace(0.0, t_max, samples + 1)[1:]  # inverter needs t>0
         series = laplace_invert(p, times)
         conv["flagged_points"] = int(series.flags.sum())
+        conv.update(series.checks)
     else:
         n = cfg.chain.n_sites or chain_length_for(p, t_max)
         c = map_to_chain(p, n, M=cfg.chain.n_quad)

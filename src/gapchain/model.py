@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._quad import complex_quad
-
 _SQRT_PI = math.sqrt(math.pi)
+_TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(24)
 
 
 def validate_model_values(alpha, omega_b, omega0, omega_c, delta):
@@ -164,53 +163,6 @@ def bath_correlation(p: ModelParams, t):
     return g
 
 
-def correlation_by_quadrature(p: ModelParams, t):
-    """Oracle for bath_correlation: adaptive quadrature of (1/pi) int J e^{-i(w-delta)t} dw.
-
-    The substitution omega = omega_b + u^2 removes the square-root edge
-    singularity; the integrand is then smooth on [0, sqrt(omega_c)].
-    It is an oracle only while omega_c t is small: at the shifted corner
-    (omega0 = 1e4, omega_c = 4e4) its relative error is 7e-13 for t <= 0.01,
-    2e-10 for t <= 0.1 and 2e-9 for t <= 1, and it raises at t = 10.
-    """
-    t = float(t)
-    if t < 0:
-        raise ValueError("correlation_by_quadrature requires t >= 0")
-    if p.alpha == 0.0:
-        return 0.0 + 0.0j
-    pref = 2.0 * p.alpha / math.pi
-    phase0 = -1j * (p.omega_b - p.delta) * t
-
-    def integrand(u):
-        return u * u * np.exp(-u * u / p.omega0 + phase0 - 1j * u * u * t)
-
-    # max phase ~ omega_c * t: allow generous subdivision for oscillatory tails
-    limit = max(2000, int(40 * (p.omega_c * t + 1)))
-    return pref * complex_quad(integrand, 0.0, math.sqrt(p.omega_c), limit=min(limit, 50000))
-
-
-def _laplace_integral(p: ModelParams, s):
-    """(1/pi) int_band J(omega) / (s + i(omega - delta)) d omega for s off the cut."""
-    if p.alpha == 0.0:
-        return 0.0 + 0.0j
-    pref = 2.0 * p.alpha / math.pi
-    s = complex(s)
-
-    def integrand(u):
-        w = p.omega_b + u * u
-        return u * u * np.exp(-u * u / p.omega0) / (s + 1j * (w - p.delta))
-
-    return pref * complex_quad(integrand, 0.0, math.sqrt(p.omega_c), limit=4000)
-
-
-def laplace_of_G(p: ModelParams, s):
-    """Laplace transform of the kernel, G_hat(s), for Re(s) > 0."""
-    s = complex(s)
-    if s.real <= 0:
-        raise ValueError(f"laplace_of_G requires Re(s) > 0, got s = {s}")
-    return _laplace_integral(p, s)
-
-
 def _exp_e1(x):
     """e^x E1(x); past the overflow of e^x, 1/x - 1/x^2 + 2/x^3 (error < 6/x^4)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -223,11 +175,10 @@ def _tail_rule(omega0, omega_c):
 
     Cut where the Gaussian has fallen by 2^-53, the double-precision unit.
     """
-    x, lam = np.polynomial.legendre.leggauss(24)
     r = math.sqrt(omega_c / omega0)
     half = math.sqrt(omega0) * (math.sqrt(r * r + 53.0 * math.log(2.0)) - r) / 2.0
-    nodes = math.sqrt(omega_c) + half * (1.0 + x)
-    return nodes, half * lam * 2.0 * nodes * np.exp(-nodes * nodes / omega0)
+    nodes = math.sqrt(omega_c) + half * (1.0 + _TAIL_X)
+    return nodes, half * _TAIL_W * 2.0 * nodes * np.exp(-nodes * nodes / omega0)
 
 
 def ghat(p: ModelParams, s):

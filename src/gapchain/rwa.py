@@ -14,8 +14,10 @@ cross-check.  The inversion collapses the Bromwich contour onto the
 band: A(t) is the sum of the real-axis poles (a bound state below the
 edge, and one above the hard band top) plus the Fourier integral of the
 emitter's spectral density over the band, the spectral form of band-edge
-decay (John & Quang, *PRA* 50, 1764 (1994)).  A Talbot contour
-quadrature of the same resolvent checks every point.
+decay (John & Quang, *PRA* 50, 1764 (1994)).  Deformed into the lower
+half plane, the same band integral becomes the second-sheet resonance
+poles plus two steepest-descent rays from the band ends, an independent
+quadrature that checks every point.
 
 Frames: the memory equation above propagates the interaction-picture
 amplitude (A = 1 for all t when alpha = 0).  The lab-frame amplitude
@@ -35,7 +37,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from ._quad import complex_quad
 from .chainmap import ChainCoefficients
-from .invlaplace import filon_fourier, talbot_invert
+from .invlaplace import filon_fourier, ray_rule
 from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
 __all__ = [
@@ -45,6 +47,7 @@ __all__ = [
     "volterra_solve",
     "laplace_invert",
     "cut_invert",
+    "ray_invert",
     "chain_evolve",
     "chain_state_amplitudes",
     "classify_regime",
@@ -55,12 +58,16 @@ __all__ = [
 ]
 
 _ATOL = 1e-6  # slack of AmplitudeSeries.validate on |A| <= 1 and A(0) = 1
-_FLAG_TOL = 1e-3  # cut-Talbot disagreement that flags a Laplace point
+_FLAG_TOL = 1e-3  # cut-ray disagreement, or sum-rule miss, that flags a Laplace point
 _OFF_CUT = 1e-30  # Re s just right of the cut, where Re G_hat = J to 1e-14
 # Panel breakpoints of the cut integral, fixed by the model alone:
 _U_PANELS = 64  # cosine-spaced in u = sqrt(omega - omega_b)
 _TOP_OCTAVES = np.arange(6, 40)  # band_top - omega_c 2^-k: the band-top log
 _PEAK_OCTAVES = np.arange(-4, 20)  # omega_r +- Gamma 2^k: an in-band resonance
+_RAY_FLOOR = 1e-14  # rays nu_e - i y of ``ray_invert``: first octave at y = omega_c 1e-14,
+_RAY_REACH = 40.0  # last node at y = 40/t_min, where e^{-y t} <= e^{-40}
+_NEWTON_STEPS = 60
+_ZERO_TOL = 1e-10  # |s + G_II| of a kept second-sheet zero, in units of 1 + |nu|
 
 
 @dataclass
@@ -70,7 +77,8 @@ class AmplitudeSeries:
     flags marks points where the solver's internal cross-check failed
     (only the Laplace inverter sets them); flagged points are exempt
     from the contractivity invariant since they are reported as
-    unreliable rather than silently dropped.
+    unreliable rather than silently dropped.  checks holds what the
+    cross-check used and found, for the run's manifest.
     """
 
     times: np.ndarray
@@ -80,6 +88,7 @@ class AmplitudeSeries:
     delta: float
     frame: str = "interaction"  # interaction | lab
     flags: np.ndarray | None = None
+    checks: dict | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -265,25 +274,107 @@ def cut_invert(p: ModelParams, times):
     return values
 
 
+def _continued_j(p: ModelParams, nu):
+    """J_a(omega) = alpha sqrt(omega - omega_b) e^{-(omega - omega_b)/omega0} on the
+    principal branch, and dJ_a/domega, at omega = nu + delta."""
+    x = np.asarray(nu, dtype=complex) + p.delta - p.omega_b
+    r, e = np.sqrt(x), p.alpha * np.exp(-x / p.omega0)
+    return e * r, e * (0.5 / r - r / p.omega0)
+
+
+def _second_sheet_zeros(p: ModelParams):
+    """Zeros of s + G_II(s), s = -i nu, in the lower half nu-plane, as [(nu, Z)].
+
+    G_II = G_hat + 2 J_a continues G_hat from just right of the cut through
+    the band, and Z = 1/(1 + G_hat' + 2i J_a') is a zero's weight.  Newton
+    runs at once from the shifted emitter line -i G_hat(+0) and from just
+    below each band end; a zero is kept if |s + G_II| < 1e-10 (1 + |nu|).
+    """
+    nu_b, nu_t = p.omega_b - p.delta, p.band_top - p.delta
+    nu = np.array([-1j * complex(ghat(p, _OFF_CUT)), nu_b - 1e-3j * (1.0 + abs(nu_b)),
+                   nu_t - 1e-3j])
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            s = -1j * nu
+            g = ghat(p, s)
+            j, dj = _continued_j(p, nu)
+            f, z = s + g + 2.0 * j, 1.0 / (1.0 + ghat_slope(p, s, g) + 2j * dj)
+            step = 1j * f * z  # d(s + G_II)/dnu = -i/Z
+            if not np.any(np.abs(step) > 1e-15 * (1.0 + np.abs(nu))):
+                break  # every seed has converged or left the finite numbers
+            nu = nu - step
+    zeros = []
+    for v, fv, zv in zip(nu, f, z):
+        tol = _ZERO_TOL * (1.0 + abs(v))  # two seeds at one zero agree far within 1e3 tol
+        if abs(fv) < tol and v.imag < 0.0 and all(abs(v - u) > 1e3 * tol for u, _ in zeros):
+            zeros.append((complex(v), complex(zv)))
+    return zeros
+
+
+def _ray_term(p: ModelParams, times, zeros, top):
+    """-+ i e^{-i nu_e t} int_0^inf h(nu_e - i y) e^{-y t} dy, the ray from the band
+    edge nu_e (or, with top, the band top) in ``ray_invert``.
+
+    h = (f_+ - f_-)/2 pi = -J_a f_+ f_- / pi continues the band density,
+    with f_- = 1/(s + G_hat) and f_+ = 1/(s + G_II).  Each zero nu_p adds
+    breakpoints -Im nu_p +- d 2^k, d = |Re nu_p - nu_e| its distance from
+    the ray, as ``_PEAK_OCTAVES`` do for a peak on the band.
+    """
+    end = p.band_top - p.delta if top else p.omega_b - p.delta
+    breaks = [-nu.imag + sign * abs(nu.real - end) * 2.0**_PEAK_OCTAVES
+              for nu in zeros for sign in (-1.0, 1.0)]
+    y, w = ray_rule(_RAY_FLOOR * p.omega_c, _RAY_REACH / times.min(), breaks, sqrt=not top)
+    nu = end - 1j * y
+    a, j = -1j * nu + ghat(p, -1j * nu), _continued_j(p, nu)[0]
+    wh = -w * j / (math.pi * a * (a + 2.0 * j))  # weights times h
+    return (1j if top else -1j) * np.exp(-1j * end * times) * (np.exp(-np.outer(times, y)) @ wh)
+
+
+def ray_invert(p: ModelParams, times, bound):
+    """Interaction-frame A(t) from the band integral deformed onto steepest-descent
+    rays, as (values, resonances).
+
+    Pushed into the lower half nu-plane, the band integral of ``cut_invert``
+    becomes the two ``_ray_term`` rays plus sum Z_p e^{-i nu_p t} over the
+    resonances, the ``_second_sheet_zeros`` with nu_b < Re nu_p < nu_t.
+    ``bound`` holds the real-axis poles as ``find_bound_pole`` returns them.
+    """
+    times = np.asarray(times, dtype=float)
+    if p.alpha == 0.0:
+        return np.ones(times.size, dtype=complex), []
+    zeros = _second_sheet_zeros(p)
+    resonances = [(nu, z) for nu, z in zeros
+                  if p.omega_b - p.delta < nu.real < p.band_top - p.delta]
+    values = sum(_ray_term(p, times, [nu for nu, _ in zeros], top) for top in (False, True))
+    for loc, res in bound + [(-1j * nu, z) for nu, z in resonances]:
+        values = values + res * np.exp(loc * times)
+    return values, resonances
+
+
 def laplace_invert(p: ModelParams, times):
     """Invert the resolvent transform A_hat(s) = 1/(s + G_hat(s)).
 
-    ``cut_invert`` is the primary inverter.  An independent Talbot
-    contour quadrature of the same closed form ``model.ghat`` checks every
-    point, and disagreements or Talbot spreads beyond 1e-3 are flagged.
+    ``cut_invert`` is the primary inverter and ``ray_invert`` checks every
+    point; disagreements beyond 1e-3 are flagged.  The real-axis poles are
+    the one part both share, so the sum rule A(0) = 1 of the cut integral
+    checks them, and a miss beyond 1e-3 flags every point.  ``checks``
+    records the poles used and the sum-rule residual.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
     if times.min() <= 0.0:
         raise ValueError("laplace_invert requires all times > 0")
-    values = cut_invert(p, times)
-    s_max = max(abs(p.delta - p.omega_b), p.band_top - p.delta) + p.omega_s + 1.0
-    ref, spread = talbot_invert(lambda s: 1 / (s + ghat(p, s)), times, s_max)
-    flags = (np.abs(values - ref) > _FLAG_TOL) | (spread > _FLAG_TOL)
-    series = AmplitudeSeries(times, values, "laplace", p, p.delta,
-                             frame="interaction", flags=flags)
-    return series.validate()
+    values = cut_invert(p, np.concatenate(([0.0], times)))
+    residual = float(abs(values[0] - 1.0))
+    bound = find_bound_pole(p)
+    ref, resonances = ray_invert(p, times, bound)
+    flags = (np.abs(values[1:] - ref) > _FLAG_TOL) | (residual > _FLAG_TOL)
+    poles = ([{"nu": 1j * loc, "weight": res, "kind": "bound"} for loc, res in bound]
+             + [{"nu": nu, "weight": z, "kind": "resonance"} for nu, z in resonances])
+    return AmplitudeSeries(times, values[1:], "laplace", p, p.delta, frame="interaction",
+                           flags=flags, checks={"poles": poles, "sum_rule_residual": residual}
+                           ).validate()
 
 
 def chain_state_amplitudes(c: ChainCoefficients, delta, times,

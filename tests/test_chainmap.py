@@ -18,7 +18,8 @@ from gapchain.chainmap import (
     map_to_chain,
     stieltjes_recurrence,
 )
-from gapchain.model import ModelParams, correlation_by_quadrature, spectral_density
+from gapchain.model import ModelParams, spectral_density
+from oracles import correlation_by_quadrature
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 

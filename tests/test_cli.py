@@ -476,7 +476,10 @@ class TestRwaCommand:
         assert cols["t"][0] > 0.0
         assert "flag" in cols
         assert np.all(np.abs(cols["re_A"] + 1j * cols["im_A"]) <= 1 + 1e-6)
-        assert manifest(out)["convergence"]["flagged_points"] >= 0
+        conv = manifest(out)["convergence"]
+        assert conv["flagged_points"] == 0
+        assert conv["sum_rule_residual"] < 1e-10
+        assert [pole["kind"] for pole in conv["poles"]] == ["bound"]
 
     def test_laplace_weak_coupling_exits_zero(self, tmp_path):
         # weak coupling puts a narrow line in the band; every point must

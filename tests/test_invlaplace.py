@@ -1,15 +1,14 @@
-"""Inverse Laplace transforms and the Fourier rule of the cut integral:
-Filon-Legendre panels, Talbot contour quadrature, and their failure modes."""
+"""Quadrature rules of the inverse Laplace transform: Filon-Legendre
+panels on the band, the steepest-descent ray rule, and their failure modes."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
-from gapchain import invlaplace
-from gapchain.invlaplace import _talbot_sum, filon_fourier, talbot_invert
+from gapchain.invlaplace import filon_fourier, ray_rule
 
 
 def monomial_fourier(n, a, b, t):
@@ -62,71 +61,52 @@ class TestFilon:
         assert filon_fourier(f, [0.0, 1.0], np.array([])).size == 0
 
 
-class TestTalbot:
-    def test_exponential_pair(self):
-        times = np.linspace(0.1, 3.0, 25)
-        vals, spread = talbot_invert(lambda s: 1.0 / (s + 2.5), times, s_max=5.0)
-        assert np.max(np.abs(vals - np.exp(-2.5 * times))) < 1e-8
-        assert np.max(spread) < 1e-8
+class TestRayRule:
+    # one rule for every t in [1e-2, 1e2]: panels from 1e-14 to 40/t_min
+    TIMES = np.logspace(-2.0, 2.0, 9)
 
-    def test_fast_oscillatory_pole(self):
-        # tall-contour scaling must reach a pole at 40i
-        times = np.linspace(0.1, 3.0, 13)
-        vals, spread = talbot_invert(lambda s: 1.0 / (s - 40j), times, s_max=45.0)
-        assert np.max(np.abs(vals - np.exp(40j * times))) < 1e-6
-        assert np.max(spread) < 1e-6
+    def integrate(self, g, breaks=(), sqrt=False):
+        y, w = ray_rule(1e-14, 40.0 / self.TIMES.min(), breaks, sqrt=sqrt)
+        return np.exp(-np.outer(self.TIMES, y)) @ (w * g(y))
 
-    def test_odd_node_count_regression(self):
-        # an odd node count places a node at theta = 0 where the contour
-        # map is singular; the sum must bump it to even instead of
-        # silently dropping the largest term
-        times = np.array([0.5, 1.0])
-        F = lambda s: 1.0 / (s + 1.0)
-        v_odd = _talbot_sum(F, times, mu=4.0, nu=2.0, M=65)
-        v_even = _talbot_sum(F, times, mu=4.0, nu=2.0, M=66)
-        assert np.all(np.isfinite(v_odd))
-        np.testing.assert_allclose(v_odd, v_even, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(v_odd, np.exp(-times), rtol=0, atol=1e-9)
+    def test_sqrt_endpoint_on_sqrt_panels(self):
+        # int_0^inf sqrt(y) e^{-y t} dy = (sqrt(pi)/2) t^{-3/2}
+        vals = self.integrate(np.sqrt, sqrt=True)
+        np.testing.assert_allclose(vals, math.sqrt(math.pi) / 2.0 * self.TIMES**-1.5,
+                                   rtol=1e-12, atol=0)
 
-    def test_octave_grouping_matches_single_point_calls(self):
-        # grouped evaluation shares one contour per octave; it must agree
-        # with inverting each time in isolation
-        F = lambda s: 1.0 / (s + 1.5) ** 2
-        times = np.array([0.11, 0.4, 0.62, 1.3, 2.7, 5.9])
-        grouped, _ = talbot_invert(F, times, s_max=4.0)
-        single = np.concatenate(
-            [talbot_invert(F, np.array([t]), s_max=4.0)[0] for t in times]
-        )
-        assert np.max(np.abs(grouped - single)) < 1e-7
-        np.testing.assert_allclose(
-            grouped, times * np.exp(-1.5 * times), rtol=0, atol=1e-8
-        )
+    def test_log_endpoint_on_y_panels(self):
+        # int_0^inf e^{-y t} log y dy = -(gamma + ln t)/t, which vanishes
+        # near t = e^{-gamma}: the tolerance scales with int |log y| e^{-y t}
+        vals = self.integrate(np.log)
+        ref = -(np.euler_gamma + np.log(self.TIMES)) / self.TIMES
+        scale = (1.0 + np.abs(np.log(self.TIMES))) / self.TIMES
+        assert np.all(np.abs(vals - ref) <= 1e-12 * scale)
 
-    def test_node_blocks_bound_memory(self, monkeypatch):
-        # one octave of 32 times on a ~16k-node contour: the unblocked
-        # weight matrix alone would take 8.3 MB
-        times = np.linspace(0.5, 1.0, 33)[1:]
-        F = lambda s: 1.0 / (s - 1500j)
-        whole, whole_spread = talbot_invert(F, times, s_max=2000.0)
-        assert np.max(np.abs(whole - np.exp(1500j * times))) < 1e-10
-        monkeypatch.setattr(invlaplace, "_TALBOT_BLOCK", 2**12)
-        tracemalloc.start()
-        try:
-            vals, spread = talbot_invert(F, times, s_max=2000.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_allclose(vals, whole, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(spread, whole_spread, rtol=0, atol=1e-14)
-        nu = 2.5 * 2000.0 / (math.pi * invlaplace._TALBOT_MU)
-        nodes = nu * math.log(1.0 / invlaplace._TALBOT_TOL) / 0.45
-        assert peak < times.size * nodes * 16
+    @pytest.mark.parametrize("y_p", [0.3, 7.0])
+    def test_breakpoints_resolve_a_pole_near_the_ray(self, y_p):
+        # 1/(y + a) has its pole at y_p - i d, d = 1e-5 y_p:
+        # int_0^inf e^{-y t}/(y + a) dy = e^{a t} E1(a t)
+        a = -y_p + 1e-5j * y_p
+        ref = np.exp(a * self.TIMES) * exp1(a * self.TIMES)
+        g = lambda y: 1.0 / (y + a)
+        octaves = 1e-5 * y_p * 2.0 ** np.arange(-4, 20)
+        refined = self.integrate(g, breaks=[y_p - octaves, y_p + octaves])
+        assert np.max(np.abs(refined - ref) / np.abs(ref)) <= 1e-10
+        plain = self.integrate(g)
+        assert np.max(np.abs(plain - ref) / np.abs(ref)) > 0.1
+
+    def test_panels_and_weights(self):
+        # octave panels in y, or between their square roots in u = sqrt(y)
+        y, w = ray_rule(1.0, 8.0, breaks=[3.0, -1.0, 9.0])
+        assert y.size == 16 * 5 and np.all(np.diff(y) > 0.0)
+        assert w.sum() == pytest.approx(8.0, rel=1e-14)
+        y, w = ray_rule(1.0, 8.0, sqrt=True)
+        assert y.size == 16 * 4
+        assert np.sum(w * y) == pytest.approx(32.0, rel=1e-14)
 
     def test_input_validation(self):
-        F = lambda s: 1.0 / (s + 1.0)
-        with pytest.raises(ValueError):
-            talbot_invert(F, np.array([0.0, 1.0]), s_max=5.0)
-        with pytest.raises(ValueError):
-            talbot_invert(F, np.array([1.0]), s_max=0.0)
-        vals, spread = talbot_invert(F, np.array([]), s_max=5.0)
-        assert vals.size == 0 and spread.size == 0
+        for lo, hi in ((0.0, 1.0), (-1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, math.inf),
+                       (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                ray_rule(lo, hi)

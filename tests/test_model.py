@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc, gammainc
 
+from gapchain._quad import complex_quad
 from gapchain.model import (
     ModelParams,
     bath_correlation,
-    correlation_by_quadrature,
     derived_scales,
     ghat,
     ghat_slope,
-    laplace_of_G,
     spectral_density,
-    _laplace_integral,
 )
-from gapchain._quad import complex_quad
+from oracles import correlation_by_quadrature, laplace_integral, laplace_of_G
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 
@@ -201,7 +199,7 @@ class TestLaplace:
         expansion = -1j * p.alpha * math.sqrt(p.omega0 / math.pi) + p.alpha * np.sqrt(
             1j * s - wb + 0j
         )
-        val = _laplace_integral(p, s)
+        val = laplace_integral(p, s)
         assert abs(val - expansion) <= 0.05 * abs(expansion)
 
     def test_conjugate_kernel_identity(self):
@@ -210,7 +208,7 @@ class TestLaplace:
         # checked against an independent quadrature.
         p = params(delta=3.0)
         for s in (2.0 + 5j, 0.3 - 40j, 11.0 + 0.5j):
-            lhs = np.conj(_laplace_integral(p, np.conj(s)))
+            lhs = np.conj(laplace_integral(p, np.conj(s)))
             pref = 2.0 * p.alpha / math.pi
             rhs = pref * complex_quad(
                 lambda u: u * u * np.exp(-u * u / p.omega0)
@@ -225,7 +223,7 @@ class TestLaplace:
         pts = np.array([3.0 + 1j, 0.5 - 200j, 40.0 + 0j, -30.0 + 900j, -5.0 - 320j])
         vec = ghat(p, pts)
         for s, v in zip(pts, vec):
-            assert v == pytest.approx(_laplace_integral(p, s), rel=1e-8)
+            assert v == pytest.approx(laplace_integral(p, s), rel=1e-8)
 
 
 def s_at(p, z):
@@ -249,20 +247,20 @@ class TestGhatClosedForm:
             -1.001 + 1e-3j, -1.001 - 1e-3j,  # just past the hard band top
             -0.999 + 1e-3j, -0.999 - 1e-3j,  # just inside it
             -1.0 + 1e-3j, -1.0 - 1e-3j,  # straight above and below it
-            -2.0 + 1e-12j, -5.0 - 1e-9j, -1.5 + 1e-6j,  # Talbot crossing of the tail cut
+            -2.0 + 1e-12j, -5.0 - 1e-9j, -1.5 + 1e-6j,  # next to the tail cut past the top
             -0.5 + 1e-3j, -0.5 - 1e-3j, -0.01 - 1e-3j, -0.99 + 1e-3j,  # 1e-3 omega_c off the cut
         ],
     )
     def test_matches_adaptive_oracle(self, p, z_over_wc):
         s = s_at(p, z_over_wc * p.omega_c)
-        assert complex(ghat(p, s)) == pytest.approx(_laplace_integral(p, s), rel=1e-10)
+        assert complex(ghat(p, s)) == pytest.approx(laplace_integral(p, s), rel=1e-10)
 
     def test_finite_where_exp_overflows(self):
         # omega_c/omega0 = 800: (z + omega_c)/omega0 passes e^x's overflow at 709
         p = ModelParams(alpha=1.0, omega_b=2.0, omega0=1.0, omega_c=800.0, delta=1.0)
         for z in (1000.0 + 5j, -300.0 - 1e-3j, 2.0 + 0j):
             s = s_at(p, z)
-            assert complex(ghat(p, s)) == pytest.approx(_laplace_integral(p, s), rel=1e-10)
+            assert complex(ghat(p, s)) == pytest.approx(laplace_integral(p, s), rel=1e-10)
 
     def test_batch_equals_pointwise(self):
         p = GHAT_CORNERS[0]
@@ -286,13 +284,13 @@ class TestGhatClosedForm:
     @pytest.mark.parametrize("p", GHAT_CORNERS, ids=["wc8w0", "wc5w0"])
     def test_real_axis_matches_adaptive_oracle(self, p):
         for s in (0.75, 12.0, 47.25):
-            assert complex(ghat(p, s)) == pytest.approx(_laplace_integral(p, s), rel=1e-10)
+            assert complex(ghat(p, s)) == pytest.approx(laplace_integral(p, s), rel=1e-10)
 
     def test_hard_band_top_real_axis(self):
         # delta = omega_b + omega_c puts the E1 log singularity at s = 0
         p = ModelParams(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0, delta=102.0)
         for s in (0.05, 1.0):
-            assert complex(ghat(p, s)) == pytest.approx(_laplace_integral(p, s), rel=1e-10)
+            assert complex(ghat(p, s)) == pytest.approx(laplace_integral(p, s), rel=1e-10)
 
 
 class TestDerivedScales:

@@ -8,6 +8,7 @@ Cross-validation corners:
   midscale (alpha=0.5, omega_b=1, omega0=200)            - Richardson-Volterra oracle
 """
 
+import time
 import warnings
 
 import numpy as np
@@ -18,9 +19,12 @@ from hypothesis import strategies as st
 from gapchain import rwa
 from gapchain._quad import complex_quad
 from gapchain.chainmap import ChainCoefficients, chain_length_for, map_to_chain
-from gapchain.model import ModelParams, _laplace_integral
+from gapchain.model import ModelParams
 from gapchain.rwa import (
     AmplitudeSeries,
+    _branch_integral,
+    _ray_term,
+    _second_sheet_zeros,
     analytic_longtime,
     chain_evolve,
     chain_state_amplitudes,
@@ -28,10 +32,12 @@ from gapchain.rwa import (
     cut_invert,
     find_bound_pole,
     laplace_invert,
+    ray_invert,
     rwa_coherence,
     stationary_population,
     volterra_solve,
 )
+from oracles import laplace_integral
 
 REDUCED = dict(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0)
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
@@ -208,7 +214,7 @@ class TestLaplaceInvert:
         # delta = omega_b + omega_c puts the band-top log singularity of
         # G_hat at s = 0 and a bound state of weight 0.90 just above the
         # top.  Frozen from the exact chain (125 sites, tail 7e-33), which
-        # agrees with Talbot to 3e-13.
+        # agrees with the steepest-descent rays to 1e-13.
         p = reduced(delta=102.0)
         s = laplace_invert(p, np.linspace(0.1, 1.5, 8))
         frozen = [
@@ -243,12 +249,30 @@ class TestLaplaceInvert:
 
     def test_flags_fire_for_crude_cut_rule(self, monkeypatch):
         # one 32-node panel over the whole band cannot follow the
-        # emitter's in-band Lorentzian line; Talbot must catch it
+        # emitter's in-band Lorentzian line; the rays must catch it
         monkeypatch.setattr(rwa, "_U_PANELS", 1)
         monkeypatch.setattr(rwa, "_TOP_OCTAVES", np.arange(0))
         monkeypatch.setattr(rwa, "_PEAK_OCTAVES", np.arange(0))
         s = laplace_invert(reduced(delta=50.0), np.linspace(0.2, 2.0, 7))
         assert s.flags.all()
+
+    def test_sum_rule_flags_a_missed_real_pole(self, monkeypatch):
+        # the real-axis poles are the one part both inverters share; without
+        # the bound state (weight 0.91) they agree, and the sum rule flags
+        p = wideband(delta=1.0)
+        ts = np.linspace(0.02, 2.0, 100)
+        monkeypatch.setattr(rwa, "find_bound_pole", lambda p: [])
+        s = laplace_invert(p, ts)
+        assert s.flags.all()
+        assert s.checks["poles"] == []
+        assert s.checks["sum_rule_residual"] > 0.5
+        assert np.max(np.abs(s.values - ray_invert(p, ts, [])[0])) < 1e-8
+
+    def test_checks_record_poles_and_sum_rule(self):
+        s = laplace_invert(reduced(delta=50.0), np.linspace(0.1, 1.5, 8))
+        assert s.checks["sum_rule_residual"] < 1e-10
+        [(nu, z)] = _second_sheet_zeros(reduced(delta=50.0))
+        assert s.checks["poles"] == [{"nu": nu, "weight": z, "kind": "resonance"}]
 
     def test_input_validation(self):
         p = reduced(delta=1.0)
@@ -256,6 +280,66 @@ class TestLaplaceInvert:
             laplace_invert(p, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             laplace_invert(p, np.array([]))
+
+
+# next to the band edge (reduced delta 3.5, 4.5 and wideband 10 fail when
+# unconverged Newton seeds are kept), a zero 2.5e-5 outside the band top
+# (101.5), the hard band top and above it; and strong coupling, where only
+# a band-end seed finds the real-axis zero below the edge whose
+# breakpoints bring the rays from 3e-8 to 2e-11
+HARD_POINTS = ([reduced(delta=d) for d in (2.0, 3.0, 3.5, 4.5, 101.5, 102.0, 110.0)]
+               + [wideband(delta=d) for d in (5.0, 10.0, 805.0)]
+               + [reduced(alpha=3.0, delta=32.0)])
+
+
+def assert_rays_match_cut(p, ts):
+    s = laplace_invert(p, ts)
+    assert not s.flags.any()
+    ref, _ = ray_invert(p, ts, find_bound_pole(p))
+    assert np.max(np.abs(s.values - ref)) <= 1e-8
+
+
+class TestRayInvert:
+    TIMES = np.linspace(0.02, 2.0, 100)
+
+    @pytest.mark.parametrize("p", HARD_POINTS,
+                             ids=lambda p: f"{p.alpha:g}-{p.omega_b:g}-{p.delta:g}")
+    def test_hard_points_match_cut_integral(self, p):
+        assert_rays_match_cut(p, self.TIMES)
+
+    @pytest.mark.extended
+    def test_dense_detuning_grids(self):
+        # 385 points: reduced delta 0..110 by 0.5, wideband 0..815 by 5
+        for p in ([reduced(delta=d) for d in np.arange(0.0, 110.25, 0.5)]
+                  + [wideband(delta=d) for d in np.arange(0.0, 815.5, 5.0)]):
+            assert_rays_match_cut(p, self.TIMES)
+
+    def test_shifted_corner_is_fast_and_unflagged(self):
+        p = ModelParams(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4, delta=0.5)
+        ts = np.linspace(25.0, 125.0, 11)
+        start = time.perf_counter()
+        s = laplace_invert(p, ts)
+        assert time.perf_counter() - start < 1.0
+        assert not s.flags.any()
+
+    @pytest.mark.parametrize("delta", [0.5, 1.5, 3.0])
+    def test_terms_match_asymptotic_pole_and_branch(self, delta):
+        # deep in the broad-band window the edge ray is the branch-cut
+        # integral and the bound pole the root r1 of the quadratic analysis
+        p = ModelParams(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4, delta=delta)
+        ts = np.linspace(25.0, 125.0, 11)
+        edge = _ray_term(p, ts, [nu for nu, _ in _second_sheet_zeros(p)], top=False)
+        branch = np.array([_branch_integral(p, t) for t in ts])
+        assert np.max(np.abs(edge - branch) / np.abs(branch)) < 0.02
+        cls = classify_regime(p)
+        [(loc, res)] = find_bound_pole(p)
+        freq = (cls.r1**2 + p.delta_L).real  # the pole term is c1 e^{i freq t}
+        assert 1j * loc == pytest.approx(-freq, rel=5e-3)
+        assert res == pytest.approx(cls.c1, rel=5e-3)
+
+    def test_decoupled_is_exactly_one(self):
+        vals, resonances = ray_invert(reduced(alpha=0.0, delta=1.0), self.TIMES, [])
+        assert np.all(vals == 1.0) and resonances == []
 
 
 class TestBoundPole:
@@ -277,7 +361,7 @@ class TestBoundPole:
         # s + G_hat(s) = 0 and Z = 1/(1 + G_hat'(s)), both by adaptive quadrature
         [(loc, res)] = find_bound_pole(p)
         assert loc.real == 0.0
-        assert -_laplace_integral(p, loc) == pytest.approx(loc, rel=1e-9)
+        assert -laplace_integral(p, loc) == pytest.approx(loc, rel=1e-9)
         slope = -2.0 * p.alpha / np.pi * complex_quad(
             lambda u: u * u * np.exp(-u * u / p.omega0)
             / (loc + 1j * (p.omega_b + u * u - p.delta)) ** 2,
@@ -353,7 +437,9 @@ class TestAnalyticLongtime:
         # populations agree to 0.01 across t alpha^2 in [1, 5]
         p = ModelParams(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4, delta=0.5)
         ts = np.linspace(25.0, 125.0, 11)
-        ref = cut_invert(p, ts)
+        inv = laplace_invert(p, ts)
+        assert not inv.flags.any()
+        ref = inv.values
         vals = np.array([analytic_longtime(p, t) for t in ts])
         assert np.max(np.abs(np.abs(vals) ** 2 - np.abs(ref) ** 2)) < 0.01
 
