@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dct
-from scipy.linalg import eigh_tridiagonal
 
 from .model import ModelParams, spectral_density
 
@@ -142,13 +141,3 @@ def chain_length_for(p: ModelParams, t_max: float) -> int:
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     return int(math.ceil(2.0 * t_max * p.omega_c / 4.0)) + 50
-
-
-def head_site_correlation(c: ChainCoefficients, times) -> np.ndarray:
-    """g^2 <head| exp(-iHt) |head> for the single-excitation chain; equals the
-    bath correlation kernel at delta = 0 while t stays inside the light cone."""
-    lam, V = eigh_tridiagonal(c.eps, c.t)
-    head = V[0, :] ** 2
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    phases = np.exp(-1j * np.outer(times, lam))
-    return c.g**2 * (phases @ head)

@@ -9,21 +9,24 @@ step of one step and the leading one of the next are a single full even
 gate (the square of the half gate), so k steps cost 2k + 1 gate layers
 instead of 3k.
 
-A gate on a bond j >= 1 is skipped when both of its sites have bond
-dimension 1 on both sides and every excited amplitude is at most
-svd_threshold**2 times the vacuum amplitude.  Such a pair is a|00> + r,
+A gate on bond j is skipped when j >= front, the first site of the chain's
+near-vacuum tail (bond dimension 1 on both sides, excited amplitudes at
+most svd_threshold**2 times the vacuum one).  Such a pair is a|00> + r,
 and H_j|00> = 0 on every chain bond in both coupling modes, so skipping
 the gate moves the state by at most 2||r|| (about 1e-20 at the default
-threshold, against ~1e-10 that a single truncation may discard).  This
-skips the gates ahead of the light cone.
+threshold, against ~1e-10 that a single truncation may discard).
+tebd_step finds the front per call; a layer moves it by one site at most,
+so only sites front and front - 1 are tested again.  Past the front each
+site's factor of the joint parity is a scalar; one einsum takes them all.
 
 The state is kept in right-canonical form with the bond Schmidt spectra
 stored alongside (Hastings' update: the new left tensor is obtained by
 contracting the gated two-site block with the new right isometry, so no
 singular value is ever divided by).  Both modes conserve the parity
 sum_i s_i mod 2, and each bond stores that parity of the sites to its
-right per Schmidt vector (charges), so each gate's SVD runs on the two
-parity blocks (Singh, Pfeifer & Vidal, PRA 83, 115125 (2011)).  Site 0's
+right per Schmidt vector (charges), even sector first and each sector
+descending, so each gate's SVD runs on two parity blocks found from the
+sector sizes (Singh, Pfeifer & Vidal, PRA 83, 115125 (2011)).  Site 0's
 left index holds one parity sector of the initial state per value, with
 amplitudes ``head``.  Observables are evaluated in mixed canonical form:
 the left environment of site j is diag(lambda_{j-1}^2); site 0 takes head.
@@ -37,6 +40,7 @@ Coupling modes:
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -53,8 +57,6 @@ __all__ = [
     "tebd_step",
     "evolve",
     "measure",
-    "measure_bond",
-    "total_energy",
     "top_fock_occupation",
     "convergence_report",
 ]
@@ -109,8 +111,9 @@ class MPSState:
 
     site_tensors[i] has shape (chi_left, d_i, chi_right); lambdas[j]
     holds the Schmidt values of bond (j, j+1), charges[j] the parity of
-    sites j+1..N per right Schmidt vector (charges[N] = [0], charges[-1]
-    that of each sector of head); norm_loss sums truncation norm deficits.
+    sites j+1..N per right Schmidt vector, even sector first and each in
+    descending lambda (charges[N] = [0], charges[-1] that of each sector of
+    head); norm_loss sums truncation norm deficits.
     """
 
     site_tensors: list
@@ -131,12 +134,6 @@ class MPSState:
     @property
     def max_bond(self):
         return max(self.bond_dims) if self.lambdas else 1
-
-    def left_weights(self, site):
-        """Squared Schmidt weights of the bond left of ``site``."""
-        if site == 0:
-            return np.abs(self.head) ** 2
-        return self.lambdas[site - 1] ** 2
 
 
 def init_state(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited"):
@@ -234,40 +231,49 @@ def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
                  cfg.svd_threshold, cfg.mode, delta)
 
 
+@lru_cache(maxsize=256)
+def _sectors(odd, chi, d, bond_first):
+    """Positions of each block parity (of sites j+1..N) along theta's flat
+    (bond, site) index pair, or (site, bond) unless bond_first, beside a
+    sorted bond with ``odd`` odd vectors."""
+    q = (np.arange(chi) >= chi - odd)[:, None] + np.arange(d)
+    q = (q if bond_first else q.T).ravel() % 2
+    return np.flatnonzero(q == 0), np.flatnonzero(q == 1)
+
+
 def _apply_gate(state: MPSState, j, U, chi_max, svd_threshold):
     """Gate on bond (j, j+1): parity-blocked SVD, Hastings' update."""
     B1, B2 = state.site_tensors[j], state.site_tensors[j + 1]
-    chi_l, dl = B1.shape[0], B1.shape[1]
-    dr, chi_r = B2.shape[1], B2.shape[2]
+    chi_l, dl, _ = B1.shape
+    _, dr, chi_r = B2.shape
     # theta_bare excludes the left bond spectrum; gates act on physical
     # indices only, so the spectrum can be attached afterwards
     theta_bare = B1.reshape(chi_l * dl, -1) @ B2.reshape(B2.shape[0], -1)
     theta_bare = U.reshape(dl * dr, dl * dr) @ theta_bare.reshape(chi_l, dl * dr, chi_r)
-    mat = (state.left_weights(j) ** 0.5)[:, None, None] * theta_bare
-    mat = mat.reshape(chi_l * dl, dr * chi_r)
-    # rows (a, s) and columns (t, c) by the parity of sites j+1..N
-    rows = ((state.charges[j - 1][:, None] + np.arange(dl)) % 2).ravel()
-    cols = ((np.arange(dr)[:, None] + state.charges[j + 1]) % 2).ravel()
-    (_, s0, v0), (_, s1, v1) = [np.linalg.svd(mat[np.ix_(rows == p, cols == p)],
-                                              full_matrices=False) for p in (0, 1)]
+    left = state.lambdas[j - 1] if j else np.abs(state.head)
+    mat = (left[:, None, None] * theta_bare).reshape(chi_l * dl, dr * chi_r)
+    # rows (a, s) and columns (t, c) by the parity of sites j+1..N; the
+    # outer bonds are sorted, so their odd-sector sizes fix both blocks
+    rows = _sectors(int(np.count_nonzero(state.charges[j - 1])), chi_l, dl, True)
+    cols = _sectors(int(np.count_nonzero(state.charges[j + 1])), chi_r, dr, False)
+    _, s0, v0 = np.linalg.svd(mat[rows[0][:, None], cols[0]], full_matrices=False)
+    _, s1, v1 = np.linalg.svd(mat[rows[1][:, None], cols[1]], full_matrices=False)
     s = np.concatenate([s0, s1])
-    order = np.argsort(-s)
-    s = s[order]
-    total = float(np.sum(s**2))
-    keep = max(1, min(chi_max, int(np.sum(s >= svd_threshold * s[0]))))
-    kept = float(np.sum(s[:keep] ** 2))
-    discarded = max(0.0, 1.0 - kept / total)
-    s_kept = s[:keep] / math.sqrt(kept)
-    vh = np.zeros((s.size, cols.size), dtype=complex)
-    vh[:s0.size, cols == 0], vh[s0.size:, cols == 1] = v0, v1
-    B2_new = vh[order[:keep]]
+    keep = min(chi_max, int(np.count_nonzero(s >= svd_threshold * s.max())))
+    # each sector is descending, so the kept set is a prefix of each
+    k0 = int(np.count_nonzero(np.argsort(-s, kind="stable")[:keep] < s0.size))
+    s_kept = np.concatenate([s0[:k0], s1[:keep - k0]])
+    kept = float(s_kept @ s_kept)
+    discarded = max(0.0, 1.0 - kept / float(s @ s))
+    B2_new = np.zeros((keep, dr * chi_r), dtype=complex)
+    B2_new[:k0, cols[0]], B2_new[k0:, cols[1]] = v0[:k0], v1[:keep - k0]
     # division-free left update: contract the bare block with the new
     # right isometry instead of peeling lambda back off
     B1_new = theta_bare.reshape(chi_l * dl, -1) @ B2_new.conj().T
     state.site_tensors[j] = B1_new.reshape(chi_l, dl, keep)
     state.site_tensors[j + 1] = B2_new.reshape(keep, dr, chi_r)
-    state.lambdas[j] = s_kept
-    state.charges[j] = (order[:keep] >= s0.size).astype(int)
+    state.lambdas[j] = s_kept / math.sqrt(kept)
+    state.charges[j] = (np.arange(keep) >= k0).astype(int)
     return discarded
 
 
@@ -279,11 +285,11 @@ def _near_vacuum(B, tol):
 
 def _layers(gates: Gates, steps):
     """Gate layers of ``steps`` Strang steps with the inner even half steps
-    merged; the flag marks the layer that closes a step."""
-    yield gates.even_half, False
+    merged, as (gates, first bond, closes a step)."""
+    yield gates.even_half, 0, False
     for k in range(1, steps + 1):
-        yield gates.odd_full, False
-        yield (gates.even_full if k < steps else gates.even_half), True
+        yield gates.odd_full, 1, False
+        yield (gates.even_full if k < steps else gates.even_half), 0, True
 
 
 def tebd_step(state: MPSState, gates: Gates, steps=1):
@@ -294,17 +300,25 @@ def tebd_step(state: MPSState, gates: Gates, steps=1):
     in the step where the explosion happens.
     """
     tol = gates.svd_threshold ** 2
+    tensors = state.site_tensors
+    n_bonds = len(tensors) - 1
+    # found per call: sites may be set by hand between calls
+    front = n_bonds + 1
+    while front > 1 and _near_vacuum(tensors[front - 1], tol):
+        front -= 1
     worst = loss = 0.0
     step_worst = step_loss = 0.0
-    for layer, closes_step in _layers(gates, steps):
-        for j, U in enumerate(layer):
-            if U is None or (j > 0 and _near_vacuum(state.site_tensors[j], tol)
-                             and _near_vacuum(state.site_tensors[j + 1], tol)):
-                continue
-            w = _apply_gate(state, j, U, gates.chi_max, gates.svd_threshold)
+    for layer, first, closes_step in _layers(gates, steps):
+        for j in range(first, min(front, n_bonds), 2):
+            w = _apply_gate(state, j, layer[j], gates.chi_max, gates.svd_threshold)
             step_worst = max(step_worst, w)
             step_loss += w
             state.cumulative_discarded_weight += w
+        # a layer gates no bond past the front, so it moves by one at most
+        if front <= n_bonds and not _near_vacuum(tensors[front], tol):
+            front += 1
+        elif front > 1 and _near_vacuum(tensors[front - 1], tol):
+            front -= 1
         if not closes_step:
             continue
         if step_worst > 1e-3:
@@ -328,7 +342,7 @@ def _left_env(state: MPSState, j, op, dims):
     q = np.indices(dims).sum(axis=0).ravel() % 2
     if state.head.size > 1 and np.any(np.asarray(op)[q[:, None] != q]):
         raise ValueError("parity-changing operator on a chain site of a two-sector state")
-    return state.left_weights(j), state.site_tensors[j]
+    return state.lambdas[j - 1] ** 2, state.site_tensors[j]
 
 
 def measure(state: MPSState, site, observable):
@@ -355,24 +369,6 @@ def measure(state: MPSState, site, observable):
     return complex(np.trace(op @ rho))
 
 
-def measure_bond(state: MPSState, j, op):
-    """<O> for a two-site operator on bond (j, j+1), mixed-canonical."""
-    B1, B2 = state.site_tensors[j], state.site_tensors[j + 1]
-    dl, dr = B1.shape[1], B2.shape[1]
-    w, B1 = _left_env(state, j, op, (dl, dr))
-    theta = np.tensordot(B1, B2, axes=(2, 0))
-    theta_w = w[:, None, None, None] * theta
-    rho = np.tensordot(theta_w, theta.conj(), axes=([0, 3], [0, 3]))
-    # rho indices (s, t, s', t') -> matrix (st, s't') = psi psi*
-    rho_m = rho.reshape(dl * dr, dl * dr)
-    return complex(np.trace(np.asarray(op, dtype=complex) @ rho_m))
-
-
-def total_energy(state: MPSState, gates: Gates):
-    """<H> summed over the bond decomposition."""
-    return sum(measure_bond(state, j, h).real for j, h in enumerate(gates.hamiltonians))
-
-
 def top_fock_occupation(state: MPSState):
     """Largest population of the highest kept Fock level over all bosons."""
     worst = 0.0
@@ -385,13 +381,21 @@ def top_fock_occupation(state: MPSState):
 
 
 def _product_expectation(state: MPSState, ops):
-    """<O_0 x O_1 x ... x O_N> for one single-site operator per site."""
+    """<O_0 x O_1 x ... x O_N> for one single-site operator per site; past
+    the front each site's factor is the scalar <b|O|b>, all in one einsum."""
+    tail = state.n_sites
+    while tail > 1 and state.site_tensors[tail - 1].shape[::2] == (1, 1):
+        tail -= 1
     env = np.outer(state.head, state.head.conj())
-    for B, op in zip(state.site_tensors, ops):
+    for B, op in zip(state.site_tensors[:tail], ops[:tail]):
         tmp = np.tensordot(env, B, axes=(0, 0))  # (a', s, b)
         tmp = np.tensordot(np.asarray(op, dtype=complex), tmp, axes=(1, 1))  # (s', a', b)
         env = np.tensordot(B.conj(), tmp, axes=([0, 1], [1, 0]))  # (b', b) -> stored (b', b)
         env = env.T  # keep (ket, bra) ordering
+    if tail < state.n_sites:
+        b = np.array(state.site_tensors[tail:])[:, 0, :, 0]
+        ops = np.array(ops[tail:], dtype=complex)
+        env = env * np.prod(np.einsum("ns,nst,nt->n", b.conj(), ops, b))
     return complex(env[0, 0])
 
 
@@ -402,10 +406,7 @@ def conserved_charge(state: MPSState, mode):
         for site in range(1, state.n_sites):
             total += measure(state, site, "n").real
         return total
-    ops = [SIGMA_Z]
-    for site in range(1, state.n_sites):
-        d = state.site_tensors[site].shape[1]
-        ops.append(np.diag((-1.0) ** np.arange(d)).astype(complex))
+    ops = [SIGMA_Z] + [np.diag((-1.0) ** np.arange(B.shape[1])) for B in state.site_tensors[1:]]
     return _product_expectation(state, ops).real
 
 

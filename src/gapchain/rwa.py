@@ -67,6 +67,7 @@ _PEAK_OCTAVES = np.arange(-4, 20)  # omega_r +- Gamma 2^k: an in-band resonance
 _RAY_FLOOR = 1e-14  # rays nu_e - i y of ``ray_invert``: first octave at y = omega_c 1e-14,
 _RAY_REACH = 40.0  # last node at y = 40/t_min, where e^{-y t} <= e^{-40}
 _NEWTON_STEPS = 60
+_NEWTON_STALL = 20  # steps a Newton seed may take without halving its best |s + G_II|
 _ZERO_TOL = 1e-10  # |s + G_II| of a kept second-sheet zero, in units of 1 + |nu|
 
 
@@ -289,10 +290,15 @@ def _second_sheet_zeros(p: ModelParams):
     the band, and Z = 1/(1 + G_hat' + 2i J_a') is a zero's weight.  Newton
     runs at once from the shifted emitter line -i G_hat(+0) and from just
     below each band end; a zero is kept if |s + G_II| < 1e-10 (1 + |nu|).
+    A seed stops once converged, and is dropped once its next step lands
+    back on its last iterate (a 2-cycle) or its best |s + G_II| has not
+    halved for _NEWTON_STALL steps (up to 15 on the 385-point test grids).
     """
     nu_b, nu_t = p.omega_b - p.delta, p.band_top - p.delta
     nu = np.array([-1j * complex(ghat(p, _OFF_CUT)), nu_b - 1e-3j * (1.0 + abs(nu_b)),
                    nu_t - 1e-3j])
+    back, dropped = np.full(nu.size, np.nan), np.zeros(nu.size, dtype=bool)
+    best, stale = np.full(nu.size, np.inf), np.zeros(nu.size, dtype=int)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             s = -1j * nu
@@ -300,9 +306,13 @@ def _second_sheet_zeros(p: ModelParams):
             j, dj = _continued_j(p, nu)
             f, z = s + g + 2.0 * j, 1.0 / (1.0 + ghat_slope(p, s, g) + 2j * dj)
             step = 1j * f * z  # d(s + G_II)/dnu = -i/Z
-            if not np.any(np.abs(step) > 1e-15 * (1.0 + np.abs(nu))):
-                break  # every seed has converged or left the finite numbers
-            nu = nu - step
+            halved = np.abs(f) < 0.5 * best
+            best, stale = np.where(halved, np.abs(f), best), np.where(halved, 0, stale + 1)
+            dropped |= (np.abs(nu - step - back) < 1e-2 * np.abs(step)) | (stale >= _NEWTON_STALL)
+            live = (np.abs(step) > 1e-15 * (1.0 + np.abs(nu))) & ~dropped
+            if not live.any():
+                break  # every seed has converged, left the finite numbers or been dropped
+            back, nu = nu, np.where(live, nu - step, nu)
     zeros = []
     for v, fv, zv in zip(nu, f, z):
         tol = _ZERO_TOL * (1.0 + abs(v))  # two seeds at one zero agree far within 1e3 tol

@@ -1,15 +1,22 @@
-"""Adaptive-quadrature oracles for the closed forms of ``gapchain.model``.
+"""Test-only oracles.
 
-Each integrates the band measure J/pi directly with ``complex_quad`` in
-u = sqrt(omega - omega_b), so it shares no algebra with ``bath_correlation``
-or ``ghat``, the closed forms it checks.
+The model's: each integrates the band measure J/pi directly with
+``complex_quad`` in u = sqrt(omega - omega_b), so it shares no algebra with
+``bath_correlation`` or ``ghat``, the closed forms it checks.
+
+The chain's: the head-site propagator, which must reproduce the bath
+correlation kernel.  The MPS engine's: two-site expectation values and the
+total bond energy, which the energy-drift and product-state tests use.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
+from gapchain import mps
 from gapchain._quad import complex_quad
+from gapchain.chainmap import ChainCoefficients
 from gapchain.model import ModelParams
 
 
@@ -58,3 +65,31 @@ def laplace_of_G(p: ModelParams, s):
     if s.real <= 0:
         raise ValueError(f"laplace_of_G requires Re(s) > 0, got s = {s}")
     return laplace_integral(p, s)
+
+
+def head_site_correlation(c: ChainCoefficients, times) -> np.ndarray:
+    """g^2 <head| exp(-iHt) |head> for the single-excitation chain; equals the
+    bath correlation kernel at delta = 0 while t stays inside the light cone."""
+    lam, V = eigh_tridiagonal(c.eps, c.t)
+    head = V[0, :] ** 2
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    phases = np.exp(-1j * np.outer(times, lam))
+    return c.g**2 * (phases @ head)
+
+
+def measure_bond(state: mps.MPSState, j, op):
+    """<O> for a two-site operator on bond (j, j+1), mixed-canonical."""
+    B1, B2 = state.site_tensors[j], state.site_tensors[j + 1]
+    dl, dr = B1.shape[1], B2.shape[1]
+    w, B1 = mps._left_env(state, j, op, (dl, dr))
+    theta = np.tensordot(B1, B2, axes=(2, 0))
+    theta_w = w[:, None, None, None] * theta
+    rho = np.tensordot(theta_w, theta.conj(), axes=([0, 3], [0, 3]))
+    # rho indices (s, t, s', t') -> matrix (st, s't') = psi psi*
+    rho_m = rho.reshape(dl * dr, dl * dr)
+    return complex(np.trace(np.asarray(op, dtype=complex) @ rho_m))
+
+
+def total_energy(state: mps.MPSState, gates: mps.Gates):
+    """<H> summed over the bond decomposition."""
+    return sum(measure_bond(state, j, h).real for j, h in enumerate(gates.hamiltonians))

@@ -14,12 +14,11 @@ from gapchain.chainmap import (
     _sqrt_rule,
     chain_length_for,
     discretize_weight,
-    head_site_correlation,
     map_to_chain,
     stieltjes_recurrence,
 )
 from gapchain.model import ModelParams, spectral_density
-from oracles import correlation_by_quadrature
+from oracles import correlation_by_quadrature, head_site_correlation
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 

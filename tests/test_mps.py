@@ -9,6 +9,7 @@ from gapchain.chainmap import chain_length_for, map_to_chain
 from gapchain.model import ModelParams
 from gapchain.mps import EvolutionConfig, MPSState
 from gapchain.rwa import chain_state_amplitudes
+from oracles import measure_bond, total_energy
 
 DELTA = 3.0
 T_SHORT = 0.3
@@ -44,8 +45,8 @@ def parities(*dims):
 
 
 def blocked_split(mat, rows, cols):
-    """mat = us @ vh parity block by parity block, Schmidt values sorted:
-    (us, s, vh, charge of each right vector)."""
+    """mat = us @ vh parity block by parity block, sorted as a bond keeps
+    them (even sector first, each descending): (us, s, vh, charges)."""
     parts = []
     for p in (0, 1):
         r, c = np.flatnonzero(rows == p), np.flatnonzero(cols == p)
@@ -55,7 +56,7 @@ def blocked_split(mat, rows, cols):
             vh_k = np.zeros(mat.shape[1], dtype=complex)
             us_k[r], vh_k[c] = u[:, k] * s[k], vh[k]
             parts.append((s[k], p, us_k, vh_k))
-    parts.sort(key=lambda part: -part[0])
+    parts.sort(key=lambda part: (part[1], -part[0]))
     s, q, us, vh = zip(*parts)
     return np.array(us).T, np.array(s), np.array(vh), np.array(q)
 
@@ -249,10 +250,10 @@ class TestAccuracy:
                                   mode="FULL")
             gates = mps.build_gates(chain, DELTA, cfg)
             st = mps.init_state(chain, cfg, "excited")
-            e0 = mps.total_energy(st, gates)
+            e0 = total_energy(st, gates)
             for _ in range(int(round(0.12 / dt))):
                 mps.tebd_step(st, gates)
-            drift[fac] = abs(mps.total_energy(st, gates) - e0)
+            drift[fac] = abs(total_energy(st, gates) - e0)
         assert 3.0 < drift[1.0] / drift[0.5] < 5.5
 
 
@@ -383,12 +384,104 @@ class TestParityBlocks:
         with pytest.raises(ValueError, match="parity"):
             mps.measure(plus, 1, x)
         with pytest.raises(ValueError, match="parity"):
-            mps.measure_bond(plus, 1, np.kron(x, np.eye(4)))
+            measure_bond(plus, 1, np.kron(x, np.eye(4)))
         excited = mps.init_state(chain, cfg, "excited")
         assert mps.measure(excited, 1, x) == 0.0
         # site 0 carries head, so emitter operators of either parity are exact
-        assert mps.measure_bond(plus, 0, np.kron(mps.SIGMA_X, np.eye(4))) == \
+        assert measure_bond(plus, 0, np.kron(mps.SIGMA_X, np.eye(4))) == \
             pytest.approx(1.0, abs=1e-14)
+
+
+def contract_site_by_site(state, ops):
+    """<O_0 x ... x O_N> contracted one site at a time, no tail shortcut."""
+    env = np.outer(state.head, state.head.conj())
+    for B, op in zip(state.site_tensors, ops):
+        env = np.einsum("ab,asc,ts,btd->cd", env, B, op, B.conj())
+    return env[0, 0]
+
+
+class TestLeanGate:
+    def test_bonds_sorted_by_charge_then_descending(self, chain):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
+        gates = mps.build_gates(chain, DELTA, cfg)
+        st = mps.init_state(chain, cfg, "plus_superposition")
+        mps.tebd_step(st, gates, 60)
+        assert st.max_bond > 2
+        for lam, q in zip(st.lambdas, st.charges):
+            assert np.all(np.diff(q) >= 0)
+            for p in (0, 1):
+                assert np.all(np.diff(lam[q == p]) <= 0.0)
+
+    def test_gate_and_svd_counts_at_benchmark_corner(self, monkeypatch):
+        # the FULL corner of the tebd-full benchmark workload
+        p = reduced()
+        c = map_to_chain(p, chain_length_for(p, 0.15))
+        assert c.N == 58
+        counts = {"gates": 0, "svds": 0}
+        apply_gate, svd = mps._apply_gate, np.linalg.svd
+
+        def counted_gate(*args, **kwargs):
+            counts["gates"] += 1
+            return apply_gate(*args, **kwargs)
+
+        def counted_svd(*args, **kwargs):
+            counts["svds"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(mps, "_apply_gate", counted_gate)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        cfg = EvolutionConfig(t_max=0.15, d_b=4, chi_max=32, mode="FULL")
+        mps.evolve(c, cfg, "excited", DELTA)
+        assert counts == {"gates": 4999, "svds": 9998}
+
+    def test_front_is_found_again_per_call(self, chain):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
+        gates = mps.build_gates(chain, DELTA, cfg)
+        st = mps.init_state(chain, cfg, "excited")
+        mps.tebd_step(st, gates)
+        site = 20
+        assert st.site_tensors[site].shape == (1, 4, 1)
+        B = st.site_tensors[site].copy()
+        B[0, 2, 0] = 1e-8  # far past the front, and no longer near vacuum
+        st.site_tensors[site] = B
+        mps.tebd_step(st, gates)
+        assert st.site_tensors[site] is not B
+
+    def test_short_full_run_matches_frozen_values(self, chain):
+        # sigma_x, sigma_z of the parity-blocked gate before its sectors were
+        # sorted; the run truncates (max bond reaches chi_max = 16)
+        cfg = EvolutionConfig(t_max=0.06, d_b=4, chi_max=16, sample_stride=40,
+                              mode="FULL")
+        ts = mps.evolve(chain, cfg, "plus_superposition", DELTA)
+        assert ts.max_bond[-1] == 16
+        np.testing.assert_allclose(ts.sigma_x, [
+            0.9999999999999998, 0.9983832198122965, 0.9935909626358289,
+            0.9857743980885527, 0.9843531157024613], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(ts.sigma_z, [
+            0.0, -9.117643592060354e-05, -0.0012127341614909803,
+            -0.0046994461590730285, -0.005465105162008654], rtol=0.0, atol=1e-12)
+
+    def test_product_expectation_tail_matches_site_by_site(self, chain):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
+        gates = mps.build_gates(chain, DELTA, cfg)
+        st = mps.init_state(chain, cfg, "plus_superposition")
+        mps.tebd_step(st, gates, 5)
+        assert st.head.size == 2
+        rng = np.random.default_rng(3)
+        tail = [i for i, B in enumerate(st.site_tensors)
+                if B.shape[0] == B.shape[2] == 1]
+        assert len(tail) > 20
+        for i in tail:
+            # even chain parity, as the charges of a chi = 1 bond require
+            b = np.zeros(4, dtype=complex)
+            b[::2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            st.site_tensors[i] = (b / np.linalg.norm(b)).reshape(1, 4, 1)
+        # near-identity factors keep the product of 60 tail scalars O(1)
+        ops = [mps.SIGMA_X] + [np.diag(1.0 + 0.05 * rng.normal(size=4))
+                               + 0.05j * np.eye(4, k=2) for _ in range(chain.N)]
+        exact = contract_site_by_site(st, ops)
+        assert abs(exact) > 0.1
+        assert abs(mps._product_expectation(st, ops) - exact) < 1e-14
 
 
 class TestTruncationSafeguards:
@@ -471,14 +564,14 @@ class TestMeasurement:
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
         gates = mps.build_gates(chain, DELTA, cfg)
         st = mps.init_state(chain, cfg, "excited")
-        assert mps.total_energy(st, gates) == pytest.approx(DELTA, abs=1e-12)
+        assert total_energy(st, gates) == pytest.approx(DELTA, abs=1e-12)
 
     def test_measure_bond_on_product_state(self, chain):
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
         st = mps.init_state(chain, cfg, "excited")
         op = np.kron(mps.SIGMA_Z, np.diag(np.arange(4.0) + 1.0))
         # <e,0| sz (n+1) |e,0> = (+1)(1)
-        assert mps.measure_bond(st, 0, op) == pytest.approx(1.0, abs=1e-14)
+        assert measure_bond(st, 0, op) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestEvolve:

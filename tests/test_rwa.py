@@ -337,6 +337,20 @@ class TestRayInvert:
         assert 1j * loc == pytest.approx(-freq, rel=5e-3)
         assert res == pytest.approx(cls.c1, rel=5e-3)
 
+    def test_newton_search_ends_early_at_rwa_laplace_corner(self, monkeypatch):
+        # no zero to find: the seeds settle into a 2-cycle below the band
+        # edge (nu ~ -14.9 <-> 0.22) and each is dropped within a few steps
+        steps = []
+        slope = rwa.ghat_slope
+
+        def counted(*args):
+            steps.append(1)  # one ghat_slope call per Newton step
+            return slope(*args)
+
+        monkeypatch.setattr(rwa, "ghat_slope", counted)
+        assert _second_sheet_zeros(wideband(delta=3.0)) == []
+        assert 0 < len(steps) <= 10
+
     def test_decoupled_is_exactly_one(self):
         vals, resonances = ray_invert(reduced(alpha=0.0, delta=1.0), self.TIMES, [])
         assert np.all(vals == 1.0) and resonances == []
