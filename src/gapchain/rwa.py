@@ -69,6 +69,7 @@ _RAY_REACH = 40.0  # last node at y = 40/t_min, where e^{-y t} <= e^{-40}
 _NEWTON_STEPS = 60
 _NEWTON_STALL = 20  # steps a Newton seed may take without halving its best |s + G_II|
 _ZERO_TOL = 1e-10  # |s + G_II| of a kept second-sheet zero, in units of 1 + |nu|
+_NEWTON_FLOOR = 1e-13  # |s + G_II| from which a seed takes one last step, same units
 
 
 @dataclass
@@ -290,9 +291,11 @@ def _second_sheet_zeros(p: ModelParams):
     the band, and Z = 1/(1 + G_hat' + 2i J_a') is a zero's weight.  Newton
     runs at once from the shifted emitter line -i G_hat(+0) and from just
     below each band end; a zero is kept if |s + G_II| < 1e-10 (1 + |nu|).
-    A seed stops once converged, and is dropped once its next step lands
-    back on its last iterate (a 2-cycle) or its best |s + G_II| has not
-    halved for _NEWTON_STALL steps (up to 15 on the 385-point test grids).
+    A seed stops once its step is below rounding or one step after its
+    |s + G_II| reaches _NEWTON_FLOOR (1 + |nu|), where rounding, not Newton,
+    sets the residual.  It is dropped once its next step lands back on its
+    last iterate (a 2-cycle) or its best |s + G_II| has not halved for
+    _NEWTON_STALL steps (up to 15 on the 385-point test grids).
     """
     nu_b, nu_t = p.omega_b - p.delta, p.band_top - p.delta
     nu = np.array([-1j * complex(ghat(p, _OFF_CUT)), nu_b - 1e-3j * (1.0 + abs(nu_b)),
@@ -312,6 +315,7 @@ def _second_sheet_zeros(p: ModelParams):
             live = (np.abs(step) > 1e-15 * (1.0 + np.abs(nu))) & ~dropped
             if not live.any():
                 break  # every seed has converged, left the finite numbers or been dropped
+            dropped |= np.abs(f) <= _NEWTON_FLOOR * (1.0 + np.abs(nu))  # a last step from the floor
             back, nu = nu, np.where(live, nu - step, nu)
     zeros = []
     for v, fv, zv in zip(nu, f, z):
@@ -387,37 +391,49 @@ def laplace_invert(p: ModelParams, times):
                            ).validate()
 
 
+def _chain_eigh(c: ChainCoefficients, delta):
+    """Eigenvalues and eigenvectors of the single-excitation chain Hamiltonian:
+    diagonal (delta, eps'_0, ...) and off-diagonal (g, t_0, ...)."""
+    return eigh_tridiagonal(np.concatenate(([delta], c.eps)), np.concatenate(([c.g], c.t)))
+
+
 def chain_state_amplitudes(c: ChainCoefficients, delta, times,
                            sites=slice(None)):
     """Amplitude matrix of e^{-iHt}|site 0> in the site basis, rows = times.
 
     Column 0 is the emitter amplitude A(t) (lab frame); the remaining
     columns are the chain-mode photon amplitudes.  ``sites`` (a slice or
-    an index list into the sites 0..N) keeps only those columns.
+    an index list into the sites 0..N) keeps only those columns.  Any time
+    grid is allowed; this direct sum is the reference that the tests and
+    ``perfbench/make_refs.py`` check ``chain_evolve`` against.
     """
-    diag = np.concatenate(([delta], c.eps))
-    off = np.concatenate(([c.g], c.t)) if c.N > 0 else np.array([c.g])
-    lam, V = eigh_tridiagonal(diag, off)
+    lam, V = _chain_eigh(c, delta)
     times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.outer(times, lam))
-    return (phases * V[0]) @ V[sites].T
+    return (np.exp(-1j * np.outer(times, lam)) * V[0]) @ V[sites].T
 
 
 def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
-    """Exact amplitude from one diagonalization of the tridiagonal chain.
+    """Exact lab-frame amplitude on ``samples`` uniform times in [0, t_max].
 
-    The single-excitation Hamiltonian has diagonal (delta, eps'_0, ...)
-    and off-diagonal (g, t_0, ...); unitarity is exact by construction.
-    A light-cone check requires the last-site occupation to stay below
-    1e-6 and reports the first violating time otherwise.
+    With t_k = k dt, k = aB + b and B = ceil(sqrt(samples)), each phase of
+    the ``_chain_eigh`` modes splits as e^{-i lam t_aB} e^{-i lam t_b}, so a
+    column sum_n V_0n V_sn e^{-i lam_n t_k} is one GEMM of the row phases
+    (samples/B x N+1) and the column phases (N+1 x B), raveled.  Only the
+    rounding of lam t differs from ``chain_state_amplitudes``; the two agree
+    to 2e-15 at the wideband sweep corner (N = 650, 2001 samples).  A
+    light-cone check requires the last-site occupation to stay below 1e-6
+    and reports the first violating time otherwise.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.linspace(0.0, t_max, samples)
-    amps = chain_state_amplitudes(c, delta, times, sites=[0, -1])
-    tail = np.abs(amps[:, -1]) ** 2
+    lam, V = _chain_eigh(c, delta)
+    block = math.isqrt(samples - 1) + 1
+    rows, cols = (np.exp(-1j * np.outer(ts, lam)) for ts in (times[::block], times[:block]))
+    amp, tail = (((rows * (V[0] * V[s])) @ cols.T).ravel()[:samples] for s in (0, -1))
+    tail = np.abs(tail) ** 2
     bad = tail >= 1e-6
     if bad.any():
         j = int(np.argmax(bad))
@@ -425,8 +441,7 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
             f"light-cone violation: last-site occupation {tail[j]:.2e} at "
             f"t = {times[j]:g}; extend the chain"
         )
-    return AmplitudeSeries(times, amps[:, 0], "chain", None, delta,
-                           frame="lab").validate()
+    return AmplitudeSeries(times, amp, "chain", None, delta, frame="lab").validate()
 
 
 def classify_regime(p: ModelParams) -> RegimeClassification:

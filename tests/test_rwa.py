@@ -150,11 +150,46 @@ class TestChainEvolve:
         norms = np.sum(np.abs(amps) ** 2, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
+    # the one chain site is also the last, so g keeps its occupation
+    # g^2/Omega^2 under the light-cone limit 1e-6; A still moves from the
+    # bare phase e^{-i delta t} by 4e-7 to 1.4e-5
+    @pytest.mark.parametrize("delta, eps, g", [(3.0, 7.0, 1e-3), (-5.0, 30.0, 1e-2),
+                                               (60.0, 2.0, 2e-2)])
+    @pytest.mark.parametrize("samples", [2, 41, 2001])
+    def test_one_site_rabi_closed_form(self, delta, eps, g, samples):
+        c = ChainCoefficients(g=g, eps=np.array([eps]), t=np.zeros(0), N=1, weight_norm=0.0)
+        s = chain_evolve(c, delta, 2.0, samples=samples)
+        rabi = np.sqrt(((delta - eps) / 2.0) ** 2 + g * g)
+        t = s.times
+        exact = np.exp(-0.5j * (delta + eps) * t) * (
+            np.cos(rabi * t) - 0.5j * (delta - eps) / rabi * np.sin(rabi * t))
+        np.testing.assert_allclose(s.values, exact, rtol=0.0, atol=1e-12)
+
+    # 41 and 2001 samples leave a ragged last block of the blocked sum
+    SAMPLES = [2, 3, 41, 2001]
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("p, n", [(wideband(delta=30.0), 650), (reduced(delta=1.0), 125)],
+                             ids=["wideband", "reduced"])
+    def test_blocked_sum_matches_direct_reference(self, p, n, samples):
+        c = map_to_chain(p, n)
+        s = chain_evolve(c, p.delta, 1.5, samples=samples)
+        ref = chain_state_amplitudes(c, p.delta, np.linspace(0.0, 1.5, samples))
+        assert np.max(np.abs(s.values - ref[:, 0])) <= 1e-12
+
     def test_light_cone_violation_names_first_time(self):
-        p = reduced(delta=1.0)
-        c = map_to_chain(p, 10)
-        with pytest.raises(RuntimeError, match=r"light-cone violation.*t = "):
-            chain_evolve(c, p.delta, 3.0, samples=61)
+        # the last-site column of the blocked sum crosses 1e-6 where the
+        # direct reference does, with the same occupation
+        for p, n in [(wideband(delta=30.0), 300), (reduced(delta=1.0), 10)]:
+            c = map_to_chain(p, n)
+            for samples in self.SAMPLES:
+                ts = np.linspace(0.0, 3.0, samples)
+                tail = np.abs(chain_state_amplitudes(c, p.delta, ts, sites=[-1])[:, 0]) ** 2
+                j = int(np.argmax(tail >= 1e-6))
+                assert tail[j] >= 1e-6
+                with pytest.raises(RuntimeError, match=rf"light-cone violation: last-site "
+                                   rf"occupation {tail[j]:.2e} at t = {ts[j]:g};"):
+                    chain_evolve(c, p.delta, 3.0, samples=samples)
 
     def test_finite_size_recurrence(self):
         # a short chain reflects the emitted excitation back at
@@ -337,9 +372,9 @@ class TestRayInvert:
         assert 1j * loc == pytest.approx(-freq, rel=5e-3)
         assert res == pytest.approx(cls.c1, rel=5e-3)
 
-    def test_newton_search_ends_early_at_rwa_laplace_corner(self, monkeypatch):
-        # no zero to find: the seeds settle into a 2-cycle below the band
-        # edge (nu ~ -14.9 <-> 0.22) and each is dropped within a few steps
+    @staticmethod
+    def newton_search(monkeypatch, p):
+        """_second_sheet_zeros(p) and the number of Newton steps it took."""
         steps = []
         slope = rwa.ghat_slope
 
@@ -348,8 +383,20 @@ class TestRayInvert:
             return slope(*args)
 
         monkeypatch.setattr(rwa, "ghat_slope", counted)
-        assert _second_sheet_zeros(wideband(delta=3.0)) == []
-        assert 0 < len(steps) <= 10
+        return _second_sheet_zeros(p), len(steps)
+
+    def test_newton_search_ends_early_at_rwa_laplace_corner(self, monkeypatch):
+        # no zero to find: the seeds settle into a 2-cycle below the band
+        # edge (nu ~ -14.9 <-> 0.22) and each is dropped within a few steps
+        zeros, steps = self.newton_search(monkeypatch, wideband(delta=3.0))
+        assert zeros == [] and 0 < steps <= 10
+
+    def test_seed_at_residual_floor_stops(self, monkeypatch):
+        # three seeds reach the resonance; each stops one step after its
+        # |s + G_II| falls below the floor instead of trading rounding-sized steps
+        [(nu, _)], steps = self.newton_search(monkeypatch, reduced(delta=76.5))
+        assert nu == pytest.approx(0.5663628470153633 - 0.2016999539125395j, abs=1e-14)
+        assert steps <= 9
 
     def test_decoupled_is_exactly_one(self):
         vals, resonances = ray_invert(reduced(alpha=0.0, delta=1.0), self.TIMES, [])
