@@ -8,9 +8,14 @@
     2 (-i)^k j_k(kappa).  The rule is Gauss-Legendre at t = 0 and exact
     for a polynomial f of degree < 32 at every t, so its error does not
     grow with the number of oscillations per panel (Iserles & Norsett,
-    *BIT* 44 (2004) 755).  ``rwa.cut_invert`` integrates the emitter's
-    spectral density over the band with it: once the resolvent's poles
-    are known, the Bromwich contour collapses onto the branch cut.
+    *BIT* 44 (2004) 755).  The spherical Bessel table j_k(kappa), k < 32,
+    comes from two three-term recurrences run over all (t, panel) pairs
+    at once: forward from j_0 and j_1 for k <= kappa, and above kappa,
+    where j_k is the minimal solution, Miller's backward continued
+    fraction for the ratios j_k/j_{k-1} (Gautschi, *SIAM Rev.* 9 (1967)
+    24).  ``rwa.cut_invert`` integrates the emitter's spectral density
+    over the band with it: once the resolvent's poles are known, the
+    Bromwich contour collapses onto the branch cut.
 
 ``ray_rule``
     Nodes and weights for int_0^inf g(y) e^{-y t} dy that serve every
@@ -28,7 +33,6 @@ live in the solver modules.
 import math
 
 import numpy as np
-from scipy.special import spherical_jn
 
 __all__ = ["filon_fourier", "ray_rule"]
 
@@ -39,6 +43,7 @@ _FILON_K = np.arange(32)
 _FILON_COEF = (np.polynomial.legendre.legvander(_FILON_X, 31)
                * (_FILON_W[:, None] * (_FILON_K + 0.5)) * (2.0 * (-1j) ** _FILON_K))
 _FILON_CHUNK = 16  # times per (times, panels, degree) table of j_k
+_MILLER_START = 72  # order of r = 0 in the ratio recurrence: ample for kappa < 32
 _RAY_X, _RAY_W = np.polynomial.legendre.leggauss(16)
 
 
@@ -46,7 +51,8 @@ def filon_fourier(f, edges, times):
     """int_{edges[0]}^{edges[-1]} f(x) e^{-i x t} dx for each t in ``times``.
 
     f is called once, on the (panels, 32) array of Gauss nodes.  The j_k
-    table is built for 16 times at a time, so temporaries stay at
+    table (``_bessel_table``, two vectorized recurrences after Gautschi
+    1967) is built for 16 times at a time, so temporaries stay at
     16 x panels x 32 doubles however many times are asked for.
     """
     edges = np.asarray(edges, dtype=float)
@@ -59,10 +65,38 @@ def filon_fourier(f, edges, times):
     out = np.empty(times.size, dtype=complex)
     for i in range(0, times.size, _FILON_CHUNK):
         t = times[i:i + _FILON_CHUNK]
-        jk = spherical_jn(_FILON_K, np.outer(t, half)[..., None])
+        jk = _bessel_table(np.outer(t, half))
         out[i:i + _FILON_CHUNK] = np.sum(
             np.einsum("tpk,pk->tp", jk, coef) * np.exp(-1j * np.outer(t, mid)), axis=1)
     return out
+
+
+def _bessel_table(kappa):
+    """Spherical Bessel j_k(kappa) for k = 0..31, shape kappa.shape + (32,).
+
+    Orders k <= kappa run the forward recurrence
+    j_{k+1} = (2k + 1)/kappa j_k - j_{k-1} from j_0 = sin(kappa)/kappa and
+    j_1 = (j_0 - cos kappa)/kappa, as scipy's ``spherical_jn`` does there.
+    Above kappa j_k is the minimal solution, which that recurrence loses,
+    so the ratios r_k = j_k/j_{k-1} = kappa/(2k + 1 - kappa r_{k+1}) run
+    down from r_72 = 0 (Miller's continued fraction) and j_k = r_k j_{k-1}
+    chains them up from the last forward value (Gautschi, *SIAM Rev.* 9
+    (1967) 24).  At kappa = 0 every ratio is 0 and j_0 is 1.
+    """
+    x = np.abs(np.asarray(kappa, dtype=float))
+    jk = np.empty((_FILON_K.size,) + x.shape)  # r_k first, then j_k over it
+    r = np.zeros_like(x)
+    for k in range(_MILLER_START, 0, -1):
+        r = np.where(x < k, x / (2 * k + 1 - x * r), 0.0)
+        if k < _FILON_K.size:
+            jk[k] = r
+    jk[0] = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    xf = np.maximum(x, 1.0)  # forward values are kept only where kappa >= k >= 1
+    jk[1] = np.where(x >= 1.0, (jk[0] - np.cos(x)) / xf, jk[1] * jk[0])
+    for k in range(2, _FILON_K.size):
+        jk[k] = np.where(x >= k, (2 * k - 1) * jk[k - 1] / xf - jk[k - 2], jk[k] * jk[k - 1])
+    jk[1::2] *= np.where(np.asarray(kappa) < 0.0, -1.0, 1.0)  # j_k(-kappa) = (-1)^k j_k(kappa)
+    return np.moveaxis(jk, 0, -1)
 
 
 def ray_rule(y_lo, y_hi, breaks=(), sqrt=False):

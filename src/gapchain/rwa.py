@@ -68,6 +68,7 @@ _RAY_FLOOR = 1e-14  # rays nu_e - i y of ``ray_invert``: first octave at y = ome
 _RAY_REACH = 40.0  # last node at y = 40/t_min, where e^{-y t} <= e^{-40}
 _NEWTON_STEPS = 60
 _NEWTON_STALL = 20  # steps a Newton seed may take without halving its best |s + G_II|
+_NEWTON_CYCLE = 4  # earlier iterates a Newton step is checked against: cycles up to period 5
 _ZERO_TOL = 1e-10  # |s + G_II| of a kept second-sheet zero, in units of 1 + |nu|
 _NEWTON_FLOOR = 1e-13  # |s + G_II| from which a seed takes one last step, same units
 
@@ -293,14 +294,16 @@ def _second_sheet_zeros(p: ModelParams):
     below each band end; a zero is kept if |s + G_II| < 1e-10 (1 + |nu|).
     A seed stops once its step is below rounding or one step after its
     |s + G_II| reaches _NEWTON_FLOOR (1 + |nu|), where rounding, not Newton,
-    sets the residual.  It is dropped once its next step lands back on its
-    last iterate (a 2-cycle) or its best |s + G_II| has not halved for
-    _NEWTON_STALL steps (up to 15 on the 385-point test grids).
+    sets the residual.  It is dropped once its next step lands within 5 %
+    of the step on one of its last _NEWTON_CYCLE iterates (a cycle of
+    period 2 to 5) or its best |s + G_II| has not halved for _NEWTON_STALL
+    steps.  The longest search on the 385-point test grids takes 26 steps.
     """
     nu_b, nu_t = p.omega_b - p.delta, p.band_top - p.delta
     nu = np.array([-1j * complex(ghat(p, _OFF_CUT)), nu_b - 1e-3j * (1.0 + abs(nu_b)),
                    nu_t - 1e-3j])
-    back, dropped = np.full(nu.size, np.nan), np.zeros(nu.size, dtype=bool)
+    back = np.full((_NEWTON_CYCLE, nu.size), np.nan)  # the last iterates, newest first
+    dropped = np.zeros(nu.size, dtype=bool)
     best, stale = np.full(nu.size, np.inf), np.zeros(nu.size, dtype=int)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
@@ -311,12 +314,13 @@ def _second_sheet_zeros(p: ModelParams):
             step = 1j * f * z  # d(s + G_II)/dnu = -i/Z
             halved = np.abs(f) < 0.5 * best
             best, stale = np.where(halved, np.abs(f), best), np.where(halved, 0, stale + 1)
-            dropped |= (np.abs(nu - step - back) < 1e-2 * np.abs(step)) | (stale >= _NEWTON_STALL)
+            cycle = np.any(np.abs(nu - step - back) < 5e-2 * np.abs(step), axis=0)
+            dropped |= cycle | (stale >= _NEWTON_STALL)
             live = (np.abs(step) > 1e-15 * (1.0 + np.abs(nu))) & ~dropped
             if not live.any():
                 break  # every seed has converged, left the finite numbers or been dropped
             dropped |= np.abs(f) <= _NEWTON_FLOOR * (1.0 + np.abs(nu))  # a last step from the floor
-            back, nu = nu, np.where(live, nu - step, nu)
+            back, nu = np.vstack((nu, back[:-1])), np.where(live, nu - step, nu)
     zeros = []
     for v, fv, zv in zip(nu, f, z):
         tol = _ZERO_TOL * (1.0 + abs(v))  # two seeds at one zero agree far within 1e3 tol

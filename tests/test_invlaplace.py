@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import exp1, spherical_jn
 
-from gapchain.invlaplace import filon_fourier, ray_rule
+from gapchain.invlaplace import _bessel_table, filon_fourier, ray_rule
 
 
 def monomial_fourier(n, a, b, t):
@@ -59,6 +61,42 @@ class TestFilon:
             with pytest.raises(ValueError):
                 filon_fourier(f, edges, np.array([1.0]))
         assert filon_fourier(f, [0.0, 1.0], np.array([])).size == 0
+
+
+class TestBesselTable:
+    # scipy's spherical_jn is the oracle only; the rule never calls it
+    ORDERS = np.arange(32)
+
+    def error(self, kappa):
+        kappa = np.asarray(kappa, dtype=float)
+        return np.abs(_bessel_table(kappa) - spherical_jn(self.ORDERS, kappa[..., None]))
+
+    def test_matches_scipy_at_branch_points(self):
+        # kappa = 0 and tiny kappa (ratios only), both sides of every integer,
+        # where an order moves between the forward and ratio branches, and
+        # negative kappa, reflected as j_k(-kappa) = (-1)^k j_k(kappa)
+        ints = np.arange(1.0, 33.0)
+        kappa = np.concatenate(([0.0, 1e-12, 1e-3, math.pi, 2.0 * math.pi, 31.5, 1e3, 7.5e4,
+                                 -1e-3, -2.5, -17.2, -40.0],
+                                np.nextafter(ints, 0.0), ints, np.nextafter(ints, 64.0),
+                                ints - 1e-9, ints + 1e-9))
+        assert np.max(self.error(kappa)) <= 2e-15
+
+    # the oracle returns NaN at subnormal kappa; the finiteness test covers those
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e4, allow_subnormal=False))
+    def test_matches_scipy_property(self, kappa):
+        assert np.max(self.error(kappa)) <= 2e-15
+
+    def test_table_is_finite_and_shaped(self):
+        # a dense sweep across the branch boundaries k = kappa, subnormal
+        # kappa, and kappa up to 1e6
+        kappa = np.concatenate(([0.0, 5e-324, 1e-300], np.linspace(0.0, 40.0, 40001),
+                                np.logspace(-12.0, 6.0, 500)))
+        table = _bessel_table(kappa.reshape(2, -1))
+        assert table.shape == (2, kappa.size // 2, 32)
+        assert np.all(np.isfinite(table))
+        assert np.array_equal(_bessel_table(0.0), np.eye(32)[0])
 
 
 class TestRayRule:

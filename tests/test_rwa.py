@@ -391,6 +391,14 @@ class TestRayInvert:
         zeros, steps = self.newton_search(monkeypatch, wideband(delta=3.0))
         assert zeros == [] and 0 < steps <= 10
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_newton_search_ends_a_four_cycle(self, monkeypatch, delta):
+        # below the band edge the seeds settle into a 4-cycle (|s + G_II|
+        # 16.1 -> 0.40 -> 4.79 -> 61.9 at delta = 0); testing the next step
+        # against the last few iterates drops them before the 20-step stall
+        zeros, steps = self.newton_search(monkeypatch, reduced(delta=delta))
+        assert zeros == [] and 0 < steps <= 15
+
     def test_seed_at_residual_floor_stops(self, monkeypatch):
         # three seeds reach the resonance; each stops one step after its
         # |s + G_II| falls below the floor instead of trading rounding-sized steps
