@@ -114,23 +114,9 @@ class ModelParams:
         return self.delta - self.omega_b
 
     @property
-    def delta_L_tilde(self):
-        """Shifted detuning delta_L - omega_s."""
-        return self.delta_L - self.omega_s
-
-    @property
     def e_en_approx(self):
         """Closed-form environmental energy shift alpha*sqrt(omega0/pi)."""
         return self.alpha * math.sqrt(self.omega0 / math.pi)
-
-
-@dataclass(frozen=True)
-class DerivedScales:
-    omega_s: float
-    e_en: float
-    e_en_approx: float
-    delta_L: float
-    delta_L_tilde: float
 
 
 def spectral_density(p: ModelParams, omega):
@@ -223,13 +209,3 @@ def ghat_slope(p: ModelParams, s, g):
     return (-p.alpha / math.pi * (b / (p.omega_c + z) - a / (2.0 * z))
             - 1j * g * (0.5 / z + 1.0 / p.omega0))
 
-
-def derived_scales(p: ModelParams) -> DerivedScales:
-    """Derived frequency scales; E_en = (1/pi) int_band J(omega)/omega = Re[i G_hat(i delta)]."""
-    return DerivedScales(
-        omega_s=p.omega_s,
-        e_en=float((1j * ghat(p, 1j * p.delta)).real),
-        e_en_approx=p.e_en_approx,
-        delta_L=p.delta_L,
-        delta_L_tilde=p.delta_L_tilde,
-    )

@@ -39,7 +39,7 @@ Coupling modes:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,8 +57,6 @@ __all__ = [
     "tebd_step",
     "evolve",
     "measure",
-    "top_fock_occupation",
-    "convergence_report",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -161,12 +159,9 @@ class Gates:
     even_full: list  # U @ U of even_half: merged inner even half steps
     odd_full: list
     hamiltonians: list  # dense H_j per bond, for commutator checks / energy
-    dims: list  # physical dimension per site
     dt: float
     chi_max: int
     svd_threshold: float
-    mode: str
-    delta: float
 
 
 def _bond_hamiltonians(c: ChainCoefficients, delta, cfg):
@@ -227,8 +222,8 @@ def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
             even_full[j] = (u @ u).reshape(shape)
         else:
             odd_full[j] = expm(-1j * dt * h).reshape(shape)
-    return Gates(even_half, even_full, odd_full, hams, dims, dt, cfg.chi_max,
-                 cfg.svd_threshold, cfg.mode, delta)
+    return Gates(even_half, even_full, odd_full, hams, dt, cfg.chi_max,
+                 cfg.svd_threshold)
 
 
 @lru_cache(maxsize=256)
@@ -369,17 +364,6 @@ def measure(state: MPSState, site, observable):
     return complex(np.trace(op @ rho))
 
 
-def top_fock_occupation(state: MPSState):
-    """Largest population of the highest kept Fock level over all bosons."""
-    worst = 0.0
-    for site in range(1, state.n_sites):
-        d = state.site_tensors[site].shape[1]
-        proj = np.zeros((d, d), dtype=complex)
-        proj[d - 1, d - 1] = 1.0
-        worst = max(worst, measure(state, site, proj).real)
-    return worst
-
-
 def _product_expectation(state: MPSState, ops):
     """<O_0 x O_1 x ... x O_N> for one single-site operator per site; past
     the front each site's factor is the scalar <b|O|b>, all in one einsum."""
@@ -488,23 +472,3 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
         config=cfg,
     )
 
-
-def convergence_report(c: ChainCoefficients, cfg: EvolutionConfig,
-                       atom_state="excited", delta=0.0):
-    """Doubling protocol: chi x2, d_b x2, dt/2 must each move the excited
-    population by less than 5e-3 in sup norm."""
-    base = evolve(c, cfg, atom_state, delta)
-    devs = {}
-    for tag, alt_cfg in (
-        ("chi_max", replace(cfg, chi_max=2 * cfg.chi_max)),
-        ("d_b", replace(cfg, d_b=2 * cfg.d_b)),
-        ("dt", replace(cfg, dt=0.5 * base.dt,
-                       sample_stride=2 * cfg.sample_stride)),
-    ):
-        alt = evolve(c, alt_cfg, atom_state, delta)
-        # sample grids can differ by a half step at the tail; compare on
-        # the base grid
-        alt_pop = np.interp(base.times, alt.times, alt.pop_excited)
-        devs[tag] = float(np.max(np.abs(base.pop_excited - alt_pop)))
-    devs["converged"] = all(v < 5e-3 for k, v in devs.items() if k != "converged")
-    return devs

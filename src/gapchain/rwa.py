@@ -28,21 +28,18 @@ populations |A|^2 are frame-independent.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
 from scipy.linalg import eigh_tridiagonal
 
-from ._quad import complex_quad
 from .chainmap import ChainCoefficients
 from .invlaplace import filon_fourier, ray_rule
 from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
 __all__ = [
     "AmplitudeSeries",
-    "RegimeClassification",
     "CoherenceTrace",
     "volterra_solve",
     "laplace_invert",
@@ -50,9 +47,6 @@ __all__ = [
     "ray_invert",
     "chain_evolve",
     "chain_state_amplitudes",
-    "classify_regime",
-    "stationary_population",
-    "analytic_longtime",
     "find_bound_pole",
     "rwa_coherence",
 ]
@@ -132,28 +126,6 @@ class AmplitudeSeries:
     def population(self):
         """|A(t)|^2, frame-independent."""
         return np.abs(self.values) ** 2
-
-
-@dataclass(frozen=True)
-class RegimeClassification:
-    """Long-time regime data from the quadratic root analysis.
-
-    The roots solve r^2 + alpha r + D = 0 with D = Delta_L - omega_s/2:
-    the resolvent derivation puts the half shift in the roots while the
-    regime thresholds below use the fully shifted detuning, and the two
-    were cross-validated numerically against the exact resolvent.
-    pole_stable is False inside the shallow
-    strip where the nominal bound root acquires an imaginary part; the
-    stationary population estimate is then 0.
-    """
-
-    regime: str  # below_band | gap_dip | above_band
-    r1: complex
-    c1: complex
-    delta_L_tilde: float
-    r_plus: complex
-    r_minus: complex
-    pole_stable: bool
 
 
 @dataclass
@@ -446,104 +418,6 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
             f"t = {times[j]:g}; extend the chain"
         )
     return AmplitudeSeries(times, amp, "chain", None, delta, frame="lab").validate()
-
-
-def classify_regime(p: ModelParams) -> RegimeClassification:
-    """Three-regime classification of the long-time amplitude.
-
-    Thresholds on the shifted detuning Delta_L_tilde: below_band for
-    Delta_L_tilde <= 0 (closed-below tie-break), gap_dip for
-    0 < Delta_L_tilde < alpha^2/2 (pole coefficient vanishes), and
-    above_band otherwise (decaying resonance pole, though these broad-band
-    asymptotics miss the real bound state above the hard band top).
-    """
-    D = p.delta_L - 0.5 * p.omega_s
-    disc = 0.25 * p.alpha**2 - D
-    root = np.sqrt(complex(disc))
-    r_plus = -0.5 * p.alpha + root
-    r_minus = -0.5 * p.alpha - root
-    dlt = p.delta_L_tilde
-    if r_plus == r_minus:
-        # degenerate double root (disc = 0): the residue expansion is
-        # invalid; report the decoupled-limit coefficient and no stable
-        # pole so downstream estimates fall back to the cut integral
-        regime = "below_band" if dlt <= 0.0 else (
-            "gap_dip" if dlt < 0.5 * p.alpha**2 else "above_band")
-        return RegimeClassification(regime, r_plus, 1.0 + 0.0j, dlt,
-                                    r_plus, r_minus, False)
-    if dlt <= 0.0:
-        stable = disc > 0.0
-        c1 = 2.0 * r_plus / (r_plus - r_minus)
-        return RegimeClassification("below_band", r_plus, c1, dlt,
-                                    r_plus, r_minus, stable)
-    if dlt < 0.5 * p.alpha**2:
-        return RegimeClassification("gap_dip", r_plus, 0.0 + 0.0j, dlt,
-                                    r_plus, r_minus, False)
-    c1 = 2.0 * r_minus / (r_minus - r_plus)
-    return RegimeClassification("above_band", r_minus, c1, dlt,
-                                r_plus, r_minus, False)
-
-
-def stationary_population(p: ModelParams):
-    """Long-time excited population |A(inf)|^2 predicted by the pole analysis.
-
-    Nonzero only for a stable below-band pole: the gap dip and every
-    above-band pole are taken to relax, so this misses the real bound state
-    above the hard band top omega_b + omega_c, where the chain stays trapped.
-    """
-    cls = classify_regime(p)
-    if cls.regime == "below_band" and cls.pole_stable:
-        return float(abs(cls.c1) ** 2)
-    return 0.0
-
-
-def _branch_integral(p: ModelParams, t):
-    """Cut contribution I(alpha, Delta_L, t) by adaptive quadrature.
-
-    The cut is folded onto the ray s = i Delta_L - x, x > 0, giving the
-    denominator (-x + i D)^2 + i alpha^2 x with the half-shifted
-    D = Delta_L - omega_s/2; substitution x = y^2 tames the sqrt(x)
-    numerator, and the integrand is truncated at x = 50/t where the
-    exp(-x t) tail is below 1e-12 of the remaining integral.
-    """
-    D = p.delta_L - 0.5 * p.omega_s
-    a2 = p.alpha**2
-    y_top = math.sqrt(50.0 / t)
-
-    def ig(y):
-        y2 = y * y
-        return y2 * np.exp(-y2 * t) / ((-y2 + 1j * D) ** 2 + 1j * a2 * y2)
-
-    val = complex_quad(ig, 0.0, y_top)
-    pref = 2.0 * p.alpha * complex(math.cos(math.pi / 4), math.sin(math.pi / 4)) / math.pi
-    return pref * np.exp(1j * p.delta_L * t) * val
-
-
-def analytic_longtime(p: ModelParams, t):
-    """Asymptotic closed-form amplitude: pole term plus branch-cut integral.
-
-    Valid deep in the broad-band regime omega0 >> alpha^2, delta, omega_b
-    and for t >> 1/omega0; a warning (not an error) marks calls outside
-    that window.  Interaction-picture convention, matching
-    volterra_solve.
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    scale = max(p.alpha**2, abs(p.delta), p.omega_b)
-    if p.omega0 < 20.0 * scale or t * p.omega0 < 5.0:
-        warnings.warn(
-            "analytic_longtime outside its asymptotic window "
-            "(needs omega0 >> alpha^2, delta, omega_b and t >> 1/omega0)",
-            stacklevel=2,
-        )
-    cls = classify_regime(p)
-    val = _branch_integral(p, t)
-    include_pole = (cls.regime == "above_band"
-                    or (cls.regime == "below_band" and cls.pole_stable))
-    if include_pole:
-        r1 = cls.r1
-        val = val + cls.c1 * np.exp(1j * (r1 * r1 + p.delta_L) * t)
-    return complex(val)
 
 
 def rwa_coherence(series: AmplitudeSeries) -> CoherenceTrace:

@@ -946,10 +946,11 @@ class TestManifest:
         assert doc["wall_time_s"] >= 0.0
 
 
-def test_import_loads_neither_scipy_signal_nor_stats():
+def test_import_loads_no_scipy_signal_stats_or_integrate():
     src = str(Path(gapchain.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import gapchain.cli; "
-            "print(sorted({'scipy.signal', 'scipy.stats', 'mpmath'} & set(sys.modules)))"
+            "print(sorted({'scipy.signal', 'scipy.stats', 'scipy.integrate', 'mpmath'}"
+            " & set(sys.modules)))"
             % src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)

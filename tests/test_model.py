@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc, gammainc
 
-from gapchain._quad import complex_quad
 from gapchain.model import (
     ModelParams,
     bath_correlation,
-    derived_scales,
     ghat,
     ghat_slope,
     spectral_density,
 )
-from oracles import correlation_by_quadrature, laplace_integral, laplace_of_G
+from oracles import (
+    complex_quad,
+    correlation_by_quadrature,
+    derived_scales,
+    laplace_integral,
+    laplace_of_G,
+)
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 

@@ -9,7 +9,7 @@ from gapchain.chainmap import chain_length_for, map_to_chain
 from gapchain.model import ModelParams
 from gapchain.mps import EvolutionConfig, MPSState
 from gapchain.rwa import chain_state_amplitudes
-from oracles import measure_bond, total_energy
+from oracles import convergence_report, measure_bond, top_fock_occupation, total_energy
 
 DELTA = 3.0
 T_SHORT = 0.3
@@ -519,7 +519,7 @@ class TestTruncationSafeguards:
         st = mps.init_state(chain, cfg, "excited")
         for _ in range(int(round(T_SHORT / gates.dt))):
             mps.tebd_step(st, gates)
-        assert mps.top_fock_occupation(st) < 1e-6
+        assert top_fock_occupation(st) < 1e-6
 
     def test_top_fock_empty_in_rwa(self, chain):
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=3, chi_max=16, mode="RWA")
@@ -527,7 +527,7 @@ class TestTruncationSafeguards:
         st = mps.init_state(chain, cfg, "excited")
         for _ in range(200):
             mps.tebd_step(st, gates)
-        assert mps.top_fock_occupation(st) < 1e-12
+        assert top_fock_occupation(st) < 1e-12
 
 
 class TestMeasurement:
@@ -611,7 +611,7 @@ class TestEvolve:
     def test_convergence_report(self, chain):
         cfg = EvolutionConfig(t_max=0.15, d_b=2, chi_max=16, sample_stride=25,
                               mode="RWA")
-        rep = mps.convergence_report(chain, cfg, "excited", DELTA)
+        rep = convergence_report(chain, cfg, "excited", DELTA)
         assert set(rep) == {"chi_max", "d_b", "dt", "converged"}
         assert rep["converged"]
         assert all(rep[k] < 5e-3 for k in ("chi_max", "d_b", "dt"))

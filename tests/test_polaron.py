@@ -1,7 +1,6 @@
-"""Variational-polaron solver tests: self-consistency fixed point,
+"""Variational-polaron solver tests: self-consistency root,
 residual-population branches, closed-form approximations."""
 
-import logging
 import math
 import time
 
@@ -13,13 +12,13 @@ from scipy.optimize import brentq
 
 from gapchain import polaron
 from gapchain.model import ModelParams
-from gapchain.polaron import (
+from gapchain.polaron import _renorm_integral, silbey_harris_solve
+from oracles import (
     BoundaryPrediction,
-    _renorm_integral,
     adiabatic_renorm,
     approx_large_delta,
+    damped_fixed_point,
     residual_population,
-    silbey_harris_solve,
 )
 
 
@@ -101,19 +100,46 @@ class TestSolve:
 
         root = brentq(defect, 1e-300, p.delta, xtol=1e-13 * p.delta)
         assert root == pytest.approx(sol.delta_tilde, rel=1e-9)
+        assert sol.delta_tilde == pytest.approx(damped_fixed_point(p),
+                                                abs=1e-9 * p.delta)
 
-    def test_stalled_iteration_falls_back_to_brent(self, monkeypatch, caplog):
-        # a steep integral makes the damped map overshoot: with
-        # x* = delta e^{-200 x*/delta}, its slope at the root is -1.49
-        monkeypatch.setattr(polaron, "_renorm_integral",
-                            lambda p, x: 200.0 * x / p.delta)
+    def test_few_integral_calls_at_wideband_corner(self, monkeypatch):
+        # the plain map contracts by RHS' ~ 0.05 per step here
+        calls = []
+
+        def counted(p, x):
+            calls.append(x)
+            return _renorm_integral(p, x)
+
+        monkeypatch.setattr(polaron, "_renorm_integral", counted)
         p = wideband(30.0)
-        with caplog.at_level(logging.INFO, logger="gapchain.polaron"):
-            sol = silbey_harris_solve(p)
-        assert "stalled" in caplog.text
-        assert sol.iterations < 500
-        rhs = p.delta * math.exp(-200.0 * sol.delta_tilde / p.delta)
-        assert abs(sol.delta_tilde - rhs) < 1e-10 * p.delta
+        sol = silbey_harris_solve(p)
+        assert len(calls) <= 10
+        assert sol.residual < 1e-10 * p.delta
+
+    def test_strong_coupling_root_near_zero(self):
+        # I(0) ~ 471, so the root delta e^{-I} sits far below the tolerance
+        p = ModelParams(alpha=15.0, omega_b=1e-3, omega0=100.0, omega_c=800.0,
+                        delta=2.0)
+        assert _renorm_integral(p, 0.0) == pytest.approx(471.0, abs=1.0)
+        sol = silbey_harris_solve(p)
+        assert 0.0 <= sol.delta_tilde <= 1e-9
+        assert sol.residual < 1e-10 * p.delta
+
+    def test_three_root_corner_keeps_largest_root(self):
+        # near the band edge I(x) ~ alpha/sqrt(omega_b + x): the defect
+        # changes sign three times, near 6e-14, 0.16 and 0.80
+        p = ModelParams(alpha=1.0, omega_b=1e-3, omega0=100.0, omega_c=800.0,
+                        delta=2.0)
+        xs = np.concatenate([[0.0], np.logspace(-16, math.log10(p.delta), 60)])
+        f = [x - p.delta * math.exp(-_renorm_integral(p, x)) for x in xs]
+        assert np.count_nonzero(np.diff(np.sign(f))) == 3
+        sol = silbey_harris_solve(p)
+        assert sol.delta_tilde == pytest.approx(damped_fixed_point(p),
+                                                abs=1e-9 * p.delta)
+        assert sol.delta_tilde == pytest.approx(0.80004, abs=1e-5)
+        assert sol.p_up_relaxed == pytest.approx(0.29999, abs=1e-5)
+        assert sol.residual < 1e-10 * p.delta
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -130,6 +156,8 @@ class TestSolve:
         assert 0.0 < sol.delta_tilde <= p.delta
         assert 0.0 < sol.phi <= 1.0
         assert sol.residual < 1e-10 * p.delta
+        assert sol.delta_tilde == pytest.approx(damped_fixed_point(p),
+                                                abs=1e-9 * p.delta)
         assert sol.p_up_relaxed + sol.p_up_dressed == pytest.approx(1.0, abs=0.0)
         # fixed point satisfies the defining equation to the contracted
         # defect bound (absolute in delta, since delta_tilde can be tiny)
