@@ -906,7 +906,8 @@ _DISPATCH = {
 # argument parsing
 
 
-def _build_parser():
+def _parse_args(argv):
+    """Parse argv; only a subcommand named in argv gets its configuration flags."""
     parser = argparse.ArgumentParser(
         prog="gapchain",
         description="Dissipative dynamics of a two-level emitter in a "
@@ -915,8 +916,10 @@ def _build_parser():
                         version=f"gapchain {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for sub, cmd in _DISPATCH.items():
-        g = subs.add_parser(sub, help=cmd.__doc__).add_argument_group(
-            "configuration")
+        subparser = subs.add_parser(sub, help=cmd.__doc__)
+        if sub not in argv:
+            continue  # argparse never reaches a subcommand that argv does not name
+        g = subparser.add_argument_group("configuration")
         g.add_argument("--config", metavar="FILE",
                        help="INI or JSON config file (flags override it)")
         for sec, keys in _SCHEMA.items():
@@ -931,7 +934,7 @@ def _build_parser():
                     _FLAG_NAMES.get((sec, key), "--" + key.replace("_", "-")),
                     dest=f"{sec}.{key}", help=f"{sec}.{key}: {parse.__doc__}",
                     **kw)
-    return parser
+    return parser.parse_args(argv)
 
 
 def _flag_overrides(args):
@@ -941,7 +944,7 @@ def _flag_overrides(args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = parse_config(path=args.config, overrides=_flag_overrides(args),
                            subcommand=args.subcommand)

@@ -19,6 +19,7 @@ Its Laplace transform ``ghat`` gives every other band integral in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,12 +151,19 @@ def bath_correlation(p: ModelParams, t):
 
 
 def _exp_e1(x):
-    """e^x E1(x); past the overflow of e^x, 1/x - 1/x^2 + 2/x^3 (error < 6/x^4)."""
+    """e^x E1(x); past the overflow of e^x, 1/x - 1/x^2 + 2/x^3 (error < 6/x^4).
+
+    A finite scalar x != 0 with |Re x| < 700 needs no guard: e^x stays finite
+    and E1 is finite off x = 0.
+    """
+    if np.ndim(x) == 0 and abs(x.real) < 700.0 and math.isfinite(x.imag) and x != 0:
+        return np.exp(x) * special.exp1(x)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = np.exp(x) * special.exp1(x)
         return np.where(np.isfinite(v), v, (1.0 - (1.0 - 2.0 / x) / x) / x)
 
 
+@functools.lru_cache(maxsize=64)
 def _tail_rule(omega0, omega_c):
     """24-node Gauss-Legendre (nodes, weights) for int_{sqrt(omega_c)}^inf 2w e^{-w^2/omega0} f(w) dw.
 
@@ -182,7 +190,8 @@ def ghat(p: ModelParams, s):
     (Re c >= 0), so one fixed ``_tail_rule`` serves every s and no point
     switches to a band quadrature.
 
-    s is a complex scalar or ndarray; temporaries are the size of s.  Just
+    s is a complex scalar or ndarray; temporaries are the size of s (a
+    scalar sums the tail rule as one dot product).  Just
     right of the cut, at s = -i(omega - delta) + 0, Re G_hat = J(omega)
     and Im G_hat is the principal-value shift, which is what the cut
     integral of ``rwa.cut_invert`` samples.
@@ -193,8 +202,11 @@ def ghat(p: ModelParams, s):
     full = math.sqrt(math.pi * p.omega0) - math.pi * np.sqrt(z) * special.erfcx(
         np.sqrt(z / p.omega0))
     nodes, weights = _tail_rule(p.omega0, p.omega_c)
-    tail = c * math.exp(-p.omega_c / p.omega0) * _exp_e1((z + p.omega_c) / p.omega0) + sum(
-        wk / (xk + c) for xk, wk in zip(nodes, weights))
+    if c.ndim == 0:
+        rest = weights @ (1.0 / (nodes + c))
+    else:  # a running sum keeps the temporaries the size of s
+        rest = sum(wk / (xk + c) for xk, wk in zip(nodes, weights))
+    tail = c * math.exp(-p.omega_c / p.omega0) * _exp_e1((z + p.omega_c) / p.omega0) + rest
     return p.alpha / (1j * math.pi) * (full - tail)
 
 

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg import eigh_tridiagonal
 
 from .chainmap import ChainCoefficients
@@ -60,6 +59,7 @@ _TOP_OCTAVES = np.arange(6, 40)  # band_top - omega_c 2^-k: the band-top log
 _PEAK_OCTAVES = np.arange(-4, 20)  # omega_r +- Gamma 2^k: an in-band resonance
 _RAY_FLOOR = 1e-14  # rays nu_e - i y of ``ray_invert``: first octave at y = omega_c 1e-14,
 _RAY_REACH = 40.0  # last node at y = 40/t_min, where e^{-y t} <= e^{-40}
+_POLE_STEPS = 100  # cap on the bound-pole search of one band end
 _NEWTON_STEPS = 60
 _NEWTON_STALL = 20  # steps a Newton seed may take without halving its best |s + G_II|
 _NEWTON_CYCLE = 4  # earlier iterates a Newton step is checked against: cycles up to period 5
@@ -184,12 +184,17 @@ def find_bound_pole(p: ModelParams):
     g(nu) = Im G_hat(-i nu + 0) - nu, which falls strictly on each side of
     the band.  So there is at most one pole below the edge, where g(nu_b)
     < 0, and exactly one above the top, where the log singularity sends g
-    to +inf.  Each root is bracketed in the log of its distance d from the
+    to +inf.  Each root is bracketed in x = log d, d its distance from the
     band end, between the last representable d and one past which the sign
-    of g is fixed by |Im G_hat| <= max(omega_s/2, Omega^2/d).  The residue
-    is 1/(1 + dG_hat/ds).  A pole closer to the top than double precision
-    resolves has a weight pi d / J(band top) below that resolution too,
-    and is skipped.
+    of g is fixed by |Im G_hat| <= max(omega_s/2, Omega^2/d).  Newton's
+    method in x, with g'(nu) = -Re G_hat'(s) - 1 from ``ghat_slope``, runs
+    from the far end of the bracket and keeps it; a step that would leave
+    the bracket bisects it instead.  The search ends with a last step once
+    the step is at most 1e-15 max(1, |x|), or when the bracket is that
+    narrow, which is where rounding in g ends it (_POLE_STEPS caps it).  The
+    residue is 1/(1 + dG_hat/ds).  A pole closer to the top than double
+    precision resolves has a weight pi d / J(band top) below that
+    resolution too, and is skipped.
     """
     if p.alpha == 0.0:
         return []
@@ -198,13 +203,29 @@ def find_bound_pole(p: ModelParams):
         lo = math.log(8.0 * np.finfo(float).eps * (abs(end) + p.omega_c))
         hi = math.log(abs(end) + p.omega2 + p.omega_s + 1.0)
 
-        def h(x):  # g at distance e^x from the band end
+        def h(x):  # nu at distance e^x from the band end, g(nu) and dg/dx
             nu = end + side * math.exp(x)
-            return float(ghat(p, _OFF_CUT - 1j * nu).imag) - nu
+            s = _OFF_CUT - 1j * nu
+            g = complex(ghat(p, s))
+            return nu, g.imag - nu, (-ghat_slope(p, s, g).real - 1.0) * (nu - end)
 
-        if not h(lo) * h(hi) < 0.0:
+        (_, h_lo, _), (nu, h_x, slope) = h(lo), h(hi)
+        if not h_lo * h_x < 0.0:
             continue
-        nu = end + side * math.exp(optimize.brentq(h, lo, hi, xtol=1e-15))
+        a, b, x = lo, hi, hi  # h(a) has the sign of h(lo), h(b) the other
+        for _ in range(_POLE_STEPS):
+            step, tol = h_x / slope, 1e-15 * max(1.0, abs(x))
+            if abs(step) <= tol:
+                nu -= step * (nu - end)  # the last step, in nu: exp(x) would round it
+                break
+            x = x - step if a < x - step < b else 0.5 * (a + b)
+            nu, h_x, slope = h(x)
+            a, b = (x, b) if (h_x < 0.0) == (h_lo < 0.0) else (a, x)
+            if b - a <= tol:
+                break
+        else:
+            raise RuntimeError(f"bound-pole search did not converge in {_POLE_STEPS} steps "
+                               f"(bracket [{a!r}, {b!r}] in log distance from {end:g})")
         s = _OFF_CUT - 1j * nu
         poles.append((-1j * nu, 1.0 / (1.0 + ghat_slope(p, s, complex(ghat(p, s))))))
     return poles

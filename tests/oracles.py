@@ -21,7 +21,9 @@ top Fock occupation, a truncation health value; and the doubling protocol
 The RWA pole asymptotics: the three-regime classification of the
 broad-band quadratic root analysis, its stationary population, and the
 long-time closed form (pole term plus branch-cut integral), which the exact
-solvers are checked against deep in the broad-band window.
+solvers are checked against deep in the broad-band window.  The real-axis
+poles by Brent's method (``bound_pole_by_brentq``), which the bracketed
+Newton search of ``find_bound_pole`` is checked against.
 
 The polaron closed forms: the residual-population branch at the band edge,
 the large-splitting estimate and the adiabatic small-splitting
@@ -36,13 +38,14 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.linalg import eigh_tridiagonal
 
 from gapchain import mps
 from gapchain.chainmap import ChainCoefficients
-from gapchain.model import ModelParams, ghat
+from gapchain.model import ModelParams, ghat, ghat_slope
 from gapchain.polaron import PolaronSolution, _renorm_integral
+from gapchain.rwa import _OFF_CUT
 
 
 def complex_quad(f, a, b, epsabs=1e-10, epsrel=1e-8, limit=2000):
@@ -315,6 +318,32 @@ def analytic_longtime(p: ModelParams, t):
         r1 = cls.r1
         val = val + cls.c1 * np.exp(1j * (r1 * r1 + p.delta_L) * t)
     return complex(val)
+
+
+def bound_pole_by_brentq(p: ModelParams):
+    """``rwa.find_bound_pole`` by Brent's method on the same bracket in x = log d.
+
+    The search the package used before its bracketed Newton search: the
+    same sign test, ``brentq`` to xtol 1e-15, and the residue
+    1/(1 + dG_hat/ds) at the root.
+    """
+    if p.alpha == 0.0:
+        return []
+    poles = []
+    for end, side in ((p.omega_b - p.delta, -1.0), (p.band_top - p.delta, 1.0)):
+        lo = math.log(8.0 * np.finfo(float).eps * (abs(end) + p.omega_c))
+        hi = math.log(abs(end) + p.omega2 + p.omega_s + 1.0)
+
+        def h(x):  # g at distance e^x from the band end
+            nu = end + side * math.exp(x)
+            return float(ghat(p, _OFF_CUT - 1j * nu).imag) - nu
+
+        if not h(lo) * h(hi) < 0.0:
+            continue
+        nu = end + side * math.exp(optimize.brentq(h, lo, hi, xtol=1e-15))
+        s = _OFF_CUT - 1j * nu
+        poles.append((-1j * nu, 1.0 / (1.0 + ghat_slope(p, s, complex(ghat(p, s))))))
+    return poles
 
 
 class BoundaryPrediction(NamedTuple):

@@ -22,8 +22,8 @@ import pytest
 
 import gapchain
 from gapchain import analysis
-from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _build_parser,
-                          _flag_overrides, main, parse_config)
+from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _flag_overrides,
+                          _parse_args, main, parse_config)
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 
@@ -244,8 +244,7 @@ class TestFlagFileParity:
         flag = [flag_for(sec, key)]
         if value != "true":  # a switch is a bare flag
             flag.append(value)
-        args = _build_parser().parse_args(
-            [sub, "--config", str(base_ini), *flag])
+        args = _parse_args([sub, "--config", str(base_ini), *flag])
         via_flag = parse_config(path=args.config,
                                 overrides=_flag_overrides(args),
                                 subcommand=sub)
@@ -946,10 +945,11 @@ class TestManifest:
         assert doc["wall_time_s"] >= 0.0
 
 
-def test_import_loads_no_scipy_signal_stats_or_integrate():
+def test_import_loads_no_scipy_signal_stats_integrate_or_optimize():
     src = str(Path(gapchain.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import gapchain.cli; "
-            "print(sorted({'scipy.signal', 'scipy.stats', 'scipy.integrate', 'mpmath'}"
+            "print(sorted({'scipy.signal', 'scipy.stats', 'scipy.integrate',"
+            " 'scipy.optimize', 'mpmath'}"
             " & set(sys.modules)))"
             % src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -272,6 +272,27 @@ class TestGhatClosedForm:
         batch = ghat(p, pts)
         for s, v in zip(pts, batch):
             assert complex(ghat(p, s)) == pytest.approx(v, rel=1e-14)
+        # A scalar takes the dot-product tail and the unguarded e^x E1(x), an
+        # array the running sum and the overflow guard.  10^4 more points, on
+        # the wideband and broad corners at delta = 0, omega_b and the band
+        # top: a third within 1e-14..1 of a band end, half just right of the
+        # cut.  Scalar and array arithmetic differed by up to 4e-15 here
+        # already when both paths summed the tail in a loop.
+        rng = np.random.default_rng(5)
+        for corner in (WIDEBAND, dict(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4)):
+            for delta in (0.0, corner["omega_b"], corner["omega_b"] + corner["omega_c"]):
+                p = ModelParams(**corner, delta=delta)
+                ends = np.array([p.omega_b - delta, p.band_top - delta])
+                near = rng.choice(ends, 600) + rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(
+                    -14.0, 0.0, 600)
+                nu = np.concatenate([near, rng.uniform(ends[0] - p.omega_c, ends[1] + p.omega_c,
+                                                       1067)])
+                re = np.where(rng.random(nu.size) < 0.5, 1e-30, 10.0 ** rng.uniform(-12, 3, nu.size))
+                pts = re * rng.choice([-1.0, 1.0], nu.size) - 1j * nu
+                batch = ghat(p, pts)
+                each = np.array([complex(ghat(p, s)) for s in pts])
+                assert np.all(np.isfinite(batch)) and np.all(np.isfinite(each))
+                assert np.max(np.abs(each - batch) / np.abs(batch)) <= 1e-14
 
     @pytest.mark.parametrize("p", GHAT_CORNERS, ids=["wc8w0", "wc5w0"])
     def test_slope_matches_quadrature(self, p):

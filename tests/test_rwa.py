@@ -35,6 +35,7 @@ from gapchain.rwa import (
 from oracles import (
     _branch_integral,
     analytic_longtime,
+    bound_pole_by_brentq,
     classify_regime,
     complex_quad,
     delta_L_tilde,
@@ -44,6 +45,14 @@ from oracles import (
 
 REDUCED = dict(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0)
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
+BROAD = dict(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4)
+
+
+def pole_residual(p, nu):
+    """|g/g'|/|nu| at the real-axis point s = -i nu: the Newton distance to the root."""
+    s = rwa._OFF_CUT - 1j * nu
+    g = complex(rwa.ghat(p, s))
+    return abs((g.imag - nu) / (-rwa.ghat_slope(p, s, g).real - 1.0)) / abs(nu)
 
 
 def reduced(**kw):
@@ -60,6 +69,18 @@ def midscale(offset):
     omega_s = 2.0 * alpha * np.sqrt(omega0 / np.pi)
     return ModelParams(alpha=alpha, omega_b=omega_b, omega0=omega0,
                        omega_c=omega_c, delta=omega_b + omega_s + offset)
+
+
+def count_calls(monkeypatch, name):
+    """Route rwa.<name> through a counter; the returned list grows by one per call."""
+    calls, fn = [], getattr(rwa, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(rwa, name, counted)
+    return calls
 
 
 def richardson_volterra(p, t_max, dt=5e-4):
@@ -378,14 +399,7 @@ class TestRayInvert:
     @staticmethod
     def newton_search(monkeypatch, p):
         """_second_sheet_zeros(p) and the number of Newton steps it took."""
-        steps = []
-        slope = rwa.ghat_slope
-
-        def counted(*args):
-            steps.append(1)  # one ghat_slope call per Newton step
-            return slope(*args)
-
-        monkeypatch.setattr(rwa, "ghat_slope", counted)
+        steps = count_calls(monkeypatch, "ghat_slope")  # one call per Newton step
         return _second_sheet_zeros(p), len(steps)
 
     def test_newton_search_ends_early_at_rwa_laplace_corner(self, monkeypatch):
@@ -439,6 +453,43 @@ class TestBoundPole:
             / (loc + 1j * (p.omega_b + u * u - p.delta)) ** 2,
             0.0, np.sqrt(p.omega_c), epsrel=1e-12, limit=4000)
         assert res == pytest.approx(1.0 / (1.0 + slope), rel=1e-9)
+
+    @pytest.mark.parametrize("corner", [WIDEBAND, REDUCED, BROAD],
+                             ids=["wideband", "reduced", "broad"])
+    def test_newton_search_matches_brentq(self, corner):
+        # alpha 0.01, the corner's own and 30; delta at 0, omega_b/2, the band
+        # edge, just above it, mid-band, the hard band top and above the band
+        top = corner["omega_b"] + corner["omega_c"]
+        deltas = (0.0, corner["omega_b"] / 2.0, corner["omega_b"], corner["omega_b"] + 1.0,
+                  (corner["omega_b"] + top) / 2.0, top, top + corner["omega_c"] / 2.0)
+        checked = 0
+        for alpha in (0.01, corner["alpha"], 30.0):
+            for delta in deltas:
+                p = ModelParams(**{**corner, "alpha": alpha}, delta=delta)
+                poles, ref = find_bound_pole(p), bound_pole_by_brentq(p)
+                assert len(poles) == len(ref)
+                for (loc, res), (ref_loc, ref_res) in zip(poles, ref):
+                    nu, ref_nu = (1j * loc).real, (1j * ref_loc).real
+                    if abs(nu - ref_nu) > 1e-15 * abs(ref_nu):
+                        # both lie within rounding of the root; the new one is no farther
+                        assert pole_residual(p, nu) <= pole_residual(p, ref_nu), (p, nu, ref_nu)
+                    assert abs(res - ref_res) <= 1e-15, p
+                    checked += 1
+        assert checked >= 2 * len(deltas)  # a few (alpha, delta) have no pole
+
+    def test_ghat_calls_at_rwa_laplace_corner(self, monkeypatch):
+        # brentq took 18: 4 for the sign tests, 13 inside brentq, 1 for the residue
+        calls = count_calls(monkeypatch, "ghat")
+        assert len(find_bound_pole(wideband(delta=3.0))) == 1
+        assert len(calls) <= 18
+
+    def test_search_ends_at_rounding_floor(self, monkeypatch):
+        # here |g| cannot fall below rounding, so the Newton step never drops
+        # under 1e-15 |x|; the search ends once the bracket is that narrow
+        calls = count_calls(monkeypatch, "ghat")
+        [(loc, _)] = find_bound_pole(wideband(delta=10.0))
+        assert len(calls) <= 25  # 19; it ran into the step cap without the bracket stop
+        assert loc == pytest.approx(bound_pole_by_brentq(wideband(delta=10.0))[0][0], rel=1e-15)
 
 
 class TestClassifyRegime:
