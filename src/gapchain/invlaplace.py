@@ -8,14 +8,15 @@
     2 (-i)^k j_k(kappa).  The rule is Gauss-Legendre at t = 0 and exact
     for a polynomial f of degree < 32 at every t, so its error does not
     grow with the number of oscillations per panel (Iserles & Norsett,
-    *BIT* 44 (2004) 755).  The spherical Bessel table j_k(kappa), k < 32,
-    comes from two three-term recurrences run over all (t, panel) pairs
-    at once: forward from j_0 and j_1 for k <= kappa, and above kappa,
-    where j_k is the minimal solution, Miller's backward continued
-    fraction for the ratios j_k/j_{k-1} (Gautschi, *SIAM Rev.* 9 (1967)
-    24).  ``rwa.cut_invert`` integrates the emitter's spectral density
-    over the band with it: once the resolvent's poles are known, the
-    Bromwich contour collapses onto the branch cut.
+    *BIT* 44 (2004) 755).  Each (t, panel) pair needs only the sum
+    sum_k c_k j_k(kappa), k < 32, which ``_bessel_sum`` accumulates inside
+    the two three-term recurrences of j_k: forward from j_0 and j_1 for
+    k <= kappa, and above kappa, where j_k is the minimal solution, as a
+    Horner tail over the ratios j_k/j_{k-1} of Miller's backward continued
+    fraction (Gautschi, *SIAM Rev.* 9 (1967) 24); no j_k is stored.
+    ``rwa.cut_invert`` integrates the emitter's spectral density over the
+    band with it: once the resolvent's poles are known, the Bromwich
+    contour collapses onto the branch cut.
 
 ``ray_rule``
     Nodes and weights for int_0^inf g(y) e^{-y t} dy that serve every
@@ -42,61 +43,94 @@ _FILON_K = np.arange(32)
 # times the 2 (-i)^k of int_{-1}^{1} P_k e^{-i kappa x} dx = 2 (-i)^k j_k(kappa)
 _FILON_COEF = (np.polynomial.legendre.legvander(_FILON_X, 31)
                * (_FILON_W[:, None] * (_FILON_K + 0.5)) * (2.0 * (-1j) ** _FILON_K))
-_FILON_CHUNK = 16  # times per (times, panels, degree) table of j_k
-_MILLER_START = 72  # order of r = 0 in the ratio recurrence: ample for kappa < 32
+_FILON_CHUNK = 128  # times per call of _bessel_sum: its temporaries are chunk x panels
+_RATIO_SEED = 48  # order of the ratio recurrence's uniform-asymptotic start
 _RAY_X, _RAY_W = np.polynomial.legendre.leggauss(16)
 
 
 def filon_fourier(f, edges, times):
-    """int_{edges[0]}^{edges[-1]} f(x) e^{-i x t} dx for each t in ``times``.
+    """int_{edges[0]}^{edges[-1]} f(x) e^{-i x t} dx for each t >= 0 in ``times``.
 
-    f is called once, on the (panels, 32) array of Gauss nodes.  The j_k
-    table (``_bessel_table``, two vectorized recurrences after Gautschi
-    1967) is built for 16 times at a time, so temporaries stay at
-    16 x panels x 32 doubles however many times are asked for.
+    f is called once, on the (panels, 32) array of Gauss nodes.  For each
+    chunk of 128 times, ``_bessel_sum`` contracts the panels' Legendre
+    coefficients with j_k(t half-width), so temporaries stay at
+    128 x panels however many times are asked for.
     """
     edges = np.asarray(edges, dtype=float)
     times = np.asarray(times, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be an increasing sequence of >= 2 points")
+    if not np.all(times >= 0.0):
+        raise ValueError("times must be >= 0")
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     coef = (f(mid[:, None] + half[:, None] * _FILON_X) @ _FILON_COEF) * half[:, None]
     out = np.empty(times.size, dtype=complex)
     for i in range(0, times.size, _FILON_CHUNK):
         t = times[i:i + _FILON_CHUNK]
-        jk = _bessel_table(np.outer(t, half))
-        out[i:i + _FILON_CHUNK] = np.sum(
-            np.einsum("tpk,pk->tp", jk, coef) * np.exp(-1j * np.outer(t, mid)), axis=1)
+        phase = np.exp(np.outer(t, -1j * mid))
+        phase *= _bessel_sum(np.outer(t, half), coef)
+        out[i:i + _FILON_CHUNK] = phase.sum(axis=1)
     return out
 
 
-def _bessel_table(kappa):
-    """Spherical Bessel j_k(kappa) for k = 0..31, shape kappa.shape + (32,).
+def _bessel_sum(kappa, coef):
+    """sum_k coef[p, k] j_k(kappa[t, p]) over k = 0..31, for kappa >= 0 of shape (t, p).
 
     Orders k <= kappa run the forward recurrence
     j_{k+1} = (2k + 1)/kappa j_k - j_{k-1} from j_0 = sin(kappa)/kappa and
-    j_1 = (j_0 - cos kappa)/kappa, as scipy's ``spherical_jn`` does there.
-    Above kappa j_k is the minimal solution, which that recurrence loses,
-    so the ratios r_k = j_k/j_{k-1} = kappa/(2k + 1 - kappa r_{k+1}) run
-    down from r_72 = 0 (Miller's continued fraction) and j_k = r_k j_{k-1}
-    chains them up from the last forward value (Gautschi, *SIAM Rev.* 9
-    (1967) 24).  At kappa = 0 every ratio is 0 and j_0 is 1.
+    j_1 = (j_0 - cos kappa)/kappa, as scipy's ``spherical_jn`` does there,
+    and add c_k j_k as they go.  Above kappa j_k is the minimal solution,
+    which that recurrence loses, so the ratios
+    r_k = j_k/j_{k-1} = kappa/(2k + 1 - kappa r_{k+1}) run down (Gautschi,
+    *SIAM Rev.* 9 (1967) 24) from their uniform-asymptotic value
+    kappa/(n + sqrt(n^2 - kappa^2)), n = 48.5, at order 48, and carry the
+    Horner tail H_k = r_k (c_k + H_{k+1}) = sum_{m >= k} c_m j_m / j_{k-1}.
+    With k* = min(floor kappa, 31) the last forward order, the sum is the
+    forward part plus j_{k*} H_{k*+1}.
+
+    The pairs are ordered by k* (a radix sort), so that the pairs each
+    step of either recurrence updates are one slice and none is masked.
+    At kappa = 0 every ratio is 0 and the sum is c_0.
     """
-    x = np.abs(np.asarray(kappa, dtype=float))
-    jk = np.empty((_FILON_K.size,) + x.shape)  # r_k first, then j_k over it
-    r = np.zeros_like(x)
-    for k in range(_MILLER_START, 0, -1):
-        r = np.where(x < k, x / (2 * k + 1 - x * r), 0.0)
-        if k < _FILON_K.size:
-            jk[k] = r
-    jk[0] = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-    xf = np.maximum(x, 1.0)  # forward values are kept only where kappa >= k >= 1
-    jk[1] = np.where(x >= 1.0, (jk[0] - np.cos(x)) / xf, jk[1] * jk[0])
-    for k in range(2, _FILON_K.size):
-        jk[k] = np.where(x >= k, (2 * k - 1) * jk[k - 1] / xf - jk[k - 2], jk[k] * jk[k - 1])
-    jk[1::2] *= np.where(np.asarray(kappa) < 0.0, -1.0, 1.0)  # j_k(-kappa) = (-1)^k j_k(kappa)
-    return np.moveaxis(jk, 0, -1)
+    n_p = kappa.shape[1]
+    x = kappa.ravel()
+    last = _FILON_K.size - 1
+    kstar = np.minimum(x, last).astype(np.uint8)
+    order = np.argsort(kstar, kind="stable")
+    ends = np.bincount(kstar, minlength=_FILON_K.size).cumsum()  # pairs with k* <= k
+    x, panel, ct = x[order], order % n_p, np.ascontiguousarray(coef.T)
+
+    # down: the ratio orders k > k* of the pairs with k* < 31, in x[:ends[k - 1]]
+    xr = x[:ends[last - 1]]
+    n = _RATIO_SEED + 0.5
+    r = xr / (n + np.sqrt(n * n - xr * xr))
+    h = np.zeros(x.size, dtype=complex)  # stays 0 where k* = 31
+    for k in range(_RATIO_SEED - 1, 0, -1):
+        m = ends[k - 1] if k <= last else xr.size
+        r[:m] = xr[:m] / (2 * k + 1 - xr[:m] * r[:m])
+        if k <= last:
+            h[:m] = r[:m] * (h[:m] + ct[k].take(panel[:m]))
+
+    # up: the forward orders 1 <= k <= k* of the pairs in x[ends[k - 1]:]
+    j0 = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+    out = j0 * ct[0].take(panel)
+    lo = ends[0]
+    out[:lo] += j0[:lo] * h[:lo]
+    jp, j = j0[lo:], (j0[lo:] - np.cos(x[lo:])) / x[lo:]
+    for k in range(1, _FILON_K.size):
+        if lo == x.size:
+            break
+        if k > 1:
+            d = j.size - (x.size - lo)
+            jp, j = j[d:], (2 * k - 1) * j[d:] / x[lo:] - jp[d:]
+        out[lo:] += j * ct[k].take(panel[lo:])
+        hi = ends[k]
+        out[lo:hi] += j[:hi - lo] * h[lo:hi]
+        lo = hi
+    res = np.empty_like(out)
+    res[order] = out
+    return res.reshape(kappa.shape)
 
 
 def ray_rule(y_lo, y_hi, breaks=(), sqrt=False):

@@ -206,7 +206,8 @@ def ghat(p: ModelParams, s):
         rest = weights @ (1.0 / (nodes + c))
     else:  # a running sum keeps the temporaries the size of s
         rest = sum(wk / (xk + c) for xk, wk in zip(nodes, weights))
-    tail = c * math.exp(-p.omega_c / p.omega0) * _exp_e1((z + p.omega_c) / p.omega0) + rest
+    top = p.band_top - p.delta - 1j * s  # z + omega_c, to ulp(top) and not ulp(omega_c)
+    tail = c * math.exp(-p.omega_c / p.omega0) * _exp_e1(top / p.omega0) + rest
     return p.alpha / (1j * math.pi) * (full - tail)
 
 
@@ -218,6 +219,7 @@ def ghat_slope(p: ModelParams, s, g):
     z = p.omega_b - p.delta - 1j * s
     a = math.sqrt(math.pi * p.omega0) * math.erf(math.sqrt(p.omega_c / p.omega0))
     b = math.sqrt(p.omega_c) * math.exp(-p.omega_c / p.omega0)
-    return (-p.alpha / math.pi * (b / (p.omega_c + z) - a / (2.0 * z))
+    top = p.band_top - p.delta - 1j * s  # omega_c + z, as in ``ghat``
+    return (-p.alpha / math.pi * (b / top - a / (2.0 * z))
             - 1j * g * (0.5 / z + 1.0 / p.omega0))
 

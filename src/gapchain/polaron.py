@@ -29,7 +29,7 @@ class PolaronSolution:
     p_up_relaxed: float  # (1 - phi) / 2
     p_up_dressed: float  # (1 + phi) / 2
     iterations: int
-    residual: float
+    residual: float  # last step |d ln(Delta_tilde)| of the map
 
 
 def _renorm_integral(p: ModelParams, delta_tilde):
@@ -43,12 +43,19 @@ def _renorm_integral(p: ModelParams, delta_tilde):
 
 
 def silbey_harris_solve(p: ModelParams) -> PolaronSolution:
-    """Fixed-point map x <- RHS(x) from x = Delta; returns the largest root.
+    """Fixed-point map y <- -I(Delta e^y) on y = ln(Delta_tilde/Delta) from y = 0;
+    returns the largest root.
 
-    RHS is increasing in x and at most Delta, so the iterates fall
-    monotonically onto the largest root and never pass it.  Where the
-    condition has three roots (small w_b, strong coupling) the two below
-    are never reached.  ``iterations`` counts RHS evaluations.
+    I is ``_renorm_integral``.  The map is x <- Delta e^{-I(x)} in the
+    logarithm of x = Delta e^y: its right side is increasing in x and at
+    most Delta, so the iterates fall monotonically onto the largest root
+    and never pass it.  Where the condition has three roots (small w_b,
+    strong coupling) the two below are never reached.  Iterating in y
+    makes the stop |dy| <= 1e-13 max(1, |y|) relative in Delta_tilde,
+    however small the root.  At the fold where the two upper roots merge
+    the map's rate tends to 1, and within about 3e-4 of it in delta
+    (alpha 1, w_b 1e-3, w0 100, w_c 800) the 1000 steps run out.
+    ``iterations`` counts I evaluations and ``residual`` is the last |dy|.
     """
     if p.delta <= 0.0:
         raise ValueError("delta must be positive: the overlap factor "
@@ -56,18 +63,18 @@ def silbey_harris_solve(p: ModelParams) -> PolaronSolution:
     if p.alpha == 0.0:
         return PolaronSolution(p.delta, 1.0, 0.0, 1.0, 1, 0.0)
 
-    tol = 1e-10 * p.delta
-    x = p.delta
-    for iterations in range(1, 501):
-        x_next = p.delta * math.exp(-_renorm_integral(p, x))
-        defect = x - x_next
-        if defect < tol:
+    y = 0.0
+    for iterations in range(1, 1001):
+        y_next = -_renorm_integral(p, p.delta * math.exp(y))
+        step = abs(y_next - y)
+        y = y_next
+        if step <= 1e-13 * max(1.0, abs(y)):
             break
-        x = x_next
     else:
         raise RuntimeError(
             f"polaron self-consistency did not converge: last iterate "
-            f"{x:.6g}, defect {defect:.3e} after {iterations} iterations")
-    phi = x / p.delta
-    return PolaronSolution(x, phi, 0.5 * (1.0 - phi), 0.5 * (1.0 + phi),
-                           iterations, defect)
+            f"{p.delta * math.exp(y):.6g}, step {step:.3e} in ln(delta_tilde/delta) "
+            f"after {iterations} iterations")
+    phi = math.exp(y)
+    return PolaronSolution(p.delta * phi, phi, 0.5 * (1.0 - phi), 0.5 * (1.0 + phi),
+                           iterations, step)

@@ -248,13 +248,14 @@ def _cut_edges(p: ModelParams):
     return np.unique(np.clip(np.concatenate(nu), nu_b, nu_t))
 
 
-def cut_invert(p: ModelParams, times):
+def cut_invert(p: ModelParams, times, bound):
     """Interaction-frame amplitude A(t) from the collapsed Bromwich contour.
 
     A(t) = sum_p Z_p e^{s_p t} + int_band rho(omega) e^{-i(omega - delta)t} d omega,
-    with the poles of ``find_bound_pole`` and the emitter's spectral density
-    rho = (1/pi) Re[1/(s + G_hat(s))] just right of the cut, integrated by
-    ``invlaplace.filon_fourier`` on the panels of ``_cut_edges``.
+    with the emitter's spectral density rho = (1/pi) Re[1/(s + G_hat(s))]
+    just right of the cut, integrated by ``invlaplace.filon_fourier`` on the
+    panels of ``_cut_edges``.  ``bound`` holds the real-axis poles (s_p, Z_p)
+    as ``find_bound_pole`` returns them.
     """
     times = np.asarray(times, dtype=float)
     if p.alpha == 0.0:
@@ -265,7 +266,7 @@ def cut_invert(p: ModelParams, times):
         return (1.0 / (s + ghat(p, s))).real / math.pi
 
     values = filon_fourier(density, _cut_edges(p), times)
-    for loc, res in find_bound_pole(p):
+    for loc, res in bound:
         values = values + res * np.exp(loc * times)
     return values
 
@@ -366,19 +367,20 @@ def laplace_invert(p: ModelParams, times):
     """Invert the resolvent transform A_hat(s) = 1/(s + G_hat(s)).
 
     ``cut_invert`` is the primary inverter and ``ray_invert`` checks every
-    point; disagreements beyond 1e-3 are flagged.  The real-axis poles are
-    the one part both share, so the sum rule A(0) = 1 of the cut integral
-    checks them, and a miss beyond 1e-3 flags every point.  ``checks``
-    records the poles used and the sum-rule residual.
+    point; disagreements beyond 1e-3 are flagged.  The real-axis poles,
+    found once by ``find_bound_pole``, are the one part both share, so the
+    sum rule A(0) = 1 of the cut integral checks them, and a miss beyond
+    1e-3 flags every point.  ``checks`` records the poles used and the
+    sum-rule residual.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
     if times.min() <= 0.0:
         raise ValueError("laplace_invert requires all times > 0")
-    values = cut_invert(p, np.concatenate(([0.0], times)))
-    residual = float(abs(values[0] - 1.0))
     bound = find_bound_pole(p)
+    values = cut_invert(p, np.concatenate(([0.0], times)), bound)
+    residual = float(abs(values[0] - 1.0))
     ref, resonances = ray_invert(p, times, bound)
     flags = (np.abs(values[1:] - ref) > _FLAG_TOL) | (residual > _FLAG_TOL)
     poles = ([{"nu": 1j * loc, "weight": res, "kind": "bound"} for loc, res in bound]

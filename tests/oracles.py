@@ -29,7 +29,9 @@ The polaron closed forms: the residual-population branch at the band edge,
 the large-splitting estimate and the adiabatic small-splitting
 renormalization.  The polaron reference root (``damped_fixed_point``): the
 damped map x <- x/2 + RHS(x)/2 from x = Delta, which falls onto the same
-largest root as ``silbey_harris_solve`` by a different iteration.
+largest root as ``silbey_harris_solve`` by a different iteration, and
+the root ln(delta_tilde/Delta) by bisection (``log_root_by_bisection``),
+where the condition has one root.
 """
 
 import math
@@ -404,3 +406,21 @@ def damped_fixed_point(p: ModelParams, tol=1e-12, max_steps=20_000) -> float:
             return x
         x = 0.5 * x + 0.5 * r
     raise RuntimeError(f"damped polaron iteration did not converge: last iterate {x:.6g}")
+
+
+def log_root_by_bisection(p: ModelParams) -> float:
+    """y = ln(delta_tilde/Delta) of the polaron condition y = -I(Delta e^y) by bisection.
+
+    I = ``_renorm_integral`` falls as x grows, so f(y) = y + I(Delta e^y) is
+    positive at y = 0 and negative at y = -I(0) - 1; the bracket halves until
+    its midpoint is one of its ends.  With one root in the bracket (no
+    three-root corner) it is that root, to the last bit f resolves.
+    """
+    def f(y):
+        return y + _renorm_integral(p, p.delta * math.exp(y))
+
+    lo, hi = -_renorm_integral(p, 0.0) - 1.0, 0.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)

@@ -18,6 +18,7 @@ from oracles import (
     adiabatic_renorm,
     approx_large_delta,
     damped_fixed_point,
+    log_root_by_bisection,
     residual_population,
 )
 
@@ -125,6 +126,29 @@ class TestSolve:
         sol = silbey_harris_solve(p)
         assert 0.0 <= sol.delta_tilde <= 1e-9
         assert sol.residual < 1e-10 * p.delta
+
+    def test_strong_coupling_root_to_relative_accuracy(self):
+        # y = ln(delta_tilde/delta) ~ -470: a stop on the defect in x, absolute
+        # in delta, returned 8.2e-151 here where the root is 5.8e-205
+        p = ModelParams(alpha=15.0, omega_b=1e-3, omega0=100.0, omega_c=800.0,
+                        delta=2.0)
+        sol = silbey_harris_solve(p)
+        y = log_root_by_bisection(p)
+        assert math.log(sol.phi) == pytest.approx(y, rel=1e-12)
+        assert sol.delta_tilde == pytest.approx(p.delta * math.exp(y), rel=1e-9)
+        assert sol.delta_tilde == pytest.approx(5.7685e-205, rel=1e-4)
+        assert sol.iterations <= 6
+
+    @pytest.mark.parametrize("delta", [1.47, 1.48, 1.4885])
+    def test_small_root_below_the_fold(self, delta):
+        # below the fold at delta ~ 1.489 only the small root is left, and
+        # phi = e^{-I(~0)} barely depends on delta; the absolute stop
+        # scattered it over 2.4e-14 ... 7.3e-14
+        p = ModelParams(alpha=1.0, omega_b=1e-3, omega0=100.0, omega_c=800.0,
+                        delta=delta)
+        sol = silbey_harris_solve(p)
+        assert math.log(sol.phi) == pytest.approx(log_root_by_bisection(p), rel=1e-12)
+        assert sol.phi == pytest.approx(2.31208e-14, rel=1e-5)
 
     def test_three_root_corner_keeps_largest_root(self):
         # near the band edge I(x) ~ alpha/sqrt(omega_b + x): the defect

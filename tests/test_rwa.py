@@ -46,6 +46,8 @@ from oracles import (
 REDUCED = dict(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0)
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 BROAD = dict(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4)
+# the broad corner at alpha = 1, with a bound pole 1.6e-7 above the hard band top
+HARD_TOP = ModelParams(**{**BROAD, "alpha": 1.0}, delta=39960.999)
 
 
 def pole_residual(p, nu):
@@ -304,7 +306,7 @@ class TestLaplaceInvert:
         assert np.max(np.abs(sl.values - sc.values[1:])) <= 1e-10
         assert not sl.flags.any()
         # the pole weights and the band integral of the density sum to 1
-        assert abs(cut_invert(p, [0.0])[0] - 1.0) <= 1e-10
+        assert abs(cut_invert(p, [0.0], find_bound_pole(p))[0] - 1.0) <= 1e-10
 
     def test_flags_fire_for_crude_cut_rule(self, monkeypatch):
         # one 32-node panel over the whole band cannot follow the
@@ -326,6 +328,16 @@ class TestLaplaceInvert:
         assert s.checks["poles"] == []
         assert s.checks["sum_rule_residual"] > 0.5
         assert np.max(np.abs(s.values - ray_invert(p, ts, [])[0])) < 1e-8
+
+    def test_one_pole_search_at_rwa_laplace_corner(self, monkeypatch):
+        # cut_invert and ray_invert share one find_bound_pole; a second
+        # search for cut_invert made 40 ghat calls where one makes 26
+        searches = count_calls(monkeypatch, "find_bound_pole")
+        calls = count_calls(monkeypatch, "ghat")
+        s = laplace_invert(wideband(delta=3.0), np.linspace(0.02, 2.0, 100))
+        assert not s.flags.any()
+        assert len(searches) == 1
+        assert len(calls) <= 26
 
     def test_checks_record_poles_and_sum_rule(self):
         s = laplace_invert(reduced(delta=50.0), np.linspace(0.1, 1.5, 8))
@@ -454,6 +466,19 @@ class TestBoundPole:
             0.0, np.sqrt(p.omega_c), epsrel=1e-12, limit=4000)
         assert res == pytest.approx(1.0 / (1.0 + slope), rel=1e-9)
 
+    @staticmethod
+    def assert_matches_brentq(p):
+        """The poles of find_bound_pole(p) against the brentq oracle; returns their number."""
+        poles, ref = find_bound_pole(p), bound_pole_by_brentq(p)
+        assert len(poles) == len(ref)
+        for (loc, res), (ref_loc, ref_res) in zip(poles, ref):
+            nu, ref_nu = (1j * loc).real, (1j * ref_loc).real
+            if abs(nu - ref_nu) > 1e-15 * abs(ref_nu):
+                # both lie within rounding of the root; the new one is no farther
+                assert pole_residual(p, nu) <= pole_residual(p, ref_nu), (p, nu, ref_nu)
+            assert abs(res - ref_res) <= 1e-15, p
+        return len(poles)
+
     @pytest.mark.parametrize("corner", [WIDEBAND, REDUCED, BROAD],
                              ids=["wideband", "reduced", "broad"])
     def test_newton_search_matches_brentq(self, corner):
@@ -462,20 +487,31 @@ class TestBoundPole:
         top = corner["omega_b"] + corner["omega_c"]
         deltas = (0.0, corner["omega_b"] / 2.0, corner["omega_b"], corner["omega_b"] + 1.0,
                   (corner["omega_b"] + top) / 2.0, top, top + corner["omega_c"] / 2.0)
-        checked = 0
-        for alpha in (0.01, corner["alpha"], 30.0):
-            for delta in deltas:
-                p = ModelParams(**{**corner, "alpha": alpha}, delta=delta)
-                poles, ref = find_bound_pole(p), bound_pole_by_brentq(p)
-                assert len(poles) == len(ref)
-                for (loc, res), (ref_loc, ref_res) in zip(poles, ref):
-                    nu, ref_nu = (1j * loc).real, (1j * ref_loc).real
-                    if abs(nu - ref_nu) > 1e-15 * abs(ref_nu):
-                        # both lie within rounding of the root; the new one is no farther
-                        assert pole_residual(p, nu) <= pole_residual(p, ref_nu), (p, nu, ref_nu)
-                    assert abs(res - ref_res) <= 1e-15, p
-                    checked += 1
+        checked = sum(self.assert_matches_brentq(ModelParams(**{**corner, "alpha": alpha},
+                                                             delta=delta))
+                      for alpha in (0.01, corner["alpha"], 30.0) for delta in deltas)
         assert checked >= 2 * len(deltas)  # a few (alpha, delta) have no pole
+
+    def test_newton_search_matches_brentq_near_hard_top(self):
+        # the pole 1.6e-7 above the hard band top: with ghat's E1 argument
+        # formed from omega_c + z the residues were 6.2e-12 apart
+        assert self.assert_matches_brentq(HARD_TOP) == 1
+
+    def test_ghat_and_slope_resolve_the_hard_band_top(self):
+        # g = Im G_hat - nu falls steeply 1.6e-7 above the top; formed from
+        # omega_c + z, nu was resolved only to ulp(4e4) and its steps
+        # alternated between -1.06e-4 and -5.3e-5
+        p = HARD_TOP
+        nu = (p.band_top - p.delta) + 1.6e-7 + 1e-11 * np.arange(20)
+        g = [complex(rwa.ghat(p, rwa._OFF_CUT - 1j * v)).imag - v for v in nu]
+        steps = np.diff(g)
+        assert np.max(np.abs(steps / np.median(steps) - 1.0)) <= 0.05
+        # dG_hat/ds against a central difference in Re s (error (h/d)^2/3 =
+        # 3e-9); formed from omega_c + z it was 1.1e-5 off
+        for v in nu[:3]:
+            s, h = rwa._OFF_CUT - 1j * v, 1e-4 * (v - (p.band_top - p.delta))
+            fd = (rwa.ghat(p, s + h) - rwa.ghat(p, s - h)) / (2.0 * h)
+            assert abs(rwa.ghat_slope(p, s, rwa.ghat(p, s)) - fd) <= 1e-7 * abs(fd)
 
     def test_ghat_calls_at_rwa_laplace_corner(self, monkeypatch):
         # brentq took 18: 4 for the sign tests, 13 inside brentq, 1 for the residue
