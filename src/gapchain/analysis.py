@@ -1,9 +1,9 @@
 """Time-series measurement and parameter sweeps.
 
-Estimators accept raw (times, values) arrays or the package's series
-objects, with the observable chosen by context: population traces back
-the stationary-value and decay readings, the sigma_x coherence backs
-the oscillation-frequency readings.
+Every estimator reads one (times, values) pair of real samples and
+refuses (ValueError) a pair holding a NaN or an infinity.  The caller
+names the observable: the sweep passes |A|^2 to the stationary value,
+the coherence Re A_lab to the frequency and |A| to the decay rate.
 
 A detuning sweep (crossover_scan) measures the columns named in
 SWEEP_COLUMNS at every point and yields each point as it finishes;
@@ -23,9 +23,9 @@ import numpy as np
 
 from .chainmap import chain_length_for, map_to_chain
 from .model import ModelParams, spectral_density
-from .mps import EvolutionConfig, TimeSeries
+from .mps import EvolutionConfig
 from .mps import evolve as mps_evolve
-from .rwa import AmplitudeSeries, CoherenceTrace, chain_evolve, rwa_coherence
+from .rwa import chain_evolve, rwa_coherence
 
 __all__ = [
     "PoleRegime",
@@ -42,21 +42,13 @@ __all__ = [
 ]
 
 
-def _signal(ts, coherence):
-    """(times, values) of the observable an estimator reads.
-
-    Only a TEBD TimeSeries carries both observables: coherence=True
-    selects its sigma_x, otherwise its excited population.  Other
-    series carry one observable, which is returned either way.
-    """
-    if isinstance(ts, TimeSeries):
-        return ts.times, ts.sigma_x.real if coherence else ts.pop_excited
-    if isinstance(ts, CoherenceTrace):
-        return ts.times, np.asarray(ts.sigma_x, dtype=float)
-    if isinstance(ts, AmplitudeSeries):
-        return ts.times, ts.population()
-    times, values = ts
-    return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+def _signal(pair):
+    """(times, values) as float arrays; ValueError on a non-finite sample."""
+    times, values = (np.asarray(a, dtype=float) for a in pair)
+    bad = sum(np.count_nonzero(~np.isfinite(a)) for a in (times, values))
+    if bad:
+        raise ValueError(f"non-finite samples: the series holds {bad} NaN or inf entries")
+    return times, values
 
 
 def _dominant_peak(times, values):
@@ -70,8 +62,6 @@ def _dominant_peak(times, values):
     ever satisfy the three-period precondition, and the skirt of any
     residual slow trend lands exactly there.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if times.size < 8:
         raise ValueError("no dominant peak: series too short")
     dt = times[1] - times[0]
@@ -105,13 +95,13 @@ def _dominant_peak(times, values):
     return omega, k
 
 
-def oscillation_frequency(ts) -> float:
-    """Dominant angular frequency of the coherence oscillation.
+def oscillation_frequency(signal) -> float:
+    """Dominant angular frequency of a (times, values) oscillation.
 
     Requires at least three full periods inside the window and a peak
     standing 3x above the spectral median.
     """
-    times, values = _signal(ts, coherence=True)
+    times, values = _signal(signal)
     omega, _ = _dominant_peak(times, values)
     span = times[-1] - times[0]
     if span * omega < 3.0 * 2.0 * math.pi:
@@ -121,9 +111,9 @@ def oscillation_frequency(ts) -> float:
     return omega
 
 
-def zero_crossing_frequency(ts) -> float:
+def zero_crossing_frequency(signal) -> float:
     """Cross-check estimator: pi over the mean zero-crossing spacing."""
-    times, values = _signal(ts, coherence=True)
+    times, values = _signal(signal)
     w = np.hanning(values.size)
     resid = values - np.sum(values * w) / np.sum(w)
     sign = np.sign(resid)
@@ -146,7 +136,7 @@ class StationaryEstimate(float):
         return obj
 
 
-def stationary_value(ts) -> StationaryEstimate:
+def stationary_value(signal) -> StationaryEstimate:
     """Plateau estimate from the final 10% of the window.
 
     The tail-drift slope is reported alongside; the estimate is flagged
@@ -154,7 +144,7 @@ def stationary_value(ts) -> StationaryEstimate:
     exceeds 0.05.  Errors out if a resolved oscillation (>= 3 cycles)
     has fewer than 10 periods in the window.
     """
-    times, values = _signal(ts, coherence=False)
+    times, values = _signal(signal)
     span = times[-1] - times[0]
     try:
         omega = oscillation_frequency((times, values))
@@ -183,20 +173,15 @@ def _peaks(x):
     return (j[k] + 1 + j[k + 1]) // 2
 
 
-def decay_rate(ts) -> float:
+def decay_rate(signal) -> float:
     """Envelope decay rate from a log-linear fit.
 
     Oscillating signals are fitted through their envelope peaks; a
     monotone decay is fitted over the stretch one to three e-folds below
     its maximum.  Either way the envelope must fall by at least a factor
-    e across the fitted stretch.  For amplitude series the decaying
-    quantity is |A(t)| itself, whose golden-rule rate is J(delta) at
-    leading order; population series are fitted as given.
+    e across the fitted stretch.
     """
-    if isinstance(ts, AmplitudeSeries):
-        times, values = ts.times, np.abs(ts.values)
-    else:
-        times, values = _signal(ts, coherence=False)
+    times, values = _signal(signal)
     resid = np.abs(values - values[-max(values.size // 10, 1):].mean())
     peaks = _peaks(resid)
     peaks = peaks[resid[peaks] > 1e-12 * resid.max()]
@@ -329,11 +314,13 @@ def _scan_point(delta, base_params, methods, cfgs):
             c = _chain(base_params, t_max)
             series = chain_evolve(c, p.delta, t_max, samples=samples)
             manifest["rwa"]["chain_sites"] = c.N
+            t, modulus = series.times, np.abs(series.values)
             _measure(row, failures, "stationary_pop_rwa", stationary_value,
-                     series)
+                     (t, modulus ** 2))
             _measure(row, failures, "freq_rwa", oscillation_frequency,
-                     rwa_coherence(series))
-            _measure(row, failures, "decay_rwa", decay_rate, series)
+                     (t, rwa_coherence(series)))
+            # |A| itself decays at the golden-rule rate J(delta), at leading order
+            _measure(row, failures, "decay_rwa", decay_rate, (t, modulus))
         except (ValueError, RuntimeError) as err:
             failures["rwa"] = str(err)
 
@@ -350,11 +337,13 @@ def _scan_point(delta, base_params, methods, cfgs):
             c = _chain(base_params, fc.t_max)
             manifest["full"]["chain_sites"] = c.N
             if "population" in observables:
+                ts = mps_evolve(c, fc, "excited", p.delta)
                 _measure(row, failures, "stationary_pop_full",
-                         stationary_value, mps_evolve(c, fc, "excited", p.delta))
+                         stationary_value, (ts.times, ts.pop_excited))
             if "coherence" in observables:
+                ts = mps_evolve(c, fc, "plus_superposition", p.delta)
                 _measure(row, failures, "freq_full", oscillation_frequency,
-                         mps_evolve(c, fc, "plus_superposition", p.delta))
+                         (ts.times, ts.sigma_x.real))
         except (ValueError, RuntimeError) as err:
             failures["full"] = str(err)
 

@@ -27,7 +27,8 @@ itself a valid config: its ``config`` block is unwrapped.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics.json written
 to the output directory), 2 configuration error (every violation is
-listed, addressed as section.key).
+listed, addressed as section.key; what ModelParams or EvolutionConfig
+rejects comes out as one ``model:`` or ``evolution:`` line).
 """
 
 from __future__ import annotations
@@ -392,8 +393,9 @@ def parse_config(path=None, data=None, overrides=None,
     """Merge file, dict and flag inputs into a validated RunConfig.
 
     All violations are collected and raised together in one
-    ConfigError, each line addressed as section.key.  The section of
-    any subcommand other than this one is ignored.
+    ConfigError, each line addressed as section.key, except that what
+    a section's own class rejects is one line addressed as the section.
+    The section of any subcommand other than this one is ignored.
     """
     errors = []
     if path is not None:

@@ -30,46 +30,6 @@ _SQRT_PI = math.sqrt(math.pi)
 _TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(24)
 
 
-def validate_model_values(alpha, omega_b, omega0, omega_c, delta):
-    """Return a list of (key, message) for every violated parameter constraint."""
-    problems = []
-    named = {
-        "alpha": alpha,
-        "omega_b": omega_b,
-        "omega0": omega0,
-        "omega_c": omega_c,
-        "delta": delta,
-    }
-    for key, value in named.items():
-        try:
-            ok = math.isfinite(float(value))
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            problems.append((key, f"{key} must be a finite number, got {value!r}"))
-    if problems:
-        return problems
-    if alpha < 0:
-        problems.append(("alpha", f"alpha must be >= 0, got {alpha}"))
-    if omega_b <= 0:
-        problems.append(("omega_b", f"omega_b must be > 0 (gapped model), got {omega_b}"))
-    if omega0 <= 0:
-        problems.append(("omega0", f"omega0 must be > 0, got {omega0}"))
-    if omega_c <= 0:
-        problems.append(("omega_c", f"omega_c must be > 0, got {omega_c}"))
-    if delta < 0:
-        problems.append(("delta", f"delta must be >= 0, got {delta}"))
-    if omega0 > 0 and omega_c > 0 and omega_c < 4.0 * omega0:
-        problems.append(
-            (
-                "omega_c",
-                f"omega_c must be >= 4*omega0 so the hard cutoff dominates the "
-                f"exponential tail, got omega_c={omega_c}, omega0={omega0}",
-            )
-        )
-    return problems
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the gapped-environment model.
@@ -88,11 +48,35 @@ class ModelParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        problems = validate_model_values(
-            self.alpha, self.omega_b, self.omega0, self.omega_c, self.delta
-        )
+        """ValueError listing every violated constraint, "; "-separated."""
+        problems = []
+        for key in ("alpha", "omega_b", "omega0", "omega_c", "delta"):
+            value = getattr(self, key)
+            try:
+                ok = math.isfinite(float(value))
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                problems.append(f"{key} must be a finite number, got {value!r}")
+        if not problems:
+            alpha, omega_b, omega0, omega_c, delta = (
+                self.alpha, self.omega_b, self.omega0, self.omega_c, self.delta)
+            if alpha < 0:
+                problems.append(f"alpha must be >= 0, got {alpha}")
+            if omega_b <= 0:
+                problems.append(f"omega_b must be > 0 (gapped model), got {omega_b}")
+            if omega0 <= 0:
+                problems.append(f"omega0 must be > 0, got {omega0}")
+            if omega_c <= 0:
+                problems.append(f"omega_c must be > 0, got {omega_c}")
+            if delta < 0:
+                problems.append(f"delta must be >= 0, got {delta}")
+            if omega0 > 0 and omega_c > 0 and omega_c < 4.0 * omega0:
+                problems.append(
+                    f"omega_c must be >= 4*omega0 so the hard cutoff dominates the "
+                    f"exponential tail, got omega_c={omega_c}, omega0={omega0}")
         if problems:
-            raise ValueError("; ".join(msg for _, msg in problems))
+            raise ValueError("; ".join(problems))
 
     @property
     def band_top(self):

@@ -408,9 +408,7 @@ class TimeSeries:
     conserved_charge: np.ndarray  # excitation number (RWA) or parity (FULL)
     tail_occupation: np.ndarray
     flags: np.ndarray  # True where the light-cone tail bound failed
-    mode: str
-    dt: float = 0.0  # actual step used (resolves a dt=None config)
-    config: EvolutionConfig | None = None
+    dt: float  # actual step used (resolves a dt=None config)
 
     @property
     def pop_excited(self):
@@ -432,21 +430,20 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
     rows = []
     prev_loss = 0.0
 
-    def sample(step):
+    def sample(step):  # one row, keyed by TimeSeries field
         nonlocal prev_loss
-        t = step * gates.dt
         tail = measure(state, state.n_sites - 1, "n").real
-        rows.append((
-            t,
-            measure(state, 0, "sigma_x"),
-            measure(state, 0, "sigma_y"),
-            measure(state, 0, "sigma_z"),
-            state.norm_loss - prev_loss,
-            state.max_bond,
-            state.cumulative_discarded_weight,
-            conserved_charge(state, cfg.mode),
-            tail,
-            tail >= 1e-6,
+        rows.append(dict(
+            times=step * gates.dt,
+            sigma_x=measure(state, 0, "sigma_x"),
+            sigma_y=measure(state, 0, "sigma_y"),
+            sigma_z=measure(state, 0, "sigma_z"),
+            norm_drift=state.norm_loss - prev_loss,
+            max_bond=state.max_bond,
+            discarded_weight=state.cumulative_discarded_weight,
+            conserved_charge=conserved_charge(state, cfg.mode),
+            tail_occupation=tail,
+            flags=tail >= 1e-6,
         ))
         prev_loss = state.norm_loss
 
@@ -455,20 +452,6 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
         stop = min(start + cfg.sample_stride, n_steps)
         tebd_step(state, gates, stop - start)
         sample(stop)
-    cols = list(zip(*rows))
-    return TimeSeries(
-        times=np.array(cols[0]),
-        sigma_x=np.array(cols[1]),
-        sigma_y=np.array(cols[2]),
-        sigma_z=np.array(cols[3]),
-        norm_drift=np.array(cols[4]),
-        max_bond=np.array(cols[5]),
-        discarded_weight=np.array(cols[6]),
-        conserved_charge=np.array(cols[7]),
-        tail_occupation=np.array(cols[8]),
-        flags=np.array(cols[9], dtype=bool),
-        mode=cfg.mode,
-        dt=gates.dt,
-        config=cfg,
-    )
+    return TimeSeries(**{k: np.array([row[k] for row in rows]) for k in rows[0]},
+                      dt=gates.dt)
 

@@ -39,7 +39,6 @@ from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
 __all__ = [
     "AmplitudeSeries",
-    "CoherenceTrace",
     "volterra_solve",
     "laplace_invert",
     "cut_invert",
@@ -69,7 +68,7 @@ _NEWTON_FLOOR = 1e-13  # |s + G_II| from which a seed takes one last step, same 
 
 @dataclass
 class AmplitudeSeries:
-    """Excited-state amplitude A(t_j) from one solver.
+    """Excited-state amplitude A(t_j) at splitting delta, in one frame.
 
     flags marks points where the solver's internal cross-check failed
     (only the Laplace inverter sets them); flagged points are exempt
@@ -80,8 +79,6 @@ class AmplitudeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    method: str  # volterra | laplace | chain | analytic
-    params_echo: ModelParams | None
     delta: float
     frame: str = "interaction"  # interaction | lab
     flags: np.ndarray | None = None
@@ -128,15 +125,6 @@ class AmplitudeSeries:
         return np.abs(self.values) ** 2
 
 
-@dataclass
-class CoherenceTrace:
-    """Real emitter coherence trace <sigma_x(t)> extracted from a solver run."""
-
-    times: np.ndarray
-    sigma_x: np.ndarray
-    method: str = "rwa"
-
-
 def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
     """Second-order predictor-corrector product integration of the memory equation.
 
@@ -165,7 +153,7 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
         f_pred = -dt * (core + 0.5 * K[0] * a_pred)
         A[m + 1] = A[m] + 0.5 * dt * (F[m] + f_pred)
         F[m + 1] = -dt * (core + 0.5 * K[0] * A[m + 1])
-    series = AmplitudeSeries(times, A, "volterra", p, p.delta, frame="interaction")
+    series = AmplitudeSeries(times, A, p.delta, frame="interaction")
     if self_check:
         fine = volterra_solve(p, t_max, dt=dt / 2.0, self_check=False)
         dev = np.max(np.abs(series.population() - fine.population()[::2][: n + 1]))
@@ -385,9 +373,8 @@ def laplace_invert(p: ModelParams, times):
     flags = (np.abs(values[1:] - ref) > _FLAG_TOL) | (residual > _FLAG_TOL)
     poles = ([{"nu": 1j * loc, "weight": res, "kind": "bound"} for loc, res in bound]
              + [{"nu": nu, "weight": z, "kind": "resonance"} for nu, z in resonances])
-    return AmplitudeSeries(times, values[1:], "laplace", p, p.delta, frame="interaction",
-                           flags=flags, checks={"poles": poles, "sum_rule_residual": residual}
-                           ).validate()
+    return AmplitudeSeries(times, values[1:], p.delta, frame="interaction", flags=flags,
+                           checks={"poles": poles, "sum_rule_residual": residual}).validate()
 
 
 def _chain_eigh(c: ChainCoefficients, delta):
@@ -440,14 +427,13 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
             f"light-cone violation: last-site occupation {tail[j]:.2e} at "
             f"t = {times[j]:g}; extend the chain"
         )
-    return AmplitudeSeries(times, amp, "chain", None, delta, frame="lab").validate()
+    return AmplitudeSeries(times, amp, delta, frame="lab").validate()
 
 
-def rwa_coherence(series: AmplitudeSeries) -> CoherenceTrace:
-    """<sigma_x(t)> for the initial superposition (|g> + |e>)/sqrt(2).
+def rwa_coherence(series: AmplitudeSeries) -> np.ndarray:
+    """<sigma_x(t_j)> for the initial superposition (|g> + |e>)/sqrt(2), on series.times.
 
     Under the rotating-wave coupling the ground component is inert, so
-    the coherence is the real part of the lab-frame amplitude.
+    the coherence is Re A_lab, the real part of the lab-frame amplitude.
     """
-    lab = series.to_lab()
-    return CoherenceTrace(lab.times.copy(), np.real(lab.values), series.method)
+    return np.real(series.to_lab().values)

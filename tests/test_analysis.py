@@ -21,6 +21,7 @@ from gapchain.analysis import (
     PoleRegime,
     SweepResult,
     _peaks,
+    _scan_point,
     crossover_scan,
     decay_rate,
     oscillation_frequency,
@@ -31,7 +32,7 @@ from gapchain.analysis import (
 from gapchain.chainmap import chain_length_for, map_to_chain
 from gapchain.model import ModelParams, spectral_density
 from gapchain.mps import EvolutionConfig
-from gapchain.rwa import AmplitudeSeries, chain_evolve, rwa_coherence, volterra_solve
+from gapchain.rwa import chain_evolve, rwa_coherence, volterra_solve
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 REDUCED = dict(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0)
@@ -40,12 +41,6 @@ WEAKPOLE = dict(alpha=1.0, omega_b=400.0, omega0=1.6e5, omega_c=6.4e5)
 
 def wideband(**kw):
     return ModelParams(**{**WIDEBAND, **kw})
-
-
-def amplitude_series(times, values, delta=0.0):
-    return AmplitudeSeries(times=np.asarray(times), values=np.asarray(values),
-                           method="volterra", params_echo=wideband(delta=delta),
-                           delta=delta)
 
 
 class TestOscillationFrequency:
@@ -66,12 +61,6 @@ class TestOscillationFrequency:
         t = 40.0 * u ** 1.5
         f = oscillation_frequency((t, np.cos(3.406 * t)))
         assert abs(f - 3.406) / 3.406 < 5e-3
-
-    def test_trace_and_tuple_paths_agree(self):
-        p = wideband(delta=4.0, alpha=0.0)
-        tr = rwa_coherence(volterra_solve(p, t_max=6.0, dt=1e-3))
-        assert oscillation_frequency(tr) == oscillation_frequency(
-            (tr.times, tr.sigma_x))
 
     def test_requires_three_periods(self):
         t = np.linspace(0.0, 3.0, 1500)
@@ -151,14 +140,15 @@ class TestDecayRate:
 
     def test_monotone_amplitude(self):
         t = np.linspace(0.0, 12.0, 6001)
-        d = decay_rate(amplitude_series(t, np.exp(-0.7 * t)))
+        d = decay_rate((t, np.abs(np.exp(-0.7 * t))))
         assert abs(d - 0.7) / 0.7 < 0.02
 
     def test_amplitude_series_fits_modulus(self):
         # |A| = e^{-0.7t} decays at 0.7; the population |A|^2 would give
-        # 1.4, so a sub-unity result proves the modulus is what is fitted
+        # 1.4, so a sub-unity result shows the modulus the sweep passes is
+        # what is fitted
         t = np.linspace(0.0, 12.0, 6001)
-        d = decay_rate(amplitude_series(t, np.exp((-0.7 + 10.0j) * t)))
+        d = decay_rate((t, np.abs(np.exp((-0.7 + 10.0j) * t))))
         assert d < 1.0
         assert abs(d - 0.7) / 0.7 < 0.02
 
@@ -186,6 +176,24 @@ class TestDecayRate:
         for _ in range(4000):
             x = rng.choice(levels[:rng.integers(2, 8)], rng.integers(0, 25))
             assert np.array_equal(_peaks(x), find_peaks(x)[0]), x
+
+
+class TestNonFiniteSamples:
+    """A NaN or an infinity anywhere in the pair is refused by name, not
+    measured, and not refused for a reason the bad sample made up."""
+
+    @pytest.mark.parametrize("estimator", [oscillation_frequency,
+                                           zero_crossing_frequency,
+                                           stationary_value, decay_rate])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["values", "times"])
+    def test_refused(self, estimator, bad, where):
+        t = np.linspace(0.0, 25.0, 6001)
+        y = np.exp(-0.3 * t) * np.cos(8.0 * t) + 0.2
+        estimator((t, y))  # the clean series is accepted
+        (y if where == "values" else t)[3000] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            estimator((t, y))
 
 
 class TestSyntheticProperty:
@@ -283,8 +291,8 @@ class TestPoleEstimates:
 class TestPhysicsContracts:
     def test_decoupled_frequency_equals_splitting(self):
         p = wideband(delta=4.0, alpha=0.0)
-        tr = rwa_coherence(volterra_solve(p, t_max=6.0, dt=1e-3))
-        f = oscillation_frequency(tr)
+        series = volterra_solve(p, t_max=6.0, dt=1e-3)
+        f = oscillation_frequency((series.times, rwa_coherence(series)))
         assert abs(f - 4.0) / 4.0 < 1e-3
 
     def test_decay_rate_matches_golden_rule_window(self):
@@ -292,7 +300,7 @@ class TestPhysicsContracts:
         # golden-rule rate J(delta); frozen regression value alongside
         p = wideband(delta=15.0)
         series = volterra_solve(p, t_max=6.0, dt=1e-3)
-        g = decay_rate(series)
+        g = decay_rate((series.times, np.abs(series.values)))
         J = float(spectral_density(p, np.array([15.0]))[0])
         assert abs(g - J) / J < 0.30
         assert g == pytest.approx(2.7126, abs=0.02)
@@ -302,7 +310,7 @@ class TestPhysicsContracts:
         t_max = 30.0 / p.omega_s
         n = chain_length_for(p, t_max)
         series = chain_evolve(map_to_chain(p, n), 30.0, t_max, samples=2001)
-        assert float(stationary_value(series)) < 1e-5
+        assert float(stationary_value((series.times, series.population()))) < 1e-5
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +362,21 @@ class TestCrossoverScan:
         assert m["rwa"]["t_max"] == pytest.approx(30.0 / p.omega_s)
         assert m["rwa"]["samples"] == 2001
         assert m["rwa"]["chain_sites"] > 0
+
+    def test_rwa_point_reads_the_named_observables(self):
+        # the row is the estimators on an independent chain run's arrays:
+        # (t, |A|^2) for the plateau, (t, Re A_lab) for the frequency and
+        # (t, |A|) for the decay
+        base = ModelParams(**WIDEBAND)
+        _, row, manifest = _scan_point(20.0, base, ("rwa",),
+                                       {"rwa": {"t_max": 1.5, "samples": 801}})
+        assert manifest["failures"] == {}
+        c = map_to_chain(base, chain_length_for(base, 1.5))
+        a = chain_evolve(c, 20.0, 1.5, samples=801).to_lab()
+        assert row["stationary_pop_rwa"] == float(
+            stationary_value((a.times, np.abs(a.values) ** 2)))
+        assert row["freq_rwa"] == oscillation_frequency((a.times, a.values.real))
+        assert row["decay_rwa"] == decay_rate((a.times, np.abs(a.values)))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -435,7 +458,7 @@ class TestPoleFormulaAgreement:
             p = ModelParams(delta=delta, **WEAKPOLE)
             est = rwa_pole_estimates(p)
             series = volterra_solve(p, t_max=t_max, dt=5e-7, self_check=False)
-            trace = rwa_coherence(series)
+            trace = (series.times, rwa_coherence(series))
             f = oscillation_frequency(trace)
             z = zero_crossing_frequency(trace)
             predicted = abs(est.s_plus.imag)

@@ -770,6 +770,25 @@ class TestAnalyzeCommand:
                                                                  rel=0.05)
         assert manifest(out)["convergence"]["estimators_failed"]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_column_fails_every_estimator(self, tmp_path, bad):
+        # a refused sweep point is a NaN cell: no estimator may report a
+        # value from a column holding one
+        t = np.linspace(0.0, 25.0, 2001)
+        y = 0.2 + np.exp(-0.5 * t) * np.cos(8.0 * t)
+        y[1000] = bad
+        path = tmp_path / "series.csv"
+        write_series_csv(path, t, y)
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(path), "--out-dir", str(out)])
+        assert code == 1
+        results = json.loads((out / "analysis.json").read_text())["results"]
+        assert sorted(results) == sorted(manifest(out)["convergence"]
+                                         ["estimators_failed"])
+        for name in ("frequency", "zero_crossing", "stationary", "decay"):
+            assert set(results[name]) == {"error"}
+            assert "non-finite" in results[name]["error"]
+
     def test_pole_block_present_with_model(self, tmp_path):
         out = tmp_path / "out"
         code = main(["analyze", "--input", str(self.synthetic(tmp_path)),

@@ -60,6 +60,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             params(alpha=float("nan"))
 
+    @pytest.mark.parametrize("kw,text", [
+        (dict(alpha=-1, omega_b=0.0, omega0=100.0, omega_c=200.0, delta=-2),
+         "alpha must be >= 0, got -1; omega_b must be > 0 (gapped model), got 0.0; "
+         "delta must be >= 0, got -2; omega_c must be >= 4*omega0 so the hard cutoff "
+         "dominates the exponential tail, got omega_c=200.0, omega0=100.0"),
+        (dict(alpha=float("nan"), omega_b=5.0, omega0="x", omega_c=None, delta=0.0),
+         "alpha must be a finite number, got nan; omega0 must be a finite number, "
+         "got 'x'; omega_c must be a finite number, got None"),
+        (dict(alpha=1.0, omega_b=5.0, omega0=-1.0, omega_c=-3.0),
+         "omega0 must be > 0, got -1.0; omega_c must be > 0, got -3.0"),
+    ])
+    def test_message_text(self, kw, text):
+        # the CLI prints this text as its "model:" line
+        with pytest.raises(ValueError) as err:
+            ModelParams(**kw)
+        assert str(err.value) == text
+
 
 class TestSpectralDensity:
     def test_zero_at_band_edge(self):

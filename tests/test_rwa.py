@@ -95,35 +95,34 @@ def richardson_volterra(p, t_max, dt=5e-4):
 class TestAmplitudeSeries:
     def test_shape_and_frame_validation(self):
         with pytest.raises(ValueError):
-            AmplitudeSeries(np.zeros(3), np.zeros(2), "volterra", None, 0.0)
+            AmplitudeSeries(np.zeros(3), np.zeros(2), 0.0)
         with pytest.raises(ValueError):
-            AmplitudeSeries(np.zeros(2), np.zeros(2), "volterra", None, 0.0,
-                            frame="rotating")
+            AmplitudeSeries(np.zeros(2), np.zeros(2), 0.0, frame="rotating")
 
     def test_contractivity_check(self):
         t = np.array([0.0, 1.0])
-        good = AmplitudeSeries(t, np.array([1.0, 0.5 + 0.1j]), "chain", None, 0.0)
+        good = AmplitudeSeries(t, np.array([1.0, 0.5 + 0.1j]), 0.0)
         good.validate()
-        bad = AmplitudeSeries(t, np.array([1.0, 1.2]), "chain", None, 0.0)
+        bad = AmplitudeSeries(t, np.array([1.0, 1.2]), 0.0)
         with pytest.raises(ValueError, match="contractivity"):
             bad.validate()
 
     def test_flagged_points_are_exempt(self):
         t = np.array([0.0, 1.0])
-        s = AmplitudeSeries(t, np.array([1.0, 1.2]), "laplace", None, 0.0,
+        s = AmplitudeSeries(t, np.array([1.0, 1.2]), 0.0,
                             flags=np.array([False, True]))
         s.validate()
 
     def test_initial_value_check(self):
         t = np.array([0.0, 1.0])
-        s = AmplitudeSeries(t, np.array([0.9, 0.5]), "volterra", None, 0.0)
+        s = AmplitudeSeries(t, np.array([0.9, 0.5]), 0.0)
         with pytest.raises(ValueError, match="A\\(0\\)"):
             s.validate()
 
     def test_frame_round_trip(self):
         t = np.linspace(0.0, 2.0, 9)
         vals = np.exp(-0.3 * t) * np.exp(0.7j * t)
-        s = AmplitudeSeries(t, vals, "volterra", None, delta=1.3)
+        s = AmplitudeSeries(t, vals, delta=1.3)
         back = s.to_lab().to_interaction()
         np.testing.assert_allclose(back.values, vals, atol=1e-14)
         np.testing.assert_allclose(s.to_lab().population(), s.population(),
@@ -157,7 +156,7 @@ class TestVolterra:
 
     def test_default_step_passes_self_check(self):
         s = volterra_solve(reduced(delta=1.0), 3.0)
-        assert s.method == "volterra" and s.frame == "interaction"
+        assert s.frame == "interaction"
 
 
 class TestChainEvolve:
@@ -642,8 +641,8 @@ class TestAnalyticLongtime:
 class TestCoherence:
     def test_decoupled_coherence_oscillates_at_bare_splitting(self):
         p = reduced(alpha=0.0, delta=3.0)
-        tr = rwa_coherence(volterra_solve(p, 2.0, dt=1e-3))
-        np.testing.assert_allclose(tr.sigma_x, np.cos(3.0 * tr.times), atol=1e-12)
+        s = volterra_solve(p, 2.0, dt=1e-3)
+        np.testing.assert_allclose(rwa_coherence(s), np.cos(3.0 * s.times), atol=1e-12)
 
     def test_frame_consistency_between_solvers(self):
         # volterra works in the interaction picture, the chain in the
@@ -652,10 +651,8 @@ class TestCoherence:
         sv = volterra_solve(p, 1.5)
         c = map_to_chain(p, chain_length_for(p, 1.5))
         sc = chain_evolve(c, p.delta, 1.5, samples=151)
-        tv = rwa_coherence(sv)
-        tc = rwa_coherence(sc)
-        vi = np.interp(tc.times, tv.times, tv.sigma_x)
-        assert np.max(np.abs(vi - tc.sigma_x)) < 0.02
+        vi = np.interp(sc.times, sv.times, rwa_coherence(sv))
+        assert np.max(np.abs(vi - rwa_coherence(sc))) < 0.02
 
 
 class TestThreeSolverAgreement:
