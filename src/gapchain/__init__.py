@@ -11,7 +11,19 @@ polaron    : variational polaron theory of the renormalized splitting
 analysis   : frequency/plateau/decay extraction and detuning sweeps
 svgplot    : deterministic SVG line plots
 cli        : command-line interface
+
+Thread policy: one BLAS thread per process.  Importing the package sets
+OPENBLAS_NUM_THREADS to 1 unless it is already set, so both OpenBLAS
+pools (numpy's and scipy's) start with one thread; a sweep runs in
+parallel only through worker processes (``sweep --jobs``).  The pools
+read the variable when numpy or scipy is first imported, so the policy
+holds only when gapchain is imported before either.  An explicit
+OPENBLAS_NUM_THREADS overrides it.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .model import ModelParams, bath_correlation, spectral_density
 

@@ -13,7 +13,6 @@ CLI writes the same names as its CSV columns.
 
 import cmath
 import dataclasses
-import functools
 import math
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -287,18 +286,37 @@ def _measure(row, failures, column, estimator, signal):
         failures[column] = str(err)
 
 
-@functools.lru_cache(maxsize=8)
-def _chain(base_params, t_max):
-    """Light-cone chain for evolutions up to t_max.
+def _map_chains(base_params, t_maxes):
+    """{t_max: light-cone chain, or the message of the error mapping it raised}.
 
     delta does not enter the mapping, so every point of a sweep shares
-    one chain, mapped once per process.
+    the chain of each distinct t_max, mapped once in the calling process.
     """
-    return map_to_chain(base_params, chain_length_for(base_params, t_max))
+    chains = {}
+    for t_max in dict.fromkeys(t_maxes):
+        try:
+            chains[t_max] = map_to_chain(
+                base_params, chain_length_for(base_params, t_max))
+        except (ValueError, RuntimeError) as err:
+            chains[t_max] = str(err)
+    return chains
 
 
-def _scan_point(delta, base_params, methods, cfgs):
-    """One sweep point; returns (delta, row dict, manifest dict)."""
+def _chain(chains, t_max):
+    """The chain mapped for t_max; ValueError with the mapping's message
+    when mapping it failed."""
+    chain = chains[t_max]
+    if isinstance(chain, str):
+        raise ValueError(chain)
+    return chain
+
+
+def _scan_point(delta, base_params, methods, cfgs, chains):
+    """One sweep point; returns (delta, row dict, manifest dict).
+
+    cfgs is crossover_scan's with the rwa t_max and samples filled in;
+    chains is _map_chains over the methods' t_max.
+    """
     p = dataclasses.replace(base_params, delta=delta)
     row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
     failures = {}
@@ -306,12 +324,10 @@ def _scan_point(delta, base_params, methods, cfgs):
                 "failures": failures}
 
     if "rwa" in methods:
-        rc = dict(cfgs.get("rwa", {}))
-        t_max = rc.get("t_max", 30.0 / max(base_params.omega_s, 1e-12))
-        samples = rc.get("samples", 2001)
+        t_max, samples = cfgs["rwa"]["t_max"], cfgs["rwa"]["samples"]
         manifest["rwa"] = {"t_max": t_max, "samples": samples}
         try:
-            c = _chain(base_params, t_max)
+            c = _chain(chains, t_max)
             series = chain_evolve(c, p.delta, t_max, samples=samples)
             manifest["rwa"]["chain_sites"] = c.N
             t, modulus = series.times, np.abs(series.values)
@@ -325,16 +341,13 @@ def _scan_point(delta, base_params, methods, cfgs):
             failures["rwa"] = str(err)
 
     if "full" in methods:
-        fc = cfgs.get("full")
-        if not isinstance(fc, EvolutionConfig):
-            raise ValueError("cfgs['full'] must be an EvolutionConfig "
-                             "when the full method is requested")
+        fc = cfgs["full"]
         observables = cfgs.get("full_observables", ("population", "coherence"))
         manifest["full"] = {"t_max": fc.t_max, "d_b": fc.d_b,
                             "chi_max": fc.chi_max, "dt": fc.dt,
                             "observables": sorted(observables)}
         try:
-            c = _chain(base_params, fc.t_max)
+            c = _chain(chains, fc.t_max)
             manifest["full"]["chain_sites"] = c.N
             if "population" in observables:
                 ts = mps_evolve(c, fc, "excited", p.delta)
@@ -358,18 +371,32 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
     "full": EvolutionConfig, "full_observables": (...)}.  Each point is
     a (delta, row, manifest) triple: in ascending delta with jobs=1, in
     completion order with more workers.  SweepResult.collect assembles
-    points into arrays.  Per-point failures are recorded in the manifest
-    and leave NaN entries; the scan continues.  Points lost to a dead
-    worker (a signal, the OOM killer) come back failed under "worker".
+    points into arrays.  The chain of each method's t_max is mapped once,
+    here, and sent to the workers.  Per-point failures (a failed mapping
+    included) are recorded in the manifest and leave NaN entries; the
+    scan continues.  Points lost to a dead worker (a signal, the OOM
+    killer) come back failed under "worker".
     """
-    cfgs = cfgs or {}
+    cfgs = dict(cfgs or {})
     unknown = set(methods) - {"rwa", "full"}
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
+    cfgs["rwa"] = {"t_max": 30.0 / max(base_params.omega_s, 1e-12),
+                   "samples": 2001, **cfgs.get("rwa", {})}
+    t_maxes = [cfgs["rwa"]["t_max"]] if "rwa" in methods else []
+    if "full" in methods:
+        if not isinstance(cfgs.get("full"), EvolutionConfig):
+            raise ValueError("cfgs['full'] must be an EvolutionConfig "
+                             "when the full method is requested")
+        t_maxes.append(cfgs["full"].t_max)
     grid = sorted(float(d) for d in delta_grid)
+    if not grid:
+        return
+    chains = _map_chains(base_params, t_maxes)
     if jobs > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_scan_point, d, base_params, methods, cfgs): d
+            futures = {pool.submit(_scan_point, d, base_params, methods, cfgs,
+                                   chains): d
                        for d in grid}
             try:
                 for fut in as_completed(futures):
@@ -384,4 +411,4 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
                 pool.shutdown(cancel_futures=True)
     else:
         for d in grid:
-            yield _scan_point(d, base_params, methods, cfgs)
+            yield _scan_point(d, base_params, methods, cfgs, chains)

@@ -25,6 +25,14 @@ takes no value and is ``resume = true`` in a file, and ``--csv``
 repeats.  A manifest (a JSON object with a ``subcommand`` key) is
 itself a valid config: its ``config`` block is unwrapped.
 
+Threads: every gapchain process runs one BLAS thread (importing the
+package sets OPENBLAS_NUM_THREADS to 1), and ``sweep --jobs`` runs
+points in parallel only through worker processes, each handed the
+chain the parent mapped.  This holds only when gapchain is imported
+before numpy or scipy, as the console script and ``python -m
+gapchain.cli`` do; an OPENBLAS_NUM_THREADS set in the environment
+overrides it.
+
 Exit codes: 0 success, 1 numerical failure (diagnostics.json written
 to the output directory), 2 configuration error (every violation is
 listed, addressed as section.key; what ModelParams or EvolutionConfig
@@ -151,6 +159,13 @@ def _at_least(floor):
     return check
 
 
+def _as_jobs(value, key, errors):
+    """worker processes, an integer, at least 1 (default: one per core);
+    each process runs one BLAS thread unless OPENBLAS_NUM_THREADS is set,
+    so points run in parallel only through the workers"""
+    return _at_least(1)(value, key, errors)
+
+
 def _as_deltas(value, key, errors):
     """comma list of distinct non-negative detunings"""
     deltas = [_as_float(s, key, errors) for s in _as_list(value, key, errors)]
@@ -231,7 +246,7 @@ _SCHEMA = {
               "samples": _at_least(2),
               "full_observables": _choice("population", "coherence",
                                           many=True),
-              "jobs": _at_least(1), "resume": _as_bool},
+              "jobs": _as_jobs, "resume": _as_bool},
     "analyze": {"input": _as_str, "x": _as_str, "signal": _as_str,
                 "estimators": _choice(*_ESTIMATORS, many=True)},
     "plot": {"csv": _as_list, "x": _as_str, "y": _as_list,
@@ -416,14 +431,17 @@ def parse_config(path=None, data=None, overrides=None,
         merged.setdefault(sec, {})[key] = value
 
     typed = {sec: {} for sec in _SCHEMA}
+    rejected = set()  # (section, key) whose value its validator refused
     for sec, block in merged.items():
         for key, value in block.items():
             tv = _SCHEMA[sec][key](value, f"{sec}.{key}", errors)
-            if tv is not None:
+            if tv is None:
+                rejected.add((sec, key))
+            else:
                 typed[sec][key] = tv
 
     needed = _NEEDS.get(subcommand, set()) | {subcommand}
-    built = {sec: _build(cls, sec, typed, errors,
+    built = {sec: _build(cls, sec, typed, rejected, errors,
                          required=bool(typed[sec]) or sec in needed)
              for sec, cls in _TYPES.items()
              if sec not in _DISPATCH or sec == subcommand}
@@ -455,17 +473,19 @@ def parse_config(path=None, data=None, overrides=None,
     return cfg
 
 
-def _build(cls, sec, typed, errors, required):
+def _build(cls, sec, typed, rejected, errors, required):
     """cls(**typed[sec]), or None when a field without default is unset.
 
     An empty list counts as unset.  Unset fields are config errors only
-    when the section is required.
+    when the section is required, and a field whose value was rejected
+    already has its error.
     """
     missing = [f.name for f in dataclasses.fields(cls)
                if f.default is dataclasses.MISSING
                and typed[sec].get(f.name, ()) == ()]
     if required:
-        errors.extend(f"{sec}.{k}: required" for k in missing)
+        errors.extend(f"{sec}.{k}: required" for k in missing
+                      if (sec, k) not in rejected)
     if missing:
         return None
     try:

@@ -368,10 +368,11 @@ class TestCrossoverScan:
         # (t, |A|^2) for the plateau, (t, Re A_lab) for the frequency and
         # (t, |A|) for the decay
         base = ModelParams(**WIDEBAND)
-        _, row, manifest = _scan_point(20.0, base, ("rwa",),
-                                       {"rwa": {"t_max": 1.5, "samples": 801}})
-        assert manifest["failures"] == {}
         c = map_to_chain(base, chain_length_for(base, 1.5))
+        _, row, manifest = _scan_point(20.0, base, ("rwa",),
+                                       {"rwa": {"t_max": 1.5, "samples": 801}},
+                                       {1.5: c})
+        assert manifest["failures"] == {}
         a = chain_evolve(c, 20.0, 1.5, samples=801).to_lab()
         assert row["stationary_pop_rwa"] == float(
             stationary_value((a.times, np.abs(a.values) ** 2)))

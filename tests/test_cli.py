@@ -22,8 +22,11 @@ import pytest
 
 import gapchain
 from gapchain import analysis
+from gapchain.chainmap import chain_length_for
 from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _flag_overrides,
                           _parse_args, main, parse_config)
+from gapchain.model import ModelParams
+from gapchain.mps import EvolutionConfig
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 
@@ -146,6 +149,24 @@ class TestParseConfig:
         assert "evolution.mode" in text
         assert "analysis.fit_window_low" in text
         assert "bogus_section: unknown section" in text
+
+    def test_rejected_required_key_is_reported_once(self, tmp_path, capsys):
+        # a value its validator refused is not reported as unset as well
+        code = main(["rwa", "--alpha", "nan", "--omega-b", "5",
+                     "--omega0", "100", "--omega-c", "800", "--t-max", "1",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [s.strip() for s in lines if "model.alpha" in s] == [
+            "model.alpha: expected a finite number, got 'nan'"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(data={"model": {"omega_b": 5, "omega0": 100,
+                                         "omega_c": 800},
+                               "sweep": {"deltas": "1,nan"}},
+                         subcommand="sweep")
+        assert sorted(err.value.errors) == [
+            "model.alpha: required",
+            "sweep.deltas: expected a finite number, got 'nan'"]
 
     def test_unknown_key_is_reported(self):
         with pytest.raises(ConfigError) as err:
@@ -690,7 +711,6 @@ class TestSweepCommand:
             calls.append(args)
             return map_to_chain(*args, **kwargs)
 
-        analysis._chain.cache_clear()
         monkeypatch.setattr(analysis, "map_to_chain", counted)
         assert main(["sweep", *model_flags(), "--t-max", "1.5",
                      "--samples", "801", "--jobs", "1",
@@ -698,14 +718,72 @@ class TestSweepCommand:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
 
+    @pytest.fixture
+    def pid_log(self, tmp_path, monkeypatch):
+        """Log the pid of every map_to_chain and chain_evolve call.
+
+        Forked workers inherit the patched module globals, so a call in a
+        worker lands in the same files as a call in this process.
+        """
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                with (tmp_path / name).open("a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(analysis, name, call)
+
+        logged("map_to_chain", analysis.map_to_chain)
+        logged("chain_evolve", analysis.chain_evolve)
+
+        def read(name):
+            path = tmp_path / name
+            return [int(s) for s in path.read_text().split()] if path.exists() else []
+        return read
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the patched functions")
+    def test_workers_get_the_parents_chain(self, tmp_path, pid_log):
+        assert main(["sweep", *model_flags(), "--t-max", "1.5",
+                     "--samples", "801", "--jobs", "2",
+                     "--deltas", "20,25,30",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert pid_log("map_to_chain") == [os.getpid()]
+        evolved = pid_log("chain_evolve")
+        assert len(evolved) == 3 and os.getpid() not in evolved
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers see the patched functions")
+    def test_parent_maps_once_per_distinct_t_max(self, pid_log, monkeypatch):
+        mapped = []
+        map_to_chain = analysis.map_to_chain
+
+        def sized(p, n, *rest):
+            mapped.append(n)
+            return map_to_chain(p, n, *rest)
+
+        monkeypatch.setattr(analysis, "map_to_chain", sized)
+        base = ModelParams(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0)
+        fc = EvolutionConfig(t_max=0.1, dt=2e-3, d_b=4, chi_max=8,
+                             svd_threshold=1e-8, mode="FULL")
+        cfgs = {"rwa": {"t_max": 0.5, "samples": 201}, "full": fc,
+                "full_observables": ("population",)}
+        points = list(analysis.crossover_scan(
+            [2.0, 3.0, 4.0], ("rwa", "full"), base, cfgs=cfgs, jobs=2))
+        assert len(points) == 3
+        assert all("worker" not in m["failures"] for _, _, m in points)
+        assert sorted(mapped) == sorted(chain_length_for(base, t)
+                                        for t in (0.1, 0.5))
+        assert pid_log("map_to_chain") == [os.getpid()] * 2
+
     def test_mapping_failure_recorded_at_every_point(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(["sweep", *model_flags(alpha=0.0), "--t-max", "1.5",
-                     "--jobs", "1", "--deltas", "20,30",
-                     "--out-dir", str(out)]) == 0
-        failures = manifest(out)["convergence"]["failures"]
-        assert sorted(failures) == ["20.0", "30.0"]
-        assert all("alpha = 0" in f["rwa"] for f in failures.values())
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", *model_flags(alpha=0.0), "--t-max", "1.5",
+                         "--jobs", jobs, "--deltas", "20,30",
+                         "--out-dir", str(out)]) == 0
+            failures = manifest(out)["convergence"]["failures"]
+            assert sorted(failures) == ["20.0", "30.0"]
+            assert all("alpha = 0" in f["rwa"] for f in failures.values())
 
     def test_full_method_needs_full_mode(self, tmp_path, capsys):
         code = main(["sweep", *model_flags(), "--deltas", "1",
