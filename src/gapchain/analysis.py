@@ -37,6 +37,7 @@ __all__ = [
     "stationary_value",
     "decay_rate",
     "rwa_pole_estimates",
+    "point_settings",
     "crossover_scan",
 ]
 
@@ -311,21 +312,40 @@ def _chain(chains, t_max):
     return chain
 
 
+def point_settings(methods, base_params, cfgs):
+    """What a sweep point's numbers depend on besides the model and delta,
+    as its manifest records them: the sorted methods, rwa's {t_max: 30 /
+    omega_s, samples: 2001} updated by cfgs["rwa"], and full's {t_max,
+    d_b, chi_max, dt, observables}.  cfgs is crossover_scan's."""
+    settings = {"methods": sorted(methods)}
+    if "rwa" in methods:
+        settings["rwa"] = {"t_max": 30.0 / max(base_params.omega_s, 1e-12),
+                           "samples": 2001, **cfgs.get("rwa", {})}
+    if "full" in methods:
+        fc = cfgs.get("full")
+        if not isinstance(fc, EvolutionConfig):
+            raise ValueError("cfgs['full'] must be an EvolutionConfig "
+                             "when the full method is requested")
+        observables = cfgs.get("full_observables", ("population", "coherence"))
+        settings["full"] = {"t_max": fc.t_max, "d_b": fc.d_b,
+                            "chi_max": fc.chi_max, "dt": fc.dt,
+                            "observables": sorted(observables)}
+    return settings
+
+
 def _scan_point(delta, base_params, methods, cfgs, chains):
     """One sweep point; returns (delta, row dict, manifest dict).
 
-    cfgs is crossover_scan's with the rwa t_max and samples filled in;
-    chains is _map_chains over the methods' t_max.
+    cfgs is crossover_scan's; chains is _map_chains over the methods' t_max.
     """
     p = dataclasses.replace(base_params, delta=delta)
     row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
     failures = {}
-    manifest = {"delta": delta, "methods": sorted(methods),
+    manifest = {"delta": delta, **point_settings(methods, base_params, cfgs),
                 "failures": failures}
 
     if "rwa" in methods:
-        t_max, samples = cfgs["rwa"]["t_max"], cfgs["rwa"]["samples"]
-        manifest["rwa"] = {"t_max": t_max, "samples": samples}
+        t_max, samples = manifest["rwa"]["t_max"], manifest["rwa"]["samples"]
         try:
             c = _chain(chains, t_max)
             series = chain_evolve(c, p.delta, t_max, samples=samples)
@@ -341,11 +361,7 @@ def _scan_point(delta, base_params, methods, cfgs, chains):
             failures["rwa"] = str(err)
 
     if "full" in methods:
-        fc = cfgs["full"]
-        observables = cfgs.get("full_observables", ("population", "coherence"))
-        manifest["full"] = {"t_max": fc.t_max, "d_b": fc.d_b,
-                            "chi_max": fc.chi_max, "dt": fc.dt,
-                            "observables": sorted(observables)}
+        fc, observables = cfgs["full"], manifest["full"]["observables"]
         try:
             c = _chain(chains, fc.t_max)
             manifest["full"]["chain_sites"] = c.N
@@ -377,18 +393,12 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
     scan continues.  Points lost to a dead worker (a signal, the OOM
     killer) come back failed under "worker".
     """
-    cfgs = dict(cfgs or {})
+    cfgs = cfgs or {}
     unknown = set(methods) - {"rwa", "full"}
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
-    cfgs["rwa"] = {"t_max": 30.0 / max(base_params.omega_s, 1e-12),
-                   "samples": 2001, **cfgs.get("rwa", {})}
-    t_maxes = [cfgs["rwa"]["t_max"]] if "rwa" in methods else []
-    if "full" in methods:
-        if not isinstance(cfgs.get("full"), EvolutionConfig):
-            raise ValueError("cfgs['full'] must be an EvolutionConfig "
-                             "when the full method is requested")
-        t_maxes.append(cfgs["full"].t_max)
+    settings = point_settings(methods, base_params, cfgs)
+    t_maxes = [settings[m]["t_max"] for m in ("rwa", "full") if m in methods]
     grid = sorted(float(d) for d in delta_grid)
     if not grid:
         return

@@ -28,10 +28,6 @@ class DiscretizedWeight:
     weights: np.ndarray
     M: int
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
 
 @dataclass(frozen=True)
 class ChainCoefficients:

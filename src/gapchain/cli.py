@@ -10,6 +10,11 @@ versions, wall time and convergence outcomes.  Re-running any
 subcommand with its manifest as the config file regenerates every
 artifact byte for byte; the manifest's own ``wall_time_s`` and
 ``timestamp`` fields are the only volatile data a run produces.
+``sweep --resume`` reuses the point CSV of a detuning on the grid only if
+its ``model:`` line, methods and per-method settings (rwa: t_max, samples;
+full: t_max, d_b, chi_max, dt, observables) equal this run's; otherwise
+the run writes nothing and exits 2, naming the CSV and the first field
+that differs.
 
 Configuration comes from an INI file, from a JSON file with the same
 sections, or from flags; flags override file values.  The sections
@@ -740,8 +745,24 @@ def _point_name(delta):
     return f"point_delta_{repr(float(delta))}.csv"
 
 
-def _load_prior(outdir: Path):
-    """{delta: (delta, row, manifest)} from the point CSVs in outdir."""
+def _first_difference(meta, manifest, model_line, settings):
+    """(field, recorded, this run's) for the first field in which a point
+    CSV's model line or manifest differs from this run's, else None."""
+    model = next((m for m in meta if m.startswith("model:")), None)
+    pairs = [("model", model, model_line),
+             ("methods", manifest.get("methods"), settings["methods"])]
+    for m in settings["methods"]:
+        block = manifest[m] if isinstance(manifest.get(m), dict) else {}
+        pairs += [(f"{m}.{k}", block.get(k), v) for k, v in settings[m].items()]
+    return next((pair for pair in pairs if pair[1] != pair[2]), None)
+
+
+def _load_prior(outdir: Path, deltas, model_line, settings):
+    """{delta: (delta, row, manifest)} from the point CSVs in outdir.
+
+    A point on this run's grid is reused only if it records this run's
+    model line and analysis.point_settings; ConfigError otherwise.
+    """
     points = {}
     for path in sorted(outdir.glob("point_delta_*.csv")):
         meta, cols = _read_csv(path)
@@ -758,6 +779,12 @@ def _load_prior(outdir: Path):
         if not isinstance(manifest, dict):
             raise ConfigError([f"input: {path} manifest is not a JSON object"])
         d = float(cols["delta"][0])
+        differs = d in deltas and _first_difference(meta, manifest,
+                                                    model_line, settings)
+        if differs:
+            raise ConfigError(["input: {} differs from this run in {}: "
+                               "recorded {!r}, this run {!r}".format(
+                                   path, *differs)])
         points[d] = (d, {k: float(cols[k][0]) for k in analysis.SWEEP_COLUMNS},
                      manifest)
     return points
@@ -767,17 +794,14 @@ def _cmd_sweep(cfg, outdir):
     """detuning scan with per-point resume"""
     p, fmts, o = cfg.model, cfg.output.formats, cfg.sweep
     deltas, methods = o.deltas, o.methods
-    rc = {}
-    if cfg.evolution is not None:
-        rc["t_max"] = cfg.evolution.t_max
-    if o.samples is not None:
-        rc["samples"] = o.samples
-    cfgs = {"rwa": rc}
-    if "full" in methods:
-        cfgs["full"] = cfg.evolution
-        cfgs["full_observables"] = o.full_observables
+    evo = cfg.evolution
+    rc = {"t_max": evo.t_max if evo else None, "samples": o.samples}
+    cfgs = {"rwa": {k: v for k, v in rc.items() if v is not None},
+            "full": evo, "full_observables": o.full_observables}
 
-    prior = _load_prior(outdir) if o.resume else {}
+    prior = (_load_prior(outdir, deltas, _model_meta(p),
+                         analysis.point_settings(methods, p, cfgs))
+             if o.resume else {})
     resumed = [prior[d] for d in deltas if d in prior]
     jobs = o.jobs or os.cpu_count() or 1
     outputs = [_point_name(d) for d, _, _ in resumed if "csv" in fmts]

@@ -7,7 +7,8 @@ odd bonds, half step on even bonds) with two-site gates.  Between two
 samples, k steps run as E/2 (O E)^(k-1) O E/2: the trailing even half
 step of one step and the leading one of the next are a single full even
 gate (the square of the half gate), so k steps cost 2k + 1 gate layers
-instead of 3k.
+instead of 3k.  Truncations add their discarded weight to one ledger,
+cumulative_discarded_weight; each sample's norm drift is its increase.
 
 A gate on bond j is skipped when j >= front, the first site of the chain's
 near-vacuum tail (bond dimension 1 on both sides, excited amplitudes at
@@ -64,6 +65,11 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
+def _number(d):
+    """Number operator on a site of d levels (|e><e| on the emitter)."""
+    return np.diag(np.arange(d, dtype=complex))
+
+
 @dataclass
 class EvolutionConfig:
     """TEBD run parameters.
@@ -73,8 +79,8 @@ class EvolutionConfig:
     are built.  svd_threshold is the relative Schmidt-value cutoff of
     each truncation; svd_threshold**2 also bounds the excited amplitudes
     of a chain pair whose gate is skipped as vacuum.  In either mode,
-    measure takes any operator on the emitter, but only parity-preserving
-    ones on a chain site of a state that mixes both parities.
+    measure takes any operator matrix on the emitter, but only
+    parity-preserving ones on a chain site of a two-parity state.
     """
 
     t_max: float
@@ -111,7 +117,7 @@ class MPSState:
     holds the Schmidt values of bond (j, j+1), charges[j] the parity of
     sites j+1..N per right Schmidt vector, even sector first and each in
     descending lambda (charges[N] = [0], charges[-1] that of each sector of
-    head); norm_loss sums truncation norm deficits.
+    head); cumulative_discarded_weight sums all truncations' discarded weight.
     """
 
     site_tensors: list
@@ -119,19 +125,14 @@ class MPSState:
     charges: list
     head: np.ndarray
     cumulative_discarded_weight: float = 0.0
-    norm_loss: float = 0.0
 
     @property
     def n_sites(self):
         return len(self.site_tensors)
 
     @property
-    def bond_dims(self):
-        return [lam.size for lam in self.lambdas]
-
-    @property
     def max_bond(self):
-        return max(self.bond_dims) if self.lambdas else 1
+        return max((lam.size for lam in self.lambdas), default=1)
 
 
 def init_state(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited"):
@@ -155,9 +156,8 @@ def init_state(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited")
 class Gates:
     """Precomputed two-site Trotter gates plus their generators."""
 
-    even_half: list  # U = exp(-i H_j dt/2) on even bonds, None elsewhere
-    even_full: list  # U @ U of even_half: merged inner even half steps
-    odd_full: list
+    half: list  # U = exp(-i H_j dt/2) on even bonds, None on odd ones
+    full: list  # one dt per bond: U @ U on even bonds, exp(-i H_j dt) on odd
     hamiltonians: list  # dense H_j per bond, for commutator checks / energy
     dt: float
     chi_max: int
@@ -167,24 +167,20 @@ class Gates:
 def _bond_hamiltonians(c: ChainCoefficients, delta, cfg):
     """Dense two-site H_j; on-site terms split half-half, boundaries whole."""
     d_b = cfg.d_b
-    n = np.diag(np.arange(d_b, dtype=float)).astype(complex)
+    n = _number(d_b)
     a = np.diag(np.sqrt(np.arange(1, d_b, dtype=float)), k=1).astype(complex)
     ad = a.conj().T
     sp = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |e><g|
     sm = sp.conj().T
-    h_atom = 0.5 * delta * (np.eye(2, dtype=complex) + SIGMA_Z)
 
     dims = [2] + [d_b] * c.N
     hams = []
     for j in range(c.N):  # bond (j, j+1)
         dl, dr = dims[j], dims[j + 1]
         il, ir = np.eye(dl, dtype=complex), np.eye(dr, dtype=complex)
-        # left site on-site share: whole for the emitter (site 0 touches
-        # only this bond), half for interior bosons
-        if j == 0:
-            h_left = h_atom
-        else:
-            h_left = 0.5 * c.eps[j - 1] * n
+        # left site on-site share: whole for the emitter (delta |e><e|;
+        # site 0 touches only this bond), half for interior bosons
+        h_left = delta * _number(2) if j == 0 else 0.5 * c.eps[j - 1] * n
         # right site: half share for interior bosons, whole for the last
         h_right = (0.5 if j + 1 < c.N else 1.0) * c.eps[j] * n
         h = np.kron(h_left, ir) + np.kron(il, h_right)
@@ -211,19 +207,17 @@ def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
             f"dt = {dt:g} too coarse: dt * max onsite energy = "
             f"{dt * max_onsite:.3g} > 0.5"
         )
-    even_half = [None] * c.N
-    even_full = [None] * c.N
-    odd_full = [None] * c.N
+    half = [None] * c.N
+    full = [None] * c.N
     for j, h in enumerate(hams):
         shape = (dims[j], dims[j + 1], dims[j], dims[j + 1])
         if j % 2 == 0:
             u = expm(-0.5j * dt * h)
-            even_half[j] = u.reshape(shape)
-            even_full[j] = (u @ u).reshape(shape)
+            half[j] = u.reshape(shape)
+            full[j] = (u @ u).reshape(shape)
         else:
-            odd_full[j] = expm(-1j * dt * h).reshape(shape)
-    return Gates(even_half, even_full, odd_full, hams, dt, cfg.chi_max,
-                 cfg.svd_threshold)
+            full[j] = expm(-1j * dt * h).reshape(shape)
+    return Gates(half, full, hams, dt, cfg.chi_max, cfg.svd_threshold)
 
 
 @lru_cache(maxsize=256)
@@ -281,18 +275,18 @@ def _near_vacuum(B, tol):
 def _layers(gates: Gates, steps):
     """Gate layers of ``steps`` Strang steps with the inner even half steps
     merged, as (gates, first bond, closes a step)."""
-    yield gates.even_half, 0, False
+    yield gates.half, 0, False
     for k in range(1, steps + 1):
-        yield gates.odd_full, 1, False
-        yield (gates.even_full if k < steps else gates.even_half), 0, True
+        yield gates.full, 1, False
+        yield (gates.full if k < steps else gates.half), 0, True
 
 
 def tebd_step(state: MPSState, gates: Gates, steps=1):
     """``steps`` Strang steps, run as E/2 (O E)^(steps-1) O E/2.
 
-    Returns (max per-gate discarded weight, norm loss) over all steps.
-    The truncation-explosion check runs after every step, so it raises
-    in the step where the explosion happens.
+    Adds each gate's discarded weight to cumulative_discarded_weight.  The
+    truncation-explosion check runs after every step, so it raises in the
+    step where the explosion happens.
     """
     tol = gates.svd_threshold ** 2
     tensors = state.site_tensors
@@ -301,31 +295,24 @@ def tebd_step(state: MPSState, gates: Gates, steps=1):
     front = n_bonds + 1
     while front > 1 and _near_vacuum(tensors[front - 1], tol):
         front -= 1
-    worst = loss = 0.0
-    step_worst = step_loss = 0.0
+    step_worst = 0.0
     for layer, first, closes_step in _layers(gates, steps):
         for j in range(first, min(front, n_bonds), 2):
             w = _apply_gate(state, j, layer[j], gates.chi_max, gates.svd_threshold)
             step_worst = max(step_worst, w)
-            step_loss += w
             state.cumulative_discarded_weight += w
         # a layer gates no bond past the front, so it moves by one at most
         if front <= n_bonds and not _near_vacuum(tensors[front], tol):
             front += 1
         elif front > 1 and _near_vacuum(tensors[front - 1], tol):
             front -= 1
-        if not closes_step:
-            continue
-        if step_worst > 1e-3:
-            raise RuntimeError(
-                f"truncation explosion: a single gate discarded weight "
-                f"{step_worst:.2e} (> 1e-3); raise chi_max or lower dt"
-            )
-        state.norm_loss += step_loss
-        worst = max(worst, step_worst)
-        loss += step_loss
-        step_worst = step_loss = 0.0
-    return worst, loss
+        if closes_step:
+            if step_worst > 1e-3:
+                raise RuntimeError(
+                    f"truncation explosion: a single gate discarded weight "
+                    f"{step_worst:.2e} (> 1e-3); raise chi_max or lower dt"
+                )
+            step_worst = 0.0
 
 
 def _left_env(state: MPSState, j, op, dims):
@@ -343,21 +330,11 @@ def _left_env(state: MPSState, j, op, dims):
 def measure(state: MPSState, site, observable):
     """<O> at one site, in mixed-canonical form.
 
-    observable: a (d, d) matrix or one of the names "sigma_x",
-    "sigma_y", "sigma_z" (emitter) / "n" (boson number).  A chain site of
-    a two-sector state takes only parity-preserving ones (ValueError).
+    observable: a (d, d) matrix on that site, such as SIGMA_X, SIGMA_Y or
+    SIGMA_Z on the emitter or _number(d) on a boson.  A chain site of a
+    two-sector state takes only parity-preserving ones (ValueError).
     """
-    if isinstance(observable, str):
-        named = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
-        if observable == "n":
-            d = state.site_tensors[site].shape[1]
-            op = np.diag(np.arange(d, dtype=float)).astype(complex)
-        elif observable in named:
-            op = named[observable]
-        else:
-            raise ValueError(f"unknown observable {observable!r}")
-    else:
-        op = np.asarray(observable, dtype=complex)
+    op = np.asarray(observable, dtype=complex)
     w, B = _left_env(state, site, op, op.shape[:1])
     # rho[s, s'] = sum_a w_a B[a,s,b] conj(B[a,s',b]) = (psi psi*)[s, s']
     rho = np.tensordot(w[:, None, None] * B, B.conj(), axes=([0, 2], [0, 2]))
@@ -385,10 +362,10 @@ def _product_expectation(state: MPSState, ops):
 
 def conserved_charge(state: MPSState, mode):
     """Total excitation number (RWA) or joint parity (FULL)."""
-    if mode == "RWA":
-        total = measure(state, 0, 0.5 * (np.eye(2, dtype=complex) + SIGMA_Z)).real
-        for site in range(1, state.n_sites):
-            total += measure(state, site, "n").real
+    if mode == "RWA":  # the emitter's number operator is |e><e|
+        total = 0.0
+        for site, B in enumerate(state.site_tensors):
+            total += measure(state, site, _number(B.shape[1])).real
         return total
     ops = [SIGMA_Z] + [np.diag((-1.0) ** np.arange(B.shape[1])) for B in state.site_tensors[1:]]
     return _product_expectation(state, ops).real
@@ -402,7 +379,7 @@ class TimeSeries:
     sigma_x: np.ndarray
     sigma_y: np.ndarray
     sigma_z: np.ndarray
-    norm_drift: np.ndarray  # norm loss accumulated since the previous sample
+    norm_drift: np.ndarray  # increase of discarded_weight since the previous sample
     max_bond: np.ndarray
     discarded_weight: np.ndarray  # cumulative
     conserved_charge: np.ndarray  # excitation number (RWA) or parity (FULL)
@@ -428,30 +405,27 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
     state = init_state(c, cfg, atom_state)
     n_steps = max(1, int(round(cfg.t_max / gates.dt)))
     rows = []
-    prev_loss = 0.0
 
     def sample(step):  # one row, keyed by TimeSeries field
-        nonlocal prev_loss
-        tail = measure(state, state.n_sites - 1, "n").real
+        tail = measure(state, state.n_sites - 1, _number(cfg.d_b)).real
         rows.append(dict(
             times=step * gates.dt,
-            sigma_x=measure(state, 0, "sigma_x"),
-            sigma_y=measure(state, 0, "sigma_y"),
-            sigma_z=measure(state, 0, "sigma_z"),
-            norm_drift=state.norm_loss - prev_loss,
+            sigma_x=measure(state, 0, SIGMA_X),
+            sigma_y=measure(state, 0, SIGMA_Y),
+            sigma_z=measure(state, 0, SIGMA_Z),
             max_bond=state.max_bond,
             discarded_weight=state.cumulative_discarded_weight,
             conserved_charge=conserved_charge(state, cfg.mode),
             tail_occupation=tail,
             flags=tail >= 1e-6,
         ))
-        prev_loss = state.norm_loss
 
     sample(0)
     for start in range(0, n_steps, cfg.sample_stride):
         stop = min(start + cfg.sample_stride, n_steps)
         tebd_step(state, gates, stop - start)
         sample(stop)
-    return TimeSeries(**{k: np.array([row[k] for row in rows]) for k in rows[0]},
+    cols = {k: np.array([row[k] for row in rows]) for k in rows[0]}
+    return TimeSeries(**cols, norm_drift=np.diff(cols["discarded_weight"], prepend=0.0),
                       dt=gates.dt)
 

@@ -23,8 +23,8 @@ Frames: the memory equation above propagates the interaction-picture
 amplitude (A = 1 for all t when alpha = 0).  The lab-frame amplitude
 carries the extra free phase exp(-i delta t); chain diagonalization
 produces it directly because the emitter splitting sits in the chain
-Hamiltonian.  Every series records its frame and converts on demand;
-populations |A|^2 are frame-independent.
+Hamiltonian.  Every series records its frame and converts to the lab
+frame on demand; populations |A|^2 are frame-independent.
 """
 
 import math
@@ -113,12 +113,6 @@ class AmplitudeSeries:
             return self
         vals = self.values * np.exp(-1j * self.delta * self.times)
         return replace(self, values=vals, frame="lab")
-
-    def to_interaction(self):
-        if self.frame == "interaction":
-            return self
-        vals = self.values * np.exp(1j * self.delta * self.times)
-        return replace(self, values=vals, frame="interaction")
 
     def population(self):
         """|A(t)|^2, frame-independent."""

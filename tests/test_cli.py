@@ -556,6 +556,20 @@ class TestEvolveCommand:
         assert conv["chain_sites"] == 60
         assert (out / "evolve.svg").exists()
 
+    def test_total_norm_drift_is_the_discarded_weight(self, tmp_path):
+        # a truncating FULL corner (chi_max 8): the drift column sums the
+        # one discarded-weight ledger
+        out = tmp_path / "out"
+        assert main(["evolve", "--alpha", "1", "--omega-b", "2",
+                     "--omega0", "20", "--omega-c", "100", "--delta", "3",
+                     "--t-max", "0.3", "--d-b", "4", "--chi-max", "8",
+                     "--mode", "FULL", "--out-dir", str(out)]) == 0
+        conv = manifest(out)["convergence"]
+        assert conv["final_max_bond"] == 8
+        assert conv["total_discarded_weight"] > 1e-10
+        assert conv["total_norm_drift"] == pytest.approx(
+            conv["total_discarded_weight"], rel=1e-12, abs=0.0)
+
 
 class TestSweepCommand:
     def test_scan_artifacts(self, tmp_path):
@@ -628,6 +642,55 @@ class TestSweepCommand:
                                         "freq_full", "decay_rwa")] == \
             [0.125, 1.5, 2.5, 9.0]
         assert "point_delta_20.0.csv" in manifest(out)["outputs"]
+
+    @pytest.mark.parametrize("change,field,recorded,now", [
+        (["--alpha", "2.0"], "model", "alpha=1.0", "alpha=2.0"),
+        (["--methods", "rwa,full", "--mode", "FULL", "--d-b", "4"], "methods",
+         "['rwa']", "['full', 'rwa']"),
+        (["--t-max", "1.0"], "rwa.t_max", "1.5", "1.0"),
+        (["--samples", "401"], "rwa.samples", "801", "401"),
+    ], ids=["model", "methods", "t_max", "samples"])
+    def test_resume_refuses_points_of_another_run(self, tmp_path, capsys,
+                                                  change, field, recorded,
+                                                  now):
+        out = tmp_path / "out"
+        argv = ["sweep", *model_flags(), "--t-max", "1.5", "--samples", "801",
+                "--jobs", "1", "--deltas", "20,30", "--out-dir", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        # a later flag overrides an earlier one
+        assert main(argv + ["--resume", *change]) == 2
+        err = capsys.readouterr().err
+        point = out / "point_delta_20.0.csv"
+        assert f"input: {point} differs from this run in {field}: " in err
+        assert recorded in err.split("recorded")[1].split("this run")[0]
+        assert now in err.split("this run")[-1]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("change,field", [
+        (["--chi-max", "8"], "full.chi_max"), (["--d-b", "5"], "full.d_b"),
+        (["--dt", "0.0005"], "full.dt"),
+        (["--full-observables", "population,coherence"], "full.observables"),
+    ], ids=["chi_max", "d_b", "dt", "observables"])
+    def test_resume_refuses_full_points_of_other_settings(self, tmp_path,
+                                                          capsys, change,
+                                                          field):
+        out = tmp_path / "out"
+        argv = ["sweep", "--alpha", "1", "--omega-b", "2", "--omega0", "20",
+                "--omega-c", "100", "--methods", "full", "--mode", "FULL",
+                "--t-max", "0.03", "--d-b", "4", "--chi-max", "16",
+                "--full-observables", "population", "--jobs", "1",
+                "--deltas", "3", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert main(argv + ["--resume"]) == 0
+        assert manifest(out)["convergence"]["resumed_points"] == [3.0]
+        summary = (out / "summary.csv").read_bytes()
+        capsys.readouterr()
+        assert main(argv + ["--resume", *change]) == 2
+        assert (f"input: {out / 'point_delta_3.0.csv'} differs from this run "
+                f"in {field}: ") in capsys.readouterr().err
+        assert (out / "summary.csv").read_bytes() == summary
 
     @pytest.mark.parametrize("header,manifest_line,message", [
         ("stationary_pop_rwa,stationary_pop_full,freq_rwa,freq_full,"

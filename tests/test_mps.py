@@ -124,10 +124,10 @@ class TestInitState:
         assert st.head.shape == (sectors,)
         assert st.site_tensors[1].shape == (1, 4, 1)
         assert mps.measure(st, 0, np.eye(2)).real == pytest.approx(1.0)
-        assert mps.measure(st, 0, "sigma_z").real == pytest.approx(sz, abs=1e-14)
-        assert mps.measure(st, 0, "sigma_x").real == pytest.approx(sx, abs=1e-14)
+        assert mps.measure(st, 0, mps.SIGMA_Z).real == pytest.approx(sz, abs=1e-14)
+        assert mps.measure(st, 0, mps.SIGMA_X).real == pytest.approx(sx, abs=1e-14)
         for site in range(1, st.n_sites):
-            assert mps.measure(st, site, "n").real == pytest.approx(0.0, abs=1e-14)
+            assert mps.measure(st, site, mps._number(4)).real == pytest.approx(0.0, abs=1e-14)
 
     def test_unknown_atom_state(self, chain):
         cfg = EvolutionConfig(t_max=1.0)
@@ -150,7 +150,7 @@ class TestBuildGates:
     def test_gates_unitary(self, chain):
         cfg = EvolutionConfig(t_max=1.0, d_b=4, mode="FULL")
         gates = mps.build_gates(chain, DELTA, cfg)
-        for batch in (gates.even_half, gates.odd_full, gates.even_full):
+        for batch in (gates.half, gates.full):
             for U in batch:
                 if U is None:
                     continue
@@ -168,13 +168,14 @@ class TestBuildGates:
         e00 = np.zeros(d_b * d_b, dtype=complex)
         e00[0] = 1.0
         for j in range(1, chain.N):
-            for batch in (gates.even_half, gates.odd_full, gates.even_full):
+            for batch in (gates.half, gates.full):
                 if batch[j] is None:
                     continue
                 m = batch[j].reshape(d_b * d_b, d_b * d_b)
                 np.testing.assert_array_equal(m[:, 0], e00)
-        for half, full in zip(gates.even_half, gates.even_full):
-            assert (half is None) == (full is None)
+        for j, (half, full) in enumerate(zip(gates.half, gates.full)):
+            assert full is not None
+            assert (half is None) == (j % 2 == 1)
             if half is not None:
                 dl, dr = half.shape[0], half.shape[1]
                 m = half.reshape(dl * dr, dl * dr)
@@ -271,6 +272,17 @@ class TestConservation:
         stride = 10  # full_run's sample_stride
         assert np.max(full_run.norm_drift[1:]) / stride < 1e-8
 
+    def test_norm_drift_sums_to_discarded_weight(self, chain):
+        # one ledger: the sampled drift is the discarded weight's increments,
+        # at a corner where chi_max = 8 truncates
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=8, mode="FULL")
+        ts = mps.evolve(chain, cfg, "excited", DELTA)
+        assert ts.max_bond[-1] == 8
+        assert ts.discarded_weight[-1] > 1e-10
+        assert ts.norm_drift[0] == 0.0
+        np.testing.assert_allclose(np.cumsum(ts.norm_drift), ts.discarded_weight,
+                                   rtol=1e-12, atol=0.0)
+
     def test_full_sigma_x_frozen_at_zero_splitting(self, chain):
         # sigma_x commutes with the whole FULL Hamiltonian when delta = 0
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16,
@@ -294,7 +306,7 @@ class TestMergedSteps:
         mps.tebd_step(merged, gates, k)
         for _ in range(k):
             mps.tebd_step(single, gates)
-        for obs in ("sigma_z", "sigma_x"):
+        for obs in (mps.SIGMA_Z, mps.SIGMA_X):
             assert abs(mps.measure(merged, 0, obs)
                        - mps.measure(single, 0, obs)) < 1e-12
 
@@ -326,8 +338,9 @@ class TestMergedSteps:
 
 def strang_on_vector(gates, psi, steps):
     """``steps`` Strang steps of ``gates`` applied to a full state vector."""
+    odd = [U if j % 2 else None for j, U in enumerate(gates.full)]
     for _ in range(steps):
-        for layer in (gates.even_half, gates.odd_full, gates.even_half):
+        for layer in (gates.half, odd, gates.half):
             for j, U in enumerate(layer):
                 if U is not None:
                     psi = np.moveaxis(np.tensordot(U, psi, axes=([2, 3], [j, j + 1])),
@@ -368,10 +381,9 @@ class TestParityBlocks:
         for _ in range(5):
             mps.tebd_step(st, gates, 40)
             psi = strang_on_vector(gates, psi, 40)
-            for name, op in (("sigma_x", mps.SIGMA_X), ("sigma_y", mps.SIGMA_Y),
-                             ("sigma_z", mps.SIGMA_Z)):
+            for op in (mps.SIGMA_X, mps.SIGMA_Y, mps.SIGMA_Z):
                 exact = np.vdot(psi, np.tensordot(op, psi, axes=(1, 0)))
-                assert abs(mps.measure(st, 0, name) - exact) < 1e-12
+                assert abs(mps.measure(st, 0, op) - exact) < 1e-12
                 ops = [op] + [np.eye(d_b)] * c4.N
                 assert abs(mps._product_expectation(st, ops) - exact) < 1e-12
         assert st.cumulative_discarded_weight == 0.0
@@ -531,19 +543,6 @@ class TestTruncationSafeguards:
 
 
 class TestMeasurement:
-    def test_named_observables_match_matrices(self, rwa_run, chain):
-        cfg = EvolutionConfig(t_max=T_SHORT, d_b=2, chi_max=16, mode="RWA")
-        gates = mps.build_gates(chain, DELTA, cfg)
-        st = mps.init_state(chain, cfg, "excited")
-        for _ in range(50):
-            mps.tebd_step(st, gates)
-        for name, op in (("sigma_x", mps.SIGMA_X), ("sigma_y", mps.SIGMA_Y),
-                         ("sigma_z", mps.SIGMA_Z)):
-            assert mps.measure(st, 0, name) == pytest.approx(
-                mps.measure(st, 0, op), abs=1e-14)
-        with pytest.raises(ValueError, match="observable"):
-            mps.measure(st, 0, "sigma_w")
-
     def test_mixed_canonical_matches_full_contraction(self, chain):
         # the cheap single-site estimator must agree with the exact
         # whole-chain contraction once the state is entangled
@@ -558,7 +557,7 @@ class TestMeasurement:
         ]
         ops[0] = mps.SIGMA_Z
         full = mps._product_expectation(st, ops)
-        assert mps.measure(st, 0, "sigma_z") == pytest.approx(full, abs=1e-10)
+        assert mps.measure(st, 0, mps.SIGMA_Z) == pytest.approx(full, abs=1e-10)
 
     def test_initial_energy_is_emitter_splitting(self, chain):
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")

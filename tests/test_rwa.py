@@ -123,8 +123,10 @@ class TestAmplitudeSeries:
         t = np.linspace(0.0, 2.0, 9)
         vals = np.exp(-0.3 * t) * np.exp(0.7j * t)
         s = AmplitudeSeries(t, vals, delta=1.3)
-        back = s.to_lab().to_interaction()
-        np.testing.assert_allclose(back.values, vals, atol=1e-14)
+        lab = s.to_lab()
+        assert lab.frame == "lab"
+        back = lab.values * np.exp(1j * lab.delta * lab.times)
+        np.testing.assert_allclose(back, vals, atol=1e-14)
         np.testing.assert_allclose(s.to_lab().population(), s.population(),
                                    atol=1e-14)
 
@@ -300,9 +302,11 @@ class TestLaplaceInvert:
     def test_matches_exact_chain(self, p):
         t_max = 1.5
         sc = chain_evolve(map_to_chain(p, chain_length_for(p, t_max)), p.delta,
-                          t_max, samples=31).to_interaction()
+                          t_max, samples=31)
+        assert sc.frame == "lab"
+        interaction = sc.values * np.exp(1j * p.delta * sc.times)
         sl = laplace_invert(p, sc.times[1:])
-        assert np.max(np.abs(sl.values - sc.values[1:])) <= 1e-10
+        assert np.max(np.abs(sl.values - interaction[1:])) <= 1e-10
         assert not sl.flags.any()
         # the pole weights and the band integral of the density sum to 1
         assert abs(cut_invert(p, [0.0], find_bound_pole(p))[0] - 1.0) <= 1e-10
