@@ -4,44 +4,40 @@ Subcommands map onto the library one to one: chain-coeffs (orthogonal
 polynomial chain), rwa (single-excitation solvers), evolve (TEBD),
 polaron (variational renormalization), sweep (detuning scans), analyze
 (estimators over a stored series) and plot (deterministic SVG
-overlays).  Every run writes a ``manifest.json`` echoing the full
-configuration, the subcommand's own options included, with library
-versions, wall time and convergence outcomes.  Re-running any
-subcommand with its manifest as the config file regenerates every
-artifact byte for byte; the manifest's own ``wall_time_s`` and
-``timestamp`` fields are the only volatile data a run produces.
-``sweep --resume`` reuses the point CSV of a detuning on the grid only if
-its ``model:`` line, methods and per-method settings (rwa: t_max, samples;
-full: t_max, d_b, chi_max, dt, observables) equal this run's; otherwise
-the run writes nothing and exits 2, naming the CSV and the first field
-that differs.
+overlays).  Every run writes a ``manifest.json`` echoing the
+configuration it read, with library versions, wall time and convergence
+outcomes.  Re-running any subcommand with its manifest as the config
+file regenerates every artifact byte for byte; the manifest's own
+``wall_time_s`` and ``timestamp`` fields are the only volatile data a
+run produces.  ``sweep --resume`` reuses a point CSV only if it records
+this run's model at its detuning and settings (_load_prior); otherwise
+the run writes nothing and exits 2, naming the first field that differs.
 
 Configuration comes from an INI file, from a JSON file with the same
 sections, or from flags; flags override file values.  The sections
-[model], [chain], [evolution], [analysis] and [output] are shared.  A
-section named after a subcommand ([rwa], [evolve], [sweep], [analyze],
-[plot]) holds that subcommand's own options and is ignored by every
-other subcommand, so one file can serve several.  The flags are the
-config keys of the shared sections and of the subcommand's own: key
-``section.some_key`` is the flag ``--some-key``, except
-``output.directory``, which is ``--out-dir``.  A flag value is parsed
-exactly like the same value in an INI file; a switch (``--resume``)
-takes no value and is ``resume = true`` in a file, and ``--csv``
-repeats.  A manifest (a JSON object with a ``subcommand`` key) is
-itself a valid config: its ``config`` block is unwrapped.
+[model], [chain], [evolution], [analysis] and [output] are shared, and
+[rwa], [evolve], [sweep], [analyze] and [plot] hold the named
+subcommand's own options.  The table ``_READS`` alone says which keys a
+subcommand reads: they are its flags, validated and echoed into its
+manifest.  Any other section or key is skipped, so one file serves every
+subcommand; an unknown section, or an unknown key in a section it reads,
+is an error, as is [chain] given to sweep.  Key ``section.some_key`` is
+the flag ``--some-key``, except ``output.directory``, which is
+``--out-dir``; a flag is spelled in full and parsed exactly like the
+same value in an INI file.  A switch (``--resume``) takes no value and
+is ``resume = true`` in a file, and ``--csv`` repeats.  A manifest (a
+JSON object with a ``subcommand`` key) is itself a valid config: its
+``config`` block is unwrapped.
 
-Threads: every gapchain process runs one BLAS thread (importing the
-package sets OPENBLAS_NUM_THREADS to 1), and ``sweep --jobs`` runs
-points in parallel only through worker processes, each handed the
-chain the parent mapped.  This holds only when gapchain is imported
-before numpy or scipy, as the console script and ``python -m
-gapchain.cli`` do; an OPENBLAS_NUM_THREADS set in the environment
-overrides it.
+Threads: one BLAS thread per process, as the package docstring sets out;
+``sweep --jobs`` runs points in parallel only through worker processes,
+each handed the chain the parent mapped.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics.json written
 to the output directory), 2 configuration error (every violation is
-listed, addressed as section.key; what ModelParams or EvolutionConfig
-rejects comes out as one ``model:`` or ``evolution:`` line).
+listed, addressed as section.key; what ModelParams, EvolutionConfig or
+AnalysisOptions rejects comes out as one ``model:``, ``evolution:`` or
+``analysis:`` line).
 """
 
 from __future__ import annotations
@@ -185,25 +181,14 @@ def _as_deltas(value, key, errors):
 
 def _as_exclude(value, key, errors):
     """time windows to drop, lo:hi,lo:hi (in JSON, [lo, hi] pairs)"""
-    pairs = []
     if isinstance(value, str):
-        for part in _as_list(value, key, errors):
-            bits = part.split(":")
-            if len(bits) != 2:
-                errors.append(f"{key}: window {part!r} is not lo:hi")
-                return None
-            pairs.append(bits)
-    elif isinstance(value, (list, tuple)):
-        pairs = list(value)
-    else:
-        errors.append(f"{key}: expected windows, got {value!r}")
-        return None
+        value = [part.split(":") for part in _as_list(value, key, errors)]
     out = []
-    for pair in pairs:
+    for pair in value if isinstance(value, (list, tuple)) else [value]:
         try:
-            lo, hi = (float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError, IndexError):
-            errors.append(f"{key}: window {pair!r} is not a number pair")
+            lo, hi = map(float, pair)
+        except (TypeError, ValueError):
+            errors.append(f"{key}: window {pair!r} is not a lo:hi pair")
             return None
         if not lo < hi:
             errors.append(f"{key}: window {lo:g}:{hi:g} needs lo < hi")
@@ -227,10 +212,10 @@ _ESTIMATORS = {
 }
 
 
-# The one list of config keys: each becomes a flag --<key-with-dashes>
-# (renamed only through _FLAG_NAMES), an INI/JSON key of its section and
-# a field of that section's dataclass (_TYPES).  A validator's docstring
-# is the flag's help text.  Sections named after a subcommand are its own.
+# The one list of config keys: each is an INI/JSON key of its section, a
+# field of that section's dataclass (_TYPES) and, for a subcommand that
+# reads it (_READS), a flag --<key-with-dashes> (renamed only through
+# _FLAG_NAMES).  A validator's docstring is the flag's help text.
 _SCHEMA = {
     "model": {"alpha": _as_float, "omega_b": _as_float, "omega0": _as_float,
               "omega_c": _as_float, "delta": _as_float},
@@ -263,9 +248,30 @@ _SCHEMA = {
 _FLAG_NAMES = {("output", "directory"): "--out-dir"}
 _FLAG_ACTIONS = {("plot", "csv"): "append"}  # --csv repeats for overlays
 
-_NEEDS = {"chain-coeffs": {"model"}, "rwa": {"model", "evolution"},
-          "evolve": {"model", "evolution"}, "polaron": {"model"},
-          "sweep": {"model"}}
+# What each subcommand reads, in _SCHEMA order: "section" is all its keys,
+# "section.key" one.  A section marked "?" is read only if given; every
+# other one must be complete.
+_READS = {
+    "chain-coeffs": ("model", "chain", "output"),
+    "rwa": ("model", "chain", "evolution.t_max", "evolution.dt", "output",
+            "rwa"),
+    "evolve": ("model", "chain", "evolution", "output", "evolve"),
+    "polaron": ("model", "output"),
+    # not model.delta: each point sets its own
+    "sweep": ("model.alpha", "model.omega_b", "model.omega0", "model.omega_c",
+              "evolution?", "output", "sweep"),
+    "analyze": ("model?", "analysis", "output", "analyze"),
+    "plot": ("model?", "output", "plot"),
+}
+
+
+def _reads(subcommand):
+    """{section: [keys]} that subcommand reads."""
+    keys = {}
+    for item in _READS[subcommand]:
+        sec, _, key = item.rstrip("?").partition(".")
+        keys.setdefault(sec, []).extend([key] if key else _SCHEMA[sec])
+    return keys
 
 
 @dataclass(frozen=True)
@@ -286,6 +292,10 @@ class AnalysisOptions:
     fit_window_low: float = 0.0
     fit_window_high: float = 1.0
     exclude: tuple = ()
+
+    def __post_init__(self):
+        if not 0.0 <= self.fit_window_low < self.fit_window_high <= 1.0:
+            raise ValueError("need 0 <= fit_window_low < fit_window_high <= 1")
 
 
 @dataclass(frozen=True)
@@ -346,27 +356,28 @@ _TYPES = {"model": ModelParams, "chain": ChainOptions,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one CLI run."""
+    """Validated configuration for one CLI run; a section its subcommand
+    does not read is None."""
 
-    model: ModelParams | None
-    chain: ChainOptions
-    evolution: EvolutionConfig | None
-    analysis: AnalysisOptions
-    output: OutputOptions
-    rwa: RwaOptions | None = None  # only the running subcommand's is set
+    subcommand: str
+    model: ModelParams | None = None
+    chain: ChainOptions | None = None
+    evolution: EvolutionConfig | None = None
+    analysis: AnalysisOptions | None = None
+    output: OutputOptions | None = None
+    rwa: RwaOptions | None = None
     evolve: EvolveOptions | None = None
     sweep: SweepOptions | None = None
     analyze: AnalyzeOptions | None = None
     plot: PlotOptions | None = None
 
     def to_dict(self):
-        """JSON-ready echo; parse_config(data=...) inverts it exactly.
-
-        A key holding an empty default (None or ()) is left out, since
-        parsing restores it; an empty section is left out too.
-        """
+        """JSON-ready echo of the keys the subcommand reads, which
+        parse_config inverts exactly.  A key holding an empty default
+        (None or ()) is left out, since parsing restores it, and so is an
+        empty section."""
         d = {}
-        for sec, keys in _SCHEMA.items():
+        for sec, keys in _reads(self.subcommand).items():
             obj = getattr(self, sec)
             if obj is None:
                 continue
@@ -398,7 +409,7 @@ def _load_file(path: Path, errors):
             errors.append(f"config: {path} must hold a JSON object")
             return {}
         return {sec: dict(block) for sec, block in raw.items()
-                if isinstance(block, dict) and sec in _SCHEMA}
+                if isinstance(block, dict)}
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -408,49 +419,46 @@ def _load_file(path: Path, errors):
     return {sec: dict(cp.items(sec)) for sec in cp.sections()}
 
 
-def parse_config(path=None, data=None, overrides=None,
-                 subcommand=None) -> RunConfig:
-    """Merge file, dict and flag inputs into a validated RunConfig.
+def parse_config(subcommand, path=None, data=None,
+                 overrides=None) -> RunConfig:
+    """Merge file, dict and flag inputs into subcommand's RunConfig.
 
-    All violations are collected and raised together in one
-    ConfigError, each line addressed as section.key, except that what
-    a section's own class rejects is one line addressed as the section.
-    The section of any subcommand other than this one is ignored.
+    Only the keys subcommand reads (_READS) are validated, the rest
+    skipped; an unknown section, or unknown key in a read section, is an
+    error.  All violations are raised together in one ConfigError as
+    section.key lines, or one section line for what its class rejects.
     """
+    reads = _reads(subcommand)
+    needed = {item.partition(".")[0] for item in _READS[subcommand]
+              if not item.endswith("?")}
     errors = []
     if path is not None:
         data = _load_file(Path(path), errors)
     merged = {}
     for sec, block in (data or {}).items():
-        if sec in _DISPATCH and sec != subcommand:
-            continue
         if sec not in _SCHEMA:
             errors.append(f"{sec}: unknown section")
-            continue
-        for key, value in block.items():
-            if key not in _SCHEMA[sec]:
-                errors.append(f"{sec}.{key}: unknown key")
-            elif value is not None:
-                merged.setdefault(sec, {})[key] = value
-    for (sec, key), value in (overrides or {}).items():
-        merged.setdefault(sec, {})[key] = value
+        elif sec in reads:
+            for key, value in block.items():
+                if key not in _SCHEMA[sec]:
+                    errors.append(f"{sec}.{key}: unknown key")
+                elif key in reads[sec] and value is not None:
+                    merged[sec, key] = value
+    merged.update(overrides or {})
 
     typed = {sec: {} for sec in _SCHEMA}
     rejected = set()  # (section, key) whose value its validator refused
-    for sec, block in merged.items():
-        for key, value in block.items():
-            tv = _SCHEMA[sec][key](value, f"{sec}.{key}", errors)
-            if tv is None:
-                rejected.add((sec, key))
-            else:
-                typed[sec][key] = tv
+    for (sec, key), value in merged.items():
+        tv = _SCHEMA[sec][key](value, f"{sec}.{key}", errors)
+        if tv is None:
+            rejected.add((sec, key))
+        else:
+            typed[sec][key] = tv
 
-    needed = _NEEDS.get(subcommand, set()) | {subcommand}
-    built = {sec: _build(cls, sec, typed, rejected, errors,
+    built = {sec: _build(_TYPES[sec], sec, typed, rejected, errors,
                          required=bool(typed[sec]) or sec in needed)
-             for sec, cls in _TYPES.items()
-             if sec not in _DISPATCH or sec == subcommand}
-    cfg = RunConfig(**built)
+             for sec in reads}
+    cfg = RunConfig(subcommand, **built)
 
     if (subcommand == "polaron" and cfg.model is not None
             and cfg.model.delta <= 0.0):
@@ -458,9 +466,9 @@ def parse_config(path=None, data=None, overrides=None,
                       "(the theory renormalizes a finite splitting)")
     if subcommand == "chain-coeffs" and cfg.chain.n_sites is None:
         errors.append("chain.n_sites: required for chain-coeffs")
-    if subcommand == "sweep":
-        errors += [f"chain.{key}: not used by sweep, which sizes each "
-                   "chain from its t_max" for key in typed["chain"]]
+    if subcommand == "sweep":  # a chain length in its file would look used
+        errors += [f"chain.{key}: not used by sweep, which sizes each chain "
+                   "from its t_max" for key in (data or {}).get("chain", ())]
         if cfg.sweep is not None and "full" in cfg.sweep.methods:
             if cfg.evolution is None:
                 errors.append("evolution.t_max: required when sweep "
@@ -468,10 +476,6 @@ def parse_config(path=None, data=None, overrides=None,
             elif cfg.evolution.mode != "FULL":
                 errors.append("evolution.mode: must be FULL for sweep "
                               "method full")
-    if not (0.0 <= cfg.analysis.fit_window_low
-            < cfg.analysis.fit_window_high <= 1.0):
-        errors.append("analysis.fit_window_low/high: "
-                      "need 0 <= low < high <= 1")
 
     if errors:
         raise ConfigError(sorted(errors))
@@ -479,12 +483,9 @@ def parse_config(path=None, data=None, overrides=None,
 
 
 def _build(cls, sec, typed, rejected, errors, required):
-    """cls(**typed[sec]), or None when a field without default is unset.
-
-    An empty list counts as unset.  Unset fields are config errors only
-    when the section is required, and a field whose value was rejected
-    already has its error.
-    """
+    """cls(**typed[sec]), or None when a field without default is unset
+    (an empty list counts as unset): an error if the section is required,
+    unless the field's value was rejected and so already has its error."""
     missing = [f.name for f in dataclasses.fields(cls)
                if f.default is dataclasses.MISSING
                and typed[sec].get(f.name, ()) == ()]
@@ -506,8 +507,6 @@ def _build(cls, sec, typed, rejected, errors, required):
 
 def _jsonsafe(obj):
     """Plain-Python, finite-only mirror of obj (NaN/inf become null)."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonsafe(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonsafe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
@@ -595,9 +594,8 @@ def _read_csv(path: Path):
     return meta, {name: table[:, j] for j, name in enumerate(header)}
 
 
-def _model_meta(p: ModelParams):
-    return ("model: " + " ".join(f"{k}={float(getattr(p, k))!r}"
-                                 for k in _SCHEMA["model"]))
+def _model_meta(p: ModelParams, keys=tuple(_SCHEMA["model"])):
+    return "model: " + " ".join(f"{k}={float(getattr(p, k))!r}" for k in keys)
 
 
 def _apply_windows(times, values, opts: AnalysisOptions):
@@ -761,7 +759,7 @@ def _load_prior(outdir: Path, deltas, model_line, settings):
     """{delta: (delta, row, manifest)} from the point CSVs in outdir.
 
     A point on this run's grid is reused only if it records this run's
-    model line and analysis.point_settings; ConfigError otherwise.
+    model_line(delta) and analysis.point_settings; ConfigError otherwise.
     """
     points = {}
     for path in sorted(outdir.glob("point_delta_*.csv")):
@@ -780,7 +778,7 @@ def _load_prior(outdir: Path, deltas, model_line, settings):
             raise ConfigError([f"input: {path} manifest is not a JSON object"])
         d = float(cols["delta"][0])
         differs = d in deltas and _first_difference(meta, manifest,
-                                                    model_line, settings)
+                                                    model_line(d), settings)
         if differs:
             raise ConfigError(["input: {} differs from this run in {}: "
                                "recorded {!r}, this run {!r}".format(
@@ -799,7 +797,10 @@ def _cmd_sweep(cfg, outdir):
     cfgs = {"rwa": {k: v for k, v in rc.items() if v is not None},
             "full": evo, "full_observables": o.full_observables}
 
-    prior = (_load_prior(outdir, deltas, _model_meta(p),
+    def model_line(d):  # a point's own model
+        return _model_meta(dataclasses.replace(p, delta=d))
+
+    prior = (_load_prior(outdir, deltas, model_line,
                          analysis.point_settings(methods, p, cfgs))
              if o.resume else {})
     resumed = [prior[d] for d in deltas if d in prior]
@@ -813,7 +814,7 @@ def _cmd_sweep(cfg, outdir):
         d, row, manifest = point
         # on disk at once, so a failed run keeps it; none if its worker died
         if "csv" in fmts and "worker" not in manifest["failures"]:
-            meta = [_model_meta(p), "manifest: " + json.dumps(
+            meta = [model_line(d), "manifest: " + json.dumps(
                 _jsonsafe(manifest), sort_keys=True)]
             cols = [("delta", [d], "f")]
             cols += [(k, [row[k]], "f") for k in analysis.SWEEP_COLUMNS]
@@ -825,8 +826,8 @@ def _cmd_sweep(cfg, outdir):
     if "csv" in fmts:
         cols = [("delta", grid, "f")]
         cols += [(k, columns[k], "f") for k in analysis.SWEEP_COLUMNS]
-        outputs.append(_emit(outdir, "summary.csv",
-                             _csv_text([_model_meta(p)], cols)))
+        meta = [_model_meta(p, _reads("sweep")["model"])]  # delta: a column
+        outputs.append(_emit(outdir, "summary.csv", _csv_text(meta, cols)))
     if "svg" in fmts:
         for name, prefix, ylabel, title, log_y in (
                 ("freq_vs_delta.svg", "freq", "frequency",
@@ -955,23 +956,22 @@ _DISPATCH = {
 def _parse_args(argv):
     """Parse argv; only a subcommand named in argv gets its configuration flags."""
     parser = argparse.ArgumentParser(
-        prog="gapchain",
+        prog="gapchain", allow_abbrev=False,
         description="Dissipative dynamics of a two-level emitter in a "
                     "gapped photonic environment.")
     parser.add_argument("--version", action="version",
                         version=f"gapchain {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for sub, cmd in _DISPATCH.items():
-        subparser = subs.add_parser(sub, help=cmd.__doc__)
+        subparser = subs.add_parser(sub, help=cmd.__doc__, allow_abbrev=False)
         if sub not in argv:
             continue  # argparse never reaches a subcommand that argv does not name
         g = subparser.add_argument_group("configuration")
         g.add_argument("--config", metavar="FILE",
                        help="INI or JSON config file (flags override it)")
-        for sec, keys in _SCHEMA.items():
-            if sec in _DISPATCH and sec != sub:
-                continue
-            for key, parse in keys.items():
+        for sec, keys in _reads(sub).items():
+            for key in keys:
+                parse = _SCHEMA[sec][key]
                 kw = ({"action": "store_true", "default": None}
                       if parse is _as_bool else
                       {"action": _FLAG_ACTIONS.get((sec, key), "store"),
@@ -992,8 +992,8 @@ def _flag_overrides(args):
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = parse_config(path=args.config, overrides=_flag_overrides(args),
-                           subcommand=args.subcommand)
+        cfg = parse_config(args.subcommand, path=args.config,
+                           overrides=_flag_overrides(args))
         outdir = Path(cfg.output.directory)
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.monotonic()

@@ -24,7 +24,7 @@ import gapchain
 from gapchain import analysis
 from gapchain.chainmap import chain_length_for
 from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _flag_overrides,
-                          _parse_args, main, parse_config)
+                          _parse_args, _reads, main, parse_config)
 from gapchain.model import ModelParams
 from gapchain.mps import EvolutionConfig
 
@@ -60,7 +60,7 @@ SAMPLE_VALUES = {
 SCHEMA_KEYS = [(sec, key) for sec, keys in _SCHEMA.items() for key in keys]
 # the subcommand whose run reads each shared section; a section named after
 # a subcommand is read by that subcommand
-READER = {"model": "rwa", "chain": "rwa", "evolution": "rwa",
+READER = {"model": "rwa", "chain": "rwa", "evolution": "evolve",
           "analysis": "analyze", "output": "rwa"}
 # the smallest config each reader accepts
 BASE_CONFIG = {
@@ -141,14 +141,18 @@ class TestParseConfig:
         data = {"model": {"omega_b": 5, "omega0": 100, "omega_c": 800},
                 "evolution": {"t_max": 1.0, "mode": "BOGUS"},
                 "analysis": {"fit_window_low": 0.9, "fit_window_high": 0.1},
+                "analyze": {"input": "series.csv"},
                 "bogus_section": {"x": 1}}
-        with pytest.raises(ConfigError) as err:
-            parse_config(data=data, subcommand="rwa")
-        text = "\n".join(err.value.errors)
-        assert "model.alpha" in text
-        assert "evolution.mode" in text
-        assert "analysis.fit_window_low" in text
-        assert "bogus_section: unknown section" in text
+        # each violation under a subcommand that reads its key
+        for sub, violation in (
+                ("evolve", "evolution.mode: must be RWA or FULL"),
+                ("analyze", "analysis: need 0 <= fit_window_low < "
+                            "fit_window_high <= 1")):
+            with pytest.raises(ConfigError) as err:
+                parse_config(data=data, subcommand=sub)
+            assert err.value.errors == sorted([
+                "bogus_section: unknown section", violation,
+                "model.alpha: required"])
 
     def test_rejected_required_key_is_reported_once(self, tmp_path, capsys):
         # a value its validator refused is not reported as unset as well
@@ -174,6 +178,15 @@ class TestParseConfig:
                                          "omega0": 100, "omega_c": 800,
                                          "alhpa": 2}}, subcommand="rwa")
         assert any("model.alhpa: unknown key" in e for e in err.value.errors)
+
+    def test_unknown_section_of_a_json_file_is_reported(self, tmp_path):
+        # as in an INI file: a misspelt section is not skipped unread
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": dict(WIDEBAND, delta=2.0),
+                                    "modle": {"delta": 3.0}}))
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=path, subcommand="polaron")
+        assert err.value.errors == ["modle: unknown section"]
 
     def test_non_numeric_value_names_the_key(self):
         with pytest.raises(ConfigError) as err:
@@ -206,10 +219,11 @@ class TestParseConfig:
             "svd_threshold = 1e-8\nsample_stride = 5\nmode = RWA\n"
             "[analysis]\nfit_window_low = 0.1\nfit_window_high = 0.9\n"
             "exclude = 0.2:0.3,1.0:1.1\n"
-            "[output]\ndirectory = out\nformats = csv,json\n")
-        cfg = parse_config(path=ini, subcommand="rwa")
-        again = parse_config(data=cfg.to_dict(), subcommand="rwa")
-        assert cfg == again
+            "[output]\ndirectory = out\nformats = csv,json\n"
+            "[analyze]\ninput = series.csv\n")
+        for sub in ("evolve", "analyze"):  # between them, every section
+            cfg = parse_config(path=ini, subcommand=sub)
+            assert parse_config(data=cfg.to_dict(), subcommand=sub) == cfg
         assert cfg.analysis.exclude == ((0.2, 0.3), (1.0, 1.1))
 
     def test_json_config_accepted(self, tmp_path):
@@ -220,17 +234,21 @@ class TestParseConfig:
         assert parse_config(path=path, subcommand="polaron") == cfg
 
     def test_infinite_exclude_window_is_legal(self):
-        cfg = parse_config(data={"analysis": {"exclude": "1:inf"}})
+        cfg = parse_config(data={"analysis": {"exclude": "1:inf"},
+                                 "analyze": {"input": "series.csv"}},
+                           subcommand="analyze")
         assert cfg.analysis.exclude == ((1.0, math.inf),)
 
     def test_bad_exclude_window(self):
         with pytest.raises(ConfigError) as err:
-            parse_config(data={"analysis": {"exclude": "3:1"}})
+            parse_config(data={"analysis": {"exclude": "3:1"}},
+                         subcommand="analyze")
         assert any("exclude" in e for e in err.value.errors)
 
     def test_bad_format_listed(self):
         with pytest.raises(ConfigError) as err:
-            parse_config(data={"output": {"formats": "csv,bogus"}})
+            parse_config(data={"output": {"formats": "csv,bogus"}},
+                         subcommand="chain-coeffs")
         assert any("output.formats" in e and "bogus" in e
                    for e in err.value.errors)
 
@@ -275,19 +293,41 @@ class TestFlagFileParity:
 
     @pytest.mark.parametrize("sub", sorted(_DISPATCH))
     def test_help_lists_every_config_flag(self, sub, capsys):
-        # the shared keys and the subcommand's own, compared by section.key
-        # since --samples and --x belong to two sections; no other
-        # subcommand's own keys
+        # exactly the keys the subcommand reads, compared by section.key
+        # since --samples and --x belong to two sections
         with pytest.raises(SystemExit) as stop:
             main([sub, "--help"])
         assert stop.value.code == 0
         text = capsys.readouterr().out
+        reads = _reads(sub)
         for sec, key in SCHEMA_KEYS:
-            own = sec not in _DISPATCH or sec == sub
-            assert (f"{sec}.{key}:" in text) == own, (sub, sec, key)
-            if own:
+            read = key in reads.get(sec, ())
+            assert (f"{sec}.{key}:" in text) == read, (sub, sec, key)
+            if read:
                 assert re.search(re.escape(flag_for(sec, key)) + r"\b",
                                  text), (sub, sec, key)
+
+    def test_flag_counts(self):
+        # the config flags of each subcommand, 96 in all
+        counts = {sub: sum(map(len, _reads(sub).values()))
+                  for sub in _DISPATCH}
+        assert counts == {"chain-coeffs": 9, "rwa": 14, "evolve": 17,
+                          "polaron": 7, "sweep": 19, "analyze": 14,
+                          "plot": 16}
+
+    def test_one_file_serves_every_subcommand(self, tmp_path):
+        # polaron reads no evolution key, so chi_max = 4 is not its error
+        ini = tmp_path / "shared.ini"
+        ini.write_text(ini_text({"model": WIDEBAND,
+                                 "evolution": {"t_max": 1.0, "chi_max": 4},
+                                 "analysis": {"fit_window_low": 2}}))
+        out = tmp_path / "out"
+        assert main(["polaron", "--config", str(ini), "--delta", "3",
+                     "--out-dir", str(out)]) == 0
+        assert sorted(manifest(out)["config"]) == ["model", "output"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(path=ini, subcommand="evolve")
+        assert err.value.errors == ["evolution: chi_max >= 8 required"]
 
     def test_other_subcommand_sections_are_ignored(self, tmp_path):
         ini = tmp_path / "shared.ini"
@@ -343,7 +383,7 @@ class TestExitCodes:
     ])
     def test_count_below_floor_exits_2(self, tmp_path, capsys, argv, key):
         out = tmp_path / "out"
-        code = main([*argv, *model_flags(delta=2), "--t-max", "0.5",
+        code = main([*argv, *model_flags(), "--t-max", "0.5",
                      "--out-dir", str(out)])
         assert code == 2
         assert f"{key}: must be at least" in capsys.readouterr().err
@@ -354,17 +394,50 @@ class TestExitCodes:
         (["--deltas", "20,abc"], "sweep.deltas: expected a finite number"),
         (["--deltas=-1"], "sweep.deltas: detunings must be non-negative"),
         (["--deltas", "20,30,20"], "and distinct"),
-        (["--deltas", "20", "--n-sites", "3"], "chain.n_sites: not used"),
-        (["--deltas", "20", "--n-quad", "500"], "chain.n_quad: not used"),
+        (["--deltas", "20", "--n-sites", "3"],
+         "unrecognized arguments: --n-sites 3"),
+        (["--deltas", "20", "--n-quad", "500"],
+         "unrecognized arguments: --n-quad 500"),
+        (["--deltas", "20", "--config", "{chain_ini}"],
+         "chain.n_sites: not used by sweep"),
     ])
     def test_bad_sweep_input_exits_2_before_any_point(self, tmp_path, capsys,
                                                       argv, message):
+        chain_ini = tmp_path / "chain.ini"
+        chain_ini.write_text("[chain]\nn_sites = 300\n")
         out = tmp_path / "out"
-        code = main(["sweep", *argv, *model_flags(), "--t-max", "1.5",
-                     "--jobs", "1", "--out-dir", str(out)])
-        assert code == 2
+        argv = ["sweep", *[a.format(chain_ini=chain_ini) for a in argv],
+                *model_flags(), "--t-max", "1.5", "--jobs", "1",
+                "--out-dir", str(out)]
+        if message.startswith("unrecognized"):  # argparse refuses the flag
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 2
+        else:
+            assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()  # no point, no diagnostics
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", *model_flags(), "--t-max", "1.5", "--deltas", "20",
+         "--delta", "7"],
+        ["rwa", *model_flags(delta=2), "--t-max", "0.5", "--sampl", "5"],
+        ["rwa", "--solver", "laplace", *model_flags(delta=2),
+         "--t-max", "0.5", "--chi-max", "4"],
+        ["chain-coeffs", *model_flags(), "--n-sites", "60", "--chi-max", "16",
+         "--fit-window-low", "0.3", "--t-max", "9"],
+    ], ids=["sweep-delta", "rwa-abbreviation", "rwa-chi-max",
+            "chain-coeffs-unread"])
+    def test_unread_or_abbreviated_flag_exits_2(self, tmp_path, capsys, argv):
+        # a flag is a key the subcommand reads, spelled in full; sweep's
+        # --delta is not read as --deltas
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(argv + ["--out-dir", str(out)])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " in err and " ".join(argv[-2:]) in err
+        assert not out.exists()
 
     def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bin.ini"
@@ -458,6 +531,20 @@ class TestChainCoeffsCommand:
         assert doc["hop"] == pytest.approx(list(cols["hop"][:-1]))
         assert any(m.startswith("# g:") for m in meta)
         assert (out / "chain_coeffs.svg").exists()
+
+    def test_manifest_echoes_only_what_it_reads(self, tmp_path):
+        ini = tmp_path / "shared.ini"
+        ini.write_text(ini_text({"model": WIDEBAND, "chain": {"n_sites": 60},
+                                 "evolution": {"t_max": 9, "chi_max": 16},
+                                 "analysis": {"fit_window_low": 0.3},
+                                 "rwa": {"solver": "laplace"}}))
+        out = tmp_path / "out"
+        assert main(["chain-coeffs", "--config", str(ini),
+                     "--out-dir", str(out)]) == 0
+        assert manifest(out)["config"] == {
+            "model": dict(WIDEBAND, delta=0.0), "chain": {"n_sites": 60},
+            "output": {"directory": str(out),
+                       "formats": ["csv", "json", "svg"]}}
 
 
 class TestRwaCommand:
@@ -623,6 +710,30 @@ class TestSweepCommand:
         for name in ("summary.csv", "point_delta_20.0.csv",
                      "point_delta_30.0.csv"):
             assert (resumed / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_point_csvs_state_their_own_delta(self, tmp_path):
+        # a resume that differs only in a file's model.delta, which sweep
+        # does not read, reuses every point
+        out = tmp_path / "out"
+        argv = ["sweep", "--t-max", "1.5", "--samples", "801", "--jobs", "1",
+                "--deltas", "20,30", "--out-dir", str(out)]
+        for name, model in (("first.ini", dict(WIDEBAND, delta=7.0)),
+                            ("again.ini", WIDEBAND)):
+            (tmp_path / name).write_text(ini_text({"model": model}))
+        assert main(argv + ["--config", str(tmp_path / "first.ini")]) == 0
+        first = (out / "summary.csv").read_text().splitlines()
+        assert first[0] == ("# model: alpha=1.0 omega_b=5.0 omega0=100.0 "
+                            "omega_c=800.0")
+        for d in (20.0, 30.0):
+            meta, _ = read_csv(out / f"point_delta_{d!r}.csv")
+            assert meta[0] == (f"# model: alpha=1.0 omega_b=5.0 omega0=100.0"
+                               f" omega_c=800.0 delta={d!r}")
+        assert main(argv + ["--config", str(tmp_path / "again.ini"),
+                            "--resume"]) == 0
+        conv = manifest(out)["convergence"]
+        assert conv["resumed_points"] == [20.0, 30.0]
+        assert conv["computed_points"] == []
+        assert (out / "summary.csv").read_text().splitlines() == first
 
     def test_resume_reuses_point_csv_verbatim(self, tmp_path):
         # sentinel values prove the resumed point is read, not recomputed
@@ -1080,6 +1191,31 @@ class TestManifestRerun:
 
 
 class TestManifest:
+    def test_older_manifest_is_a_config(self, tmp_path):
+        # written before each subcommand echoed only what it reads: the
+        # blocks and keys rwa does not read are skipped
+        old = tmp_path / "manifest.json"
+        old.write_text(json.dumps({"subcommand": "rwa", "config": {
+            "analysis": {"fit_window_high": 1.0, "fit_window_low": 0.0},
+            "evolution": {"chi_max": 16, "d_b": 6, "mode": "RWA",
+                          "sample_stride": 10, "svd_threshold": 1e-10,
+                          "t_max": 0.5},
+            "model": dict(WIDEBAND, delta=2.0),
+            "output": {"directory": "elsewhere",
+                       "formats": ["csv", "json", "svg"]},
+            "rwa": {"no_self_check": False, "samples": 1001,
+                    "solver": "volterra"}}}))
+        out_old, out_new = tmp_path / "old", tmp_path / "new"
+        assert main(["rwa", "--config", str(old),
+                     "--out-dir", str(out_old)]) == 0
+        assert main(["rwa", *model_flags(delta=2), "--t-max", "0.5",
+                     "--out-dir", str(out_new)]) == 0
+        assert (out_old / "rwa.csv").read_bytes() == \
+            (out_new / "rwa.csv").read_bytes()
+        config = manifest(out_old)["config"]
+        assert sorted(config) == ["evolution", "model", "output", "rwa"]
+        assert config["evolution"] == {"t_max": 0.5}
+
     def test_only_outdir_is_touched(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "only"
