@@ -292,14 +292,18 @@ def _map_chains(base_params, t_maxes):
 
     delta does not enter the mapping, so every point of a sweep shares
     the chain of each distinct t_max, mapped once in the calling process.
+    Its bath modes, which ``chain_evolve`` reads, are computed here too
+    and travel to the workers with the chain.
     """
     chains = {}
     for t_max in dict.fromkeys(t_maxes):
         try:
-            chains[t_max] = map_to_chain(
-                base_params, chain_length_for(base_params, t_max))
+            chain = map_to_chain(base_params, chain_length_for(base_params, t_max))
         except (ValueError, RuntimeError) as err:
             chains[t_max] = str(err)
+            continue
+        chain.bath_modes  # cached on the chain, which the workers receive pickled
+        chains[t_max] = chain
     return chains
 
 

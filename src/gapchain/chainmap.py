@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .model import ModelParams, spectral_density
 
@@ -42,6 +45,16 @@ class ChainCoefficients:
     t: np.ndarray
     N: int
     weight_norm: float
+
+    @cached_property
+    def bath_modes(self) -> np.ndarray:
+        """Ascending eigenvalues of the bath chain alone (diagonal eps, off-diagonal t).
+
+        They do not depend on the emitter, so every detuning's
+        ``rwa.chain_evolve`` shares them; computed on first use, they
+        are then pickled with the chain.
+        """
+        return eigh_tridiagonal(self.eps, self.t, eigvals_only=True, lapack_driver="sterf")
 
 
 def _sqrt_rule(M: int):
@@ -79,47 +92,64 @@ def stieltjes_recurrence(w: DiscretizedWeight, N: int):
 
     Returns (alpha, beta): alpha_n for n = 0..N-1 and beta with beta[0] the total
     weight, beta[1..N-1] the monic norm ratios. Internally runs the recurrence on
-    orthonormal polynomials; monic values underflow near n ~ 260 while the
-    coefficients themselves stay well-conditioned. The M >= 10N guard is set
-    by measurement on the Fejer rule: at the wideband corner and N = 650,
-    M = 10N matches M = 40N to 1.3e-14 relative in every coefficient.
+    orthonormal polynomials in Lanczos-vector form, v_n = sqrt(w) p_n on the
+    nodes, with in-place products and two dot products per step; monic values
+    would underflow near n ~ 260 while the coefficients themselves stay
+    well-conditioned. Every BLAS call of the loop goes to scipy's BLAS: where
+    numpy was imported before gapchain, numpy's and scipy's OpenBLAS pools
+    both run several threads, and alternating between them made the loop
+    about 100x slower (50 s at N = 4000 under pytest on 2 cores).
+
+    The M >= 4N guard is set by measurement on the Fejer rule: for
+    omega_c/omega0 from 4 to 500 and N from 300 to 4000, M = 3N and 4N
+    match M = 40N to 6.5e-14 relative in every coefficient, while M = 2.5N
+    misses it by 1e-7 to 6e-6. A Fejer rule integrates these smooth
+    integrands well past its polynomial degree (Trefethen, SIAM Rev. 50
+    (2008) 67); the cliff between 2.5N and 3N is where that stops.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if N > w.M / 10:
-        raise ValueError(f"recurrence depth N={N} needs M >= 10*N nodes, got M={w.M}")
-    k, wt = w.nodes, w.weights
+    if N > w.M / 4:
+        raise ValueError(f"recurrence depth N={N} needs M >= 4*N nodes, got M={w.M}")
+    k = w.nodes
     alpha = np.empty(N)
     beta = np.empty(N)
-    beta[0] = wt.sum()
+    beta[0] = w.weights.sum()
     if beta[0] <= 0.0:
         raise RuntimeError("loss of orthogonality: total weight is not positive")
-    p_prev = np.zeros_like(k)
-    p_cur = np.full_like(k, 1.0 / math.sqrt(beta[0]))
+    v = np.sqrt(w.weights / beta[0])
+    v_prev, q = np.zeros_like(v), np.empty_like(v)
     sqrt_b = 0.0
     for n in range(N):
-        alpha[n] = wt @ (k * p_cur * p_cur)
+        np.multiply(k, v, out=q)
+        alpha[n] = ddot(v, q)
         if n == N - 1:
             break
-        q = (k - alpha[n]) * p_cur - sqrt_b * p_prev
-        b = wt @ (q * q)
+        q = daxpy(v, q, a=-alpha[n])  # q = (k - alpha_n) v_n - sqrt(beta_n) v_{n-1}, in place
+        q = daxpy(v_prev, q, a=-sqrt_b)
+        b = ddot(q, q)
         if b <= 0.0:
             raise RuntimeError(
                 f"loss of orthogonality at n={n + 1}: beta <= 0 (quadrature undersampled)"
             )
         beta[n + 1] = b
         sqrt_b = math.sqrt(b)
-        p_prev, p_cur = p_cur, q / sqrt_b
+        q = dscal(1.0 / sqrt_b, q)
+        v_prev, v, q = v, q, v_prev
     return alpha, beta
 
 
+def quadrature_nodes(N: int) -> int:
+    """Default Fejer node count of a length-N chain: 4N, and at least 2000."""
+    return max(2000, 4 * N)
+
+
 def map_to_chain(p: ModelParams, N: int, M: int | None = None) -> ChainCoefficients:
-    """Chain coefficients for a length-N truncation of the semi-infinite chain."""
+    """Chain coefficients for a length-N truncation of the semi-infinite chain,
+    from M Fejer nodes (``quadrature_nodes(N)`` by default)."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    if M is None:
-        M = max(2000, 20 * N)
-    w = discretize_weight(p, M)
+    w = discretize_weight(p, quadrature_nodes(N) if M is None else M)
     alpha, beta = stieltjes_recurrence(w, N)
     return ChainCoefficients(
         g=math.sqrt(beta[0]),

@@ -58,7 +58,7 @@ import numpy as np
 import scipy
 
 from . import __version__, analysis
-from .chainmap import chain_length_for, map_to_chain
+from .chainmap import chain_length_for, map_to_chain, quadrature_nodes
 from .model import ModelParams
 from .mps import EvolutionConfig, evolve
 from .polaron import silbey_harris_solve
@@ -408,6 +408,8 @@ def _load_file(path: Path, errors):
         if not isinstance(raw, dict):
             errors.append(f"config: {path} must hold a JSON object")
             return {}
+        errors.extend(f"{sec}: must be a JSON object of keys, got {block!r}"
+                      for sec, block in raw.items() if not isinstance(block, dict))
         return {sec: dict(block) for sec, block in raw.items()
                 if isinstance(block, dict)}
     cp = configparser.ConfigParser()
@@ -620,7 +622,8 @@ def _cmd_chain_coeffs(cfg, outdir):
     """orthogonal-polynomial chain coefficients"""
     p, fmts = cfg.model, cfg.output.formats
     n = cfg.chain.n_sites
-    c = map_to_chain(p, n, M=cfg.chain.n_quad)
+    m = cfg.chain.n_quad or quadrature_nodes(n)
+    c = map_to_chain(p, n, M=m)
     outputs = []
     meta = [_model_meta(p), f"g: {float(c.g)!r}",
             f"weight_norm: {float(c.weight_norm)!r}",
@@ -642,7 +645,7 @@ def _cmd_chain_coeffs(cfg, outdir):
             xlabel="site n", ylabel="frequency",
             title="chain coefficients", marker_stride=max(1, n // 40))
         outputs.append(_emit(outdir, "chain_coeffs.svg", svg))
-    conv = {"n_sites": n, "n_quad": cfg.chain.n_quad}
+    conv = {"n_sites": n, "n_quad": m}
     return outputs, conv, 0
 
 
@@ -664,9 +667,9 @@ def _cmd_rwa(cfg, outdir):
         conv.update(series.checks)
     else:
         n = cfg.chain.n_sites or chain_length_for(p, t_max)
-        c = map_to_chain(p, n, M=cfg.chain.n_quad)
-        series = chain_evolve(c, p.delta, t_max, samples=samples)
-        conv["chain_sites"] = n
+        m = cfg.chain.n_quad or quadrature_nodes(n)
+        series = chain_evolve(map_to_chain(p, n, M=m), p.delta, t_max, samples=samples)
+        conv["chain_sites"], conv["n_quad"] = n, m
     pop = np.abs(series.values) ** 2
     meta = [_model_meta(p), f"solver: {solver}", f"frame: {series.frame}"]
     cols = [("t", series.times, "f"), ("re_A", series.values.real, "f"),

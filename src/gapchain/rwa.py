@@ -64,6 +64,7 @@ _NEWTON_STALL = 20  # steps a Newton seed may take without halving its best |s +
 _NEWTON_CYCLE = 4  # earlier iterates a Newton step is checked against: cycles up to period 5
 _ZERO_TOL = 1e-10  # |s + G_II| of a kept second-sheet zero, in units of 1 + |nu|
 _NEWTON_FLOOR = 1e-13  # |s + G_II| from which a seed takes one last step, same units
+_WEIGHT_ROWS = 128  # modes per block of ``_end_weights``' log sums
 
 
 @dataclass
@@ -371,10 +372,10 @@ def laplace_invert(p: ModelParams, times):
                            checks={"poles": poles, "sum_rule_residual": residual}).validate()
 
 
-def _chain_eigh(c: ChainCoefficients, delta):
-    """Eigenvalues and eigenvectors of the single-excitation chain Hamiltonian:
-    diagonal (delta, eps'_0, ...) and off-diagonal (g, t_0, ...)."""
-    return eigh_tridiagonal(np.concatenate(([delta], c.eps)), np.concatenate(([c.g], c.t)))
+def _chain_matrix(c: ChainCoefficients, delta):
+    """Diagonal (delta, eps_0, ...) and off-diagonal (g, t_0, ...) of the
+    single-excitation chain Hamiltonian."""
+    return np.concatenate(([delta], c.eps)), np.concatenate(([c.g], c.t))
 
 
 def chain_state_amplitudes(c: ChainCoefficients, delta, times,
@@ -384,35 +385,77 @@ def chain_state_amplitudes(c: ChainCoefficients, delta, times,
     Column 0 is the emitter amplitude A(t) (lab frame); the remaining
     columns are the chain-mode photon amplitudes.  ``sites`` (a slice or
     an index list into the sites 0..N) keeps only those columns.  Any time
-    grid is allowed; this direct sum is the reference that the tests and
-    ``perfbench/make_refs.py`` check ``chain_evolve`` against.
+    grid is allowed; this direct sum over a full eigendecomposition is the
+    reference that the tests and ``perfbench/make_refs.py`` check
+    ``chain_evolve`` against.
     """
-    lam, V = _chain_eigh(c, delta)
+    lam, V = eigh_tridiagonal(*_chain_matrix(c, delta))
     times = np.asarray(times, dtype=float)
     return (np.exp(-1j * np.outer(times, lam)) * V[0]) @ V[sites].T
+
+
+def _end_weights(c: ChainCoefficients, delta):
+    """Eigenvalues lam of the chain Hamiltonian and the end products of its
+    eigenvectors V, (V_0j^2, V_0j V_Nj), from eigenvalues alone.
+
+    With mu the eigenvalues of the bath chain alone (``c.bath_modes``)
+    and b = (g, t_0, ...) the off-diagonal, the end components of a Jacobi
+    matrix's eigenvectors are (Golub, SIAM Rev. 15 (1973) 318)
+
+        V_0j^2    = prod_k (lam_j - mu_k) / prod_{i != j} (lam_j - lam_i),
+        V_0j V_Nj = prod b / prod_{i != j} (lam_j - lam_i),
+
+    whose last denominator has the sign (-1)^(N-j) for ascending lam.
+    Both are summed as logs, over row blocks of _WEIGHT_ROWS modes.  A
+    zero coupling makes a log -inf and its product exactly 0: at g = 0,
+    where ``sterf`` splits the emitter off, the bath modes get no weight
+    and the last site no amplitude.
+    """
+    diag, off = _chain_matrix(c, delta)
+    lam = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
+    n = lam.size
+    points = np.concatenate((lam, c.bath_modes))  # lam_j - points[i]: n + N columns
+    own, bath = np.empty(n), np.empty(n)
+    buf = np.empty((min(n, _WEIGHT_ROWS), points.size))
+    with np.errstate(divide="ignore"):
+        log_b = np.log(off).sum()
+        for r0 in range(0, n, _WEIGHT_ROWS):
+            r = np.arange(r0, min(r0 + _WEIGHT_ROWS, n))
+            d = buf[:r.size]
+            np.subtract(lam[r, None], points, out=d)
+            d[r - r0, r] = 1.0  # leaves out i = j
+            np.abs(d, out=d)
+            np.log(d, out=d)
+            own[r], bath[r] = d[:, :n].sum(axis=1), d[:, n:].sum(axis=1)
+    sign = (-1.0) ** np.arange(n - 1, -1, -1)
+    return lam, (np.exp(bath - own), sign * np.exp(log_b - own))
 
 
 def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
     """Exact lab-frame amplitude on ``samples`` uniform times in [0, t_max].
 
-    With t_k = k dt, k = aB + b and B = ceil(sqrt(samples)), each phase of
-    the ``_chain_eigh`` modes splits as e^{-i lam t_aB} e^{-i lam t_b}, so a
-    column sum_n V_0n V_sn e^{-i lam_n t_k} is one GEMM of the row phases
-    (samples/B x N+1) and the column phases (N+1 x B), raveled.  Only the
-    rounding of lam t differs from ``chain_state_amplitudes``; the two agree
-    to 2e-15 at the wideband sweep corner (N = 650, 2001 samples).  A
-    light-cone check requires the last-site occupation to stay below 1e-6
-    and reports the first violating time otherwise.
+    A(t) = sum_j V_0j^2 e^{-i lam_j t} and the last-site amplitude
+    sum_j V_0j V_Nj e^{-i lam_j t} need only the end products of
+    ``_end_weights``, so no eigenvector is computed.  With t_k = k dt,
+    k = aB + b and B = ceil(sqrt(samples)), each phase splits as
+    e^{-i lam t_aB} e^{-i lam t_b}, so each sum is one GEMM of the row
+    phases (samples/B x N+1) and the column phases (N+1 x B), raveled.
+    At the wideband sweep corner (N = 650, 2001 samples, delta from a
+    bound state to the band top) A(t) agrees with ``chain_state_amplitudes``
+    to 1e-12 and the last-site amplitude to 1.1e-14, the eigenvalues of the
+    two LAPACK solvers differing by up to 9e-13.  A light-cone check
+    requires the last-site occupation to stay below 1e-6 and reports the
+    first violating time otherwise.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.linspace(0.0, t_max, samples)
-    lam, V = _chain_eigh(c, delta)
+    lam, weights = _end_weights(c, delta)
     block = math.isqrt(samples - 1) + 1
     rows, cols = (np.exp(-1j * np.outer(ts, lam)) for ts in (times[::block], times[:block]))
-    amp, tail = (((rows * (V[0] * V[s])) @ cols.T).ravel()[:samples] for s in (0, -1))
+    amp, tail = (((rows * w) @ cols.T).ravel()[:samples] for w in weights)
     tail = np.abs(tail) ** 2
     bad = tail >= 1e-6
     if bad.any():

@@ -2,6 +2,8 @@
 and the end-to-end propagator reconstruction of the bath correlation."""
 
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gapchain.chainmap import (
     chain_length_for,
     discretize_weight,
     map_to_chain,
+    quadrature_nodes,
     stieltjes_recurrence,
 )
 from gapchain.model import ModelParams, spectral_density
@@ -98,8 +101,12 @@ class TestStieltjesRecurrence:
         )
 
     def test_depth_guard(self):
-        with pytest.raises(ValueError, match="needs M"):
-            stieltjes_recurrence(uniform_weight(500), 100)
+        # the guard sits at M = 4N: 2000 nodes take depth 500, not 501
+        w = discretize_weight(params(), 2000)
+        with pytest.raises(ValueError, match="needs M >= 4"):
+            stieltjes_recurrence(w, 501)
+        _, beta = stieltjes_recurrence(w, 500)
+        assert beta.size == 500 and np.all(beta > 0.0)
 
     def test_positivity_to_depth_300(self):
         w = discretize_weight(params(), 6000)
@@ -182,13 +189,39 @@ class TestMapToChain:
         assert np.allclose(c.eps, p.omega_b + p.omega_c * alpha, rtol=1e-11, atol=0)
         assert np.allclose(c.t, p.omega_c * np.sqrt(beta[1:]), rtol=1e-11, atol=0)
 
-    def test_ten_nodes_per_site_suffice(self):
-        # the M >= 10N guard of stieltjes_recurrence, at the sweep chain length
-        a = map_to_chain(params(), 650, M=6500)
+    def test_four_nodes_per_site_suffice(self):
+        # the M >= 4N guard of stieltjes_recurrence, at the sweep chain length
+        a = map_to_chain(params(), 650, M=2600)
         b = map_to_chain(params(), 650, M=26000)
         assert abs(b.g - a.g) < 1e-12 * a.g
         assert np.all(np.abs(b.eps - a.eps) < 1e-12 * np.abs(a.eps))
         assert np.all(np.abs(b.t - a.t) < 1e-12 * np.abs(a.t))
+
+    # the 4N rule sits above a cliff between 2.5N and 3N nodes per site
+    @pytest.mark.parametrize("p, N", [(params(), 650),
+                                      (params(omega_b=2.0, omega0=20.0, omega_c=100.0), 1000)],
+                             ids=["wideband", "reduced"])
+    def test_default_rule_clears_the_cliff(self, p, N):
+        def coefficients(M):
+            # the guard refuses M < 4N, so a sparser rule states M = 4N
+            w = discretize_weight(p, M)
+            return np.concatenate(stieltjes_recurrence(replace(w, M=max(M, 4 * N)), N))
+
+        ref = coefficients(40 * N)
+        assert np.max(np.abs(coefficients(5 * N // 2) / ref - 1.0)) > 1e-9
+        assert np.max(np.abs(coefficients(quadrature_nodes(N)) / ref - 1.0)) < 1e-13
+        c = map_to_chain(p, N)
+        assert np.array_equal(c.eps, p.omega_b + p.omega_c * coefficients(4 * N)[:N])
+
+    def test_bath_modes_are_cached_and_pickled(self):
+        p = params()
+        c = map_to_chain(p, 300)
+        mu = c.bath_modes
+        assert c.bath_modes is mu
+        np.testing.assert_allclose(mu, eigh_tridiagonal(c.eps, c.t, eigvals_only=True),
+                                   rtol=0.0, atol=1e-12 * p.omega_c)
+        copy = pickle.loads(pickle.dumps(c))
+        assert np.array_equal(vars(copy)["bath_modes"], mu)
 
     def test_long_chain_maps_into_band(self):
         p = params()

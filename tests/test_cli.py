@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import gapchain
-from gapchain import analysis
+from gapchain import analysis, chainmap
 from gapchain.chainmap import chain_length_for
 from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _flag_overrides,
                           _parse_args, _reads, main, parse_config)
@@ -187,6 +187,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(path=path, subcommand="polaron")
         assert err.value.errors == ["modle: unknown section"]
+
+    def test_json_section_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": dict(WIDEBAND, delta=3.0),
+                                    "output": "elsewhere"}))
+        out = tmp_path / "out"
+        assert main(["polaron", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert "output: must be a JSON object of keys, got 'elsewhere'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_value_names_the_key(self):
         with pytest.raises(ConfigError) as err:
@@ -532,6 +541,14 @@ class TestChainCoeffsCommand:
         assert any(m.startswith("# g:") for m in meta)
         assert (out / "chain_coeffs.svg").exists()
 
+    @pytest.mark.parametrize("argv, n_quad", [(["--n-sites", "60"], 2000),
+                                              (["--n-sites", "700"], 2800),
+                                              (["--n-sites", "60", "--n-quad", "3000"], 3000)])
+    def test_manifest_records_the_node_count_used(self, tmp_path, argv, n_quad):
+        out = tmp_path / "out"
+        assert main(["chain-coeffs", *model_flags(), *argv, "--out-dir", str(out)]) == 0
+        assert manifest(out)["convergence"]["n_quad"] == n_quad
+
     def test_manifest_echoes_only_what_it_reads(self, tmp_path):
         ini = tmp_path / "shared.ini"
         ini.write_text(ini_text({"model": WIDEBAND, "chain": {"n_sites": 60},
@@ -607,6 +624,7 @@ class TestRwaCommand:
         assert code == 0
         conv = manifest(out)["convergence"]
         assert conv["chain_sites"] >= 2
+        assert conv["n_quad"] == max(2000, 4 * conv["chain_sites"])
         _, cols = read_csv(out / "rwa.csv")
         assert cols["pop"][0] == pytest.approx(1.0)
 
@@ -916,12 +934,22 @@ class TestSweepCommand:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only forked workers see the patched functions")
-    def test_workers_get_the_parents_chain(self, tmp_path, pid_log):
+    def test_workers_get_the_parents_chain(self, tmp_path, pid_log, monkeypatch):
+        # the bath modes travel with the chain: no worker solves for them
+        solve = chainmap.eigh_tridiagonal
+
+        def logged(*args, **kwargs):
+            with (tmp_path / "bath_modes").open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(chainmap, "eigh_tridiagonal", logged)
         assert main(["sweep", *model_flags(), "--t-max", "1.5",
                      "--samples", "801", "--jobs", "2",
                      "--deltas", "20,25,30",
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert pid_log("map_to_chain") == [os.getpid()]
+        assert pid_log("bath_modes") == [os.getpid()]
         evolved = pid_log("chain_evolve")
         assert len(evolved) == 3 and os.getpid() not in evolved
 

@@ -204,6 +204,22 @@ class TestChainEvolve:
         ref = chain_state_amplitudes(c, p.delta, np.linspace(0.0, 1.5, samples))
         assert np.max(np.abs(s.values - ref[:, 0])) <= 1e-12
 
+    # eigenvalues alone against the full eigendecomposition, on the sweep's
+    # grid: a bound state, the band edge, in band, and the hard band top
+    @pytest.mark.parametrize("p, n", [(wideband(delta=d), 650) for d in (1.0, 5.0, 30.0, 805.0)]
+                             + [(reduced(delta=1.0), 125)],
+                             ids=["wideband-bound", "wideband-edge", "wideband-band",
+                                  "wideband-top", "reduced"])
+    def test_end_weights_match_full_eigendecomposition(self, p, n):
+        c = map_to_chain(p, n)
+        ts = np.linspace(0.0, 1.5, 2001)
+        ref = chain_state_amplitudes(c, p.delta, ts, sites=[0, -1])
+        s = chain_evolve(c, p.delta, 1.5, samples=ts.size)
+        assert np.max(np.abs(s.values - ref[:, 0])) <= 1e-10
+        lam, (_, w_tail) = rwa._end_weights(c, p.delta)
+        tail = np.exp(-1j * np.outer(ts, lam)) @ w_tail
+        assert np.max(np.abs(tail - ref[:, 1])) <= 1e-10
+
     def test_light_cone_violation_names_first_time(self):
         # the last-site column of the blocked sum crosses 1e-6 where the
         # direct reference does, with the same occupation
