@@ -114,6 +114,8 @@ def oscillation_frequency(signal) -> float:
 def zero_crossing_frequency(signal) -> float:
     """Cross-check estimator: pi over the mean zero-crossing spacing."""
     times, values = _signal(signal)
+    if values.size < 3:  # np.hanning(2) is all zeros: the mean below would be 0/0
+        raise ValueError("insufficient periods: series too short")
     w = np.hanning(values.size)
     resid = values - np.sum(values * w) / np.sum(w)
     sign = np.sign(resid)

@@ -24,15 +24,6 @@ from .model import ModelParams, spectral_density
 
 
 @dataclass(frozen=True)
-class DiscretizedWeight:
-    """Quadrature representation of the measure h^2(k) dk on [0, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    M: int
-
-
-@dataclass(frozen=True)
 class ChainCoefficients:
     """Nearest-neighbour chain equivalent of the continuum bath.
 
@@ -43,8 +34,11 @@ class ChainCoefficients:
     g: float
     eps: np.ndarray
     t: np.ndarray
-    N: int
     weight_norm: float
+
+    @property
+    def N(self) -> int:
+        return self.eps.size
 
     @cached_property
     def bath_modes(self) -> np.ndarray:
@@ -75,8 +69,8 @@ def _sqrt_rule(M: int):
     return u, 0.5 * dct(moments, type=3) / M
 
 
-def discretize_weight(p: ModelParams, M: int) -> DiscretizedWeight:
-    """Fejer first-rule discretization of the measure h^2(k) dk, M nodes total."""
+def discretize_weight(p: ModelParams, M: int):
+    """Fejer first-rule discretization of the measure h^2(k) dk: (nodes k, weights)."""
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
     if p.alpha == 0.0:
@@ -84,10 +78,10 @@ def discretize_weight(p: ModelParams, M: int) -> DiscretizedWeight:
     u, du = _sqrt_rule(int(M))
     k = u * u
     w = (p.omega_c / math.pi) * spectral_density(p, p.omega_b + p.omega_c * k) * (2.0 * u * du)
-    return DiscretizedWeight(nodes=k, weights=w, M=k.size)
+    return k, w
 
 
-def stieltjes_recurrence(w: DiscretizedWeight, N: int):
+def stieltjes_recurrence(nodes: np.ndarray, weights: np.ndarray, N: int):
     """Three-term recurrence coefficients of the measure's orthogonal polynomials.
 
     Returns (alpha, beta): alpha_n for n = 0..N-1 and beta with beta[0] the total
@@ -100,8 +94,8 @@ def stieltjes_recurrence(w: DiscretizedWeight, N: int):
     both run several threads, and alternating between them made the loop
     about 100x slower (50 s at N = 4000 under pytest on 2 cores).
 
-    The M >= 4N guard is set by measurement on the Fejer rule: for
-    omega_c/omega0 from 4 to 500 and N from 300 to 4000, M = 3N and 4N
+    The guard M = nodes.size >= 4N is set by measurement on the Fejer rule:
+    for omega_c/omega0 from 4 to 500 and N from 300 to 4000, M = 3N and 4N
     match M = 40N to 6.5e-14 relative in every coefficient, while M = 2.5N
     misses it by 1e-7 to 6e-6. A Fejer rule integrates these smooth
     integrands well past its polynomial degree (Trefethen, SIAM Rev. 50
@@ -109,19 +103,18 @@ def stieltjes_recurrence(w: DiscretizedWeight, N: int):
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if N > w.M / 4:
-        raise ValueError(f"recurrence depth N={N} needs M >= 4*N nodes, got M={w.M}")
-    k = w.nodes
+    if N > nodes.size / 4:
+        raise ValueError(f"recurrence depth N={N} needs M >= 4*N nodes, got M={nodes.size}")
     alpha = np.empty(N)
     beta = np.empty(N)
-    beta[0] = w.weights.sum()
+    beta[0] = weights.sum()
     if beta[0] <= 0.0:
         raise RuntimeError("loss of orthogonality: total weight is not positive")
-    v = np.sqrt(w.weights / beta[0])
+    v = np.sqrt(weights / beta[0])
     v_prev, q = np.zeros_like(v), np.empty_like(v)
     sqrt_b = 0.0
     for n in range(N):
-        np.multiply(k, v, out=q)
+        np.multiply(nodes, v, out=q)
         alpha[n] = ddot(v, q)
         if n == N - 1:
             break
@@ -149,21 +142,21 @@ def map_to_chain(p: ModelParams, N: int, M: int | None = None) -> ChainCoefficie
     from M Fejer nodes (``quadrature_nodes(N)`` by default)."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    w = discretize_weight(p, quadrature_nodes(N) if M is None else M)
-    alpha, beta = stieltjes_recurrence(w, N)
+    nodes, weights = discretize_weight(p, quadrature_nodes(N) if M is None else M)
+    alpha, beta = stieltjes_recurrence(nodes, weights, N)
     return ChainCoefficients(
         g=math.sqrt(beta[0]),
         eps=p.omega_b + p.omega_c * alpha,
         t=p.omega_c * np.sqrt(beta[1:]),
-        N=N,
         weight_norm=math.pi * beta[0],
     )
 
 
 def chain_length_for(p: ModelParams, t_max: float) -> int:
-    """Light-cone chain length: reflections from the truncated end must not
-    re-enter the system window. Group velocity is bounded by 2*max(t_n) with
-    t_n -> omega_c/4."""
+    """Light-cone chain length: the one-way reach ceil(omega_c*t_max/2) of the
+    front at the group velocity bound 2*max(t_n) -> omega_c/2, plus 50 sites that
+    keep the last site's occupation below the 1e-6 at which ``rwa.chain_evolve``
+    raises and ``mps.evolve`` flags a sample."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    return int(math.ceil(2.0 * t_max * p.omega_c / 4.0)) + 50
+    return math.ceil(p.omega_c * t_max / 2.0) + 50

@@ -932,11 +932,14 @@ def _cmd_plot(cfg, outdir):
             series_list.append(Series(x, cols[ycol], label=label,
                                       marker=marker))
     stride = max(1, max(s.x.size for s in series_list) // 40)
-    svg = render_line_plot(
-        series_list,
-        xlabel=(o.x + " * alpha^2") if o.alpha2_time else o.x,
-        ylabel=", ".join(o.y), title=o.title, log_y=o.log_y,
-        marker_stride=stride)
+    try:
+        svg = render_line_plot(
+            series_list,
+            xlabel=(o.x + " * alpha^2") if o.alpha2_time else o.x,
+            ylabel=", ".join(o.y), title=o.title, log_y=o.log_y,
+            marker_stride=stride)
+    except ValueError as err:  # the columns hold nothing to draw
+        raise ConfigError([f"input: {err}"]) from None
     _emit(outdir, out_name, svg)
     return [out_name], {}, 0
 

@@ -24,13 +24,13 @@ The state is kept in right-canonical form with the bond Schmidt spectra
 stored alongside (Hastings' update: the new left tensor is obtained by
 contracting the gated two-site block with the new right isometry, so no
 singular value is ever divided by).  Both modes conserve the parity
-sum_i s_i mod 2, and each bond stores that parity of the sites to its
-right per Schmidt vector (charges), even sector first and each sector
-descending, so each gate's SVD runs on two parity blocks found from the
-sector sizes (Singh, Pfeifer & Vidal, PRA 83, 115125 (2011)).  Site 0's
-left index holds one parity sector of the initial state per value, with
-amplitudes ``head``.  Observables are evaluated in mixed canonical form:
-the left environment of site j is diag(lambda_{j-1}^2); site 0 takes head.
+sum_i s_i mod 2; each bond sorts its Schmidt vectors by that parity of the
+sites to its right, even sector first and each descending, so its odd-sector
+size fixes both parity blocks of each gate's SVD (Singh, Pfeifer & Vidal,
+PRA 83, 115125 (2011)).  Site 0's left index holds one parity sector of the
+initial state per value, with amplitudes ``head``.  Observables are evaluated
+in mixed canonical form: the left environment of site j is
+diag(lambda_{j-1}^2); site 0 takes head.
 
 Coupling modes:
   RWA  : g (sigma^+ a_0 + sigma^- a_0^dag); conserves total excitation
@@ -111,18 +111,18 @@ class EvolutionConfig:
 
 @dataclass
 class MPSState:
-    """Right-canonical MPS with stored bond spectra and parity charges.
+    """Right-canonical MPS with stored bond spectra and parity sectors.
 
     site_tensors[i] has shape (chi_left, d_i, chi_right); lambdas[j]
-    holds the Schmidt values of bond (j, j+1), charges[j] the parity of
-    sites j+1..N per right Schmidt vector, even sector first and each in
-    descending lambda (charges[N] = [0], charges[-1] that of each sector of
-    head); cumulative_discarded_weight sums all truncations' discarded weight.
+    holds the Schmidt values of bond (j, j+1), even parity of sites j+1..N
+    first, each sector descending; odd[j] counts the odd ones (odd[N] = 0,
+    odd[-1] those of head); cumulative_discarded_weight sums all
+    truncations' discarded weight.
     """
 
     site_tensors: list
     lambdas: list
-    charges: list
+    odd: list
     head: np.ndarray
     cumulative_discarded_weight: float = 0.0
 
@@ -148,17 +148,16 @@ def init_state(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited")
     sectors = np.flatnonzero(pures[atom_state])
     vac = np.eye(cfg.d_b, 1, dtype=complex).reshape(1, cfg.d_b, 1)
     tensors = [np.eye(2, dtype=complex)[sectors].reshape(-1, 2, 1)] + [vac] * c.N
-    charges = [np.zeros(1, dtype=int)] * (c.N + 1) + [sectors]
-    return MPSState(tensors, [np.ones(1)] * c.N, charges, pures[atom_state][sectors])
+    odd = [0] * (c.N + 1) + [int(sectors[-1])]
+    return MPSState(tensors, [np.ones(1)] * c.N, odd, pures[atom_state][sectors])
 
 
 @dataclass
 class Gates:
-    """Precomputed two-site Trotter gates plus their generators."""
+    """Precomputed two-site Trotter gates."""
 
     half: list  # U = exp(-i H_j dt/2) on even bonds, None on odd ones
     full: list  # one dt per bond: U @ U on even bonds, exp(-i H_j dt) on odd
-    hamiltonians: list  # dense H_j per bond, for commutator checks / energy
     dt: float
     chi_max: int
     svd_threshold: float
@@ -217,7 +216,7 @@ def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
             full[j] = (u @ u).reshape(shape)
         else:
             full[j] = expm(-1j * dt * h).reshape(shape)
-    return Gates(half, full, hams, dt, cfg.chi_max, cfg.svd_threshold)
+    return Gates(half, full, dt, cfg.chi_max, cfg.svd_threshold)
 
 
 @lru_cache(maxsize=256)
@@ -243,8 +242,8 @@ def _apply_gate(state: MPSState, j, U, chi_max, svd_threshold):
     mat = (left[:, None, None] * theta_bare).reshape(chi_l * dl, dr * chi_r)
     # rows (a, s) and columns (t, c) by the parity of sites j+1..N; the
     # outer bonds are sorted, so their odd-sector sizes fix both blocks
-    rows = _sectors(int(np.count_nonzero(state.charges[j - 1])), chi_l, dl, True)
-    cols = _sectors(int(np.count_nonzero(state.charges[j + 1])), chi_r, dr, False)
+    rows = _sectors(state.odd[j - 1], chi_l, dl, True)
+    cols = _sectors(state.odd[j + 1], chi_r, dr, False)
     _, s0, v0 = np.linalg.svd(mat[rows[0][:, None], cols[0]], full_matrices=False)
     _, s1, v1 = np.linalg.svd(mat[rows[1][:, None], cols[1]], full_matrices=False)
     s = np.concatenate([s0, s1])
@@ -262,7 +261,7 @@ def _apply_gate(state: MPSState, j, U, chi_max, svd_threshold):
     state.site_tensors[j] = B1_new.reshape(chi_l, dl, keep)
     state.site_tensors[j + 1] = B2_new.reshape(keep, dr, chi_r)
     state.lambdas[j] = s_kept / math.sqrt(kept)
-    state.charges[j] = (np.arange(keep) >= k0).astype(int)
+    state.odd[j] = keep - k0
     return discarded
 
 

@@ -165,9 +165,10 @@ def measure_bond(state: mps.MPSState, j, op):
     return complex(np.trace(np.asarray(op, dtype=complex) @ rho_m))
 
 
-def total_energy(state: mps.MPSState, gates: mps.Gates):
-    """<H> summed over the bond decomposition."""
-    return sum(measure_bond(state, j, h).real for j, h in enumerate(gates.hamiltonians))
+def total_energy(state: mps.MPSState, c: ChainCoefficients, delta, cfg: mps.EvolutionConfig):
+    """<H> summed over the bond decomposition that ``mps.build_gates`` exponentiates."""
+    hams, _ = mps._bond_hamiltonians(c, delta, cfg)
+    return sum(measure_bond(state, j, h).real for j, h in enumerate(hams))
 
 
 def top_fock_occupation(state: mps.MPSState):

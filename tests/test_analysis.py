@@ -105,6 +105,14 @@ class TestZeroCrossingFrequency:
         with pytest.raises(ValueError, match="fewer than two zero crossings"):
             zero_crossing_frequency((t, np.exp(-t)))
 
+    # np.hanning(2) is all zeros, so the taper-weighted mean would be 0/0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_refuses_fewer_than_three_samples_without_warning(self, n):
+        t = np.arange(float(n))
+        with pytest.raises(ValueError, match="series too short"):
+            zero_crossing_frequency((t, np.cos(3.0 * t)))
+
 
 class TestStationaryValue:
     def test_plateau_with_decayed_oscillation(self):

@@ -3,7 +3,6 @@ and the end-to-end propagator reconstruction of the bath correlation."""
 
 import math
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from scipy.special import roots_legendre
 
 from gapchain.chainmap import (
     ChainCoefficients,
-    DiscretizedWeight,
     _sqrt_rule,
     chain_length_for,
     discretize_weight,
@@ -37,8 +35,7 @@ def uniform_weight(M=2000):
     n = M // 16
     x, w = np.polynomial.legendre.leggauss(16)
     k = ((np.arange(n)[:, None] + 0.5 * (x + 1.0)) / n).ravel()
-    dk = np.tile(w / (2.0 * n), n)
-    return DiscretizedWeight(nodes=k, weights=dk, M=k.size)
+    return k, np.tile(w / (2.0 * n), n)
 
 
 class TestDiscretizeWeight:
@@ -51,22 +48,22 @@ class TestDiscretizeWeight:
             discretize_weight(params(), 1)
 
     def test_nodes_and_weights_valid(self):
-        w = discretize_weight(params(), 2000)
-        assert np.all(w.nodes >= 0.0) and np.all(w.nodes <= 1.0)
-        assert np.all(w.weights >= 0.0)
-        assert w.M == w.nodes.size == w.weights.size
+        k, w = discretize_weight(params(), 2000)
+        assert np.all(k >= 0.0) and np.all(k <= 1.0)
+        assert np.all(w >= 0.0)
+        assert k.size == w.size == 2000
 
     def test_total_weight_against_band_integral(self):
         # sum w_j = (1/pi) int J = G(0) restricted to the band, via the adaptive oracle
         p = params()
-        w = discretize_weight(p, 2000)
+        _, w = discretize_weight(p, 2000)
         oracle = correlation_by_quadrature(p, 0.0).real
-        assert float(w.weights.sum()) == pytest.approx(oracle, rel=1e-8)
+        assert float(w.sum()) == pytest.approx(oracle, rel=1e-8)
 
     def test_total_weight_converged_in_M(self):
         p = params()
-        a = float(discretize_weight(p, 2000).weights.sum())
-        b = float(discretize_weight(p, 4000).weights.sum())
+        a = float(discretize_weight(p, 2000)[1].sum())
+        b = float(discretize_weight(p, 4000)[1].sum())
         assert abs(b - a) < 1e-10 * abs(a)
 
 
@@ -84,7 +81,7 @@ class TestStieltjesRecurrence:
     def test_uniform_weight_shifted_legendre(self):
         # alpha_n = 1/2, beta_n = n^2 / (4(4n^2-1)): beta_1 = 1/12, beta_2 = 1/15,
         # beta_3 = 9/140
-        alpha, beta = stieltjes_recurrence(uniform_weight(), 21)
+        alpha, beta = stieltjes_recurrence(*uniform_weight(), 21)
         assert np.allclose(alpha, 0.5, atol=1e-12)
         assert beta[0] == pytest.approx(1.0, rel=1e-13)
         n = np.arange(1, 21)
@@ -94,30 +91,26 @@ class TestStieltjesRecurrence:
         assert beta[3] == pytest.approx(9.0 / 140.0, rel=1e-12)
 
     def test_alpha0_is_first_moment(self):
-        w = discretize_weight(params(), 2000)
-        alpha, _ = stieltjes_recurrence(w, 5)
-        assert alpha[0] == pytest.approx(
-            float(w.weights @ w.nodes) / float(w.weights.sum()), rel=1e-13
-        )
+        k, w = discretize_weight(params(), 2000)
+        alpha, _ = stieltjes_recurrence(k, w, 5)
+        assert alpha[0] == pytest.approx(float(w @ k) / float(w.sum()), rel=1e-13)
 
     def test_depth_guard(self):
         # the guard sits at M = 4N: 2000 nodes take depth 500, not 501
-        w = discretize_weight(params(), 2000)
+        k, w = discretize_weight(params(), 2000)
         with pytest.raises(ValueError, match="needs M >= 4"):
-            stieltjes_recurrence(w, 501)
-        _, beta = stieltjes_recurrence(w, 500)
+            stieltjes_recurrence(k, w, 501)
+        _, beta = stieltjes_recurrence(k, w, 500)
         assert beta.size == 500 and np.all(beta > 0.0)
 
     def test_positivity_to_depth_300(self):
-        w = discretize_weight(params(), 6000)
-        _, beta = stieltjes_recurrence(w, 300)
+        _, beta = stieltjes_recurrence(*discretize_weight(params(), 6000), 300)
         assert np.all(beta > 0.0)
 
     def test_orthogonality_residual(self):
-        w = discretize_weight(params(), 2000)
-        alpha, beta = stieltjes_recurrence(w, 21)
+        k, wt = discretize_weight(params(), 2000)
+        alpha, beta = stieltjes_recurrence(k, wt, 21)
         # rebuild the orthonormal polynomials on the quadrature nodes
-        k, wt = w.nodes, w.weights
         polys = [np.full_like(k, 1.0 / math.sqrt(beta[0]))]
         prev = np.zeros_like(k)
         for n in range(20):
@@ -144,7 +137,7 @@ class TestMapToChain:
         c = map_to_chain(p, 300)
         assert np.all(c.t > 0.0)
         assert np.all((c.eps >= p.omega_b) & (c.eps <= p.band_top))
-        assert c.g >= 0.0 and c.eps.size == 300 and c.t.size == 299
+        assert c.g >= 0.0 and c.N == c.eps.size == 300 and c.t.size == 299
 
     def test_head_coupling_squared_is_band_integral(self):
         p = params()
@@ -183,7 +176,7 @@ class TestMapToChain:
         k = u * u
         J = spectral_density(p, p.omega_b + p.omega_c * k)
         w = (p.omega_c / math.pi) * J * u * glw  # dk = 2u du, du = glw/2
-        alpha, beta = stieltjes_recurrence(DiscretizedWeight(k, w, M), N)
+        alpha, beta = stieltjes_recurrence(k, w, N)
         c = map_to_chain(p, N, M=M)
         assert c.g == pytest.approx(math.sqrt(beta[0]), rel=1e-11)
         assert np.allclose(c.eps, p.omega_b + p.omega_c * alpha, rtol=1e-11, atol=0)
@@ -203,9 +196,10 @@ class TestMapToChain:
                              ids=["wideband", "reduced"])
     def test_default_rule_clears_the_cliff(self, p, N):
         def coefficients(M):
-            # the guard refuses M < 4N, so a sparser rule states M = 4N
-            w = discretize_weight(p, M)
-            return np.concatenate(stieltjes_recurrence(replace(w, M=max(M, 4 * N)), N))
+            # the guard refuses M < 4N, so a sparser rule is padded to 4N
+            # nodes of zero weight, which change no inner product
+            k, w = (np.pad(a, (0, max(0, 4 * N - M))) for a in discretize_weight(p, M))
+            return np.concatenate(stieltjes_recurrence(k, w, N))
 
         ref = coefficients(40 * N)
         assert np.max(np.abs(coefficients(5 * N // 2) / ref - 1.0)) > 1e-9

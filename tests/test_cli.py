@@ -1079,6 +1079,17 @@ class TestAnalyzeCommand:
         assert doc["pole_estimate"]["regime"] == "small_finite"
         assert doc["pole_estimate"]["frequency"] > 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_two_row_series_refused_without_warning(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_series_csv(path, [0.0, 1.0], [1.0, -1.0])
+        out = tmp_path / "out"
+        code = main(["analyze", "--input", str(path), "--estimators", "zero_crossing",
+                     "--out-dir", str(out)])
+        assert code == 1
+        results = json.loads((out / "analysis.json").read_text())["results"]
+        assert results == {"zero_crossing": {"error": "insufficient periods: series too short"}}
+
     def test_missing_signal_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         write_series_csv(path, np.arange(4.0), np.arange(4.0), name="other")
@@ -1136,6 +1147,19 @@ class TestPlotCommand:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
         assert "empty" in capsys.readouterr().err
+
+    def test_log_y_without_positive_value_exits_2(self, tmp_path, capsys):
+        # the input holds nothing to draw on a log scale: a config error,
+        # not a numerical failure with diagnostics
+        path = tmp_path / "negative.csv"
+        write_series_csv(path, np.linspace(0.0, 1.0, 11), -np.linspace(0.0, 1.0, 11))
+        out = tmp_path / "out"
+        code = main(["plot", "--csv", str(path), "--y", "pop", "--log-y",
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "log scale drops y <= 0" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+        assert not (out / "plot.svg").exists()
 
     def test_alpha2_time_needs_alpha(self, tmp_path, capsys):
         a, _ = self.two_series(tmp_path)

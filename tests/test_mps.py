@@ -46,7 +46,7 @@ def parities(*dims):
 
 def blocked_split(mat, rows, cols):
     """mat = us @ vh parity block by parity block, sorted as a bond keeps
-    them (even sector first, each descending): (us, s, vh, charges)."""
+    them (even sector first, each descending): (us, s, vh, parities)."""
     parts = []
     for p in (0, 1):
         r, c = np.flatnonzero(rows == p), np.flatnonzero(cols == p)
@@ -63,7 +63,7 @@ def blocked_split(mat, rows, cols):
 
 def random_canonical_state(d_b, rng):
     """Exact right-canonical 3-site MPS of a random odd-parity wavefunction,
-    decomposed block by block so that every bond carries exact charges."""
+    decomposed block by block so that every bond carries exact parities."""
     psi = rng.normal(size=(2, d_b, d_b)) + 1j * rng.normal(size=(2, d_b, d_b))
     psi.ravel()[parities(2, d_b, d_b) == 0] = 0.0
     psi /= np.linalg.norm(psi)
@@ -76,8 +76,12 @@ def random_canonical_state(d_b, rng):
     b1 = vh.reshape(s01.size, d_b, s12.size)
     b0 = us.reshape(1, 2, s01.size)
     return MPSState([b0, b1, b2], [s01, s12],
-                    [q01, q12, np.zeros(1, dtype=int), np.ones(1, dtype=int)],
-                    np.ones(1, dtype=complex))
+                    [int(q01.sum()), int(q12.sum()), 0, 1], np.ones(1, dtype=complex))
+
+
+def bond_parities(st, j, chi):
+    """Parity of each of bond j's chi vectors: the last odd[j] are odd."""
+    return (np.arange(chi) >= chi - st.odd[j]).astype(int)
 
 
 class TestEvolutionConfig:
@@ -122,6 +126,8 @@ class TestInitState:
         assert st.n_sites == chain.N + 1
         assert st.site_tensors[0].shape == (sectors, 2, 1)
         assert st.head.shape == (sectors,)
+        # every bond even; site 0's left edge odd where |e> is present
+        assert st.odd == [0] * (chain.N + 1) + [int(atom_state != "ground")]
         assert st.site_tensors[1].shape == (1, 4, 1)
         assert mps.measure(st, 0, np.eye(2)).real == pytest.approx(1.0)
         assert mps.measure(st, 0, mps.SIGMA_Z).real == pytest.approx(sz, abs=1e-14)
@@ -185,10 +191,10 @@ class TestBuildGates:
     def test_rwa_generators_commute_with_excitation(self, chain):
         d_b = 3
         cfg = EvolutionConfig(t_max=1.0, d_b=d_b, mode="RWA")
-        gates = mps.build_gates(chain, DELTA, cfg)
+        hams, _ = mps._bond_hamiltonians(chain, DELTA, cfg)
         n_b = np.diag(np.arange(d_b, dtype=float))
         n_atom = np.diag([0.0, 1.0])
-        for j, h in enumerate(gates.hamiltonians):
+        for j, h in enumerate(hams):
             q_left = n_atom if j == 0 else n_b
             dl = 2 if j == 0 else d_b
             q = np.kron(q_left, np.eye(d_b)) + np.kron(np.eye(dl), n_b)
@@ -197,10 +203,10 @@ class TestBuildGates:
     def test_full_generators_commute_with_parity(self, chain):
         d_b = 4
         cfg = EvolutionConfig(t_max=1.0, d_b=d_b, mode="FULL")
-        gates = mps.build_gates(chain, DELTA, cfg)
+        hams, _ = mps._bond_hamiltonians(chain, DELTA, cfg)
         par_b = np.diag((-1.0) ** np.arange(d_b))
         sz = np.diag([-1.0, 1.0])
-        for j, h in enumerate(gates.hamiltonians):
+        for j, h in enumerate(hams):
             p_left = sz if j == 0 else par_b
             par = np.kron(p_left, par_b)
             assert np.abs(h @ par - par @ h).max() < 1e-12
@@ -209,10 +215,9 @@ class TestBuildGates:
         # counter-rotating terms must actually be present
         d_b = 4
         cfg = EvolutionConfig(t_max=1.0, d_b=d_b, mode="FULL")
-        gates = mps.build_gates(chain, DELTA, cfg)
         n_b = np.diag(np.arange(d_b, dtype=float))
         q = np.kron(np.diag([0.0, 1.0]), np.eye(d_b)) + np.kron(np.eye(2), n_b)
-        h = gates.hamiltonians[0]
+        h = mps._bond_hamiltonians(chain, DELTA, cfg)[0][0]
         assert np.abs(h @ q - q @ h).max() > 1e-3
 
 
@@ -251,10 +256,10 @@ class TestAccuracy:
                                   mode="FULL")
             gates = mps.build_gates(chain, DELTA, cfg)
             st = mps.init_state(chain, cfg, "excited")
-            e0 = total_energy(st, gates)
+            e0 = total_energy(st, chain, DELTA, cfg)
             for _ in range(int(round(0.12 / dt))):
                 mps.tebd_step(st, gates)
-            drift[fac] = abs(total_energy(st, gates) - e0)
+            drift[fac] = abs(total_energy(st, chain, DELTA, cfg) - e0)
         assert 3.0 < drift[1.0] / drift[0.5] < 5.5
 
 
@@ -357,9 +362,10 @@ class TestParityBlocks:
         mps.tebd_step(st, gates, 60)
         assert st.max_bond > 2
         for i, B in enumerate(st.site_tensors):
-            # charges[-1] is the left edge, charges[N] the right edge
-            off = (st.charges[i - 1][:, None, None] + np.arange(B.shape[1])[:, None]
-                   + st.charges[i]) % 2 == 1
+            # odd[-1] is the left edge, odd[N] the right edge
+            off = (bond_parities(st, i - 1, B.shape[0])[:, None, None]
+                   + np.arange(B.shape[1])[:, None]
+                   + bond_parities(st, i, B.shape[2])) % 2 == 1
             assert np.all(B[off] == 0.0)
             assert np.any(B[~off] != 0.0)
 
@@ -419,8 +425,9 @@ class TestLeanGate:
         st = mps.init_state(chain, cfg, "plus_superposition")
         mps.tebd_step(st, gates, 60)
         assert st.max_bond > 2
-        for lam, q in zip(st.lambdas, st.charges):
-            assert np.all(np.diff(q) >= 0)
+        for j, lam in enumerate(st.lambdas):
+            assert 0 <= st.odd[j] <= lam.size
+            q = bond_parities(st, j, lam.size)
             for p in (0, 1):
                 assert np.all(np.diff(lam[q == p]) <= 0.0)
 
@@ -484,7 +491,7 @@ class TestLeanGate:
                 if B.shape[0] == B.shape[2] == 1]
         assert len(tail) > 20
         for i in tail:
-            # even chain parity, as the charges of a chi = 1 bond require
+            # even chain parity, as the parities of a chi = 1 bond require
             b = np.zeros(4, dtype=complex)
             b[::2] = rng.normal(size=2) + 1j * rng.normal(size=2)
             st.site_tensors[i] = (b / np.linalg.norm(b)).reshape(1, 4, 1)
@@ -517,7 +524,7 @@ class TestTruncationSafeguards:
         gates = mps.build_gates(c2, DELTA, cfg)
         single = random_canonical_state(d_b, rng)
         merged = MPSState(list(single.site_tensors), list(single.lambdas),
-                          list(single.charges), single.head)
+                          list(single.odd), single.head)
         with pytest.raises(RuntimeError, match="truncation explosion"):
             mps.tebd_step(single, gates)
         with pytest.raises(RuntimeError, match="truncation explosion"):
@@ -561,9 +568,8 @@ class TestMeasurement:
 
     def test_initial_energy_is_emitter_splitting(self, chain):
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
-        gates = mps.build_gates(chain, DELTA, cfg)
         st = mps.init_state(chain, cfg, "excited")
-        assert total_energy(st, gates) == pytest.approx(DELTA, abs=1e-12)
+        assert total_energy(st, chain, DELTA, cfg) == pytest.approx(DELTA, abs=1e-12)
 
     def test_measure_bond_on_product_state(self, chain):
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")

@@ -164,8 +164,7 @@ class TestVolterra:
 class TestChainEvolve:
     def test_decoupled_site_phase(self):
         # g = 0 leaves the emitter evolving under its bare splitting
-        c = ChainCoefficients(g=0.0, eps=np.array([7.0]), t=np.zeros(0),
-                              N=1, weight_norm=0.0)
+        c = ChainCoefficients(g=0.0, eps=np.array([7.0]), t=np.zeros(0), weight_norm=0.0)
         s = chain_evolve(c, 3.0, 2.0, samples=41)
         assert s.frame == "lab"
         np.testing.assert_allclose(s.values, np.exp(-3j * s.times), atol=1e-12)
@@ -184,7 +183,7 @@ class TestChainEvolve:
                                                (60.0, 2.0, 2e-2)])
     @pytest.mark.parametrize("samples", [2, 41, 2001])
     def test_one_site_rabi_closed_form(self, delta, eps, g, samples):
-        c = ChainCoefficients(g=g, eps=np.array([eps]), t=np.zeros(0), N=1, weight_norm=0.0)
+        c = ChainCoefficients(g=g, eps=np.array([eps]), t=np.zeros(0), weight_norm=0.0)
         s = chain_evolve(c, delta, 2.0, samples=samples)
         rabi = np.sqrt(((delta - eps) / 2.0) ** 2 + g * g)
         t = s.times
@@ -255,8 +254,7 @@ class TestChainEvolve:
         assert np.max(np.abs(pv - sc.population())) < 0.02
 
     def test_input_validation(self):
-        c = ChainCoefficients(g=0.0, eps=np.array([1.0]), t=np.zeros(0),
-                              N=1, weight_norm=0.0)
+        c = ChainCoefficients(g=0.0, eps=np.array([1.0]), t=np.zeros(0), weight_norm=0.0)
         with pytest.raises(ValueError):
             chain_evolve(c, 0.0, -1.0)
         with pytest.raises(ValueError):
