@@ -322,7 +322,7 @@ def point_settings(methods, base_params, cfgs):
     """What a sweep point's numbers depend on besides the model and delta,
     as its manifest records them: the sorted methods, rwa's {t_max: 30 /
     omega_s, samples: 2001} updated by cfgs["rwa"], and full's {t_max,
-    d_b, chi_max, dt, observables}.  cfgs is crossover_scan's."""
+    d_b, chi_max, dt}.  cfgs is crossover_scan's."""
     settings = {"methods": sorted(methods)}
     if "rwa" in methods:
         settings["rwa"] = {"t_max": 30.0 / max(base_params.omega_s, 1e-12),
@@ -332,10 +332,8 @@ def point_settings(methods, base_params, cfgs):
         if not isinstance(fc, EvolutionConfig):
             raise ValueError("cfgs['full'] must be an EvolutionConfig "
                              "when the full method is requested")
-        observables = cfgs.get("full_observables", ("population", "coherence"))
         settings["full"] = {"t_max": fc.t_max, "d_b": fc.d_b,
-                            "chi_max": fc.chi_max, "dt": fc.dt,
-                            "observables": sorted(observables)}
+                            "chi_max": fc.chi_max, "dt": fc.dt}
     return settings
 
 
@@ -367,18 +365,16 @@ def _scan_point(delta, base_params, methods, cfgs, chains):
             failures["rwa"] = str(err)
 
     if "full" in methods:
-        fc, observables = cfgs["full"], manifest["full"]["observables"]
+        fc = cfgs["full"]
         try:
             c = _chain(chains, fc.t_max)
             manifest["full"]["chain_sites"] = c.N
-            if "population" in observables:
-                ts = mps_evolve(c, fc, "excited", p.delta)
-                _measure(row, failures, "stationary_pop_full",
-                         stationary_value, (ts.times, ts.pop_excited))
-            if "coherence" in observables:
-                ts = mps_evolve(c, fc, "plus_superposition", p.delta)
-                _measure(row, failures, "freq_full", oscillation_frequency,
-                         (ts.times, ts.sigma_x.real))
+            # the coupling keeps the |e> branch apart, so one run gives both
+            ts = mps_evolve(c, fc, "plus_superposition", p.delta)
+            _measure(row, failures, "stationary_pop_full", stationary_value,
+                     (ts.times, ts.pop_excited))
+            _measure(row, failures, "freq_full", oscillation_frequency,
+                     (ts.times, ts.sigma_x.real))
         except (ValueError, RuntimeError) as err:
             failures["full"] = str(err)
 
@@ -390,14 +386,14 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
     """Sweep the emitter splitting, yielding each point as it finishes.
 
     methods: subset of {"rwa", "full"}.  cfgs: {"rwa": {t_max, samples},
-    "full": EvolutionConfig, "full_observables": (...)}.  Each point is
-    a (delta, row, manifest) triple: in ascending delta with jobs=1, in
-    completion order with more workers.  SweepResult.collect assembles
-    points into arrays.  The chain of each method's t_max is mapped once,
-    here, and sent to the workers.  Per-point failures (a failed mapping
-    included) are recorded in the manifest and leave NaN entries; the
-    scan continues.  Points lost to a dead worker (a signal, the OOM
-    killer) come back failed under "worker".
+    "full": EvolutionConfig}; a full point is one plus_superposition run.
+    Each point is a (delta, row, manifest) triple: in ascending delta with
+    jobs=1, in completion order with more workers.  SweepResult.collect
+    assembles points into arrays.  The chain of each method's t_max is
+    mapped once, here, and sent to the workers.  Per-point failures (a
+    failed mapping included) are recorded in the manifest and leave NaN
+    entries; the scan continues.  Points lost to a dead worker (a signal,
+    the OOM killer) come back failed under "worker".
     """
     cfgs = cfgs or {}
     unknown = set(methods) - {"rwa", "full"}

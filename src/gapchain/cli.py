@@ -4,7 +4,8 @@ Subcommands map onto the library one to one: chain-coeffs (orthogonal
 polynomial chain), rwa (single-excitation solvers), evolve (TEBD),
 polaron (variational renormalization), sweep (detuning scans), analyze
 (estimators over a stored series) and plot (deterministic SVG
-overlays).  Every run writes a ``manifest.json`` echoing the
+overlays).  evolve's pop_excited is the population of the |e> branch
+alone.  Every run writes a ``manifest.json`` echoing the
 configuration it read, with library versions, wall time and convergence
 outcomes.  Re-running any subcommand with its manifest as the config
 file regenerates every artifact byte for byte; the manifest's own
@@ -233,10 +234,7 @@ _SCHEMA = {
                                      "plus_superposition")},
     "sweep": {"deltas": _as_deltas, "methods": _choice("rwa", "full",
                                                        many=True),
-              "samples": _at_least(2),
-              "full_observables": _choice("population", "coherence",
-                                          many=True),
-              "jobs": _as_jobs, "resume": _as_bool},
+              "samples": _at_least(2), "jobs": _as_jobs, "resume": _as_bool},
     "analyze": {"input": _as_str, "x": _as_str, "signal": _as_str,
                 "estimators": _choice(*_ESTIMATORS, many=True)},
     "plot": {"csv": _as_list, "x": _as_str, "y": _as_list,
@@ -321,7 +319,6 @@ class SweepOptions:
     deltas: tuple
     methods: tuple = ("rwa",)
     samples: int | None = None  # per rwa point; None: crossover_scan's
-    full_observables: tuple = ("population", "coherence")
     jobs: int | None = None  # parallel workers; None: available cores
     resume: bool = False  # reuse point CSVs in the output directory
 
@@ -533,6 +530,7 @@ def _emit(outdir: Path, name: str, text: str):
     if Path(name).name != name:
         raise ConfigError([f"output: artifact name {name!r} must not "
                            "contain path separators"])
+    outdir.mkdir(parents=True, exist_ok=True)  # made by the first output
     tmp = outdir / (name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, outdir / name)
@@ -689,7 +687,7 @@ def _cmd_rwa(cfg, outdir):
 
 
 def _cmd_evolve(cfg, outdir):
-    """TEBD evolution of the joint state"""
+    """TEBD of the joint state; pop_excited: the |e> branch's population"""
     p, fmts = cfg.model, cfg.output.formats
     evo, atom_state = cfg.evolution, cfg.evolve.atom_state
     n = cfg.chain.n_sites or chain_length_for(p, evo.t_max)
@@ -725,7 +723,6 @@ def _cmd_evolve(cfg, outdir):
     conv = {"chain_sites": n, "dt": ts.dt,
             "flagged_samples": int(ts.flags.sum()),
             "total_discarded_weight": float(ts.discarded_weight[-1]),
-            "total_norm_drift": float(np.sum(ts.norm_drift)),
             "final_max_bond": int(ts.max_bond[-1]),
             "charge_drift": float(np.max(np.abs(charge - charge[0])))}
     return outputs, conv, 0
@@ -748,13 +745,17 @@ def _point_name(delta):
 
 def _first_difference(meta, manifest, model_line, settings):
     """(field, recorded, this run's) for the first field in which a point
-    CSV's model line or manifest differs from this run's, else None."""
+    CSV's model line or manifest differs from this run's, else None; so
+    does a setting only the point records, such as full.observables."""
     model = next((m for m in meta if m.startswith("model:")), None)
     pairs = [("model", model, model_line),
              ("methods", manifest.get("methods"), settings["methods"])]
     for m in settings["methods"]:
         block = manifest[m] if isinstance(manifest.get(m), dict) else {}
-        pairs += [(f"{m}.{k}", block.get(k), v) for k, v in settings[m].items()]
+        # chain_sites is the point's outcome, not a setting
+        keys = [*settings[m], *sorted(block.keys() - settings[m].keys()
+                                      - {"chain_sites"})]
+        pairs += [(f"{m}.{k}", block.get(k), settings[m].get(k)) for k in keys]
     return next((pair for pair in pairs if pair[1] != pair[2]), None)
 
 
@@ -798,7 +799,7 @@ def _cmd_sweep(cfg, outdir):
     evo = cfg.evolution
     rc = {"t_max": evo.t_max if evo else None, "samples": o.samples}
     cfgs = {"rwa": {k: v for k, v in rc.items() if v is not None},
-            "full": evo, "full_observables": o.full_observables}
+            "full": evo}
 
     def model_line(d):  # a point's own model
         return _model_meta(dataclasses.replace(p, delta=d))
@@ -1001,7 +1002,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.subcommand, path=args.config,
                            overrides=_flag_overrides(args))
         outdir = Path(cfg.output.directory)
-        outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.monotonic()
         try:
             outputs, conv, code = _DISPATCH[args.subcommand](cfg, outdir)

@@ -40,7 +40,7 @@ Coupling modes:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -372,12 +372,16 @@ def conserved_charge(state: MPSState, mode):
 
 @dataclass
 class TimeSeries:
-    """Sampled emitter observables and run health metrics."""
+    """Sampled emitter observables and run health metrics.  pop_excited is
+    0.5 (1 + <sigma_z>) of the last branch of site 0's left index alone:
+    the |e> branch of a preparation holding |e>, the whole state of an
+    excited or ground run."""
 
     times: np.ndarray
     sigma_x: np.ndarray
     sigma_y: np.ndarray
     sigma_z: np.ndarray
+    pop_excited: np.ndarray
     norm_drift: np.ndarray  # increase of discarded_weight since the previous sample
     max_bond: np.ndarray
     discarded_weight: np.ndarray  # cumulative
@@ -385,10 +389,6 @@ class TimeSeries:
     tail_occupation: np.ndarray
     flags: np.ndarray  # True where the light-cone tail bound failed
     dt: float  # actual step used (resolves a dt=None config)
-
-    @property
-    def pop_excited(self):
-        return 0.5 * (1.0 + self.sigma_z.real)
 
 
 def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
@@ -403,6 +403,7 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
     gates = build_gates(c, delta, cfg)
     state = init_state(c, cfg, atom_state)
     n_steps = max(1, int(round(cfg.t_max / gates.dt)))
+    last = np.eye(state.head.size, dtype=complex)[-1]  # the last branch alone
     rows = []
 
     def sample(step):  # one row, keyed by TimeSeries field
@@ -412,6 +413,7 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
             sigma_x=measure(state, 0, SIGMA_X),
             sigma_y=measure(state, 0, SIGMA_Y),
             sigma_z=measure(state, 0, SIGMA_Z),
+            pop_excited=0.5 * (1.0 + measure(replace(state, head=last), 0, SIGMA_Z).real),
             max_bond=state.max_bond,
             discarded_weight=state.cumulative_discarded_weight,
             conserved_charge=conserved_charge(state, cfg.mode),

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapchain import analysis
 from gapchain.analysis import (
     PoleRegime,
     SweepResult,
@@ -418,21 +419,31 @@ class TestCrossoverScan:
                                   parallel.columns[name], equal_nan=True)
         assert serial.manifests == parallel.manifests
 
-    def test_full_method_runs_and_reports(self):
+    def test_full_method_runs_and_reports(self, monkeypatch):
         base = ModelParams(**REDUCED)
         fc = EvolutionConfig(t_max=0.4, dt=2e-3, d_b=4, chi_max=16,
                              svd_threshold=1e-8, sample_stride=5, mode="FULL")
+        runs = []
+        mps_evolve = analysis.mps_evolve
+
+        def counted(c, cfg, atom_state, delta):
+            runs.append(atom_state)
+            return mps_evolve(c, cfg, atom_state, delta)
+
+        monkeypatch.setattr(analysis, "mps_evolve", counted)
         res = SweepResult.collect(crossover_scan(
-            [3.0], methods=("full",), base_params=base,
-            cfgs={"full": fc, "full_observables": ("population",)}))
+            [3.0], methods=("full",), base_params=base, cfgs={"full": fc}))
+        # one run serves both: the population is its |e> branch's
+        assert runs == ["plus_superposition"]
         assert res.columns["stationary_pop_full"][0] == pytest.approx(
             0.584, abs=0.03)
         m = res.manifests[0]
-        assert m["failures"] == {}
-        assert m["full"]["chain_sites"] == 70
-        assert m["full"]["observables"] == ["population"]
-        # coherence not requested
+        assert m["full"] == {"t_max": 0.4, "d_b": 4, "chi_max": 16,
+                             "dt": 2e-3, "chain_sites": 70}
+        # the window holds about two periods of the coherence: refused
         assert math.isnan(res.columns["freq_full"][0])
+        assert "insufficient periods" in m["failures"]["freq_full"]
+        assert list(m["failures"]) == ["freq_full"]
 
     def test_unsorted_grid_is_sorted(self):
         res = SweepResult.collect(crossover_scan(

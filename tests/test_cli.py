@@ -48,7 +48,7 @@ SAMPLE_VALUES = {
     ("rwa", "no_self_check"): "true",
     ("evolve", "atom_state"): "plus_superposition",
     ("sweep", "deltas"): "20,30", ("sweep", "methods"): "rwa,full",
-    ("sweep", "samples"): "801", ("sweep", "full_observables"): "population",
+    ("sweep", "samples"): "801",
     ("sweep", "jobs"): "2", ("sweep", "resume"): "true",
     ("analyze", "input"): "other.csv", ("analyze", "x"): "time",
     ("analyze", "signal"): "amplitude", ("analyze", "estimators"): "decay",
@@ -317,11 +317,11 @@ class TestFlagFileParity:
                                  text), (sub, sec, key)
 
     def test_flag_counts(self):
-        # the config flags of each subcommand, 96 in all
+        # the config flags of each subcommand, 95 in all
         counts = {sub: sum(map(len, _reads(sub).values()))
                   for sub in _DISPATCH}
         assert counts == {"chain-coeffs": 9, "rwa": 14, "evolve": 17,
-                          "polaron": 7, "sweep": 19, "analyze": 14,
+                          "polaron": 7, "sweep": 18, "analyze": 14,
                           "plot": 16}
 
     def test_one_file_serves_every_subcommand(self, tmp_path):
@@ -409,13 +409,18 @@ class TestExitCodes:
          "unrecognized arguments: --n-quad 500"),
         (["--deltas", "20", "--config", "{chain_ini}"],
          "chain.n_sites: not used by sweep"),
+        # a full point always gives both estimates, from one run
+        (["--deltas", "20", "--config", "{observables_ini}"],
+         "sweep.full_observables: unknown key"),
     ])
     def test_bad_sweep_input_exits_2_before_any_point(self, tmp_path, capsys,
                                                       argv, message):
-        chain_ini = tmp_path / "chain.ini"
-        chain_ini.write_text("[chain]\nn_sites = 300\n")
+        ini = {"chain_ini": tmp_path / "chain.ini",
+               "observables_ini": tmp_path / "observables.ini"}
+        ini["chain_ini"].write_text("[chain]\nn_sites = 300\n")
+        ini["observables_ini"].write_text("[sweep]\nfull_observables = population\n")
         out = tmp_path / "out"
-        argv = ["sweep", *[a.format(chain_ini=chain_ini) for a in argv],
+        argv = ["sweep", *[a.format(**ini) for a in argv],
                 *model_flags(), "--t-max", "1.5", "--jobs", "1",
                 "--out-dir", str(out)]
         if message.startswith("unrecognized"):  # argparse refuses the flag
@@ -435,8 +440,10 @@ class TestExitCodes:
          "--t-max", "0.5", "--chi-max", "4"],
         ["chain-coeffs", *model_flags(), "--n-sites", "60", "--chi-max", "16",
          "--fit-window-low", "0.3", "--t-max", "9"],
+        ["sweep", *model_flags(), "--t-max", "1.5", "--deltas", "20",
+         "--full-observables", "population"],
     ], ids=["sweep-delta", "rwa-abbreviation", "rwa-chi-max",
-            "chain-coeffs-unread"])
+            "chain-coeffs-unread", "sweep-full-observables"])
     def test_unread_or_abbreviated_flag_exits_2(self, tmp_path, capsys, argv):
         # a flag is a key the subcommand reads, spelled in full; sweep's
         # --delta is not read as --deltas
@@ -661,20 +668,6 @@ class TestEvolveCommand:
         assert conv["chain_sites"] == 60
         assert (out / "evolve.svg").exists()
 
-    def test_total_norm_drift_is_the_discarded_weight(self, tmp_path):
-        # a truncating FULL corner (chi_max 8): the drift column sums the
-        # one discarded-weight ledger
-        out = tmp_path / "out"
-        assert main(["evolve", "--alpha", "1", "--omega-b", "2",
-                     "--omega0", "20", "--omega-c", "100", "--delta", "3",
-                     "--t-max", "0.3", "--d-b", "4", "--chi-max", "8",
-                     "--mode", "FULL", "--out-dir", str(out)]) == 0
-        conv = manifest(out)["convergence"]
-        assert conv["final_max_bond"] == 8
-        assert conv["total_discarded_weight"] > 1e-10
-        assert conv["total_norm_drift"] == pytest.approx(
-            conv["total_discarded_weight"], rel=1e-12, abs=0.0)
-
 
 class TestSweepCommand:
     def test_scan_artifacts(self, tmp_path):
@@ -800,8 +793,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("change,field", [
         (["--chi-max", "8"], "full.chi_max"), (["--d-b", "5"], "full.d_b"),
         (["--dt", "0.0005"], "full.dt"),
-        (["--full-observables", "population,coherence"], "full.observables"),
-    ], ids=["chi_max", "d_b", "dt", "observables"])
+    ], ids=["chi_max", "d_b", "dt"])
     def test_resume_refuses_full_points_of_other_settings(self, tmp_path,
                                                           capsys, change,
                                                           field):
@@ -809,8 +801,7 @@ class TestSweepCommand:
         argv = ["sweep", "--alpha", "1", "--omega-b", "2", "--omega0", "20",
                 "--omega-c", "100", "--methods", "full", "--mode", "FULL",
                 "--t-max", "0.03", "--d-b", "4", "--chi-max", "16",
-                "--full-observables", "population", "--jobs", "1",
-                "--deltas", "3", "--out-dir", str(out)]
+                "--jobs", "1", "--deltas", "3", "--out-dir", str(out)]
         assert main(argv) == 0
         assert main(argv + ["--resume"]) == 0
         assert manifest(out)["convergence"]["resumed_points"] == [3.0]
@@ -820,6 +811,30 @@ class TestSweepCommand:
         assert (f"input: {out / 'point_delta_3.0.csv'} differs from this run "
                 f"in {field}: ") in capsys.readouterr().err
         assert (out / "summary.csv").read_bytes() == summary
+
+    def test_resume_refuses_points_recording_observables(self, tmp_path,
+                                                         capsys):
+        # a point from the time population and coherence ran separately
+        # records full.observables; a population-only one holds a NaN
+        # freq_full that a resume must not reuse
+        out = tmp_path / "out"
+        argv = ["sweep", "--alpha", "1", "--omega-b", "2", "--omega0", "20",
+                "--omega-c", "100", "--methods", "full", "--mode", "FULL",
+                "--t-max", "0.03", "--d-b", "4", "--chi-max", "16",
+                "--jobs", "1", "--deltas", "3", "--out-dir", str(out)]
+        assert main(argv) == 0
+        point = out / "point_delta_3.0.csv"
+        text = point.read_text()
+        assert '"observables"' not in text
+        point.write_text(text.replace(
+            '"full": {"', '"full": {"observables": ["population"], "', 1))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        assert (f"input: {point} differs from this run in full.observables: "
+                "recorded ['population'], this run None"
+                ) in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("header,manifest_line,message", [
         ("stationary_pop_rwa,stationary_pop_full,freq_rwa,freq_full,"
@@ -967,8 +982,7 @@ class TestSweepCommand:
         base = ModelParams(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0)
         fc = EvolutionConfig(t_max=0.1, dt=2e-3, d_b=4, chi_max=8,
                              svd_threshold=1e-8, mode="FULL")
-        cfgs = {"rwa": {"t_max": 0.5, "samples": 201}, "full": fc,
-                "full_observables": ("population",)}
+        cfgs = {"rwa": {"t_max": 0.5, "samples": 201}, "full": fc}
         points = list(analysis.crossover_scan(
             [2.0, 3.0, 4.0], ("rwa", "full"), base, cfgs=cfgs, jobs=2))
         assert len(points) == 3
@@ -1098,6 +1112,15 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "analyze.signal" in capsys.readouterr().err
 
+    def test_missing_x_column_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        write_series_csv(path, np.arange(4.0), np.arange(4.0))
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--x", "nope",
+                     "--out-dir", str(out)]) == 2
+        assert "analyze.x: column 'nope'" in capsys.readouterr().err
+        assert not out.exists()  # the first artifact makes the directory
+
 
 class TestPlotCommand:
     def two_series(self, tmp_path):
@@ -1124,11 +1147,13 @@ class TestPlotCommand:
 
     def test_missing_column_exits_2(self, tmp_path, capsys):
         a, _ = self.two_series(tmp_path)
+        out = tmp_path / "out"
         code = main(["plot", "--csv", str(a), "--y", "nope",
-                     "--out-dir", str(tmp_path / "out")])
+                     "--out-dir", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert "plot.y" in err and "nope" in err
+        assert not out.exists()  # the first artifact makes the directory
 
     def test_unknown_marker_exits_2(self, tmp_path, capsys):
         a, _ = self.two_series(tmp_path)
@@ -1158,8 +1183,7 @@ class TestPlotCommand:
                      "--out-dir", str(out)])
         assert code == 2
         assert "log scale drops y <= 0" in capsys.readouterr().err
-        assert not (out / "diagnostics.json").exists()
-        assert not (out / "plot.svg").exists()
+        assert not out.exists()  # no plot.svg, no diagnostics.json
 
     def test_alpha2_time_needs_alpha(self, tmp_path, capsys):
         a, _ = self.two_series(tmp_path)
@@ -1194,6 +1218,7 @@ class TestPlotCommand:
         assert code == 2
         assert "separator" in capsys.readouterr().err
         assert not (tmp_path / "escape.svg").exists()
+        assert not (tmp_path / "out").exists()
 
 
 # non-default own options at tiny corners; {s}, {a} and {b} are input CSVs

@@ -586,10 +586,32 @@ class TestEvolve:
         assert np.all(np.diff(rwa_run.times) > 0)
         assert rwa_run.dt > 0
 
-    def test_pop_excited_property(self, rwa_run):
-        assert np.allclose(rwa_run.pop_excited,
-                           0.5 * (1 + rwa_run.sigma_z.real))
+    def test_pop_excited_property(self, chain, rwa_run):
         assert rwa_run.pop_excited[0] == pytest.approx(1.0, abs=1e-12)
+        # one emitter level prepared: its branch is the whole state, bit
+        # for bit (the FULL runs truncate at max bond 16)
+        for mode, d_b in (("RWA", 2), ("FULL", 4)):
+            cfg = EvolutionConfig(t_max=0.06, d_b=d_b, chi_max=16,
+                                  sample_stride=40, mode=mode)
+            for atom_state in ("excited", "ground"):
+                ts = mps.evolve(chain, cfg, atom_state, DELTA)
+                assert np.array_equal(ts.pop_excited,
+                                      0.5 * (1.0 + ts.sigma_z.real))
+
+    @pytest.mark.parametrize("mode,d_b", [("RWA", 2), ("FULL", 4)])
+    def test_superposition_branch_is_the_excited_run(self, mode, d_b):
+        # the tebd-full corner; in RWA the |g> branch is inert, in FULL it
+        # evolves apart, and each branch alone is an excited run
+        p = reduced()
+        c = map_to_chain(p, chain_length_for(p, 0.15))
+        cfg = EvolutionConfig(t_max=0.15, d_b=d_b, chi_max=32, mode=mode)
+        plus = mps.evolve(c, cfg, "plus_superposition", DELTA)
+        excited = mps.evolve(c, cfg, "excited", DELTA)
+        assert np.array_equal(plus.times, excited.times)
+        assert np.max(np.abs(plus.pop_excited - excited.pop_excited)) < 1e-9
+        # the superposition's own sigma_z is not the branch's
+        assert np.max(np.abs(plus.pop_excited
+                             - 0.5 * (1.0 + plus.sigma_z.real))) > 0.1
 
     def test_tail_flag_fires_when_chain_too_short(self):
         p = reduced()
