@@ -12,6 +12,7 @@ CLI writes the same names as its CSV columns.
 """
 
 import cmath
+import copy
 import dataclasses
 import math
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
@@ -320,9 +321,9 @@ def _chain(chains, t_max):
 
 def point_settings(methods, base_params, cfgs):
     """What a sweep point's numbers depend on besides the model and delta,
-    as its manifest records them: the sorted methods, rwa's {t_max: 30 /
-    omega_s, samples: 2001} updated by cfgs["rwa"], and full's {t_max,
-    d_b, chi_max, dt}.  cfgs is crossover_scan's."""
+    as its manifest records them and _scan_point runs them: the sorted
+    methods, rwa's {t_max: 30 / omega_s, samples: 2001} updated by
+    cfgs["rwa"], and every field of cfgs["full"], an EvolutionConfig."""
     settings = {"methods": sorted(methods)}
     if "rwa" in methods:
         settings["rwa"] = {"t_max": 30.0 / max(base_params.omega_s, 1e-12),
@@ -332,23 +333,22 @@ def point_settings(methods, base_params, cfgs):
         if not isinstance(fc, EvolutionConfig):
             raise ValueError("cfgs['full'] must be an EvolutionConfig "
                              "when the full method is requested")
-        settings["full"] = {"t_max": fc.t_max, "d_b": fc.d_b,
-                            "chi_max": fc.chi_max, "dt": fc.dt}
+        settings["full"] = dataclasses.asdict(fc)
     return settings
 
 
-def _scan_point(delta, base_params, methods, cfgs, chains):
+def _scan_point(delta, base_params, settings, chains):
     """One sweep point; returns (delta, row dict, manifest dict).
 
-    cfgs is crossover_scan's; chains is _map_chains over the methods' t_max.
+    settings is point_settings's record, which the manifest copies and the
+    point runs from; chains is _map_chains over the methods' t_max.
     """
     p = dataclasses.replace(base_params, delta=delta)
     row = dict.fromkeys(SWEEP_COLUMNS, math.nan)
     failures = {}
-    manifest = {"delta": delta, **point_settings(methods, base_params, cfgs),
-                "failures": failures}
+    manifest = {"delta": delta, **copy.deepcopy(settings), "failures": failures}
 
-    if "rwa" in methods:
+    if "rwa" in manifest:
         t_max, samples = manifest["rwa"]["t_max"], manifest["rwa"]["samples"]
         try:
             c = _chain(chains, t_max)
@@ -364,8 +364,8 @@ def _scan_point(delta, base_params, methods, cfgs, chains):
         except (ValueError, RuntimeError) as err:
             failures["rwa"] = str(err)
 
-    if "full" in methods:
-        fc = cfgs["full"]
+    if "full" in manifest:
+        fc = EvolutionConfig(**settings["full"])
         try:
             c = _chain(chains, fc.t_max)
             manifest["full"]["chain_sites"] = c.N
@@ -407,8 +407,7 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
     chains = _map_chains(base_params, t_maxes)
     if jobs > 1 and len(grid) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_scan_point, d, base_params, methods, cfgs,
-                                   chains): d
+            futures = {pool.submit(_scan_point, d, base_params, settings, chains): d
                        for d in grid}
             try:
                 for fut in as_completed(futures):
@@ -416,11 +415,11 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
                         point = fut.result()
                     except BrokenExecutor as err:
                         point = (futures[fut], dict.fromkeys(SWEEP_COLUMNS, math.nan),
-                                 {"delta": futures[fut], "methods": sorted(methods),
+                                 {"delta": futures[fut], "methods": settings["methods"],
                                   "failures": {"worker": str(err)}})
                     yield point
             finally:  # a failed or abandoned scan starts no further point
                 pool.shutdown(cancel_futures=True)
     else:
         for d in grid:
-            yield _scan_point(d, base_params, methods, cfgs, chains)
+            yield _scan_point(d, base_params, settings, chains)

@@ -18,7 +18,8 @@ Configuration comes from an INI file, from a JSON file with the same
 sections, or from flags; flags override file values.  The sections
 [model], [chain], [evolution], [analysis] and [output] are shared, and
 [rwa], [evolve], [sweep], [analyze] and [plot] hold the named
-subcommand's own options.  The table ``_READS`` alone says which keys a
+subcommand's own options.  The table ``_SCHEMA`` alone holds each key's
+validator, default and help, and ``_READS`` alone says which keys a
 subcommand reads: they are its flags, validated and echoed into its
 manifest.  Any other section or key is skipped, so one file serves every
 subcommand; an unknown section, or an unknown key in a section it reads,
@@ -36,9 +37,9 @@ each handed the chain the parent mapped.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics.json written
 to the output directory), 2 configuration error (every violation is
-listed, addressed as section.key; what ModelParams, EvolutionConfig or
-AnalysisOptions rejects comes out as one ``model:``, ``evolution:`` or
-``analysis:`` line).
+listed, addressed as section.key; what ModelParams or EvolutionConfig
+rejects comes out as one ``model:`` or ``evolution:`` line, and a fit
+window out of order as one ``analysis:`` line).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +124,8 @@ def _as_mode(value, key, errors):
 
 
 def _choice(*allowed, many=False):
-    """Validator of one of allowed or (many) a comma list of them; any
-    item passes if none is given.  A list is taken item by item."""
+    """Validator of one of allowed or (many) a non-empty comma list of
+    them; with none allowed, any items pass.  A list is taken item by item."""
     def check(value, key, errors):
         if not many:
             items = [str(value).strip()]
@@ -134,10 +134,10 @@ def _choice(*allowed, many=False):
         else:
             items = [s.strip() for s in str(value).split(",") if s.strip()]
         bad = [s for s in items if allowed and s not in allowed]
-        if bad:
+        if bad or (allowed and not items):
             noun = key.rpartition(".")[2].rstrip("s")
-            errors.append(f"{key}: unknown {noun}(s) {', '.join(bad)} "
-                          f"(choose from {', '.join(allowed)})")
+            what = f"unknown {noun}(s) {', '.join(bad)}" if bad else "empty list"
+            errors.append(f"{key}: {what} (choose from {', '.join(allowed)})")
             return None
         return tuple(items) if many else items[0]
     names = ", ".join(allowed)
@@ -213,34 +213,62 @@ _ESTIMATORS = {
 }
 
 
-# The one list of config keys: each is an INI/JSON key of its section, a
-# field of that section's dataclass (_TYPES) and, for a subcommand that
-# reads it (_READS), a flag --<key-with-dashes> (renamed only through
-# _FLAG_NAMES).  A validator's docstring is the flag's help text.
+# The one table of config keys, each entry (validator, default), where a
+# key without default is _REQUIRED; model and evolution take ModelParams's
+# and EvolutionConfig's defaults, and _TYPES builds every other section's
+# class from its entries.  A key is an INI/JSON key of its section and, for
+# a subcommand that reads it (_READS), a flag --<key-with-dashes> (renamed
+# only through _FLAG_NAMES); its validator's docstring is the flag's help.
+_REQUIRED = dataclasses.MISSING
+
+
+def _defaults_of(cls, **validators):
+    """Entries of cls's fields, in the order given, with cls's defaults."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {key: (check, defaults[key]) for key, check in validators.items()}
+
+
 _SCHEMA = {
-    "model": {"alpha": _as_float, "omega_b": _as_float, "omega0": _as_float,
-              "omega_c": _as_float, "delta": _as_float},
-    "chain": {"n_sites": _at_least(2), "n_quad": _at_least(2)},
-    "evolution": {"t_max": _as_float, "dt": _as_float, "d_b": _as_int,
-                  "chi_max": _as_int, "svd_threshold": _as_float,
-                  "sample_stride": _as_int, "mode": _as_mode},
-    "analysis": {"fit_window_low": _as_float, "fit_window_high": _as_float,
-                 "exclude": _as_exclude},
-    "output": {"directory": _as_str,
-               "formats": _choice("csv", "json", "svg", many=True)},
-    "rwa": {"solver": _choice("volterra", "laplace", "chain"),
-            "samples": _at_least(2), "no_self_check": _as_bool},
-    "evolve": {"atom_state": _choice("excited", "ground",
-                                     "plus_superposition")},
-    "sweep": {"deltas": _as_deltas, "methods": _choice("rwa", "full",
-                                                       many=True),
-              "samples": _at_least(2), "jobs": _as_jobs, "resume": _as_bool},
-    "analyze": {"input": _as_str, "x": _as_str, "signal": _as_str,
-                "estimators": _choice(*_ESTIMATORS, many=True)},
-    "plot": {"csv": _as_list, "x": _as_str, "y": _as_list,
-             "labels": _as_list, "markers": _choice(*MARKERS, many=True),
-             "log_y": _as_bool, "alpha2_time": _as_bool, "title": _as_str,
-             "out": _as_str},
+    "model": _defaults_of(ModelParams, alpha=_as_float, omega_b=_as_float,
+                          omega0=_as_float, omega_c=_as_float,
+                          delta=_as_float),
+    "chain": {"n_sites": (_at_least(2), None), "n_quad": (_at_least(2), None)},
+    "evolution": _defaults_of(EvolutionConfig, t_max=_as_float, dt=_as_float,
+                              d_b=_as_int, chi_max=_as_int,
+                              svd_threshold=_as_float, sample_stride=_as_int,
+                              mode=_as_mode),
+    # the series is trimmed to [fit_window_low, fit_window_high] fractions of
+    # its time span; exclude drops absolute-time windows (transients,
+    # switch-on artifacts) from whatever remains
+    "analysis": {"fit_window_low": (_as_float, 0.0),
+                 "fit_window_high": (_as_float, 1.0),
+                 "exclude": (_as_exclude, ())},
+    "output": {"directory": (_as_str, "gapchain-out"),
+               "formats": (_choice("csv", "json", "svg", many=True),
+                           ("csv", "json", "svg"))},
+    "rwa": {"solver": (_choice("volterra", "laplace", "chain"), "volterra"),
+            "samples": (_at_least(2), 1001),  # laplace/chain time grid; volterra steps by dt
+            "no_self_check": (_as_bool, False)},  # skip volterra's step-halving check
+    "evolve": {"atom_state": (_choice("excited", "ground",
+                                      "plus_superposition"), "excited")},
+    "sweep": {"deltas": (_as_deltas, _REQUIRED),
+              "methods": (_choice("rwa", "full", many=True), ("rwa",)),
+              "samples": (_at_least(2), None),  # per rwa point; None: crossover_scan's
+              "jobs": (_as_jobs, None),  # parallel workers; None: available cores
+              "resume": (_as_bool, False)},  # reuse point CSVs in the output directory
+    "analyze": {"input": (_as_str, _REQUIRED),  # a series CSV written by rwa or evolve
+                "x": (_as_str, "t"),
+                "signal": (_as_str, None),  # None: pop or pop_excited; 'amplitude': |A|
+                "estimators": (_choice(*_ESTIMATORS, many=True),
+                               tuple(_ESTIMATORS))},
+    "plot": {"csv": (_as_list, _REQUIRED), "x": (_as_str, "t"),
+             "y": (_as_list, _REQUIRED),  # read from every csv
+             "labels": (_as_list, ()),
+             "markers": (_choice(*MARKERS, many=True), ()),  # unset: filled, open, then none
+             "log_y": (_as_bool, False),
+             "alpha2_time": (_as_bool, False),  # scale the x axis by alpha^2
+             "title": (_as_str, ""),
+             "out": (_as_str, "plot.svg")},  # inside the output directory
 }
 
 _FLAG_NAMES = {("output", "directory"): "--out-dir"}
@@ -272,101 +300,21 @@ def _reads(subcommand):
     return keys
 
 
-@dataclass(frozen=True)
-class ChainOptions:
-    n_sites: int | None = None
-    n_quad: int | None = None
+_TYPES = {sec: dataclasses.make_dataclass(
+              sec.capitalize() + "Options",
+              [(key, object, dataclasses.field(default=default))
+               for key, (_, default) in entries.items()],
+              frozen=True, kw_only=True)
+          for sec, entries in _SCHEMA.items()
+          if sec not in ("model", "evolution")}
+_TYPES.update(model=ModelParams, evolution=EvolutionConfig)
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
-    """Pre-processing applied before the estimators run.
-
-    The series is trimmed to [fit_window_low, fit_window_high] fractions
-    of its time span; exclude drops absolute-time windows (transients,
-    switch-on artifacts) from whatever remains.
-    """
-
-    fit_window_low: float = 0.0
-    fit_window_high: float = 1.0
-    exclude: tuple = ()
-
-    def __post_init__(self):
-        if not 0.0 <= self.fit_window_low < self.fit_window_high <= 1.0:
-            raise ValueError("need 0 <= fit_window_low < fit_window_high <= 1")
-
-
-@dataclass(frozen=True)
-class OutputOptions:
-    directory: str = "gapchain-out"
-    formats: tuple = ("csv", "json", "svg")
-
-
-@dataclass(frozen=True)
-class RwaOptions:
-    solver: str = "volterra"
-    samples: int = 1001  # laplace/chain time grid; volterra steps by dt
-    no_self_check: bool = False  # skip volterra's step-halving check
-
-
-@dataclass(frozen=True)
-class EvolveOptions:
-    atom_state: str = "excited"
-
-
-@dataclass(frozen=True)
-class SweepOptions:
-    deltas: tuple
-    methods: tuple = ("rwa",)
-    samples: int | None = None  # per rwa point; None: crossover_scan's
-    jobs: int | None = None  # parallel workers; None: available cores
-    resume: bool = False  # reuse point CSVs in the output directory
-
-
-@dataclass(frozen=True)
-class AnalyzeOptions:
-    input: str  # a series CSV written by rwa or evolve
-    x: str = "t"
-    signal: str | None = None  # None: pop or pop_excited; 'amplitude': |A|
-    estimators: tuple = tuple(_ESTIMATORS)
-
-
-@dataclass(frozen=True)
-class PlotOptions:
-    csv: tuple
-    y: tuple  # read from every csv
-    x: str = "t"
-    labels: tuple = ()
-    markers: tuple = ()  # unset ones: filled, open, then none
-    log_y: bool = False
-    alpha2_time: bool = False  # scale the x axis by alpha^2
-    title: str = ""
-    out: str = "plot.svg"  # inside the output directory
-
-
-_TYPES = {"model": ModelParams, "chain": ChainOptions,
-          "evolution": EvolutionConfig, "analysis": AnalysisOptions,
-          "output": OutputOptions, "rwa": RwaOptions,
-          "evolve": EvolveOptions, "sweep": SweepOptions,
-          "analyze": AnalyzeOptions, "plot": PlotOptions}
-
-
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(dataclasses.make_dataclass(
+        "RunConfig", ["subcommand", *((sec, object, None) for sec in _SCHEMA)],
+        frozen=True)):
     """Validated configuration for one CLI run; a section its subcommand
     does not read is None."""
-
-    subcommand: str
-    model: ModelParams | None = None
-    chain: ChainOptions | None = None
-    evolution: EvolutionConfig | None = None
-    analysis: AnalysisOptions | None = None
-    output: OutputOptions | None = None
-    rwa: RwaOptions | None = None
-    evolve: EvolveOptions | None = None
-    sweep: SweepOptions | None = None
-    analyze: AnalyzeOptions | None = None
-    plot: PlotOptions | None = None
 
     def to_dict(self):
         """JSON-ready echo of the keys the subcommand reads, which
@@ -378,10 +326,9 @@ class RunConfig:
             obj = getattr(self, sec)
             if obj is None:
                 continue
-            empty = {f.name for f in dataclasses.fields(obj)
-                     if f.default in (None, ())}
             block = {k: getattr(obj, k) for k in keys
-                     if k not in empty or getattr(obj, k) not in (None, ())}
+                     if getattr(obj, k) not in (None, ())
+                     or _SCHEMA[sec][k][1] not in (None, ())}
             if block:
                 d[sec] = block
         return d
@@ -448,16 +395,20 @@ def parse_config(subcommand, path=None, data=None,
     typed = {sec: {} for sec in _SCHEMA}
     rejected = set()  # (section, key) whose value its validator refused
     for (sec, key), value in merged.items():
-        tv = _SCHEMA[sec][key](value, f"{sec}.{key}", errors)
+        tv = _SCHEMA[sec][key][0](value, f"{sec}.{key}", errors)
         if tv is None:
             rejected.add((sec, key))
         else:
             typed[sec][key] = tv
 
-    built = {sec: _build(_TYPES[sec], sec, typed, rejected, errors,
+    built = {sec: _build(sec, typed, rejected, errors,
                          required=bool(typed[sec]) or sec in needed)
              for sec in reads}
     cfg = RunConfig(subcommand, **built)
+
+    a = cfg.analysis
+    if a is not None and not 0.0 <= a.fit_window_low < a.fit_window_high <= 1.0:
+        errors.append("analysis: need 0 <= fit_window_low < fit_window_high <= 1")
 
     if (subcommand == "polaron" and cfg.model is not None
             and cfg.model.delta <= 0.0):
@@ -481,20 +432,19 @@ def parse_config(subcommand, path=None, data=None,
     return cfg
 
 
-def _build(cls, sec, typed, rejected, errors, required):
-    """cls(**typed[sec]), or None when a field without default is unset
+def _build(sec, typed, rejected, errors, required):
+    """_TYPES[sec](**typed[sec]), or None when a _REQUIRED key is unset
     (an empty list counts as unset): an error if the section is required,
-    unless the field's value was rejected and so already has its error."""
-    missing = [f.name for f in dataclasses.fields(cls)
-               if f.default is dataclasses.MISSING
-               and typed[sec].get(f.name, ()) == ()]
+    unless the key's value was rejected and so already has its error."""
+    missing = [key for key, (_, default) in _SCHEMA[sec].items()
+               if default is _REQUIRED and typed[sec].get(key, ()) == ()]
     if required:
         errors.extend(f"{sec}.{k}: required" for k in missing
                       if (sec, k) not in rejected)
     if missing:
         return None
     try:
-        return cls(**typed[sec])
+        return _TYPES[sec](**typed[sec])
     except ValueError as err:
         errors.append(f"{sec}: {err}")
         return None
@@ -598,7 +548,7 @@ def _model_meta(p: ModelParams, keys=tuple(_SCHEMA["model"])):
     return "model: " + " ".join(f"{k}={float(getattr(p, k))!r}" for k in keys)
 
 
-def _apply_windows(times, values, opts: AnalysisOptions):
+def _apply_windows(times, values, opts):
     """Trim to the fit window fractions, then drop excluded intervals."""
     lo, hi = opts.fit_window_low, opts.fit_window_high
     t0, t1 = times[0], times[-1]
@@ -809,15 +759,16 @@ def _cmd_sweep(cfg, outdir):
              if o.resume else {})
     resumed = [prior[d] for d in deltas if d in prior]
     jobs = o.jobs or os.cpu_count() or 1
-    outputs = [_point_name(d) for d, _, _ in resumed if "csv" in fmts]
+    outputs = [_point_name(d) for d, _, _ in resumed]
     fresh = []
     for point in analysis.crossover_scan(
             [d for d in deltas if d not in prior], methods, p, cfgs=cfgs,
             jobs=jobs):
         fresh.append(point)
         d, row, manifest = point
-        # on disk at once, so a failed run keeps it; none if its worker died
-        if "csv" in fmts and "worker" not in manifest["failures"]:
+        # the resume store, so written whatever the formats; on disk at
+        # once, so a failed run keeps it; none if its worker died
+        if "worker" not in manifest["failures"]:
             meta = [model_line(d), "manifest: " + json.dumps(
                 _jsonsafe(manifest), sort_keys=True)]
             cols = [("delta", [d], "f")]
@@ -978,7 +929,7 @@ def _parse_args(argv):
                        help="INI or JSON config file (flags override it)")
         for sec, keys in _reads(sub).items():
             for key in keys:
-                parse = _SCHEMA[sec][key]
+                parse, _ = _SCHEMA[sec][key]
                 kw = ({"action": "store_true", "default": None}
                       if parse is _as_bool else
                       {"action": _FLAG_ACTIONS.get((sec, key), "store"),

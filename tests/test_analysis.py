@@ -378,9 +378,8 @@ class TestCrossoverScan:
         # (t, |A|) for the decay
         base = ModelParams(**WIDEBAND)
         c = map_to_chain(base, chain_length_for(base, 1.5))
-        _, row, manifest = _scan_point(20.0, base, ("rwa",),
-                                       {"rwa": {"t_max": 1.5, "samples": 801}},
-                                       {1.5: c})
+        settings = {"methods": ["rwa"], "rwa": {"t_max": 1.5, "samples": 801}}
+        _, row, manifest = _scan_point(20.0, base, settings, {1.5: c})
         assert manifest["failures"] == {}
         a = chain_evolve(c, 20.0, 1.5, samples=801).to_lab()
         assert row["stationary_pop_rwa"] == float(
@@ -438,8 +437,11 @@ class TestCrossoverScan:
         assert res.columns["stationary_pop_full"][0] == pytest.approx(
             0.584, abs=0.03)
         m = res.manifests[0]
-        assert m["full"] == {"t_max": 0.4, "d_b": 4, "chi_max": 16,
-                             "dt": 2e-3, "chain_sites": 70}
+        # the point records the whole config it ran
+        assert m["full"] == {"t_max": 0.4, "dt": 2e-3, "d_b": 4,
+                             "chi_max": 16, "svd_threshold": 1e-8,
+                             "sample_stride": 5, "mode": "FULL",
+                             "chain_sites": 70}
         # the window holds about two periods of the coherence: refused
         assert math.isnan(res.columns["freq_full"][0])
         assert "insufficient periods" in m["failures"]["freq_full"]

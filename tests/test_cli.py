@@ -412,6 +412,8 @@ class TestExitCodes:
         # a full point always gives both estimates, from one run
         (["--deltas", "20", "--config", "{observables_ini}"],
          "sweep.full_observables: unknown key"),
+        (["--deltas", "20", "--methods", ""],
+         "sweep.methods: empty list (choose from rwa, full)"),
     ])
     def test_bad_sweep_input_exits_2_before_any_point(self, tmp_path, capsys,
                                                       argv, message):
@@ -453,6 +455,21 @@ class TestExitCodes:
         assert stop.value.code == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: " in err and " ".join(argv[-2:]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["rwa", *model_flags(delta=2), "--t-max", "0.5", "--formats", ""],
+         "output.formats"),
+        (["analyze", "--input", "series.csv", "--estimators", ""],
+         "analyze.estimators"),
+        (["plot", "--csv", "a.csv", "--y", "pop", "--markers", ""],
+         "plot.markers"),
+    ])
+    def test_empty_choice_list_exits_2(self, tmp_path, capsys, argv, key):
+        # a list from a fixed vocabulary names one item at least
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert f"{key}: empty list (choose from " in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
@@ -793,7 +810,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize("change,field", [
         (["--chi-max", "8"], "full.chi_max"), (["--d-b", "5"], "full.d_b"),
         (["--dt", "0.0005"], "full.dt"),
-    ], ids=["chi_max", "d_b", "dt"])
+        (["--svd-threshold", "1e-8"], "full.svd_threshold"),
+        (["--sample-stride", "5"], "full.sample_stride"),
+    ], ids=["chi_max", "d_b", "dt", "svd_threshold", "sample_stride"])
     def test_resume_refuses_full_points_of_other_settings(self, tmp_path,
                                                           capsys, change,
                                                           field):
@@ -805,12 +824,26 @@ class TestSweepCommand:
         assert main(argv) == 0
         assert main(argv + ["--resume"]) == 0
         assert manifest(out)["convergence"]["resumed_points"] == [3.0]
-        summary = (out / "summary.csv").read_bytes()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert main(argv + ["--resume", *change]) == 2
         assert (f"input: {out / 'point_delta_3.0.csv'} differs from this run "
                 f"in {field}: ") in capsys.readouterr().err
-        assert (out / "summary.csv").read_bytes() == summary
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_point_csvs_written_whatever_the_formats(self, tmp_path):
+        # the point CSVs are the resume store: --formats json keeps them
+        out = tmp_path / "out"
+        argv = ["sweep", *model_flags(), "--t-max", "1.5", "--samples", "801",
+                "--jobs", "1", "--deltas", "20,30", "--formats", "json",
+                "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "point_delta_20.0.csv", "point_delta_30.0.csv"]
+        assert main(argv + ["--resume"]) == 0
+        conv = manifest(out)["convergence"]
+        assert conv["resumed_points"] == [20.0, 30.0]
+        assert conv["computed_points"] == []
 
     def test_resume_refuses_points_recording_observables(self, tmp_path,
                                                          capsys):
