@@ -5,7 +5,7 @@ Submodules
 model      : spectral density, bath correlation kernel and its Laplace transform
 chainmap   : orthogonal-polynomial mapping of the continuum onto a chain
 invlaplace : Filon rule of the band cut integral and the steepest-descent ray rule
-rwa        : exact single-excitation solvers (Volterra, Laplace inversion, chain)
+rwa        : exact single-excitation solvers (Volterra, Laplace inversion, Chebyshev chain)
 mps        : matrix-product-state TEBD evolution (full and RWA couplings)
 polaron    : variational polaron theory of the renormalized splitting
 analysis   : frequency/plateau/decay extraction and detuning sweeps
@@ -13,11 +13,11 @@ svgplot    : deterministic SVG line plots
 cli        : command-line interface
 
 Thread policy: one BLAS thread per process.  Importing the package sets
-OPENBLAS_NUM_THREADS to 1 unless it is already set, so both OpenBLAS
-pools (numpy's and scipy's) start with one thread; a sweep runs in
-parallel only through worker processes (``sweep --jobs``).  The pools
-read the variable when numpy or scipy is first imported, so the policy
-holds only when gapchain is imported before either.  An explicit
+OPENBLAS_NUM_THREADS to 1 unless it is already set, so numpy's OpenBLAS
+pool, the only one the package loads, starts with one thread; a sweep
+runs in parallel only through worker processes (``sweep --jobs``).  The
+pool reads the variable when numpy is first imported, so the policy holds
+only when gapchain is imported before numpy.  An explicit
 OPENBLAS_NUM_THREADS overrides it.
 """
 

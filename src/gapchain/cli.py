@@ -56,7 +56,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, analysis
 from .chainmap import chain_length_for, map_to_chain, quadrature_nodes
@@ -976,7 +975,7 @@ def main(argv=None) -> int:
         "config": cfg.to_dict(),
         "versions": {"gapchain": __version__,
                      "python": ".".join(map(str, sys.version_info[:3])),
-                     "numpy": np.__version__, "scipy": scipy.__version__},
+                     "numpy": np.__version__},
         "outputs": sorted(outputs),
         "convergence": conv,
         "wall_time_s": round(time.monotonic() - t0, 3),

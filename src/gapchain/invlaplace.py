@@ -106,11 +106,14 @@ def _bessel_sum(kappa, coef):
     n = _RATIO_SEED + 0.5
     r = xr / (n + np.sqrt(n * n - xr * xr))
     h = np.zeros(x.size, dtype=complex)  # stays 0 where k* = 31
+    c = np.empty(x.size, dtype=complex)  # the c_k of each pair, so no step allocates them
     for k in range(_RATIO_SEED - 1, 0, -1):
         m = ends[k - 1] if k <= last else xr.size
         r[:m] = xr[:m] / (2 * k + 1 - xr[:m] * r[:m])
         if k <= last:
-            h[:m] = r[:m] * (h[:m] + ct[k].take(panel[:m]))
+            ct[k].take(panel[:m], out=c[:m])
+            c[:m] += h[:m]
+            np.multiply(r[:m], c[:m], out=h[:m])
 
     # up: the forward orders 1 <= k <= k* of the pairs in x[ends[k - 1]:]
     j0 = np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
@@ -124,7 +127,9 @@ def _bessel_sum(kappa, coef):
         if k > 1:
             d = j.size - (x.size - lo)
             jp, j = j[d:], (2 * k - 1) * j[d:] / x[lo:] - jp[d:]
-        out[lo:] += j * ct[k].take(panel[lo:])
+        ck = ct[k].take(panel[lo:], out=c[lo:])
+        ck *= j
+        out[lo:] += ck
         hi = ends[k]
         out[lo:hi] += j[:hi - lo] * h[lo:hi]
         lo = hi
@@ -147,7 +152,8 @@ def ray_rule(y_lo, y_hi, breaks=(), sqrt=False):
         raise ValueError("need 0 < y_lo < y_hi < inf")
     octaves = y_lo * 2.0 ** np.arange(math.ceil(math.log2(y_hi / y_lo)))
     edges = np.concatenate(([0.0], octaves, [y_hi], np.ravel(breaks)))
-    edges = np.unique(np.clip(edges, 0.0, y_hi))
+    edges = np.sort(np.clip(edges, 0.0, y_hi))
+    edges = edges[np.diff(edges, prepend=-1.0) > 0.0]  # np.unique would import numpy.ma
     if sqrt:
         edges = np.sqrt(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])

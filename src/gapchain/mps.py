@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chainmap import ChainCoefficients
 
@@ -194,8 +193,29 @@ def _bond_hamiltonians(c: ChainCoefficients, delta, cfg):
     return hams, dims
 
 
+def _propagator(h, tau):
+    """e^{-i h tau} = V diag(e^{-i w tau}) V^dag of the Hermitian h = V diag(w) V^dag.
+
+    h leaves the span of each connected component of its nonzero pattern
+    invariant, so every entry of the gate between two components is set to
+    exactly zero (one ``eigh`` of all of h leaves rounding there), and a
+    component of one state gets its phase e^{-i h_ii tau} exactly: the
+    parity blocks that the SVDs of ``_apply_gate`` rely on stay exact, and
+    so does the vacuum pair, which H|00> = 0 leaves alone.
+    """
+    reach = (h != 0) | np.eye(len(h), dtype=bool)
+    for _ in range(len(h).bit_length()):  # transitive closure by squaring
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    w, v = np.linalg.eigh(h)
+    u = np.where(reach, (v * np.exp(-1j * tau * w)) @ v.conj().T, 0.0)
+    lone = np.flatnonzero(reach.sum(axis=1) == 1)
+    u[lone, lone] = np.exp(-1j * tau * h[lone, lone])
+    return u
+
+
 def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
-    """Exponentiate the bond Hamiltonians into Strang-splitting gates."""
+    """Exponentiate the bond Hamiltonians into Strang-splitting gates
+    (``_propagator``); an even bond's full gate is its half gate squared."""
     if c.N < 1:
         raise ValueError("need at least one chain site")
     hams, dims = _bond_hamiltonians(c, delta, cfg)
@@ -211,11 +231,11 @@ def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
     for j, h in enumerate(hams):
         shape = (dims[j], dims[j + 1], dims[j], dims[j + 1])
         if j % 2 == 0:
-            u = expm(-0.5j * dt * h)
+            u = _propagator(h, 0.5 * dt)
             half[j] = u.reshape(shape)
             full[j] = (u @ u).reshape(shape)
         else:
-            full[j] = expm(-1j * dt * h).reshape(shape)
+            full[j] = _propagator(h, dt).reshape(shape)
     return Gates(half, full, dt, cfg.chi_max, cfg.svd_threshold)
 
 

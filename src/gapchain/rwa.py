@@ -8,20 +8,23 @@ amplitude A(t) obeys the closed memory equation
 with the kernel G of ``model.bath_correlation``.  Three independent
 solvers are provided: direct Volterra time stepping, inversion of the
 resolvent 1/(s + G_hat(s)) with G_hat in the closed form of
-``model.ghat``, and exact diagonalization of the mapped chain.  They
-share no algorithmic machinery, so pairwise agreement is a genuine
-cross-check.  The inversion collapses the Bromwich contour onto the
-band: A(t) is the sum of the real-axis poles (a bound state below the
-edge, and one above the hard band top) plus the Fourier integral of the
-emitter's spectral density over the band, the spectral form of band-edge
-decay (John & Quang, *PRA* 50, 1764 (1994)).  Deformed into the lower
-half plane, the same band integral becomes the second-sheet resonance
-poles plus two steepest-descent rays from the band ends, an independent
-quadrature that checks every point.
+``model.ghat``, and a Chebyshev expansion of the mapped chain's
+propagator (``chain_evolve``).  They share no algorithmic machinery, so
+pairwise agreement is a genuine cross-check; the chain's dense
+eigendecomposition (``chain_state_amplitudes``) is the reference that
+the Chebyshev propagator is tested against.  The inversion collapses
+the Bromwich contour onto the band: A(t) is the sum of the real-axis
+poles (a bound state below the edge, and one above the hard band top)
+plus the Fourier integral of the emitter's spectral density over the
+band, the spectral form of band-edge decay (John & Quang, *PRA* 50,
+1764 (1994)).  Deformed into the lower half plane, the same band
+integral becomes the second-sheet resonance poles plus two
+steepest-descent rays from the band ends, an independent quadrature
+that checks every point.
 
 Frames: the memory equation above propagates the interaction-picture
 amplitude (A = 1 for all t when alpha = 0).  The lab-frame amplitude
-carries the extra free phase exp(-i delta t); chain diagonalization
+carries the extra free phase exp(-i delta t); the chain propagator
 produces it directly because the emitter splitting sits in the chain
 Hamiltonian.  Every series records its frame and converts to the lab
 frame on demand; populations |A|^2 are frame-independent.
@@ -31,9 +34,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .chainmap import ChainCoefficients
+from .chainmap import ChainCoefficients, dct3
 from .invlaplace import filon_fourier, ray_rule
 from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
@@ -64,7 +66,7 @@ _NEWTON_STALL = 20  # steps a Newton seed may take without halving its best |s +
 _NEWTON_CYCLE = 4  # earlier iterates a Newton step is checked against: cycles up to period 5
 _ZERO_TOL = 1e-10  # |s + G_II| of a kept second-sheet zero, in units of 1 + |nu|
 _NEWTON_FLOOR = 1e-13  # |s + G_II| from which a seed takes one last step, same units
-_WEIGHT_ROWS = 128  # modes per block of ``_end_weights``' log sums
+_MOMENT_ROWS = 64  # recurrence steps per block of ``_chebyshev_moments``' products
 
 
 @dataclass
@@ -228,7 +230,8 @@ def _cut_edges(p: ModelParams):
     g0 = complex(ghat(p, _OFF_CUT))
     if nu_b < g0.imag < nu_t and g0.real > 0.0:
         nu += [g0.imag - g0.real * 2.0**_PEAK_OCTAVES, g0.imag + g0.real * 2.0**_PEAK_OCTAVES]
-    return np.unique(np.clip(np.concatenate(nu), nu_b, nu_t))
+    edges = np.sort(np.clip(np.concatenate(nu), nu_b, nu_t))
+    return edges[np.diff(edges, prepend=-math.inf) > 0.0]  # np.unique would import numpy.ma
 
 
 def cut_invert(p: ModelParams, times, bound):
@@ -322,7 +325,9 @@ def _ray_term(p: ModelParams, times, zeros, top):
     nu = end - 1j * y
     a, j = -1j * nu + ghat(p, -1j * nu), _continued_j(p, nu)[0]
     wh = -w * j / (math.pi * a * (a + 2.0 * j))  # weights times h
-    return (1j if top else -1j) * np.exp(-1j * end * times) * (np.exp(-np.outer(times, y)) @ wh)
+    decay = np.outer(times, -y)  # times x nodes: one table, exponentiated in place
+    np.exp(decay, out=decay)
+    return (1j if top else -1j) * np.exp(-1j * end * times) * (decay @ wh)
 
 
 def ray_invert(p: ModelParams, times, bound):
@@ -385,65 +390,101 @@ def chain_state_amplitudes(c: ChainCoefficients, delta, times,
     Column 0 is the emitter amplitude A(t) (lab frame); the remaining
     columns are the chain-mode photon amplitudes.  ``sites`` (a slice or
     an index list into the sites 0..N) keeps only those columns.  Any time
-    grid is allowed; this direct sum over a full eigendecomposition is the
-    reference that the tests and ``perfbench/make_refs.py`` check
-    ``chain_evolve`` against.
+    grid is allowed; this direct sum over the dense eigendecomposition of
+    H shares no code with ``chain_evolve``, and is the reference that the
+    tests and ``perfbench/make_refs.py`` check it against.
     """
-    lam, V = eigh_tridiagonal(*_chain_matrix(c, delta))
+    diag, off = _chain_matrix(c, delta)
+    lam, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     times = np.asarray(times, dtype=float)
     return (np.exp(-1j * np.outer(times, lam)) * V[0]) @ V[sites].T
 
 
-def _end_weights(c: ChainCoefficients, delta):
-    """Eigenvalues lam of the chain Hamiltonian and the end products of its
-    eigenvectors V, (V_0j^2, V_0j V_Nj), from eigenvalues alone.
+def _chebyshev_moments(diag, off, K):
+    """mu_n = T_n(H)_00 and nu_n = T_n(H)_N0, n = 0..K, of the symmetric
+    tridiagonal H (diag, off) with its spectrum in [-1, 1].
 
-    With mu the eigenvalues of the bath chain alone (``c.bath_modes``)
-    and b = (g, t_0, ...) the off-diagonal, the end components of a Jacobi
-    matrix's eigenvectors are (Golub, SIAM Rev. 15 (1973) 318)
+    With u_n = T_n(H) e_0 and w_n = T_n(H) e_N, T_2n = 2 T_n^2 - 1 and
+    T_2n+1 = 2 T_n+1 T_n - T_1 give mu_2n = 2 u_n.u_n - mu_0,
+    mu_2n+1 = 2 u_n+1.u_n - mu_1 and likewise nu from w_n.u_n, so the
+    three-term recurrence u_n+1 = 2 H u_n - u_n-1 (and w) runs to K/2 + 1
+    only.  Each step is one vector [0, u_n, w_n, 0]: two copies of H with
+    no coupling between them, and zero ends, so that the three diagonals
+    act by shifted products alone.  The vectors are kept _MOMENT_ROWS
+    steps at a time, and their products taken per block, so memory stays
+    linear in the chain length.
+    """
+    m, size = K // 2 + 1, diag.size
+    d2 = np.tile(2.0 * diag, 2)
+    lower = np.concatenate(([0.0], 2.0 * off, [0.0], 2.0 * off))  # H[i, i-1]
+    upper = np.roll(lower, -1)  # H[i, i+1]
+    tmp = np.empty(d2.size)
+    V = np.zeros((_MOMENT_ROWS + 2, d2.size + 2))  # row 0 carries u_n0-1, row 1 u_n0
+    V[1, 1] = V[1, -2] = 1.0
+    mu, nu = np.empty(2 * m), np.empty(2 * m)
+    for n0 in range(0, m, _MOMENT_ROWS):
+        r = min(_MOMENT_ROWS, m - n0)
+        for i in range(1, r + 1):  # row i + 1 holds u_n0+i
+            v, out = V[i], V[i + 1, 1:-1]
+            np.multiply(d2, v[1:-1], out=out)
+            out += np.multiply(lower, v[:-2], out=tmp)
+            out += np.multiply(upper, v[2:], out=tmp)
+            if n0 + i > 1:
+                out -= V[i - 1, 1:-1]
+            else:
+                out *= 0.5  # u_1 = H u_0
+        if n0 == 0:
+            base = V[1:3, 1].copy(), V[1:3, size].copy()  # (mu_0, mu_1), (nu_0, nu_1)
+        u, w = V[1:r + 2, 1:size + 1], V[1:r + 2, size + 1:-1]
+        for out, x, (even, odd) in ((mu, u, base[0]), (nu, w, base[1])):
+            out[2 * n0:2 * (n0 + r):2] = 2.0 * np.einsum("ni,ni->n", x[:r], u[:r]) - even
+            out[2 * n0 + 1:2 * (n0 + r):2] = 2.0 * np.einsum("ni,ni->n", x[1:], u[:r]) - odd
+        V[:2] = V[r:r + 2]
+    return mu[:K + 1], nu[:K + 1]
 
-        V_0j^2    = prod_k (lam_j - mu_k) / prod_{i != j} (lam_j - lam_i),
-        V_0j V_Nj = prod b / prod_{i != j} (lam_j - lam_i),
 
-    whose last denominator has the sign (-1)^(N-j) for ascending lam.
-    Both are summed as logs, over row blocks of _WEIGHT_ROWS modes.  A
-    zero coupling makes a log -inf and its product exactly 0: at g = 0,
-    where ``sterf`` splits the emitter off, the bath modes get no weight
-    and the last site no amplitude.
+def _chain_ends(c: ChainCoefficients, delta, times):
+    """Lab-frame amplitudes of e^{-iHt}|site 0> on the emitter and on the
+    last site, at uniform times from 0, by a Chebyshev expansion of the
+    propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967).
+
+    With H's spectrum inside its Gershgorin interval [b - a, b + a],
+    e^{-iHt} = e^{-ibt} sum_n (2 - [n = 0]) (-i)^n J_n(a t) T_n((H - b)/a),
+    cut at K = a t_max + 10 (a t_max)^(1/3) + 25, where J_K(a t) < 2e-20
+    for a t up to 1e3.  (-i)^n J_n(x) is the Gauss-Chebyshev sum
+    (1/M) sum_j T_n(l_j) e^{-i x l_j} over l_j = cos(pi (j + 1/2)/M), exact
+    up to J_(2M - n)(x), so with M = K + 1 nodes the emitter amplitude is
+    sum_j g_j e^{-i E_j t}, E_j = b + a l_j, where g_j = (1/M) sum_n
+    (2 - [n = 0]) mu_n T_n(l_j) is one ``dct3`` of the moments mu_n of
+    ``_chebyshev_moments``; the last site takes nu_n.  With t_k = k dt,
+    k = pB + q and B = ceil(sqrt(samples)), each phase splits as
+    e^{-i E t_pB} e^{-i E t_q}, so each sum is one GEMM of the row phases
+    (samples/B x M) and the column phases (M x B), raveled.  No eigenvalue
+    is computed.
     """
     diag, off = _chain_matrix(c, delta)
-    lam = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
-    n = lam.size
-    points = np.concatenate((lam, c.bath_modes))  # lam_j - points[i]: n + N columns
-    own, bath = np.empty(n), np.empty(n)
-    buf = np.empty((min(n, _WEIGHT_ROWS), points.size))
-    with np.errstate(divide="ignore"):
-        log_b = np.log(off).sum()
-        for r0 in range(0, n, _WEIGHT_ROWS):
-            r = np.arange(r0, min(r0 + _WEIGHT_ROWS, n))
-            d = buf[:r.size]
-            np.subtract(lam[r, None], points, out=d)
-            d[r - r0, r] = 1.0  # leaves out i = j
-            np.abs(d, out=d)
-            np.log(d, out=d)
-            own[r], bath[r] = d[:, :n].sum(axis=1), d[:, n:].sum(axis=1)
-    sign = (-1.0) ** np.arange(n - 1, -1, -1)
-    return lam, (np.exp(bath - own), sign * np.exp(log_b - own))
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    b, a = 0.5 * (hi + lo), max(0.5 * (hi - lo), np.finfo(float).tiny)
+    x = a * times[-1]
+    K = math.ceil(x + 10.0 * np.cbrt(x) + 25.0)
+    M = K + 1
+    energies = b + a * np.cos(math.pi / M * (np.arange(M) + 0.5))
+    block = math.isqrt(times.size - 1) + 1
+    rows, cols = (np.exp(-1j * np.outer(ts, energies)) for ts in (times[::block], times[:block]))
+    return tuple(((rows * (dct3(m, M) / M)) @ cols.T).ravel()[:times.size]
+                 for m in _chebyshev_moments((diag - b) / a, off / a, K))
 
 
 def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
-    """Exact lab-frame amplitude on ``samples`` uniform times in [0, t_max].
+    """Exact lab-frame amplitude on ``samples`` uniform times in [0, t_max],
+    from the Chebyshev propagator of ``_chain_ends``.
 
-    A(t) = sum_j V_0j^2 e^{-i lam_j t} and the last-site amplitude
-    sum_j V_0j V_Nj e^{-i lam_j t} need only the end products of
-    ``_end_weights``, so no eigenvector is computed.  With t_k = k dt,
-    k = aB + b and B = ceil(sqrt(samples)), each phase splits as
-    e^{-i lam t_aB} e^{-i lam t_b}, so each sum is one GEMM of the row
-    phases (samples/B x N+1) and the column phases (N+1 x B), raveled.
-    At the wideband sweep corner (N = 650, 2001 samples, delta from a
-    bound state to the band top) A(t) agrees with ``chain_state_amplitudes``
-    to 1e-12 and the last-site amplitude to 1.1e-14, the eigenvalues of the
-    two LAPACK solvers differing by up to 9e-13.  A light-cone check
+    At the wideband sweep corner (N = 650, 2001 samples, delta from a bound
+    state to above the band top) A(t) agrees with ``chain_state_amplitudes``
+    to 4.5e-13 and the last-site amplitude to 3e-15.  A light-cone check
     requires the last-site occupation to stay below 1e-6 and reports the
     first violating time otherwise.
     """
@@ -452,11 +493,8 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
     if samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.linspace(0.0, t_max, samples)
-    lam, weights = _end_weights(c, delta)
-    block = math.isqrt(samples - 1) + 1
-    rows, cols = (np.exp(-1j * np.outer(ts, lam)) for ts in (times[::block], times[:block]))
-    amp, tail = (((rows * w) @ cols.T).ravel()[:samples] for w in weights)
-    tail = np.abs(tail) ** 2
+    amp, last = _chain_ends(c, delta, times)
+    tail = np.abs(last) ** 2
     bad = tail >= 1e-6
     if bad.any():
         j = int(np.argmax(bad))

@@ -2,7 +2,6 @@
 and the end-to-end propagator reconstruction of the bath correlation."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -75,6 +74,15 @@ class TestSqrtRule:
         assert du.sum() == pytest.approx(1.0, abs=1e-14)
         for d in range(M):
             assert abs(du @ u**d - 1.0 / (d + 1)) < 1e-14
+
+    @pytest.mark.parametrize("M", [7, 2600, 16000])
+    def test_fft_weights_match_scipy_dct(self, M):
+        from scipy.fft import dct
+
+        moments = np.zeros(M)
+        moments[::2] = 2.0 / (1.0 - np.arange(0, M, 2) ** 2.0)
+        du = _sqrt_rule(M)[1]
+        assert np.max(np.abs(du - 0.5 * dct(moments, type=3) / M)) <= 1e-15 * du.max()
 
 
 class TestStieltjesRecurrence:
@@ -207,15 +215,27 @@ class TestMapToChain:
         c = map_to_chain(p, N)
         assert np.array_equal(c.eps, p.omega_b + p.omega_c * coefficients(4 * N)[:N])
 
-    def test_bath_modes_are_cached_and_pickled(self):
-        p = params()
-        c = map_to_chain(p, 300)
-        mu = c.bath_modes
-        assert c.bath_modes is mu
-        np.testing.assert_allclose(mu, eigh_tridiagonal(c.eps, c.t, eigvals_only=True),
-                                   rtol=0.0, atol=1e-12 * p.omega_c)
-        copy = pickle.loads(pickle.dumps(c))
-        assert np.array_equal(vars(copy)["bath_modes"], mu)
+    @pytest.mark.parametrize("N", [58, 650, 4000])
+    def test_recurrence_matches_blas_loop(self, N):
+        # the einsum loop against the same recurrence through BLAS calls
+        from scipy.linalg.blas import daxpy, ddot, dscal
+
+        k, w = discretize_weight(params(), quadrature_nodes(N))
+        alpha, beta = np.empty(N), np.empty(N)
+        beta[0] = w.sum()
+        v, v_prev, sqrt_b = np.sqrt(w / beta[0]), np.zeros_like(w), 0.0
+        for n in range(N):
+            q = k * v
+            alpha[n] = ddot(v, q)
+            if n == N - 1:
+                break
+            q = daxpy(v_prev, daxpy(v, q, a=-alpha[n]), a=-sqrt_b)
+            beta[n + 1] = ddot(q, q)
+            sqrt_b = math.sqrt(beta[n + 1])
+            v_prev, v = v, dscal(1.0 / sqrt_b, q)
+        got = stieltjes_recurrence(k, w, N)
+        assert np.max(np.abs(got[0] / alpha - 1.0)) <= 3e-13
+        assert np.max(np.abs(got[1] / beta - 1.0)) <= 3e-13
 
     def test_long_chain_maps_into_band(self):
         p = params()

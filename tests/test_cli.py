@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import gapchain
-from gapchain import analysis, chainmap
+from gapchain import analysis
 from gapchain.chainmap import chain_length_for
 from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _flag_overrides,
                           _parse_args, _reads, main, parse_config)
@@ -982,22 +982,12 @@ class TestSweepCommand:
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="only forked workers see the patched functions")
-    def test_workers_get_the_parents_chain(self, tmp_path, pid_log, monkeypatch):
-        # the bath modes travel with the chain: no worker solves for them
-        solve = chainmap.eigh_tridiagonal
-
-        def logged(*args, **kwargs):
-            with (tmp_path / "bath_modes").open("a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(chainmap, "eigh_tridiagonal", logged)
+    def test_workers_get_the_parents_chain(self, tmp_path, pid_log):
         assert main(["sweep", *model_flags(), "--t-max", "1.5",
                      "--samples", "801", "--jobs", "2",
                      "--deltas", "20,25,30",
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert pid_log("map_to_chain") == [os.getpid()]
-        assert pid_log("bath_modes") == [os.getpid()]
         evolved = pid_log("chain_evolve")
         assert len(evolved) == 3 and os.getpid() not in evolved
 
@@ -1115,6 +1105,22 @@ class TestAnalyzeCommand:
         for name in ("frequency", "zero_crossing", "stationary", "decay"):
             assert set(results[name]) == {"error"}
             assert "non-finite" in results[name]["error"]
+
+    def test_amplitude_signal_is_the_modulus_of_a(self, tmp_path):
+        # rwa.csv holds re_A and im_A; the amplitude signal is |A|, whose
+        # stationary value is the square root of the population's
+        t = np.linspace(0.0, 25.0, 2001)
+        a = (0.3 + 0.5 * np.exp(-0.5 * t)) * np.exp(-8j * t)
+        path = tmp_path / "rwa.csv"
+        path.write_text("t,re_A,im_A\n" + "".join(
+            f"{float(x)!r},{v.real.item()!r},{v.imag.item()!r}\n" for x, v in zip(t, a)))
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--signal", "amplitude",
+                     "--estimators", "stationary,decay", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "analysis.json").read_text())
+        assert doc["signal"] == "amplitude"
+        assert doc["results"]["stationary"]["value"] == pytest.approx(0.3, abs=1e-3)
+        assert doc["results"]["decay"]["value"] == pytest.approx(0.5, rel=0.05)
 
     def test_pole_block_present_with_model(self, tmp_path):
         out = tmp_path / "out"
@@ -1341,8 +1347,8 @@ class TestManifest:
         main(["rwa", *model_flags(delta=2, alpha=0.0), "--t-max", "1",
               "--formats", "csv", "--out-dir", str(out)])
         doc = manifest(out)
-        for key in ("gapchain", "python", "numpy", "scipy"):
-            assert doc["versions"][key]
+        assert sorted(doc["versions"]) == ["gapchain", "numpy", "python"]
+        assert all(doc["versions"].values())
         assert doc["subcommand"] == "rwa"
         assert doc["config"]["model"]["omega_b"] == 5.0
         assert doc["config"]["output"]["formats"] == ["csv"]
@@ -1352,12 +1358,56 @@ class TestManifest:
 
 
 def test_import_loads_no_scipy_signal_stats_integrate_or_optimize():
+    # nor any other scipy module, nor mpmath
     src = str(Path(gapchain.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import gapchain.cli; "
-            "print(sorted({'scipy.signal', 'scipy.stats', 'scipy.integrate',"
-            " 'scipy.optimize', 'mpmath'}"
-            " & set(sys.modules)))"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('scipy', 'mpmath')))"
             % src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+# refuses to import scipy or mpmath, then runs the CLI on argv lists; a
+# function-local import anywhere on a subcommand's path fails its run
+_REFUSING_RUNNER = """
+import json, sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("scipy", "mpmath"):
+            raise ImportError("refused: " + name)
+sys.meta_path.insert(0, Refuse())
+sys.path.insert(0, sys.argv[1])
+import gapchain.cli
+codes = [gapchain.cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_with_scipy_refused(tmp_path):
+    src = str(Path(gapchain.__file__).resolve().parents[1])
+    reduced = ["--alpha", "1", "--omega-b", "2", "--omega0", "20", "--omega-c", "100"]
+    out = tmp_path.joinpath
+    runs = [
+        ["chain-coeffs", *model_flags(), "--n-sites", "60", "--out-dir", str(out("chain"))],
+        *[["rwa", *model_flags(delta=3), "--solver", solver, "--t-max", "0.5",
+           "--samples", "51", "--out-dir", str(out(solver))]
+          for solver in ("volterra", "laplace", "chain")],
+        *[["evolve", *reduced, "--delta", "3", "--mode", mode, "--d-b", d_b,
+           "--chi-max", "8", "--t-max", "0.02", "--out-dir", str(out(mode))]
+          for mode, d_b in (("RWA", "2"), ("FULL", "4"))],
+        ["polaron", *model_flags(delta=3), "--out-dir", str(out("polaron"))],
+        ["sweep", "--methods", "rwa", *model_flags(), "--t-max", "0.5", "--deltas", "3,20",
+         "--jobs", "1", "--out-dir", str(out("sweep"))],
+        ["analyze", "--input", str(out("chain", "rwa.csv")), "--signal", "amplitude",
+         "--estimators", "stationary", "--out-dir", str(out("amplitude"))],
+        ["analyze", "--input", str(out("RWA", "evolve.csv")), "--estimators", "stationary",
+         "--out-dir", str(out("analyze"))],
+        ["plot", "--csv", str(out("sweep", "summary.csv")), "--x", "delta",
+         "--y", "stationary_pop_rwa", "--out-dir", str(out("plot"))],
+    ]
+    run = subprocess.run([sys.executable, "-c", _REFUSING_RUNNER, src, json.dumps(runs)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(runs), run.stderr

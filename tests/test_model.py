@@ -11,7 +11,9 @@ from scipy.special import erfc, gammainc
 
 from gapchain.model import (
     ModelParams,
+    _exp_e1,
     bath_correlation,
+    erfcx,
     ghat,
     ghat_slope,
     spectral_density,
@@ -333,6 +335,68 @@ class TestGhatClosedForm:
         p = ModelParams(alpha=1.0, omega_b=2.0, omega0=20.0, omega_c=100.0, delta=102.0)
         for s in (0.05, 1.0):
             assert complex(ghat(p, s)) == pytest.approx(laplace_integral(p, s), rel=1e-10)
+
+
+def log_polar(rng, n, lo, hi, arg):
+    """n points with |z| log-uniform in [lo, hi] and arg z uniform in [-arg, arg]."""
+    return 10.0 ** rng.uniform(lo, hi, n) * np.exp(1j * rng.uniform(-arg, arg, n))
+
+
+class TestSpecialFunctions:
+    """The numpy erfcx and e^x E1(x) against scipy.special and mpmath."""
+
+    def test_erfcx_matches_scipy_and_mpmath(self):
+        from scipy import special
+
+        rng = np.random.default_rng(11)
+        r = 10.0 ** rng.uniform(-4.0, 4.0, 600)
+        y = np.concatenate([log_polar(rng, 20000, -4.0, 4.0, math.pi / 2), r + 0j,
+                            1j * r, -1j * r])  # Re y >= 0, both edges included
+        got = erfcx(y)
+        assert np.max(np.abs(got / special.erfcx(y) - 1.0)) <= 3e-14
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        few = y[::50]
+        exact = np.array([complex(mpmath.exp(v * v) * mpmath.erfc(v))
+                          for v in (mpmath.mpc(z.real, z.imag) for z in few)])
+        assert np.max(np.abs(got[::50] / exact - 1.0)) <= 3e-15
+        # a point gives the same bits alone as in an array
+        assert all(complex(erfcx(v)) == g for v, g in zip(y[::97], got[::97]))
+        assert np.array_equal(erfcx(y[:3]), got[:3])
+
+    def test_exp_e1_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        rng = np.random.default_rng(12)
+        r = 10.0 ** rng.uniform(-4.0, 4.0, 300)
+        x = np.concatenate([log_polar(rng, 3000, -4.0, 4.0, math.pi), r + 0j,
+                            -r + 0j, -r - 0j * 1j])
+        x[-r.size:] = [complex(-v, -0.0) for v in r]  # the cut's lower side
+
+        def exact(z):
+            if z.imag == 0.0 and z.real < 0.0:  # E1(-r +- i0) = -Ei(r) -+ i pi
+                side = math.copysign(1.0, z.imag)
+                return complex(mpmath.exp(z.real) * (-mpmath.ei(-z.real) - side * 1j * mpmath.pi))
+            v = mpmath.mpc(z.real, z.imag)
+            return complex(mpmath.exp(v) * mpmath.e1(v))
+
+        ref = np.array([exact(z) for z in x])
+        got = _exp_e1(x)
+        assert np.max(np.abs(got / ref - 1.0)) <= 2e-15
+        # the two sides of the cut differ by 2 pi i e^x; past |x| = 40 that is
+        # below the rounding of e^x E1(x) ~ 1/x
+        upper, lower, near = got[-2 * r.size:-r.size], got[-r.size:], r < 40.0
+        jump = (lower - upper)[near] / (2j * math.pi * np.exp(-r[near]))
+        assert np.max(np.abs(jump - 1.0)) <= 1e-12
+        each = np.array([_exp_e1(z) for z in x])
+        assert np.max(np.abs(each / ref - 1.0)) <= 2e-15
+
+    def test_exp_e1_matches_scipy(self):
+        from scipy import special
+
+        rng = np.random.default_rng(13)
+        x = log_polar(rng, 20000, -4.0, 2.5, math.pi)  # scipy's e^x overflows beyond
+        assert np.max(np.abs(_exp_e1(x) / (np.exp(x) * special.exp1(x)) - 1.0)) <= 1e-12
 
 
 class TestDerivedScales:

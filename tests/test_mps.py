@@ -153,6 +153,21 @@ class TestBuildGates:
         with pytest.raises(ValueError, match="0.5"):
             mps.build_gates(chain, DELTA, cfg)
 
+    @pytest.mark.parametrize("mode, d_b", [("RWA", 2), ("FULL", 4)])
+    def test_gates_match_expm(self, chain, mode, d_b):
+        # the eigh-built gates against scipy's Pade exponential of each bond
+        from scipy.linalg import expm
+
+        cfg = EvolutionConfig(t_max=1.0, d_b=d_b, mode=mode)
+        gates = mps.build_gates(chain, DELTA, cfg)
+        hams, _ = mps._bond_hamiltonians(chain, DELTA, cfg)
+        for j, h in enumerate(hams):
+            full = gates.full[j].reshape(h.shape)
+            assert np.abs(full - expm(-1j * gates.dt * h)).max() <= 5e-15
+            if j % 2 == 0:
+                half = gates.half[j].reshape(h.shape)
+                assert np.abs(half - expm(-0.5j * gates.dt * h)).max() <= 5e-15
+
     def test_gates_unitary(self, chain):
         cfg = EvolutionConfig(t_max=1.0, d_b=4, mode="FULL")
         gates = mps.build_gates(chain, DELTA, cfg)

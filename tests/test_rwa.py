@@ -1,5 +1,5 @@
-"""Exact RWA solvers: Volterra stepping, resolvent inversion, chain
-diagonalization, the regime classification, and the asymptotic closed form.
+"""Exact RWA solvers: Volterra stepping, resolvent inversion, the Chebyshev
+chain propagator, the regime classification, and the asymptotic closed form.
 
 Cross-validation corners:
   reduced  (alpha=1, omega_b=2, omega0=20, omega_c=100)  - cheap three-solver runs
@@ -8,6 +8,7 @@ Cross-validation corners:
   midscale (alpha=0.5, omega_b=1, omega0=200)            - Richardson-Volterra oracle
 """
 
+import math
 import time
 import warnings
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapchain import rwa
-from gapchain.chainmap import ChainCoefficients, chain_length_for, map_to_chain
+from gapchain.chainmap import ChainCoefficients, chain_length_for, dct3, map_to_chain
 from gapchain.model import ModelParams
 from gapchain.rwa import (
     AmplitudeSeries,
@@ -203,21 +204,48 @@ class TestChainEvolve:
         ref = chain_state_amplitudes(c, p.delta, np.linspace(0.0, 1.5, samples))
         assert np.max(np.abs(s.values - ref[:, 0])) <= 1e-12
 
-    # eigenvalues alone against the full eigendecomposition, on the sweep's
-    # grid: a bound state, the band edge, in band, and the hard band top
-    @pytest.mark.parametrize("p, n", [(wideband(delta=d), 650) for d in (1.0, 5.0, 30.0, 805.0)]
-                             + [(reduced(delta=1.0), 125)],
+    # both chain ends of the Chebyshev propagator against the dense
+    # eigendecomposition, on the sweep's grid: a bound state, the band edge,
+    # in band, the hard band top and above it, and a chain whose emitter is
+    # cut off (g = 0, so A is the bare phase and the last site stays empty)
+    @pytest.mark.parametrize("p, n", [(wideband(delta=d), 650)
+                                      for d in (1.0, 5.0, 30.0, 805.0, 900.0)]
+                             + [(reduced(delta=1.0), 125), (reduced(delta=3.0), 0)],
                              ids=["wideband-bound", "wideband-edge", "wideband-band",
-                                  "wideband-top", "reduced"])
+                                  "wideband-top", "wideband-above-top", "reduced", "uncoupled"])
     def test_end_weights_match_full_eigendecomposition(self, p, n):
-        c = map_to_chain(p, n)
+        if n:
+            c = map_to_chain(p, n)
+        else:
+            c = ChainCoefficients(g=0.0, eps=np.linspace(3.0, 90.0, 40),
+                                  t=np.full(39, 20.0), weight_norm=0.0)
         ts = np.linspace(0.0, 1.5, 2001)
         ref = chain_state_amplitudes(c, p.delta, ts, sites=[0, -1])
+        amp, last = rwa._chain_ends(c, p.delta, ts)
+        assert np.max(np.abs(amp - ref[:, 0])) <= 1e-12
+        assert np.max(np.abs(last - ref[:, 1])) <= 1e-12
         s = chain_evolve(c, p.delta, 1.5, samples=ts.size)
-        assert np.max(np.abs(s.values - ref[:, 0])) <= 1e-10
-        lam, (_, w_tail) = rwa._end_weights(c, p.delta)
-        tail = np.exp(-1j * np.outer(ts, lam)) @ w_tail
-        assert np.max(np.abs(tail - ref[:, 1])) <= 1e-10
+        assert np.array_equal(s.values, amp)
+        if not n:
+            np.testing.assert_allclose(amp, np.exp(-3j * ts), rtol=0.0, atol=1e-12)
+            assert not last.any()
+
+    @pytest.mark.parametrize("x_max", [1e-3, 1.0, 50.0, 700.0])
+    def test_gauss_chebyshev_sums_are_bessel_coefficients(self, x_max):
+        # the node sums of the propagator: one dct3 of a unit moment gives
+        # (1/M) c_n T_n(l_j), whose sum against e^{-i x l_j} is c_n (-i)^n J_n(x),
+        # to the rounding of the phases x l_j (1.1e-16 x)
+        from scipy.special import jv
+
+        x = np.linspace(0.0, x_max, 41)
+        K = math.ceil(x_max + 10.0 * np.cbrt(x_max) + 25.0)
+        M = K + 1
+        nodes = np.cos(math.pi / M * (np.arange(M) + 0.5))
+        phases = np.exp(-1j * np.outer(x, nodes))
+        for n in range(0, K + 1, max(1, K // 20)):
+            got = phases @ (dct3(np.eye(K + 1)[n], M) / M)
+            want = (2.0 if n else 1.0) * (-1j) ** n * jv(n, x)
+            assert np.max(np.abs(got - want)) <= 1e-14 + 1e-16 * x_max
 
     def test_light_cone_violation_names_first_time(self):
         # the last-site column of the blocked sum crosses 1e-6 where the

@@ -103,6 +103,14 @@ class TestScales:
         svg = render_line_plot([Series(t, np.exp(-2.0 * t))], log_y=True)
         assert "1e0" in svg and "1e-9" in svg
 
+    def test_log_scale_single_decade_padded(self):
+        # positive data on one power of ten: floor and ceil of log10 agree,
+        # so the axis is padded up to the next decade
+        t = np.linspace(0.0, 1.0, 11)
+        root = parse(render_line_plot([Series(t, np.full(11, 100.0))], log_y=True))
+        texts = [e.text for e in root.findall(".//svg:text", NS)]
+        assert "1e2" in texts and "1e3" in texts and "1e1" not in texts
+
     def test_log_scale_drops_nonpositive_points(self):
         t = np.linspace(0.0, 1.0, 11)
         y = np.concatenate([np.full(5, -1.0), np.full(6, 0.5)])

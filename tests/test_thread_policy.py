@@ -1,7 +1,7 @@
 """One BLAS thread per process, unless the user sets OPENBLAS_NUM_THREADS.
 
-OpenBLAS reads the variable once, when numpy or scipy loads it, so each
-check runs in a fresh interpreter that has not imported numpy yet.
+OpenBLAS reads the variable once, when numpy loads it, so each check runs
+in a fresh interpreter that has not imported numpy yet.
 """
 
 import os
