@@ -23,13 +23,15 @@ validator, default and help, and ``_READS`` alone says which keys a
 subcommand reads: they are its flags, validated and echoed into its
 manifest.  Any other section or key is skipped, so one file serves every
 subcommand; an unknown section, or an unknown key in a section it reads,
-is an error, as is [chain] given to sweep.  Key ``section.some_key`` is
-the flag ``--some-key``, except ``output.directory``, which is
-``--out-dir``; a flag is spelled in full and parsed exactly like the
-same value in an INI file.  A switch (``--resume``) takes no value and
-is ``resume = true`` in a file, and ``--csv`` repeats.  A manifest (a
-JSON object with a ``subcommand`` key) is itself a valid config: its
-``config`` block is unwrapped.
+is an error, as is [chain] given to sweep.  ``[output] formats`` is one
+list shared by every subcommand: each writes the artifacts whose formats
+it selects, and a list that selects none of them is refused.  Key
+``section.some_key`` is the flag ``--some-key``, except
+``output.directory``, which is ``--out-dir``; a flag is spelled in full
+and parsed exactly like the same value in an INI file.  A switch
+(``--resume``) takes no value and is ``resume = true`` in a file, and
+``--csv`` repeats.  A manifest (a JSON object with a ``subcommand`` key)
+is itself a valid config: its ``config`` block is unwrapped.
 
 Threads: one BLAS thread per process, as the package docstring sets out;
 ``sweep --jobs`` runs points in parallel only through worker processes,
@@ -53,6 +55,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +125,10 @@ def _as_mode(value, key, errors):
     return mode
 
 
-def _choice(*allowed, many=False):
+def _choice(*allowed, many=False, distinct=False):
     """Validator of one of allowed or (many) a non-empty comma list of
-    them; with none allowed, any items pass.  A list is taken item by item."""
+    them, each named once if distinct; with none allowed, any items pass.
+    A list is taken item by item."""
     def check(value, key, errors):
         if not many:
             items = [str(value).strip()]
@@ -133,9 +137,12 @@ def _choice(*allowed, many=False):
         else:
             items = [s.strip() for s in str(value).split(",") if s.strip()]
         bad = [s for s in items if allowed and s not in allowed]
-        if bad or (allowed and not items):
+        repeated = distinct and sorted({s for s in items if items.count(s) > 1})
+        if bad or repeated or (allowed and not items):
             noun = key.rpartition(".")[2].rstrip("s")
-            what = f"unknown {noun}(s) {', '.join(bad)}" if bad else "empty list"
+            what = (f"unknown {noun}(s) {', '.join(bad)}" if bad else
+                    f"repeated {noun}(s) {', '.join(repeated)}" if repeated
+                    else "empty list")
             errors.append(f"{key}: {what} (choose from {', '.join(allowed)})")
             return None
         return tuple(items) if many else items[0]
@@ -243,23 +250,23 @@ _SCHEMA = {
                  "fit_window_high": (_as_float, 1.0),
                  "exclude": (_as_exclude, ())},
     "output": {"directory": (_as_str, "gapchain-out"),
-               "formats": (_choice("csv", "json", "svg", many=True),
-                           ("csv", "json", "svg"))},
+               "formats": (_choice("csv", "json", "svg", many=True,
+                                   distinct=True), ("csv", "json", "svg"))},
     "rwa": {"solver": (_choice("volterra", "laplace", "chain"), "volterra"),
             "samples": (_at_least(2), 1001),  # laplace/chain time grid; volterra steps by dt
             "no_self_check": (_as_bool, False)},  # skip volterra's step-halving check
     "evolve": {"atom_state": (_choice("excited", "ground",
                                       "plus_superposition"), "excited")},
     "sweep": {"deltas": (_as_deltas, _REQUIRED),
-              "methods": (_choice("rwa", "full", many=True), ("rwa",)),
+              "methods": (_choice("rwa", "full", many=True, distinct=True), ("rwa",)),
               "samples": (_at_least(2), None),  # per rwa point; None: crossover_scan's
               "jobs": (_as_jobs, None),  # parallel workers; None: available cores
               "resume": (_as_bool, False)},  # reuse point CSVs in the output directory
     "analyze": {"input": (_as_str, _REQUIRED),  # a series CSV written by rwa or evolve
                 "x": (_as_str, "t"),
                 "signal": (_as_str, None),  # None: pop or pop_excited; 'amplitude': |A|
-                "estimators": (_choice(*_ESTIMATORS, many=True),
-                               tuple(_ESTIMATORS))},
+                "estimators": (_choice(*_ESTIMATORS, many=True,
+                                       distinct=True), tuple(_ESTIMATORS))},
     "plot": {"csv": (_as_list, _REQUIRED), "x": (_as_str, "t"),
              "y": (_as_list, _REQUIRED),  # read from every csv
              "labels": (_as_list, ()),
@@ -413,6 +420,10 @@ def parse_config(subcommand, path=None, data=None,
             and cfg.model.delta <= 0.0):
         errors.append("model.delta: must be positive "
                       "(the theory renormalizes a finite splitting)")
+    writes = _DISPATCH[subcommand][1]
+    if not set(cfg.output.formats) & set(writes):
+        errors.append(f"output.formats: {', '.join(cfg.output.formats)} selects "
+                      f"nothing {subcommand} writes ({', '.join(writes)})")
     if subcommand == "chain-coeffs" and cfg.chain.n_sites is None:
         errors.append("chain.n_sites: required for chain-coeffs")
     if subcommand == "sweep":  # a chain length in its file would look used
@@ -471,24 +482,18 @@ def _jsonsafe(obj):
     return obj
 
 
-def _emit(outdir: Path, name: str, text: str):
-    """Atomic write (temp then rename), confined to the output directory.
-
-    Returns name, for the run's list of outputs.
-    """
-    if Path(name).name != name:
-        raise ConfigError([f"output: artifact name {name!r} must not "
-                           "contain path separators"])
-    outdir.mkdir(parents=True, exist_ok=True)  # made by the first output
-    tmp = outdir / (name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, outdir / name)
-    return name
-
-
-def _emit_json(outdir, name, obj):
-    return _emit(outdir, name, json.dumps(_jsonsafe(obj), indent=2,
-                                          sort_keys=True) + "\n")
+def _write(outdir: Path, entries):
+    """Write (file name, format, payload) entries into outdir; returns the
+    names.  Every payload is serialized by its format (_SERIALIZE) before
+    the first write, so a render that fails leaves no file.  Each write is
+    atomic (temp then rename), and the first makes the directory."""
+    texts = {name: _SERIALIZE[fmt](payload) for name, fmt, payload in entries}
+    for name, text in texts.items():
+        outdir.mkdir(parents=True, exist_ok=True)
+        tmp = outdir / (name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, outdir / name)
+    return list(texts)
 
 
 def _csv_text(meta, cols):
@@ -510,6 +515,14 @@ def _csv_text(meta, cols):
             cells.append(str(int(v)) if kind == "i" else repr(float(v)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+# a csv payload is (meta, cols), a json payload any object _jsonsafe
+# maps, and an svg payload a call that renders it when it is written
+_SERIALIZE = {"csv": lambda payload: _csv_text(*payload),
+              "json": lambda obj: json.dumps(_jsonsafe(obj), indent=2,
+                                             sort_keys=True) + "\n",
+              "svg": lambda render: render()}
 
 
 def _read_csv(path: Path):
@@ -561,45 +574,39 @@ def _apply_windows(times, values, opts):
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (outputs, convergence, exit_code) and its
-# docstring is its help line
+# subcommands; each returns (entries, convergence, exit_code).  An entry is
+# (file name, format, payload), written by main if output.formats selects
+# its format; format None lists a file the subcommand stored itself (the
+# sweep's point CSVs).  _DISPATCH states each one's formats; its docstring
+# is its help line
 
 
 def _cmd_chain_coeffs(cfg, outdir):
     """orthogonal-polynomial chain coefficients"""
-    p, fmts = cfg.model, cfg.output.formats
-    n = cfg.chain.n_sites
+    p, n = cfg.model, cfg.chain.n_sites
     m = cfg.chain.n_quad or quadrature_nodes(n)
     c = map_to_chain(p, n, M=m)
-    outputs = []
     meta = [_model_meta(p), f"g: {float(c.g)!r}",
             f"weight_norm: {float(c.weight_norm)!r}",
             "hop: coupling to the next site; nan on the last row"]
-    hop = np.append(c.t, math.nan)
-    if "csv" in fmts:
-        outputs.append(_emit(outdir, "chain_coeffs.csv", _csv_text(meta, [
-            ("n", np.arange(n), "i"), ("eps", c.eps, "f"),
-            ("hop", hop, "f")])))
-    if "json" in fmts:
-        outputs.append(_emit_json(outdir, "chain_coeffs.json",
-                                  {"g": c.g, "weight_norm": c.weight_norm,
-                                   "eps": c.eps, "hop": c.t}))
-    if "svg" in fmts:
-        idx = np.arange(n, dtype=float)
-        svg = render_line_plot(
-            [Series(idx, c.eps, label="eps_n", marker="filled"),
-             Series(idx[:-1], c.t, label="t_n", marker="open")],
-            xlabel="site n", ylabel="frequency",
-            title="chain coefficients", marker_stride=max(1, n // 40))
-        outputs.append(_emit(outdir, "chain_coeffs.svg", svg))
-    conv = {"n_sites": n, "n_quad": m}
-    return outputs, conv, 0
+    idx = np.arange(n, dtype=float)
+    cols = [("n", idx, "i"), ("eps", c.eps, "f"),
+            ("hop", np.append(c.t, math.nan), "f")]
+    return [("chain_coeffs.csv", "csv", (meta, cols)),
+            ("chain_coeffs.json", "json", {"g": c.g, "weight_norm": c.weight_norm,
+                                           "eps": c.eps, "hop": c.t}),
+            ("chain_coeffs.svg", "svg", partial(
+                render_line_plot,
+                [Series(idx, c.eps, label="eps_n", marker="filled"),
+                 Series(idx[:-1], c.t, label="t_n", marker="open")],
+                xlabel="site n", ylabel="frequency",
+                title="chain coefficients", marker_stride=max(1, n // 40)))
+            ], {"n_sites": n, "n_quad": m}, 0
 
 
 def _cmd_rwa(cfg, outdir):
     """single-excitation amplitude A(t)"""
-    p, fmts = cfg.model, cfg.output.formats
-    t_max = cfg.evolution.t_max
+    p, t_max = cfg.model, cfg.evolution.t_max
     solver, samples = cfg.rwa.solver, cfg.rwa.samples
     conv = {"solver": solver}
     if solver == "volterra":
@@ -623,22 +630,17 @@ def _cmd_rwa(cfg, outdir):
             ("im_A", series.values.imag, "f"), ("pop", pop, "f")]
     if series.flags is not None:
         cols.append(("flag", series.flags.astype(int), "i"))
-    outputs = []
-    if "csv" in fmts:
-        outputs.append(_emit(outdir, "rwa.csv", _csv_text(meta, cols)))
-    if "svg" in fmts:
-        svg = render_line_plot(
-            [Series(series.times, pop, label="pop", marker="none")],
-            xlabel="t", ylabel="excited population",
-            title=f"rwa ({solver})")
-        outputs.append(_emit(outdir, "rwa.svg", svg))
-    return outputs, conv, 0
+    return [("rwa.csv", "csv", (meta, cols)),
+            ("rwa.svg", "svg", partial(
+                render_line_plot,
+                [Series(series.times, pop, label="pop", marker="none")],
+                xlabel="t", ylabel="excited population",
+                title=f"rwa ({solver})"))], conv, 0
 
 
 def _cmd_evolve(cfg, outdir):
     """TEBD of the joint state; pop_excited: the |e> branch's population"""
-    p, fmts = cfg.model, cfg.output.formats
-    evo, atom_state = cfg.evolution, cfg.evolve.atom_state
+    p, evo, atom_state = cfg.model, cfg.evolution, cfg.evolve.atom_state
     n = cfg.chain.n_sites or chain_length_for(p, evo.t_max)
     c = map_to_chain(p, n, M=cfg.chain.n_quad)
     ts = evolve(c, evo, atom_state=atom_state, delta=p.delta)
@@ -656,25 +658,21 @@ def _cmd_evolve(cfg, outdir):
             ("conserved_charge", ts.conserved_charge, "f"),
             ("tail_occupation", ts.tail_occupation, "f"),
             ("flag", ts.flags.astype(int), "i")]
-    outputs = []
-    if "csv" in fmts:
-        outputs.append(_emit(outdir, "evolve.csv", _csv_text(meta, cols)))
-    if "svg" in fmts:
-        svg = render_line_plot(
-            [Series(ts.times, ts.pop_excited, label="pop_excited",
-                    marker="filled"),
-             Series(ts.times, ts.sigma_x.real, label="sigma_x")],
-            xlabel="t", ylabel="emitter observables",
-            title=f"evolve ({evo.mode})",
-            marker_stride=max(1, ts.times.size // 40))
-        outputs.append(_emit(outdir, "evolve.svg", svg))
     charge = ts.conserved_charge
     conv = {"chain_sites": n, "dt": ts.dt,
             "flagged_samples": int(ts.flags.sum()),
             "total_discarded_weight": float(ts.discarded_weight[-1]),
             "final_max_bond": int(ts.max_bond[-1]),
             "charge_drift": float(np.max(np.abs(charge - charge[0])))}
-    return outputs, conv, 0
+    return [("evolve.csv", "csv", (meta, cols)),
+            ("evolve.svg", "svg", partial(
+                render_line_plot,
+                [Series(ts.times, ts.pop_excited, label="pop_excited",
+                        marker="filled"),
+                 Series(ts.times, ts.sigma_x.real, label="sigma_x")],
+                xlabel="t", ylabel="emitter observables",
+                title=f"evolve ({evo.mode})",
+                marker_stride=max(1, ts.times.size // 40)))], conv, 0
 
 
 def _cmd_polaron(cfg, outdir):
@@ -685,7 +683,7 @@ def _cmd_polaron(cfg, outdir):
            "p_up_relaxed": sol.p_up_relaxed, "p_up_dressed": sol.p_up_dressed,
            "iterations": sol.iterations, "residual": sol.residual}
     conv = {"iterations": sol.iterations, "residual": sol.residual}
-    return [_emit_json(outdir, "polaron.json", doc)], conv, 0
+    return [("polaron.json", "json", doc)], conv, 0
 
 
 def _point_name(delta):
@@ -695,7 +693,8 @@ def _point_name(delta):
 def _first_difference(meta, manifest, model_line, settings):
     """(field, recorded, this run's) for the first field in which a point
     CSV's model line or manifest differs from this run's, else None; so
-    does a setting only the point records, such as full.observables."""
+    does a setting only the point records, such as one an older version
+    of this program ran with."""
     model = next((m for m in meta if m.startswith("model:")), None)
     pairs = [("model", model, model_line),
              ("methods", manifest.get("methods"), settings["methods"])]
@@ -743,9 +742,8 @@ def _load_prior(outdir: Path, deltas, model_line, settings):
 
 def _cmd_sweep(cfg, outdir):
     """detuning scan with per-point resume"""
-    p, fmts, o = cfg.model, cfg.output.formats, cfg.sweep
+    p, o, evo = cfg.model, cfg.sweep, cfg.evolution
     deltas, methods = o.deltas, o.methods
-    evo = cfg.evolution
     rc = {"t_max": evo.t_max if evo else None, "samples": o.samples}
     cfgs = {"rwa": {k: v for k, v in rc.items() if v is not None},
             "full": evo}
@@ -758,7 +756,7 @@ def _cmd_sweep(cfg, outdir):
              if o.resume else {})
     resumed = [prior[d] for d in deltas if d in prior]
     jobs = o.jobs or os.cpu_count() or 1
-    outputs = [_point_name(d) for d, _, _ in resumed]
+    stored = [_point_name(d) for d, _, _ in resumed]
     fresh = []
     for point in analysis.crossover_scan(
             [d for d in deltas if d not in prior], methods, p, cfgs=cfgs,
@@ -772,42 +770,40 @@ def _cmd_sweep(cfg, outdir):
                 _jsonsafe(manifest), sort_keys=True)]
             cols = [("delta", [d], "f")]
             cols += [(k, [row[k]], "f") for k in analysis.SWEEP_COLUMNS]
-            outputs.append(_emit(outdir, _point_name(d),
-                                 _csv_text(meta, cols)))
+            stored += _write(outdir, [(_point_name(d), "csv", (meta, cols))])
 
     result = analysis.SweepResult.collect(resumed + fresh)
     grid, columns = result.delta_grid, result.columns
-    if "csv" in fmts:
-        cols = [("delta", grid, "f")]
-        cols += [(k, columns[k], "f") for k in analysis.SWEEP_COLUMNS]
-        meta = [_model_meta(p, _reads("sweep")["model"])]  # delta: a column
-        outputs.append(_emit(outdir, "summary.csv", _csv_text(meta, cols)))
-    if "svg" in fmts:
-        for name, prefix, ylabel, title, log_y in (
-                ("freq_vs_delta.svg", "freq", "frequency",
-                 "oscillation frequency vs detuning", False),
-                ("stationary_pop_vs_delta.svg", "stationary_pop",
-                 "stationary population", "stationary population vs detuning",
-                 True)):
-            # the rwa curve is drawn whenever it holds data, the full curve
-            # only when this run asked for the full method
-            series = [Series(grid, columns[f"{prefix}_{m}"],
-                             label=f"{prefix}_{m}", marker=marker)
-                      for m, marker in (("rwa", "filled"), ("full", "open"))
-                      if m == "rwa" or m in methods]
-            series = [s for s in series
-                      if np.isfinite(s.y[s.y > 0] if log_y else s.y).any()]
-            if series:
-                outputs.append(_emit(outdir, name, render_line_plot(
-                    series, xlabel="delta", ylabel=ylabel, title=title,
-                    log_y=log_y)))
+    cols = [("delta", grid, "f")]
+    cols += [(k, columns[k], "f") for k in analysis.SWEEP_COLUMNS]
+    meta = [_model_meta(p, _reads("sweep")["model"])]  # delta: a column
+    entries = [(name, None, None) for name in stored]
+    entries.append(("summary.csv", "csv", (meta, cols)))
+    for name, prefix, ylabel, title, log_y in (
+            ("freq_vs_delta.svg", "freq", "frequency",
+             "oscillation frequency vs detuning", False),
+            ("stationary_pop_vs_delta.svg", "stationary_pop",
+             "stationary population", "stationary population vs detuning",
+             True)):
+        # the rwa curve is drawn whenever it holds data, the full curve
+        # only when this run asked for the full method
+        series = [Series(grid, columns[f"{prefix}_{m}"],
+                         label=f"{prefix}_{m}", marker=marker)
+                  for m, marker in (("rwa", "filled"), ("full", "open"))
+                  if m == "rwa" or m in methods]
+        series = [s for s in series
+                  if np.isfinite(s.y[s.y > 0] if log_y else s.y).any()]
+        if series:
+            entries.append((name, "svg", partial(
+                render_line_plot, series, xlabel="delta", ylabel=ylabel,
+                title=title, log_y=log_y)))
 
     failures = {repr(float(d)): m["failures"]
                 for d, m in zip(grid, result.manifests) if m.get("failures")}
     conv = {"computed_points": sorted(d for d, _, _ in fresh),
             "resumed_points": sorted(d for d, _, _ in resumed),
             "failures": failures, "jobs": jobs}
-    return outputs, conv, 0
+    return entries, conv, 0
 
 
 def _cmd_analyze(cfg, outdir):
@@ -851,8 +847,7 @@ def _cmd_analyze(cfg, outdir):
             "s_minus": est.s_minus, "gamma": est.gamma,
             "frequency": abs(est.s_plus.imag)}
     conv = {"estimators_failed": failed}
-    return ([_emit_json(outdir, "analysis.json", doc)], conv,
-            1 if failed else 0)
+    return [("analysis.json", "json", doc)], conv, 1 if failed else 0
 
 
 def _cmd_plot(cfg, outdir):
@@ -861,6 +856,9 @@ def _cmd_plot(cfg, outdir):
     if o.alpha2_time and cfg.model is None:
         raise ConfigError(["model.alpha: required for --alpha2-time"])
     out_name = o.out if o.out.endswith(".svg") else o.out + ".svg"
+    if out_name == ".svg" or Path(out_name).name != out_name:
+        raise ConfigError([f"plot.out: {o.out!r} is not a file name (empty, "
+                           "or holding path separators)"])
 
     series_list = []
     for path in o.csv:
@@ -883,26 +881,27 @@ def _cmd_plot(cfg, outdir):
             series_list.append(Series(x, cols[ycol], label=label,
                                       marker=marker))
     stride = max(1, max(s.x.size for s in series_list) // 40)
-    try:
-        svg = render_line_plot(
-            series_list,
-            xlabel=(o.x + " * alpha^2") if o.alpha2_time else o.x,
-            ylabel=", ".join(o.y), title=o.title, log_y=o.log_y,
-            marker_stride=stride)
-    except ValueError as err:  # the columns hold nothing to draw
-        raise ConfigError([f"input: {err}"]) from None
-    _emit(outdir, out_name, svg)
-    return [out_name], {}, 0
+
+    def draw():
+        try:
+            return render_line_plot(
+                series_list,
+                xlabel=(o.x + " * alpha^2") if o.alpha2_time else o.x,
+                ylabel=", ".join(o.y), title=o.title, log_y=o.log_y,
+                marker_stride=stride)
+        except ValueError as err:  # the columns hold nothing to draw
+            raise ConfigError([f"input: {err}"]) from None
+    return [(out_name, "svg", draw)], {}, 0
 
 
 _DISPATCH = {
-    "chain-coeffs": _cmd_chain_coeffs,
-    "rwa": _cmd_rwa,
-    "evolve": _cmd_evolve,
-    "polaron": _cmd_polaron,
-    "sweep": _cmd_sweep,
-    "analyze": _cmd_analyze,
-    "plot": _cmd_plot,
+    "chain-coeffs": (_cmd_chain_coeffs, ("csv", "json", "svg")),
+    "rwa": (_cmd_rwa, ("csv", "svg")),
+    "evolve": (_cmd_evolve, ("csv", "svg")),
+    "polaron": (_cmd_polaron, ("json",)),
+    "sweep": (_cmd_sweep, ("csv", "svg")),
+    "analyze": (_cmd_analyze, ("json",)),
+    "plot": (_cmd_plot, ("svg",)),
 }
 
 
@@ -919,7 +918,7 @@ def _parse_args(argv):
     parser.add_argument("--version", action="version",
                         version=f"gapchain {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for sub, cmd in _DISPATCH.items():
+    for sub, (cmd, _) in _DISPATCH.items():
         subparser = subs.add_parser(sub, help=cmd.__doc__, allow_abbrev=False)
         if sub not in argv:
             continue  # argparse never reaches a subcommand that argv does not name
@@ -954,12 +953,13 @@ def main(argv=None) -> int:
         outdir = Path(cfg.output.directory)
         t0 = time.monotonic()
         try:
-            outputs, conv, code = _DISPATCH[args.subcommand](cfg, outdir)
+            entries, conv, code = _DISPATCH[args.subcommand][0](cfg, outdir)
+            outputs = _write(outdir, [e for e in entries if e[1] in cfg.output.formats])
         except (ValueError, RuntimeError, ArithmeticError) as err:
             diag = {"subcommand": args.subcommand,
                     "error": type(err).__name__, "message": str(err),
                     "config": cfg.to_dict()}
-            _emit_json(outdir, "diagnostics.json", diag)
+            _write(outdir, [("diagnostics.json", "json", diag)])
             print(f"numerical failure: {err}", file=sys.stderr)
             print(f"diagnostics written to {outdir / 'diagnostics.json'}",
                   file=sys.stderr)
@@ -976,15 +976,14 @@ def main(argv=None) -> int:
         "versions": {"gapchain": __version__,
                      "python": ".".join(map(str, sys.version_info[:3])),
                      "numpy": np.__version__},
-        "outputs": sorted(outputs),
+        "outputs": sorted(outputs + [n for n, fmt, _ in entries if fmt is None]),
         "convergence": conv,
         "wall_time_s": round(time.monotonic() - t0, 3),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _emit_json(outdir, "manifest.json", manifest)
-    for name in sorted(outputs):
+    _write(outdir, [("manifest.json", "json", manifest)])
+    for name in manifest["outputs"] + ["manifest.json"]:
         print(outdir / name)
-    print(outdir / "manifest.json")
     return code
 
 

@@ -272,6 +272,14 @@ class TestParseConfig:
             parse_config(data={"model": dict(WIDEBAND)}, subcommand="rwa")
         assert any(e.startswith("evolution.t_max") for e in err.value.errors)
 
+    def test_series_lists_keep_repeats(self):
+        # each item of plot.csv, plot.y and plot.markers belongs to one series
+        cfg = parse_config("plot", data={"plot": {
+            "csv": "a.csv,a.csv", "y": "pop,pop", "markers": "open,open"}})
+        assert cfg.plot.csv == ("a.csv", "a.csv")
+        assert cfg.plot.y == ("pop", "pop")
+        assert cfg.plot.markers == ("open", "open")
+
 
 class TestFlagFileParity:
     """Every config key works as a flag, equal to the same INI/JSON value."""
@@ -471,6 +479,49 @@ class TestExitCodes:
         assert main(argv + ["--out-dir", str(out)]) == 2
         assert f"{key}: empty list (choose from " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["rwa", *model_flags(delta=2), "--t-max", "0.5",
+          "--formats", "csv,svg,csv"], "output.formats: repeated format(s) csv"),
+        (["sweep", *model_flags(), "--t-max", "1.5", "--deltas", "20",
+          "--methods", "rwa,rwa"], "sweep.methods: repeated method(s) rwa"),
+        (["analyze", "--input", "series.csv", "--estimators",
+          "decay,frequency,decay"],
+         "analyze.estimators: repeated estimator(s) decay"),
+    ], ids=["output.formats", "sweep.methods", "analyze.estimators"])
+    def test_repeated_choice_exits_2(self, tmp_path, capsys, argv, message):
+        # these lists name a set; a sweep point recording rwa twice would
+        # be refused by a resume naming it once
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub,formats", [
+        ("rwa", "json"), ("evolve", "json"), ("sweep", "json"),
+        ("polaron", "csv,svg"), ("analyze", "csv,svg"), ("plot", "csv,json")])
+    def test_formats_selecting_nothing_exit_2(self, tmp_path, capsys, sub,
+                                              formats):
+        # refused before any computation or input read, so the input CSVs
+        # need not exist
+        out = tmp_path / "out"
+        argv = [arg.format(s="s.csv", a="a.csv", b="b.csv")
+                for arg in RERUN_ARGV[sub]]
+        assert main(argv + ["--formats", formats, "--out-dir", str(out)]) == 2
+        writes = ", ".join(_DISPATCH[sub][1])
+        assert (f"output.formats: {formats.replace(',', ', ')} selects "
+                f"nothing {sub} writes ({writes})") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unselected_format_is_never_rendered(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("svg rendered for --formats csv")
+
+        monkeypatch.setattr(gapchain.cli, "render_line_plot", refuse)
+        out = tmp_path / "out"
+        assert main(["rwa", *model_flags(delta=2, alpha=0.0), "--t-max", "1",
+                     "--formats", "csv", "--out-dir", str(out)]) == 0
+        assert manifest(out)["outputs"] == ["rwa.csv"]
 
     def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bin.ini"
@@ -831,19 +882,26 @@ class TestSweepCommand:
                 f"in {field}: ") in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_point_csvs_written_whatever_the_formats(self, tmp_path):
-        # the point CSVs are the resume store: --formats json keeps them
+    def test_point_csvs_written_whatever_the_formats(self, tmp_path, capsys):
+        # the point CSVs are the resume store: --formats svg keeps them, and
+        # a formats list refused before any point leaves them untouched
         out = tmp_path / "out"
         argv = ["sweep", *model_flags(), "--t-max", "1.5", "--samples", "801",
-                "--jobs", "1", "--deltas", "20,30", "--formats", "json",
-                "--out-dir", str(out)]
-        assert main(argv) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "manifest.json", "point_delta_20.0.csv", "point_delta_30.0.csv"]
-        assert main(argv + ["--resume"]) == 0
+                "--jobs", "1", "--deltas", "20,30", "--out-dir", str(out)]
+        assert main(argv + ["--formats", "svg"]) == 0
+        written = ["freq_vs_delta.svg", "point_delta_20.0.csv",
+                   "point_delta_30.0.csv", "stationary_pop_vs_delta.svg"]
+        assert manifest(out)["outputs"] == written
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            written + ["manifest.json"])
+        assert main(argv + ["--formats", "svg", "--resume"]) == 0
         conv = manifest(out)["convergence"]
         assert conv["resumed_points"] == [20.0, 30.0]
         assert conv["computed_points"] == []
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--formats", "json", "--resume"]) == 2
+        assert "output.formats: " in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_resume_refuses_points_recording_observables(self, tmp_path,
                                                          capsys):
@@ -1259,6 +1317,17 @@ class TestPlotCommand:
         assert not (tmp_path / "escape.svg").exists()
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["", ".svg"])
+    def test_empty_output_name_exits_2(self, tmp_path, capsys, name):
+        # the name would be the hidden file .svg
+        a, _ = self.two_series(tmp_path)
+        out = tmp_path / "out"
+        assert main(["plot", "--csv", str(a), "--y", "pop", "--out", name,
+                     "--out-dir", str(out)]) == 2
+        assert f"plot.out: {name!r} is not a file name" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 # non-default own options at tiny corners; {s}, {a} and {b} are input CSVs
 RERUN_ARGV = {
@@ -1298,6 +1367,9 @@ class TestManifestRerun:
                      "--out-dir", str(out_b)]) == 0
         ma, mb = manifest(out_a), manifest(out_b)
         assert ma["outputs"] and ma["outputs"] == mb["outputs"]
+        # at the default formats a subcommand writes every format it states
+        assert {Path(name).suffix[1:] for name in ma["outputs"]} == \
+            set(_DISPATCH[sub][1])
         for name in ma["outputs"]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         for doc in (ma, mb):
