@@ -15,7 +15,6 @@ import cmath
 import copy
 import dataclasses
 import math
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from enum import Enum
 
@@ -405,6 +404,10 @@ def crossover_scan(delta_grid, methods, base_params: ModelParams,
         return
     chains = _map_chains(base_params, t_maxes)
     if jobs > 1 and len(grid) > 1:
+        # imported here: the process pool and multiprocessing weigh on
+        # every run's import, and only this branch uses them
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_scan_point, d, base_params, settings, chains): d
                        for d in grid}

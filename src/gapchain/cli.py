@@ -55,6 +55,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 
@@ -221,8 +222,9 @@ _ESTIMATORS = {
 
 # The one table of config keys, each entry (validator, default), where a
 # key without default is _REQUIRED; model and evolution take ModelParams's
-# and EvolutionConfig's defaults, and _TYPES builds every other section's
-# class from its entries.  A key is an INI/JSON key of its section and, for
+# and EvolutionConfig's defaults, and _TYPES makes every other section a
+# named tuple of its entries, which _build fills only when no _REQUIRED key
+# is unset.  A key is an INI/JSON key of its section and, for
 # a subcommand that reads it (_READS), a flag --<key-with-dashes> (renamed
 # only through _FLAG_NAMES); its validator's docstring is the flag's help.
 _REQUIRED = dataclasses.MISSING
@@ -306,21 +308,19 @@ def _reads(subcommand):
     return keys
 
 
-_TYPES = {sec: dataclasses.make_dataclass(
-              sec.capitalize() + "Options",
-              [(key, object, dataclasses.field(default=default))
-               for key, (_, default) in entries.items()],
-              frozen=True, kw_only=True)
+_TYPES = {sec: namedtuple(sec.capitalize() + "Options", entries,
+                          defaults=[default for _, default in entries.values()])
           for sec, entries in _SCHEMA.items()
           if sec not in ("model", "evolution")}
 _TYPES.update(model=ModelParams, evolution=EvolutionConfig)
 
 
-class RunConfig(dataclasses.make_dataclass(
-        "RunConfig", ["subcommand", *((sec, object, None) for sec in _SCHEMA)],
-        frozen=True)):
+class RunConfig(namedtuple("RunConfig", ["subcommand", *_SCHEMA],
+                           defaults=[None] * len(_SCHEMA))):
     """Validated configuration for one CLI run; a section its subcommand
     does not read is None."""
+
+    __slots__ = ()
 
     def to_dict(self):
         """JSON-ready echo of the keys the subcommand reads, which
@@ -813,6 +813,14 @@ def _cmd_analyze(cfg, outdir):
     if o.x not in cols:
         raise ConfigError([f"analyze.x: column {o.x!r} not in {o.input} "
                            f"(columns: {', '.join(cols)})"])
+    x = cols[o.x]
+    ok = np.isfinite(x)
+    ok[1:] &= x[1:] > x[:-1]
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ConfigError([f"input: {o.input} column {o.x!r} must be finite and "
+                           f"strictly increasing; data row {k + 1} holds "
+                           f"{float(x[k])!r}" + (f" after {float(x[k - 1])!r}" if k else "")])
     signal = o.signal
     if signal is None:
         signal = next((c for c in ("pop", "pop_excited") if c in cols), None)
@@ -827,7 +835,7 @@ def _cmd_analyze(cfg, outdir):
         raise ConfigError([f"analyze.signal: column {signal!r} not in "
                            f"{o.input} (columns: {', '.join(cols)})"])
 
-    times, values = _apply_windows(cols[o.x], values, cfg.analysis)
+    times, values = _apply_windows(x, values, cfg.analysis)
     results = {}
     failed = []
     for name in o.estimators:

@@ -37,15 +37,51 @@ import numpy as np
 
 __all__ = ["filon_fourier", "ray_rule"]
 
-_FILON_X, _FILON_W = np.polynomial.legendre.leggauss(32)
+# Gauss-Legendre rules on [-1, 1] at 32 and 16 nodes, bit for bit
+# numpy.polynomial.legendre.leggauss(32) and (16), which make the nodes odd
+# and the weights even exactly; the literals are the upper halves
+_FILON_X = np.array([0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+                     0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+                     0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+                     0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+                     0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+                     0.9972638618494816])
+_FILON_W = np.array([0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+                     0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+                     0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+                     0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+                     0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+                     0.007018610009470506])
+_FILON_X = np.concatenate((-_FILON_X[::-1], _FILON_X))
+_FILON_W = np.concatenate((_FILON_W[::-1], _FILON_W))
+_RAY_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                   0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                   0.9445750230732326, 0.9894009349916499])
+_RAY_W = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                   0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                   0.062253523938647456, 0.027152459411754176])
+_RAY_X = np.concatenate((-_RAY_X[::-1], _RAY_X))
+_RAY_W = np.concatenate((_RAY_W[::-1], _RAY_W))
 _FILON_K = np.arange(32)
+
+
+def _legendre_table(x, deg):
+    """P_k(x_j), k <= deg, as a (x.size, deg + 1) array: the forward
+    recurrence of numpy.polynomial.legendre.legvander, bit for bit."""
+    p = np.empty((deg + 1, x.size))
+    p[0] = 1.0
+    p[1] = x
+    for k in range(2, deg + 1):
+        p[k] = (p[k - 1] * x * (2 * k - 1) - p[k - 2] * (k - 1)) / k
+    return p.T
+
+
 # node values f_j -> Legendre coefficients (k + 1/2) sum_j w_j P_k(x_j) f_j,
 # times the 2 (-i)^k of int_{-1}^{1} P_k e^{-i kappa x} dx = 2 (-i)^k j_k(kappa)
-_FILON_COEF = (np.polynomial.legendre.legvander(_FILON_X, 31)
+_FILON_COEF = (_legendre_table(_FILON_X, 31)
                * (_FILON_W[:, None] * (_FILON_K + 0.5)) * (2.0 * (-1j) ** _FILON_K))
 _FILON_CHUNK = 128  # times per call of _bessel_sum: its temporaries are chunk x panels
 _RATIO_SEED = 48  # order of the ratio recurrence's uniform-asymptotic start
-_RAY_X, _RAY_W = np.polynomial.legendre.leggauss(16)
 
 
 def filon_fourier(f, edges, times):

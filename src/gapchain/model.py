@@ -27,7 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT_PI = math.sqrt(math.pi)
-_TAIL_X, _TAIL_W = np.polynomial.legendre.leggauss(24)
+# 24-node Gauss-Legendre on [-1, 1], bit for bit
+# numpy.polynomial.legendre.leggauss(24), which makes the nodes odd and the
+# weights even exactly; the literals are the upper half
+_TAIL_X = np.array([0.06405689286260563, 0.1911188674736163, 0.3150426796961634,
+                    0.4337935076260451, 0.5454214713888396, 0.6480936519369755,
+                    0.7401241915785544, 0.820001985973903, 0.8864155270044011,
+                    0.9382745520027328, 0.9747285559713095, 0.9951872199970213])
+_TAIL_W = np.array([0.12793819534675202, 0.12583745634682825, 0.1216704729278033,
+                    0.11550566805372552, 0.10744427011596556, 0.09761865210411393,
+                    0.0861901615319532, 0.07334648141108016, 0.05929858491543636,
+                    0.04427743881741941, 0.02853138862893356, 0.01234122979998869])
+_TAIL_X = np.concatenate((-_TAIL_X[::-1], _TAIL_X))
+_TAIL_W = np.concatenate((_TAIL_W[::-1], _TAIL_W))
 _SMALL = 4  # arrays up to this size go point by point through erfcx and _exp_e1
 _EULER = 0.5772156649015329
 

@@ -1209,6 +1209,30 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "analyze.signal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, row, holds", [
+        ("reversed", 2, "9.95"), ("interleaved", 102, "0.05 after 10.0"),
+        ("repeated", 151, "7.45 after 7.45"), ("inf", 201, "inf after 9.95"),
+        ("nan", 1, "nan")], ids=["reversed", "interleaved", "repeated", "inf", "nan"])
+    def test_x_not_finite_and_increasing_exits_2(self, tmp_path, capsys, case, row, holds):
+        # an unsorted column once gave a wrong zero crossing (exit 1), and a
+        # reversed one or an infinite time a misleading fit-window error
+        t = np.linspace(0.0, 10.0, 201)
+        y = 0.5 + 0.4 * np.cos(3.0 * t) * np.exp(-0.1 * t)
+        rows = {"reversed": np.arange(201)[::-1],
+                "interleaved": np.r_[0:201:2, 1:201:2],
+                "repeated": np.r_[0:150, 149:200]}.get(case, np.arange(201))
+        t, y = t[rows], y[rows]
+        if case in ("inf", "nan"):
+            t[{"inf": -1, "nan": 0}[case]] = float(case)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, t, y)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--signal", "pop",
+                     "--out-dir", str(out)]) == 2
+        assert (f"input: {path} column 't' must be finite and strictly increasing; "
+                f"data row {row} holds {holds}") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_x_column_exits_2(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         write_series_csv(path, np.arange(4.0), np.arange(4.0))
@@ -1429,12 +1453,15 @@ class TestManifest:
         assert doc["wall_time_s"] >= 0.0
 
 
-def test_import_loads_no_scipy_signal_stats_integrate_or_optimize():
-    # nor any other scipy module, nor mpmath
+def test_import_loads_only_what_every_run_uses():
+    # no scipy or mpmath (test oracles only), no process pool (sweep --jobs
+    # imports it when it starts workers) and no numpy.polynomial (the
+    # Gauss-Legendre tables are literals)
     src = str(Path(gapchain.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import gapchain.cli; "
             "print(sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'mpmath')))"
+            " if m.split('.')[0] in ('scipy', 'mpmath', 'concurrent', 'multiprocessing')"
+            " or m.startswith('numpy.polynomial')))"
             % src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
@@ -1470,16 +1497,18 @@ def test_every_subcommand_runs_with_scipy_refused(tmp_path):
            "--chi-max", "8", "--t-max", "0.02", "--out-dir", str(out(mode))]
           for mode, d_b in (("RWA", "2"), ("FULL", "4"))],
         ["polaron", *model_flags(delta=3), "--out-dir", str(out("polaron"))],
-        ["sweep", "--methods", "rwa", *model_flags(), "--t-max", "0.5", "--deltas", "3,20",
-         "--jobs", "1", "--out-dir", str(out("sweep"))],
+        *[["sweep", "--methods", "rwa", *model_flags(), "--t-max", "0.5", "--deltas", "3,20",
+           "--jobs", jobs, "--out-dir", str(out("sweep" + jobs))] for jobs in ("1", "2")],
         ["analyze", "--input", str(out("chain", "rwa.csv")), "--signal", "amplitude",
          "--estimators", "stationary", "--out-dir", str(out("amplitude"))],
         ["analyze", "--input", str(out("RWA", "evolve.csv")), "--estimators", "stationary",
          "--out-dir", str(out("analyze"))],
-        ["plot", "--csv", str(out("sweep", "summary.csv")), "--x", "delta",
+        ["plot", "--csv", str(out("sweep1", "summary.csv")), "--x", "delta",
          "--y", "stationary_pop_rwa", "--out-dir", str(out("plot"))],
     ]
     run = subprocess.run([sys.executable, "-c", _REFUSING_RUNNER, src, json.dumps(runs)],
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout.splitlines()[-1]) == [0] * len(runs), run.stderr
+    summary = out("sweep1", "summary.csv").read_bytes()
+    assert out("sweep2", "summary.csv").read_bytes() == summary

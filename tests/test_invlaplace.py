@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import exp1, spherical_jn
 
+from gapchain import invlaplace, model
 from gapchain.invlaplace import _FILON_CHUNK, _bessel_sum, filon_fourier, ray_rule
 
 
@@ -20,6 +21,24 @@ def monomial_fourier(n, a, b, t):
     for m in range(1, n + 1):
         out.append((b**m * eb - a**m * ea) / (-1j * t) + m / (1j * t) * out[-1])
     return np.array(out)
+
+
+@pytest.mark.parametrize("mod, name, n", [(model, "_TAIL", 24),
+                                          (invlaplace, "_FILON", 32),
+                                          (invlaplace, "_RAY", 16)])
+def test_gauss_legendre_tables_equal_leggauss(mod, name, n):
+    # the literal tables stand in for leggauss bit for bit: a last-bit
+    # difference moves the Laplace and chain outputs
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(getattr(mod, name + "_X"), x)
+    assert np.array_equal(getattr(mod, name + "_W"), w)
+
+
+def test_filon_coefficients_equal_their_legvander_form():
+    x, w, k = invlaplace._FILON_X, invlaplace._FILON_W, np.arange(32)
+    coef = (np.polynomial.legendre.legvander(x, 31)
+            * (w[:, None] * (k + 0.5)) * (2.0 * (-1j) ** k))
+    assert np.array_equal(invlaplace._FILON_COEF, coef)
 
 
 class TestFilon:
