@@ -1,9 +1,10 @@
 """Time-series measurement and parameter sweeps.
 
 Every estimator reads one (times, values) pair of real samples and
-refuses (ValueError) a pair holding a NaN or an infinity.  The caller
-names the observable: the sweep passes |A|^2 to the stationary value,
-the coherence Re A_lab to the frequency and |A| to the decay rate.
+refuses (ValueError) a pair holding a NaN or an infinity, or times that
+are not strictly increasing (first_bad_time).  The caller names the
+observable: the sweep passes |A|^2 to the stationary value, the
+coherence Re A_lab to the frequency and |A| to the decay rate.
 
 A detuning sweep (crossover_scan) measures the columns named in
 SWEEP_COLUMNS at every point and yields each point as it finishes;
@@ -37,17 +38,32 @@ __all__ = [
     "stationary_value",
     "decay_rate",
     "rwa_pole_estimates",
+    "first_bad_time",
     "point_settings",
     "crossover_scan",
 ]
 
 
+def first_bad_time(times):
+    """Index of the first time that is not finite or not above the one
+    before it; None if times are finite and strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    ok = np.isfinite(times)
+    ok[1:] &= times[1:] > times[:-1]
+    return None if ok.all() else int(np.argmin(ok))
+
+
 def _signal(pair):
-    """(times, values) as float arrays; ValueError on a non-finite sample."""
+    """(times, values) as float arrays; ValueError on a non-finite sample
+    or times out of order."""
     times, values = (np.asarray(a, dtype=float) for a in pair)
     bad = sum(np.count_nonzero(~np.isfinite(a)) for a in (times, values))
     if bad:
         raise ValueError(f"non-finite samples: the series holds {bad} NaN or inf entries")
+    k = first_bad_time(times)
+    if k is not None:
+        raise ValueError(f"times out of order: sample {k} holds {float(times[k])!r} "
+                         f"after {float(times[k - 1])!r}, need strictly increasing")
     return times, values
 
 
@@ -320,8 +336,12 @@ def _chain(chains, t_max):
 def point_settings(methods, base_params, cfgs):
     """What a sweep point's numbers depend on besides the model and delta,
     as its manifest records them and _scan_point runs them: the sorted
-    methods, rwa's {t_max: 30 / omega_s, samples: 2001} updated by
-    cfgs["rwa"], and every field of cfgs["full"], an EvolutionConfig."""
+    methods, a subset of {"rwa", "full"}, rwa's {t_max: 30 / omega_s,
+    samples: 2001} updated by cfgs["rwa"], and every field of
+    cfgs["full"], an EvolutionConfig."""
+    unknown = set(methods) - {"rwa", "full"}
+    if unknown:
+        raise ValueError(f"unknown methods: {sorted(unknown)}")
     settings = {"methods": sorted(methods)}
     if "rwa" in methods:
         settings["rwa"] = {"t_max": 30.0 / max(base_params.omega_s, 1e-12),
@@ -379,26 +399,20 @@ def _scan_point(delta, base_params, settings, chains):
     return delta, row, manifest
 
 
-def crossover_scan(delta_grid, methods, base_params: ModelParams,
-                   cfgs=None, jobs=1):
+def crossover_scan(delta_grid, base_params: ModelParams, settings, jobs=1):
     """Sweep the emitter splitting, yielding each point as it finishes.
 
-    methods: subset of {"rwa", "full"}.  cfgs: {"rwa": {t_max, samples},
-    "full": EvolutionConfig}; a full point is one plus_superposition run.
-    Each point is a (delta, row, manifest) triple: in ascending delta with
-    jobs=1, in completion order with more workers.  SweepResult.collect
-    assembles points into arrays.  The chain of each method's t_max is
-    mapped once, here, and sent to the workers.  Per-point failures (a
-    failed mapping included) are recorded in the manifest and leave NaN
-    entries; the scan continues.  Points lost to a dead worker (a signal,
-    the OOM killer) come back failed under "worker".
+    settings is point_settings's record, which every point runs; a full
+    point is one plus_superposition run.  Each point is a (delta, row,
+    manifest) triple: in ascending delta with jobs=1, in completion order
+    with more workers.  SweepResult.collect assembles points into arrays.
+    The chain of each method's t_max is mapped once, here, and sent to the
+    workers.  Per-point failures (a failed mapping included) are recorded
+    in the manifest and leave NaN entries; the scan continues.  Points lost
+    to a dead worker (a signal, the OOM killer) come back failed under
+    "worker".
     """
-    cfgs = cfgs or {}
-    unknown = set(methods) - {"rwa", "full"}
-    if unknown:
-        raise ValueError(f"unknown methods: {sorted(unknown)}")
-    settings = point_settings(methods, base_params, cfgs)
-    t_maxes = [settings[m]["t_max"] for m in ("rwa", "full") if m in methods]
+    t_maxes = [settings[m]["t_max"] for m in ("rwa", "full") if m in settings]
     grid = sorted(float(d) for d in delta_grid)
     if not grid:
         return

@@ -152,11 +152,15 @@ def map_to_chain(p: ModelParams, N: int, M: int | None = None) -> ChainCoefficie
     )
 
 
+# last-site occupation at which ``rwa.chain_evolve`` raises and
+# ``mps.evolve`` flags a sample: the chain no longer emulates the band
+LIGHT_CONE_TAIL = 1e-6
+
+
 def chain_length_for(p: ModelParams, t_max: float) -> int:
     """Light-cone chain length: the one-way reach ceil(omega_c*t_max/2) of the
     front at the group velocity bound 2*max(t_n) -> omega_c/2, plus 50 sites that
-    keep the last site's occupation below the 1e-6 at which ``rwa.chain_evolve``
-    raises and ``mps.evolve`` flags a sample."""
+    keep the last site's occupation below LIGHT_CONE_TAIL."""
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     return math.ceil(p.omega_c * t_max / 2.0) + 50

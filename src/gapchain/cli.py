@@ -19,9 +19,9 @@ sections, or from flags; flags override file values.  The sections
 [model], [chain], [evolution], [analysis] and [output] are shared, and
 [rwa], [evolve], [sweep], [analyze] and [plot] hold the named
 subcommand's own options.  The table ``_SCHEMA`` alone holds each key's
-validator, default and help, and ``_READS`` alone says which keys a
-subcommand reads: they are its flags, validated and echoed into its
-manifest.  Any other section or key is skipped, so one file serves every
+validator, default and help, and a subcommand's ``_DISPATCH`` entry alone
+says which keys it reads: they are its flags, validated and echoed into
+its manifest.  Any other section or key is skipped, so one file serves every
 subcommand; an unknown section, or an unknown key in a section it reads,
 is an error, as is [chain] given to sweep.  ``[output] formats`` is one
 list shared by every subcommand: each writes the artifacts whose formats
@@ -32,6 +32,9 @@ and parsed exactly like the same value in an INI file.  A switch
 (``--resume``) takes no value and is ``resume = true`` in a file, and
 ``--csv`` repeats.  A manifest (a JSON object with a ``subcommand`` key)
 is itself a valid config: its ``config`` block is unwrapped.
+``rwa.samples`` sets the time grid of the laplace and chain solvers,
+which differ: laplace samples (0, t_max] at samples points, leaving out
+t = 0, and chain [0, t_max] at samples points; volterra steps by dt.
 
 Threads: one BLAS thread per process, as the package docstring sets out;
 ``sweep --jobs`` runs points in parallel only through worker processes,
@@ -224,9 +227,9 @@ _ESTIMATORS = {
 # key without default is _REQUIRED; model and evolution take ModelParams's
 # and EvolutionConfig's defaults, and _TYPES makes every other section a
 # named tuple of its entries, which _build fills only when no _REQUIRED key
-# is unset.  A key is an INI/JSON key of its section and, for
-# a subcommand that reads it (_READS), a flag --<key-with-dashes> (renamed
-# only through _FLAG_NAMES); its validator's docstring is the flag's help.
+# is unset.  A key is an INI/JSON key of its section and, for a subcommand
+# that reads it (_DISPATCH), a flag --<key-with-dashes> (renamed only
+# through _FLAG_NAMES); its validator's docstring is the flag's help.
 _REQUIRED = dataclasses.MISSING
 
 
@@ -255,7 +258,7 @@ _SCHEMA = {
                "formats": (_choice("csv", "json", "svg", many=True,
                                    distinct=True), ("csv", "json", "svg"))},
     "rwa": {"solver": (_choice("volterra", "laplace", "chain"), "volterra"),
-            "samples": (_at_least(2), 1001),  # laplace/chain time grid; volterra steps by dt
+            "samples": (_at_least(2), 1001),  # see the module docstring
             "no_self_check": (_as_bool, False)},  # skip volterra's step-halving check
     "evolve": {"atom_state": (_choice("excited", "ground",
                                       "plus_superposition"), "excited")},
@@ -282,27 +285,11 @@ _SCHEMA = {
 _FLAG_NAMES = {("output", "directory"): "--out-dir"}
 _FLAG_ACTIONS = {("plot", "csv"): "append"}  # --csv repeats for overlays
 
-# What each subcommand reads, in _SCHEMA order: "section" is all its keys,
-# "section.key" one.  A section marked "?" is read only if given; every
-# other one must be complete.
-_READS = {
-    "chain-coeffs": ("model", "chain", "output"),
-    "rwa": ("model", "chain", "evolution.t_max", "evolution.dt", "output",
-            "rwa"),
-    "evolve": ("model", "chain", "evolution", "output", "evolve"),
-    "polaron": ("model", "output"),
-    # not model.delta: each point sets its own
-    "sweep": ("model.alpha", "model.omega_b", "model.omega0", "model.omega_c",
-              "evolution?", "output", "sweep"),
-    "analyze": ("model?", "analysis", "output", "analyze"),
-    "plot": ("model?", "output", "plot"),
-}
-
 
 def _reads(subcommand):
-    """{section: [keys]} that subcommand reads."""
+    """{section: [keys]} that subcommand reads (its _DISPATCH entry)."""
     keys = {}
-    for item in _READS[subcommand]:
+    for item in _DISPATCH[subcommand][2]:
         sec, _, key = item.rstrip("?").partition(".")
         keys.setdefault(sec, []).extend([key] if key else _SCHEMA[sec])
     return keys
@@ -375,13 +362,13 @@ def parse_config(subcommand, path=None, data=None,
                  overrides=None) -> RunConfig:
     """Merge file, dict and flag inputs into subcommand's RunConfig.
 
-    Only the keys subcommand reads (_READS) are validated, the rest
+    Only the keys subcommand reads (_DISPATCH) are validated, the rest
     skipped; an unknown section, or unknown key in a read section, is an
     error.  All violations are raised together in one ConfigError as
     section.key lines, or one section line for what its class rejects.
     """
     reads = _reads(subcommand)
-    needed = {item.partition(".")[0] for item in _READS[subcommand]
+    needed = {item.partition(".")[0] for item in _DISPATCH[subcommand][2]
               if not item.endswith("?")}
     errors = []
     if path is not None:
@@ -499,21 +486,18 @@ def _write(outdir: Path, entries):
 def _csv_text(meta, cols):
     """CSV body: '# ' metadata lines, column-name row, repr-exact cells.
 
-    cols is a list of (name, values, kind) with kind 'f' or 'i'; float
-    cells use repr() so reading them back reproduces the same binary64.
+    cols is a list of (name, values); a column of integers or bools is
+    written as ints, any other as repr(float), so reading a cell back
+    reproduces the same binary64.
     """
+    columns = [np.asarray(values) for _, values in cols]
+    if len({a.size for a in columns}) > 1:
+        raise ValueError("ragged CSV columns")
+    cells = [[str(int(v)) for v in a] if a.dtype.kind in "biu"
+             else [repr(float(v)) for v in a] for a in columns]
     lines = [f"# {m}" for m in meta]
-    lines.append(",".join(name for name, _, _ in cols))
-    n = len(cols[0][1])
-    for _, values, _ in cols:
-        if len(values) != n:
-            raise ValueError("ragged CSV columns")
-    for i in range(n):
-        cells = []
-        for _, values, kind in cols:
-            v = values[i]
-            cells.append(str(int(v)) if kind == "i" else repr(float(v)))
-        lines.append(",".join(cells))
+    lines.append(",".join(name for name, _ in cols))
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 
@@ -574,14 +558,14 @@ def _apply_windows(times, values, opts):
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (entries, convergence, exit_code).  An entry is
-# (file name, format, payload), written by main if output.formats selects
-# its format; format None lists a file the subcommand stored itself (the
-# sweep's point CSVs).  _DISPATCH states each one's formats; its docstring
-# is its help line
+# subcommands; each takes its RunConfig and returns (entries, convergence,
+# exit_code).  An entry is (file name, format, payload), written by main if
+# output.formats selects its format; format None lists a file the
+# subcommand stored itself (the sweep's point CSVs).  Its docstring is its
+# help line
 
 
-def _cmd_chain_coeffs(cfg, outdir):
+def _cmd_chain_coeffs(cfg):
     """orthogonal-polynomial chain coefficients"""
     p, n = cfg.model, cfg.chain.n_sites
     m = cfg.chain.n_quad or quadrature_nodes(n)
@@ -589,9 +573,8 @@ def _cmd_chain_coeffs(cfg, outdir):
     meta = [_model_meta(p), f"g: {float(c.g)!r}",
             f"weight_norm: {float(c.weight_norm)!r}",
             "hop: coupling to the next site; nan on the last row"]
-    idx = np.arange(n, dtype=float)
-    cols = [("n", idx, "i"), ("eps", c.eps, "f"),
-            ("hop", np.append(c.t, math.nan), "f")]
+    idx = np.arange(n)
+    cols = [("n", idx), ("eps", c.eps), ("hop", np.append(c.t, math.nan))]
     return [("chain_coeffs.csv", "csv", (meta, cols)),
             ("chain_coeffs.json", "json", {"g": c.g, "weight_norm": c.weight_norm,
                                            "eps": c.eps, "hop": c.t}),
@@ -604,7 +587,7 @@ def _cmd_chain_coeffs(cfg, outdir):
             ], {"n_sites": n, "n_quad": m}, 0
 
 
-def _cmd_rwa(cfg, outdir):
+def _cmd_rwa(cfg):
     """single-excitation amplitude A(t)"""
     p, t_max = cfg.model, cfg.evolution.t_max
     solver, samples = cfg.rwa.solver, cfg.rwa.samples
@@ -626,10 +609,10 @@ def _cmd_rwa(cfg, outdir):
         conv["chain_sites"], conv["n_quad"] = n, m
     pop = np.abs(series.values) ** 2
     meta = [_model_meta(p), f"solver: {solver}", f"frame: {series.frame}"]
-    cols = [("t", series.times, "f"), ("re_A", series.values.real, "f"),
-            ("im_A", series.values.imag, "f"), ("pop", pop, "f")]
+    cols = [("t", series.times), ("re_A", series.values.real),
+            ("im_A", series.values.imag), ("pop", pop)]
     if series.flags is not None:
-        cols.append(("flag", series.flags.astype(int), "i"))
+        cols.append(("flag", series.flags))
     return [("rwa.csv", "csv", (meta, cols)),
             ("rwa.svg", "svg", partial(
                 render_line_plot,
@@ -638,7 +621,7 @@ def _cmd_rwa(cfg, outdir):
                 title=f"rwa ({solver})"))], conv, 0
 
 
-def _cmd_evolve(cfg, outdir):
+def _cmd_evolve(cfg):
     """TEBD of the joint state; pop_excited: the |e> branch's population"""
     p, evo, atom_state = cfg.model, cfg.evolution, cfg.evolve.atom_state
     n = cfg.chain.n_sites or chain_length_for(p, evo.t_max)
@@ -647,17 +630,13 @@ def _cmd_evolve(cfg, outdir):
     meta = [_model_meta(p), f"mode: {evo.mode}",
             f"atom_state: {atom_state}", f"chain_sites: {n}",
             f"dt: {float(ts.dt)!r}"]
-    cols = [("t", ts.times, "f"),
-            ("sigma_x", ts.sigma_x.real, "f"),
-            ("sigma_y", ts.sigma_y.real, "f"),
-            ("sigma_z", ts.sigma_z.real, "f"),
-            ("pop_excited", ts.pop_excited, "f"),
-            ("norm_drift", ts.norm_drift, "f"),
-            ("max_bond", ts.max_bond, "i"),
-            ("discarded_weight", ts.discarded_weight, "f"),
-            ("conserved_charge", ts.conserved_charge, "f"),
-            ("tail_occupation", ts.tail_occupation, "f"),
-            ("flag", ts.flags.astype(int), "i")]
+    cols = [("t", ts.times), ("sigma_x", ts.sigma_x.real),
+            ("sigma_y", ts.sigma_y.real), ("sigma_z", ts.sigma_z.real),
+            ("pop_excited", ts.pop_excited), ("norm_drift", ts.norm_drift),
+            ("max_bond", ts.max_bond),
+            ("discarded_weight", ts.discarded_weight),
+            ("conserved_charge", ts.conserved_charge),
+            ("tail_occupation", ts.tail_occupation), ("flag", ts.flags)]
     charge = ts.conserved_charge
     conv = {"chain_sites": n, "dt": ts.dt,
             "flagged_samples": int(ts.flags.sum()),
@@ -675,7 +654,7 @@ def _cmd_evolve(cfg, outdir):
                 marker_stride=max(1, ts.times.size // 40)))], conv, 0
 
 
-def _cmd_polaron(cfg, outdir):
+def _cmd_polaron(cfg):
     """variational renormalized splitting"""
     p = cfg.model
     sol = silbey_harris_solve(p)
@@ -711,7 +690,8 @@ def _load_prior(outdir: Path, deltas, model_line, settings):
     """{delta: (delta, row, manifest)} from the point CSVs in outdir.
 
     A point on this run's grid is reused only if it records this run's
-    model_line(delta) and analysis.point_settings; ConfigError otherwise.
+    model_line(delta) and settings, the point_settings record the sweep
+    runs; ConfigError otherwise.
     """
     points = {}
     for path in sorted(outdir.glob("point_delta_*.csv")):
@@ -740,27 +720,24 @@ def _load_prior(outdir: Path, deltas, model_line, settings):
     return points
 
 
-def _cmd_sweep(cfg, outdir):
+def _cmd_sweep(cfg):
     """detuning scan with per-point resume"""
     p, o, evo = cfg.model, cfg.sweep, cfg.evolution
-    deltas, methods = o.deltas, o.methods
+    outdir, deltas, methods = Path(cfg.output.directory), o.deltas, o.methods
     rc = {"t_max": evo.t_max if evo else None, "samples": o.samples}
-    cfgs = {"rwa": {k: v for k, v in rc.items() if v is not None},
-            "full": evo}
+    settings = analysis.point_settings(methods, p, {
+        "rwa": {k: v for k, v in rc.items() if v is not None}, "full": evo})
 
     def model_line(d):  # a point's own model
         return _model_meta(dataclasses.replace(p, delta=d))
 
-    prior = (_load_prior(outdir, deltas, model_line,
-                         analysis.point_settings(methods, p, cfgs))
-             if o.resume else {})
+    prior = _load_prior(outdir, deltas, model_line, settings) if o.resume else {}
     resumed = [prior[d] for d in deltas if d in prior]
     jobs = o.jobs or os.cpu_count() or 1
     stored = [_point_name(d) for d, _, _ in resumed]
     fresh = []
     for point in analysis.crossover_scan(
-            [d for d in deltas if d not in prior], methods, p, cfgs=cfgs,
-            jobs=jobs):
+            [d for d in deltas if d not in prior], p, settings, jobs=jobs):
         fresh.append(point)
         d, row, manifest = point
         # the resume store, so written whatever the formats; on disk at
@@ -768,14 +745,12 @@ def _cmd_sweep(cfg, outdir):
         if "worker" not in manifest["failures"]:
             meta = [model_line(d), "manifest: " + json.dumps(
                 _jsonsafe(manifest), sort_keys=True)]
-            cols = [("delta", [d], "f")]
-            cols += [(k, [row[k]], "f") for k in analysis.SWEEP_COLUMNS]
+            cols = [("delta", [d])] + [(k, [row[k]]) for k in analysis.SWEEP_COLUMNS]
             stored += _write(outdir, [(_point_name(d), "csv", (meta, cols))])
 
     result = analysis.SweepResult.collect(resumed + fresh)
     grid, columns = result.delta_grid, result.columns
-    cols = [("delta", grid, "f")]
-    cols += [(k, columns[k], "f") for k in analysis.SWEEP_COLUMNS]
+    cols = [("delta", grid)] + [(k, columns[k]) for k in analysis.SWEEP_COLUMNS]
     meta = [_model_meta(p, _reads("sweep")["model"])]  # delta: a column
     entries = [(name, None, None) for name in stored]
     entries.append(("summary.csv", "csv", (meta, cols)))
@@ -806,7 +781,7 @@ def _cmd_sweep(cfg, outdir):
     return entries, conv, 0
 
 
-def _cmd_analyze(cfg, outdir):
+def _cmd_analyze(cfg):
     """estimators over a stored series"""
     o = cfg.analyze
     meta, cols = _read_csv(Path(o.input))
@@ -814,10 +789,8 @@ def _cmd_analyze(cfg, outdir):
         raise ConfigError([f"analyze.x: column {o.x!r} not in {o.input} "
                            f"(columns: {', '.join(cols)})"])
     x = cols[o.x]
-    ok = np.isfinite(x)
-    ok[1:] &= x[1:] > x[:-1]
-    if not ok.all():
-        k = int(np.argmin(ok))
+    k = analysis.first_bad_time(x)
+    if k is not None:
         raise ConfigError([f"input: {o.input} column {o.x!r} must be finite and "
                            f"strictly increasing; data row {k + 1} holds "
                            f"{float(x[k])!r}" + (f" after {float(x[k - 1])!r}" if k else "")])
@@ -858,7 +831,7 @@ def _cmd_analyze(cfg, outdir):
     return [("analysis.json", "json", doc)], conv, 1 if failed else 0
 
 
-def _cmd_plot(cfg, outdir):
+def _cmd_plot(cfg):
     """deterministic SVG overlay of CSVs"""
     o = cfg.plot
     if o.alpha2_time and cfg.model is None:
@@ -902,14 +875,20 @@ def _cmd_plot(cfg, outdir):
     return [(out_name, "svg", draw)], {}, 0
 
 
+# Each subcommand's (run, formats it writes, keys it reads).  The keys are
+# in _SCHEMA order: "section" is all its keys, "section.key" one; a section
+# marked "?" is read only if given, and every other one must be complete.
 _DISPATCH = {
-    "chain-coeffs": (_cmd_chain_coeffs, ("csv", "json", "svg")),
-    "rwa": (_cmd_rwa, ("csv", "svg")),
-    "evolve": (_cmd_evolve, ("csv", "svg")),
-    "polaron": (_cmd_polaron, ("json",)),
-    "sweep": (_cmd_sweep, ("csv", "svg")),
-    "analyze": (_cmd_analyze, ("json",)),
-    "plot": (_cmd_plot, ("svg",)),
+    "chain-coeffs": (_cmd_chain_coeffs, ("csv", "json", "svg"), ("model", "chain", "output")),
+    "rwa": (_cmd_rwa, ("csv", "svg"),
+            ("model", "chain", "evolution.t_max", "evolution.dt", "output", "rwa")),
+    "evolve": (_cmd_evolve, ("csv", "svg"), ("model", "chain", "evolution", "output", "evolve")),
+    "polaron": (_cmd_polaron, ("json",), ("model", "output")),
+    "sweep": (_cmd_sweep, ("csv", "svg"),  # not model.delta: each point sets its own
+              ("model.alpha", "model.omega_b", "model.omega0", "model.omega_c",
+               "evolution?", "output", "sweep")),
+    "analyze": (_cmd_analyze, ("json",), ("model?", "analysis", "output", "analyze")),
+    "plot": (_cmd_plot, ("svg",), ("model?", "output", "plot")),
 }
 
 
@@ -926,7 +905,7 @@ def _parse_args(argv):
     parser.add_argument("--version", action="version",
                         version=f"gapchain {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for sub, (cmd, _) in _DISPATCH.items():
+    for sub, (cmd, _, _) in _DISPATCH.items():
         subparser = subs.add_parser(sub, help=cmd.__doc__, allow_abbrev=False)
         if sub not in argv:
             continue  # argparse never reaches a subcommand that argv does not name
@@ -961,7 +940,7 @@ def main(argv=None) -> int:
         outdir = Path(cfg.output.directory)
         t0 = time.monotonic()
         try:
-            entries, conv, code = _DISPATCH[args.subcommand][0](cfg, outdir)
+            entries, conv, code = _DISPATCH[args.subcommand][0](cfg)
             outputs = _write(outdir, [e for e in entries if e[1] in cfg.output.formats])
         except (ValueError, RuntimeError, ArithmeticError) as err:
             diag = {"subcommand": args.subcommand,

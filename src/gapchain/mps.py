@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chainmap import ChainCoefficients
+from .chainmap import LIGHT_CONE_TAIL, ChainCoefficients
 
 __all__ = [
     "EvolutionConfig",
@@ -157,9 +157,8 @@ class Gates:
 
     half: list  # U = exp(-i H_j dt/2) on even bonds, None on odd ones
     full: list  # one dt per bond: U @ U on even bonds, exp(-i H_j dt) on odd
-    dt: float
-    chi_max: int
-    svd_threshold: float
+    dt: float  # the step used (resolves cfg.dt = None)
+    cfg: EvolutionConfig  # the config built from; its truncation applies
 
 
 def _bond_hamiltonians(c: ChainCoefficients, delta, cfg):
@@ -236,7 +235,7 @@ def build_gates(c: ChainCoefficients, delta, cfg: EvolutionConfig) -> Gates:
             full[j] = (u @ u).reshape(shape)
         else:
             full[j] = _propagator(h, dt).reshape(shape)
-    return Gates(half, full, dt, cfg.chi_max, cfg.svd_threshold)
+    return Gates(half, full, dt, cfg)
 
 
 @lru_cache(maxsize=256)
@@ -307,7 +306,8 @@ def tebd_step(state: MPSState, gates: Gates, steps=1):
     truncation-explosion check runs after every step, so it raises in the
     step where the explosion happens.
     """
-    tol = gates.svd_threshold ** 2
+    chi_max, threshold = gates.cfg.chi_max, gates.cfg.svd_threshold
+    tol = threshold ** 2
     tensors = state.site_tensors
     n_bonds = len(tensors) - 1
     # found per call: sites may be set by hand between calls
@@ -317,7 +317,7 @@ def tebd_step(state: MPSState, gates: Gates, steps=1):
     step_worst = 0.0
     for layer, first, closes_step in _layers(gates, steps):
         for j in range(first, min(front, n_bonds), 2):
-            w = _apply_gate(state, j, layer[j], gates.chi_max, gates.svd_threshold)
+            w = _apply_gate(state, j, layer[j], chi_max, threshold)
             step_worst = max(step_worst, w)
             state.cumulative_discarded_weight += w
         # a layer gates no bond past the front, so it moves by one at most
@@ -417,8 +417,8 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
 
     The emitter splitting enters through ``delta`` (the chain carries no
     emitter energy of its own).  Samples where the last-site occupation
-    exceeds 1e-6 are flagged: beyond that point the finite chain no
-    longer emulates the infinite band.
+    reaches ``chainmap.LIGHT_CONE_TAIL`` are flagged: beyond that point the
+    finite chain no longer emulates the infinite band.
     """
     gates = build_gates(c, delta, cfg)
     state = init_state(c, cfg, atom_state)
@@ -438,7 +438,7 @@ def evolve(c: ChainCoefficients, cfg: EvolutionConfig, atom_state="excited",
             discarded_weight=state.cumulative_discarded_weight,
             conserved_charge=conserved_charge(state, cfg.mode),
             tail_occupation=tail,
-            flags=tail >= 1e-6,
+            flags=tail >= LIGHT_CONE_TAIL,
         ))
 
     sample(0)

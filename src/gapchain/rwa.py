@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chainmap import ChainCoefficients, dct3
+from .chainmap import LIGHT_CONE_TAIL, ChainCoefficients, dct3
 from .invlaplace import filon_fourier, ray_rule
 from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
@@ -485,8 +485,9 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
     At the wideband sweep corner (N = 650, 2001 samples, delta from a bound
     state to above the band top) A(t) agrees with ``chain_state_amplitudes``
     to 4.5e-13 and the last-site amplitude to 3e-15.  A light-cone check
-    requires the last-site occupation to stay below 1e-6 and reports the
-    first violating time otherwise.
+    requires the last-site occupation to stay below
+    ``chainmap.LIGHT_CONE_TAIL`` and reports the first violating time
+    otherwise.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
@@ -495,7 +496,7 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
     times = np.linspace(0.0, t_max, samples)
     amp, last = _chain_ends(c, delta, times)
     tail = np.abs(last) ** 2
-    bad = tail >= 1e-6
+    bad = tail >= LIGHT_CONE_TAIL
     if bad.any():
         j = int(np.argmax(bad))
         raise RuntimeError(

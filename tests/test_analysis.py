@@ -12,6 +12,7 @@ randomized property.  Physics contracts run at two corners:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gapchain.analysis import (
     crossover_scan,
     decay_rate,
     oscillation_frequency,
+    point_settings,
     rwa_pole_estimates,
     stationary_value,
     zero_crossing_frequency,
@@ -205,6 +207,28 @@ class TestNonFiniteSamples:
             estimator((t, y))
 
 
+class TestTimesOutOfOrder:
+    """Times that are not strictly increasing are refused, naming the
+    first sample out of order; reversed, zero_crossing_frequency once
+    returned -3.0 for cos(3t), and shuffled 148.5."""
+
+    @pytest.mark.parametrize("estimator", [oscillation_frequency,
+                                           zero_crossing_frequency,
+                                           stationary_value, decay_rate])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_refused(self, estimator, order):
+        t = np.linspace(0.0, 25.0, 6001)
+        y = np.exp(-0.3 * t) * np.cos(8.0 * t) + 0.2
+        estimator((t, y))  # the ordered series is accepted
+        rows = (np.arange(t.size)[::-1] if order == "reversed"
+                else np.random.default_rng(7).permutation(t.size))
+        k = analysis.first_bad_time(t[rows])
+        message = (f"times out of order: sample {k} holds {float(t[rows][k])!r} "
+                   f"after {float(t[rows][k - 1])!r}, need strictly increasing")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimator((t[rows], y[rows]))
+
+
 class TestSyntheticProperty:
     """Randomized decaying-cosine signals: y = e^{-rt} cos(ft+p) + c.
 
@@ -326,7 +350,7 @@ class TestPhysicsContracts:
 def wideband_scan():
     base = ModelParams(**WIDEBAND)
     return SweepResult.collect(crossover_scan(
-        np.arange(10.0, 31.0, 4.0), methods=("rwa",), base_params=base))
+        np.arange(10.0, 31.0, 4.0), base, point_settings(("rwa",), base, {})))
 
 
 class TestCrossoverScan:
@@ -389,30 +413,25 @@ class TestCrossoverScan:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
-            SweepResult.collect(crossover_scan(
-                [1.0], methods=("rwa", "exact"),
-                base_params=ModelParams(**WIDEBAND)))
+            point_settings(("rwa", "exact"), ModelParams(**WIDEBAND), {})
 
     def test_empty_grid(self):
+        base = ModelParams(**WIDEBAND)
         res = SweepResult.collect(crossover_scan(
-            [], methods=("rwa",), base_params=ModelParams(**WIDEBAND)))
+            [], base, point_settings(("rwa",), base, {})))
         assert res.delta_grid.size == 0
         assert res.columns["stationary_pop_rwa"].size == 0
 
     def test_full_method_requires_evolution_config(self):
         with pytest.raises(ValueError, match="EvolutionConfig"):
-            SweepResult.collect(crossover_scan(
-                [1.0], methods=("full",),
-                base_params=ModelParams(**WIDEBAND)))
+            point_settings(("full",), ModelParams(**WIDEBAND), {})
 
     def test_parallel_jobs_match_serial(self):
         base = ModelParams(**WIDEBAND)
-        cfgs = {"rwa": {"t_max": 1.5, "samples": 801}}
-        serial = SweepResult.collect(crossover_scan(
-            [20.0, 30.0], methods=("rwa",), base_params=base, cfgs=cfgs))
-        parallel = SweepResult.collect(crossover_scan(
-            [20.0, 30.0], methods=("rwa",), base_params=base, cfgs=cfgs,
-            jobs=2))
+        settings = point_settings(("rwa",), base, {"rwa": {"t_max": 1.5, "samples": 801}})
+        serial = SweepResult.collect(crossover_scan([20.0, 30.0], base, settings))
+        parallel = SweepResult.collect(crossover_scan([20.0, 30.0], base, settings,
+                                                      jobs=2))
         for name in ("stationary_pop_rwa", "freq_rwa", "decay_rwa"):
             assert np.array_equal(serial.columns[name],
                                   parallel.columns[name], equal_nan=True)
@@ -431,7 +450,7 @@ class TestCrossoverScan:
 
         monkeypatch.setattr(analysis, "mps_evolve", counted)
         res = SweepResult.collect(crossover_scan(
-            [3.0], methods=("full",), base_params=base, cfgs={"full": fc}))
+            [3.0], base, point_settings(("full",), base, {"full": fc})))
         # one run serves both: the population is its |e> branch's
         assert runs == ["plus_superposition"]
         assert res.columns["stationary_pop_full"][0] == pytest.approx(
@@ -448,9 +467,9 @@ class TestCrossoverScan:
         assert list(m["failures"]) == ["freq_full"]
 
     def test_unsorted_grid_is_sorted(self):
-        res = SweepResult.collect(crossover_scan(
-            [30.0, 18.0], methods=("rwa",), base_params=ModelParams(**WIDEBAND),
-            cfgs={"rwa": {"t_max": 1.5, "samples": 801}}))
+        base = ModelParams(**WIDEBAND)
+        res = SweepResult.collect(crossover_scan([30.0, 18.0], base, point_settings(
+            ("rwa",), base, {"rwa": {"t_max": 1.5, "samples": 801}})))
         assert list(res.delta_grid) == [18.0, 30.0]
 
 

@@ -531,6 +531,24 @@ class TestExitCodes:
         assert code == 2
         assert f"config: cannot read {path}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub,name,text,message", [
+        ("polaron", "bad.json", '{"model": ', "config: {path} is not valid JSON: "),
+        ("polaron", "bad.ini", "[model\nalpha = 1\n", "config: {path} is not valid INI: "),
+        ("polaron", "list.json", "[1, 2]", "config: {path} must hold a JSON object"),
+        ("analyze", "ragged.csv", "t,pop\n0,1\n1,2,3\n",
+         "input: {path} row has 3 cells, header has 2"),
+        ("analyze", "header.csv", "# note\nt,pop\n", "input: {path} is empty (no data rows)"),
+    ], ids=["json", "ini", "json-array", "ragged-csv", "header-only-csv"])
+    def test_unreadable_outside_input_exits_2(self, tmp_path, capsys, sub, name,
+                                              text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out"
+        flag = "--config" if sub == "polaron" else "--input"
+        assert main([sub, flag, str(path), "--out-dir", str(out)]) == 2
+        assert message.format(path=path) in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--input", "{csv}", "--alpha", "1", "--delta", "8"],
         ["plot", "--csv", "{csv}", "--y", "pop", "--alpha", "1",
@@ -1065,7 +1083,8 @@ class TestSweepCommand:
                              svd_threshold=1e-8, mode="FULL")
         cfgs = {"rwa": {"t_max": 0.5, "samples": 201}, "full": fc}
         points = list(analysis.crossover_scan(
-            [2.0, 3.0, 4.0], ("rwa", "full"), base, cfgs=cfgs, jobs=2))
+            [2.0, 3.0, 4.0], base, analysis.point_settings(("rwa", "full"), base, cfgs),
+            jobs=2))
         assert len(points) == 3
         assert all("worker" not in m["failures"] for _, _, m in points)
         assert sorted(mapped) == sorted(chain_length_for(base, t)
