@@ -43,8 +43,8 @@ def _renorm_integral(p: ModelParams, delta_tilde):
 
 
 def silbey_harris_solve(p: ModelParams) -> PolaronSolution:
-    """Fixed-point map y <- -I(Delta e^y) on y = ln(Delta_tilde/Delta) from y = 0;
-    returns the largest root.
+    """Fixed-point map y <- -I(Delta e^y) on y = ln(Delta_tilde/Delta) from y = 0,
+    with secant steps where it is slow; returns the largest root.
 
     I is ``_renorm_integral``.  The map is x <- Delta e^{-I(x)} in the
     logarithm of x = Delta e^y: its right side is increasing in x and at
@@ -52,9 +52,19 @@ def silbey_harris_solve(p: ModelParams) -> PolaronSolution:
     and never pass it.  Where the condition has three roots (small w_b,
     strong coupling) the two below are never reached.  Iterating in y
     makes the stop |dy| <= 1e-13 max(1, |y|) relative in Delta_tilde,
-    however small the root.  At the fold where the two upper roots merge
-    the map's rate tends to 1, and within about 3e-4 of it in delta
-    (alpha 1, w_b 1e-3, w0 100, w_c 800) the 1000 steps run out.
+    however small the root.
+
+    At the fold where the two upper roots merge the map's rate tends to 1
+    (alpha 1, w_b 1e-3, w0 100, w_c 800, delta near 1.4891, where the map
+    alone ran out of 1000 steps).  So once a fall is more than half the one
+    before it, each next point is the secant root of f(y) = y + I(Delta e^y)
+    through the last two points, for as long as f falls.  A point where
+    f < 0 lies below the largest root: it is dropped for the map's last
+    image, and the map resumes.  Where the condition has one root, f > 0
+    holds exactly above it, so that check alone keeps the search on it.
+    Where it has three, f is convex about its minimum between the upper
+    two, and a chord's extension lies below a convex function, so the
+    secant root of two points above the largest root does not pass it.
     ``iterations`` counts I evaluations and ``residual`` is the last |dy|.
     """
     if p.delta <= 0.0:
@@ -63,13 +73,23 @@ def silbey_harris_solve(p: ModelParams) -> PolaronSolution:
     if p.alpha == 0.0:
         return PolaronSolution(p.delta, 1.0, 0.0, 1.0, 1, 0.0)
 
-    y = 0.0
+    y, back, secant = 0.0, None, False  # back: the last point above the root, and its f
     for iterations in range(1, 1001):
         y_next = -_renorm_integral(p, p.delta * math.exp(y))
-        step = abs(y_next - y)
-        y = y_next
-        if step <= 1e-13 * max(1.0, abs(y)):
+        fall = y - y_next  # f(y)
+        step = abs(fall)
+        if step <= 1e-13 * max(1.0, abs(y_next)):
+            y = y_next
             break
+        if fall < 0.0:  # a secant point below the root
+            y, back, secant = safe, None, False
+            continue
+        safe = y_next
+        secant = secant or (back is not None and fall > 0.5 * back[1])
+        if secant and fall < back[1]:
+            back, y = (y, fall), y - fall * (y - back[0]) / (fall - back[1])
+        else:
+            back, y = (y, fall), y_next
     else:
         raise RuntimeError(
             f"polaron self-consistency did not converge: last iterate "

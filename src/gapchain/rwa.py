@@ -408,37 +408,49 @@ def _chebyshev_moments(diag, off, K):
     T_2n+1 = 2 T_n+1 T_n - T_1 give mu_2n = 2 u_n.u_n - mu_0,
     mu_2n+1 = 2 u_n+1.u_n - mu_1 and likewise nu from w_n.u_n, so the
     three-term recurrence u_n+1 = 2 H u_n - u_n-1 (and w) runs to K/2 + 1
-    only.  Each step is one vector [0, u_n, w_n, 0]: two copies of H with
-    no coupling between them, and zero ends, so that the three diagonals
-    act by shifted products alone.  The vectors are kept _MOMENT_ROWS
-    steps at a time, and their products taken per block, so memory stays
-    linear in the chain length.
+    only.  u_n is zero beyond site n and w_n before site N - n (the light
+    cone of a tridiagonal H), so each step stores u_i at 2i and w_N-i at
+    2i + 1, behind two zero pads: w runs on the reversed chain, the three
+    diagonals act by products shifted by 2, and both supports are one
+    prefix of 2(n + 1) entries, capped at the chain, that the step and the
+    products stop at.  w_n.u_n = sum_i u_i w_N-i is zero until 2n >= N.
+    The vectors are kept _MOMENT_ROWS steps at a time, and their products
+    taken per block, so memory stays linear in the chain length.  Against
+    a dense recurrence on random tridiagonal H of 1 to 300 sites the moments
+    agree to 3.6e-15, as the full-length loop they replace did.
     """
     m, size = K // 2 + 1, diag.size
-    d2 = np.tile(2.0 * diag, 2)
-    lower = np.concatenate(([0.0], 2.0 * off, [0.0], 2.0 * off))  # H[i, i-1]
-    upper = np.roll(lower, -1)  # H[i, i+1]
-    tmp = np.empty(d2.size)
-    V = np.zeros((_MOMENT_ROWS + 2, d2.size + 2))  # row 0 carries u_n0-1, row 1 u_n0
-    V[1, 1] = V[1, -2] = 1.0
+    width = 2 * size  # u_0, w_N, u_1, w_N-1, ...
+    d2, lower, upper = np.zeros(width), np.zeros(width), np.zeros(width)
+    d2[::2], d2[1::2] = 2.0 * diag, 2.0 * diag[::-1]
+    lower[2::2], lower[3::2] = 2.0 * off, 2.0 * off[::-1]  # H[i, i-1] of each chain
+    upper[:-2] = lower[2:]  # H[i, i+1]
+    tmp = np.empty(width)
+    V = np.zeros((_MOMENT_ROWS + 2, width + 4))  # row 0 carries u_n0-1, row 1 u_n0
+    V[1, 2] = V[1, 3] = 1.0
     mu, nu = np.empty(2 * m), np.empty(2 * m)
     for n0 in range(0, m, _MOMENT_ROWS):
         r = min(_MOMENT_ROWS, m - n0)
-        for i in range(1, r + 1):  # row i + 1 holds u_n0+i
-            v, out = V[i], V[i + 1, 1:-1]
-            np.multiply(d2, v[1:-1], out=out)
-            out += np.multiply(lower, v[:-2], out=tmp)
-            out += np.multiply(upper, v[2:], out=tmp)
+        for i in range(1, r + 1):  # row i + 1 holds u_n0+i, on its first 2(n0 + i + 1) entries
+            P = min(2 * (n0 + i + 1), width)
+            v, out, t = V[i], V[i + 1, 2:P + 2], tmp[:P]
+            np.multiply(d2[:P], v[2:P + 2], out=out)
+            out += np.multiply(lower[:P], v[:P], out=t)
+            out += np.multiply(upper[:P], v[4:P + 4], out=t)
             if n0 + i > 1:
-                out -= V[i - 1, 1:-1]
+                out -= V[i - 1, 2:P + 2]
             else:
                 out *= 0.5  # u_1 = H u_0
         if n0 == 0:
-            base = V[1:3, 1].copy(), V[1:3, size].copy()  # (mu_0, mu_1), (nu_0, nu_1)
-        u, w = V[1:r + 2, 1:size + 1], V[1:r + 2, size + 1:-1]
-        for out, x, (even, odd) in ((mu, u, base[0]), (nu, w, base[1])):
-            out[2 * n0:2 * (n0 + r):2] = 2.0 * np.einsum("ni,ni->n", x[:r], u[:r]) - even
-            out[2 * n0 + 1:2 * (n0 + r):2] = 2.0 * np.einsum("ni,ni->n", x[1:], u[:r]) - odd
+            base = V[1:3, 2].copy(), V[1:3, width].copy()  # (mu_0, mu_1), (nu_0, nu_1)
+        # each product holds one u_n, n < n0 + r, zero beyond site n0 + r - 1,
+        # and w_n.u_n, w_n+1.u_n hold w up to w_n0+r, zero before N - n0 - r
+        lo, hi = max(size - 1 - (n0 + r), 0), min(n0 + r, size) - 1
+        u = V[1:r + 2, 2:2 * hi + 3:2]
+        w = V[1:r + 2, width + 1 - 2 * lo:width - 2 * hi:-2]  # sites lo..hi, empty if lo > hi
+        for out, x, y, (even, odd) in ((mu, u, u, base[0]), (nu, w, u[:, lo:], base[1])):
+            out[2 * n0:2 * (n0 + r):2] = 2.0 * np.einsum("ni,ni->n", x[:r], y[:r]) - even
+            out[2 * n0 + 1:2 * (n0 + r):2] = 2.0 * np.einsum("ni,ni->n", x[1:], y[:r]) - odd
         V[:2] = V[r:r + 2]
     return mu[:K + 1], nu[:K + 1]
 
@@ -459,8 +471,9 @@ def _chain_ends(c: ChainCoefficients, delta, times):
     ``_chebyshev_moments``; the last site takes nu_n.  With t_k = k dt,
     k = pB + q and B = ceil(sqrt(samples)), each phase splits as
     e^{-i E t_pB} e^{-i E t_q}, so each sum is one GEMM of the row phases
-    (samples/B x M) and the column phases (M x B), raveled.  No eigenvalue
-    is computed.
+    (samples/B x M) and the column phases (M x B), raveled; each phase
+    table is the cos and sin of one table of -E t (``_phases``).  No
+    eigenvalue is computed.
     """
     diag, off = _chain_matrix(c, delta)
     radius = np.zeros(diag.size)
@@ -473,9 +486,19 @@ def _chain_ends(c: ChainCoefficients, delta, times):
     M = K + 1
     energies = b + a * np.cos(math.pi / M * (np.arange(M) + 0.5))
     block = math.isqrt(times.size - 1) + 1
-    rows, cols = (np.exp(-1j * np.outer(ts, energies)) for ts in (times[::block], times[:block]))
+    rows, cols = (_phases(ts, energies) for ts in (times[::block], times[:block]))
     return tuple(((rows * (dct3(m, M) / M)) @ cols.T).ravel()[:times.size]
                  for m in _chebyshev_moments((diag - b) / a, off / a, K))
+
+
+def _phases(ts, energies):
+    """e^{-i E t} on the (ts x energies) grid: cos and sin of one table of -E t,
+    written into the two halves of a complex array."""
+    phase = np.outer(ts, -energies)
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
@@ -484,7 +507,7 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
 
     At the wideband sweep corner (N = 650, 2001 samples, delta from a bound
     state to above the band top) A(t) agrees with ``chain_state_amplitudes``
-    to 4.5e-13 and the last-site amplitude to 3e-15.  A light-cone check
+    to 4.4e-13 and the last-site amplitude to 2.1e-15.  A light-cone check
     requires the last-site occupation to stay below
     ``chainmap.LIGHT_CONE_TAIL`` and reports the first violating time
     otherwise.

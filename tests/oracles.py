@@ -15,8 +15,10 @@ environmental energy shift E_en and the shifted detuning.
 The chain's: the head-site propagator, which must reproduce the bath
 correlation kernel.  The MPS engine's: two-site expectation values and the
 total bond energy, which the energy-drift and product-state tests use; the
-top Fock occupation, a truncation health value; and the doubling protocol
-(``convergence_report``) of chi, d_b and dt.
+top Fock occupation, a truncation health value; the doubling protocol
+(``convergence_report``) of chi, d_b and dt; and the FULL-mode reference
+(``full_mode_reference``), exact propagation with ``scipy.sparse`` on the
+first L sites and at most K quanta, which shares no code with TEBD.
 
 The RWA pole asymptotics: the three-regime classification of the
 broad-band quadratic root analysis, its stationary population, and the
@@ -30,10 +32,12 @@ the large-splitting estimate and the adiabatic small-splitting
 renormalization.  The polaron reference root (``damped_fixed_point``): the
 damped map x <- x/2 + RHS(x)/2 from x = Delta, which falls onto the same
 largest root as ``silbey_harris_solve`` by a different iteration, and
-the root ln(delta_tilde/Delta) by bisection (``log_root_by_bisection``),
-where the condition has one root.
+the largest root ln(delta_tilde/Delta) by bisection on a grid cell
+(``log_root_by_bisection``), which also holds across the fold where the
+two upper roots merge.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -180,6 +184,80 @@ def top_fock_occupation(state: mps.MPSState):
         proj[d - 1, d - 1] = 1.0
         worst = max(worst, mps.measure(state, site, proj).real)
     return worst
+
+
+def full_mode_reference(c: ChainCoefficients, delta, times, L, K, d_b=4,
+                        atom_state="excited"):
+    """(sigma_z, sigma_x) of the emitter under the FULL coupling, at ``times``,
+    by exact propagation on a truncated Fock space; shares no code with TEBD.
+
+    H = delta |e><e| + g sigma_x (a_1 + a_1^dag) + sum_k eps_k n_k
+    + sum_k t_k (a_k^dag a_k+1 + h.c.) on the emitter and the first L chain
+    sites, in the basis of boson configurations with at most d_b - 1 quanta
+    per site and at most K in all (times the two emitter levels), as a
+    ``scipy.sparse`` matrix.  The state starts as the emitter's ``atom_state``
+    (excited or plus_superposition) on the vacuum and is stepped from each
+    sample time to the next by ``scipy.sparse.linalg.expm_multiply``, so an
+    uneven grid such as TEBD's (its last interval is shorter) is followed
+    exactly.  The L cut is controlled by the light cone (occupations fall
+    below 1e-20 past its front); the K cut is checked by raising K.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    # a configuration is the sites of its quanta, each site d_b - 1 at most
+    occ = np.array([np.bincount(np.asarray(sites, dtype=int), minlength=L)
+                    for n in range(K + 1)
+                    for sites in itertools.combinations_with_replacement(range(L), n)])
+    occ = occ[occ.max(axis=1) < d_b]
+    radix = d_b ** np.arange(L, dtype=np.int64)
+    code = occ @ radix
+    order = np.argsort(code)
+    occ, code = occ[order], code[order]
+    nb = code.size
+
+    def index(new_code):
+        j = np.searchsorted(code, new_code)
+        j = np.minimum(j, nb - 1)
+        return j, code[j] == new_code
+
+    diag_b = occ @ np.asarray(c.eps[:L], dtype=float)
+    r, q, v = [], [], []
+    for k in range(L - 1):  # t_k (a_k^dag a_k+1 + h.c.): one quantum hops k+1 -> k
+        src = np.flatnonzero((occ[:, k + 1] > 0) & (occ[:, k] < d_b - 1))
+        dst, ok = index(code[src] + radix[k] - radix[k + 1])
+        amp = c.t[k] * np.sqrt(occ[src, k + 1] * (occ[src, k] + 1.0))
+        r += [dst[ok], src[ok]]
+        q += [src[ok], dst[ok]]
+        v += [amp[ok], amp[ok]]
+    hop = sparse.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(q))),
+                            shape=(nb, nb))
+    src = np.flatnonzero((occ[:, 0] < d_b - 1) & (occ.sum(axis=1) < K))  # a_1^dag
+    dst, ok = index(code[src] + 1)
+    up = sparse.csr_matrix((np.sqrt(occ[src[ok], 0] + 1.0), (dst[ok], src[ok])), shape=(nb, nb))
+    bath = sparse.diags(diag_b) + hop
+    x = c.g * (up + up.T)
+    H = sparse.bmat([[bath, x], [x, bath + delta * sparse.identity(nb)]], format="csr")
+
+    psi = np.zeros(2 * nb, dtype=complex)
+    vac = int(np.searchsorted(code, 0))
+    if atom_state == "excited":
+        psi[nb + vac] = 1.0
+    elif atom_state == "plus_superposition":
+        psi[vac] = psi[nb + vac] = 1.0 / math.sqrt(2.0)
+    else:
+        raise ValueError(f"unknown atom_state {atom_state!r}")
+    times = np.asarray(times, dtype=float)
+    sz, sx = np.empty(times.size), np.empty(times.size)
+    now = 0.0
+    for i, t in enumerate(times):
+        if t > now:
+            psi = expm_multiply(-1j * (t - now) * H, psi)
+            now = t
+        g, e = psi[:nb], psi[nb:]
+        sz[i] = np.vdot(e, e).real - np.vdot(g, g).real
+        sx[i] = 2.0 * np.vdot(g, e).real
+    return sz, sx
 
 
 def convergence_report(c: ChainCoefficients, cfg: mps.EvolutionConfig,
@@ -410,17 +488,30 @@ def damped_fixed_point(p: ModelParams, tol=1e-12, max_steps=20_000) -> float:
 
 
 def log_root_by_bisection(p: ModelParams) -> float:
-    """y = ln(delta_tilde/Delta) of the polaron condition y = -I(Delta e^y) by bisection.
+    """The largest y = ln(delta_tilde/Delta) of the polaron condition y = -I(Delta e^y),
+    by bisection.
 
     I = ``_renorm_integral`` falls as x grows, so f(y) = y + I(Delta e^y) is
-    positive at y = 0 and negative at y = -I(0) - 1; the bracket halves until
-    its midpoint is one of its ends.  With one root in the bracket (no
-    three-root corner) it is that root, to the last bit f resolves.
+    positive at y = 0 and negative at y = -I(0) - 1.  f is tabulated on that
+    interval at spacing 1e-3 (40 001 points at most, so coarser where
+    I(0) > 39), from ``ghat`` and
+    ``ghat_slope`` on the whole grid at once, and the last grid cell where f
+    changes sign is halved until its midpoint is one of its ends: the
+    largest root, to the last bit f resolves.  Where the condition has
+    three roots, the dip of f below zero between the upper two must be
+    wider than 1e-3 (on the small-gap corner it is 0.038 wide at
+    delta = 1.48925, 1.4e-4 above the fold, and 0.007 wide at 1.48912).
     """
     def f(y):
         return y + _renorm_integral(p, p.delta * math.exp(y))
 
-    lo, hi = -_renorm_integral(p, 0.0) - 1.0, 0.0
+    bottom = -_renorm_integral(p, 0.0) - 1.0
+    y = np.linspace(bottom, 0.0, min(40_001, math.ceil(-bottom / 1e-3) + 1))
+    s = 1j * (p.delta + p.delta * np.exp(y))
+    j = np.nonzero(y + 2.0 * ghat_slope(p, s, ghat(p, s)).real < 0.0)[0][-1]
+    lo, hi = y[j], y[j + 1]
+    if not f(lo) < 0.0 < f(hi):
+        raise RuntimeError(f"grid cell [{lo!r}, {hi!r}] does not bracket a root")
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)

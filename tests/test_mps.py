@@ -1,5 +1,6 @@
 """TEBD engine tests: gate algebra, conservation laws, accuracy vs the
-exact single-excitation chain solver, truncation safeguards."""
+exact single-excitation chain solver and, in FULL mode, vs exact
+propagation on a truncated Fock space, truncation safeguards."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from gapchain.chainmap import chain_length_for, map_to_chain
 from gapchain.model import ModelParams
 from gapchain.mps import EvolutionConfig, MPSState
 from gapchain.rwa import chain_state_amplitudes
-from oracles import convergence_report, measure_bond, top_fock_occupation, total_energy
+from oracles import (
+    convergence_report,
+    full_mode_reference,
+    measure_bond,
+    top_fock_occupation,
+    total_energy,
+)
 
 DELTA = 3.0
 T_SHORT = 0.3
@@ -657,3 +664,45 @@ class TestEvolve:
         assert set(rep) == {"chi_max", "d_b", "dt", "converged"}
         assert rep["converged"]
         assert all(rep[k] < 5e-3 for k in ("chi_max", "d_b", "dt"))
+
+
+@pytest.fixture(scope="module")
+def tebd_full_corner():
+    """The tebd-full benchmark corner: FULL, d_b 4, chi_max 32, t_max 0.15,
+    on a light-cone chain of 58 sites, and the TEBD runs from |e> and |+>."""
+    p = reduced()
+    c = map_to_chain(p, chain_length_for(p, 0.15))
+    cfg = EvolutionConfig(t_max=0.15, d_b=4, chi_max=32, mode="FULL")
+    return c, {s: mps.evolve(c, cfg, s, DELTA) for s in ("excited", "plus_superposition")}
+
+
+class TestFullModeReference:
+    """TEBD in FULL mode against exact propagation on the first 20 sites with
+    at most K quanta in all (``oracles.full_mode_reference``), at TEBD's own
+    sample times.  What is left is the Strang step's dt^2 error."""
+
+    def test_sigma_z_error_at_tebd_full_corner(self, tebd_full_corner):
+        c, runs = tebd_full_corner
+        ts = runs["excited"]
+        sz, _ = full_mode_reference(c, DELTA, ts.times, L=20, K=4)
+        # 2.19e-6 measured (dimension 21 212); 2.05e-6 at K = 5
+        assert np.max(np.abs(sz - ts.sigma_z.real)) <= 3e-6
+
+    def test_superposition_sigma_x_error(self, tebd_full_corner):
+        c, runs = tebd_full_corner
+        ts = runs["plus_superposition"]
+        sz, sx = full_mode_reference(c, DELTA, ts.times, L=20, K=4,
+                                     atom_state="plus_superposition")
+        assert np.max(np.abs(sx - ts.sigma_x.real)) <= 1e-7  # 6.96e-8 measured
+        assert np.max(np.abs(sz - ts.sigma_z.real)) <= 6e-7  # 4.22e-7 measured
+
+    @pytest.mark.extended
+    def test_reference_converged_in_total_quanta(self, tebd_full_corner):
+        # K = 5 (dimension 105 420) moves sigma_z by 2.86e-7 from K = 4, a
+        # seventh of TEBD's error, which it puts at 2.05e-6
+        c, runs = tebd_full_corner
+        ts = runs["excited"]
+        k4, _ = full_mode_reference(c, DELTA, ts.times, L=20, K=4)
+        k5, _ = full_mode_reference(c, DELTA, ts.times, L=20, K=5)
+        assert np.max(np.abs(k5 - k4)) <= 5e-7
+        assert np.max(np.abs(k5 - ts.sigma_z.real)) <= 3e-6

@@ -150,6 +150,32 @@ class TestSolve:
         assert math.log(sol.phi) == pytest.approx(log_root_by_bisection(p), rel=1e-12)
         assert sol.phi == pytest.approx(2.31208e-14, rel=1e-5)
 
+    def test_fold_corner_converges_to_largest_root(self):
+        # 3.9e-4 above the fold, where the upper roots (y = -1.842, -1.778)
+        # still merge slowly: the map alone ran out of its 1000 steps here
+        p = ModelParams(alpha=1.0, omega_b=1e-3, omega0=100.0, omega_c=800.0,
+                        delta=1.4895)
+        sol = silbey_harris_solve(p)
+        assert math.log(sol.phi) == pytest.approx(log_root_by_bisection(p), rel=1e-11)
+        assert sol.delta_tilde == pytest.approx(0.2516492, rel=1e-6)
+        assert sol.iterations <= 30
+
+    def test_fold_scan_matches_bisection(self):
+        # 101 points across the fold (delta 1.48911): the small root below it,
+        # the largest of three above; the map alone failed at 3 of them and
+        # took up to 950 steps at others.  |dy| is the stop 1e-13 over
+        # f'(root), which falls toward the fold: 2.5e-12 relative at most
+        ys = []
+        for delta in np.linspace(1.475, 1.5, 101):
+            p = ModelParams(alpha=1.0, omega_b=1e-3, omega0=100.0, omega_c=800.0,
+                            delta=float(delta))
+            sol = silbey_harris_solve(p)
+            y = log_root_by_bisection(p)
+            assert math.log(sol.phi) == pytest.approx(y, rel=1e-11), delta
+            assert sol.iterations <= 200
+            ys.append(y)
+        assert ys[56] < -31.0 < -2.0 < ys[57]  # the fold lies in (1.489, 1.48925)
+
     def test_three_root_corner_keeps_largest_root(self):
         # near the band edge I(x) ~ alpha/sqrt(omega_b + x): the defect
         # changes sign three times, near 6e-14, 0.16 and 0.80

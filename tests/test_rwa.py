@@ -230,6 +230,26 @@ class TestChainEvolve:
             np.testing.assert_allclose(amp, np.exp(-3j * ts), rtol=0.0, atol=1e-12)
             assert not last.any()
 
+    # the recurrence stops each vector at its light cone; K from 0 to past 4N
+    # lets the two supports meet (2n >= N) and then fill the chain
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 41, 300])
+    def test_moments_match_dense_recurrence(self, size):
+        rng = np.random.default_rng(size)
+        diag, off = rng.uniform(-1.0, 1.0, size), rng.uniform(-1.0, 1.0, size - 1)
+        H = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        H /= np.max(np.sum(np.abs(H), axis=1))  # spectrum inside [-1, 1]
+        N = size - 1
+        for K in sorted({k for k in (0, 1, 2, 5, N - 1, N, 2 * N, 2 * N + 3, 4 * N + 7)
+                         if k >= 0}):
+            T = [np.eye(size)[0], H[:, 0]]  # T_n(H) e_0
+            for _ in range(K):
+                T.append(2.0 * H @ T[-1] - T[-2])
+            T = np.array(T[:K + 1])
+            mu, nu = rwa._chebyshev_moments(np.diag(H).copy(), np.diag(H, 1).copy(), K)
+            assert mu.shape == nu.shape == (K + 1,)
+            assert np.max(np.abs(mu - T[:, 0])) <= 1e-14
+            assert np.max(np.abs(nu - T[:, N])) <= 1e-14
+
     @pytest.mark.parametrize("x_max", [1e-3, 1.0, 50.0, 700.0])
     def test_gauss_chebyshev_sums_are_bessel_coefficients(self, x_max):
         # the node sums of the propagator: one dct3 of a unit moment gives

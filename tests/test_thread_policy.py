@@ -50,3 +50,17 @@ def test_default_is_set_before_numpy_loads():
         "import gapchain.cli\n"
         "print(seen)")
     assert run_fresh(code) == "['1']"
+
+
+def test_chain_map_is_the_same_bits_at_any_thread_count():
+    # the Stieltjes loop's pairwise sums call no BLAS; np.dot there moved the
+    # N = 4000 coefficients by 2.0e-14 between one and two OpenBLAS threads
+    code = (
+        "import hashlib, gapchain\n"
+        "from gapchain.chainmap import map_to_chain\n"
+        "from gapchain.model import ModelParams\n"
+        "c = map_to_chain(ModelParams(alpha=1.0, omega_b=5.0, omega0=100.0, "
+        "omega_c=800.0), 4000)\n"
+        "print(hashlib.sha256(c.eps.tobytes() + c.t.tobytes() + repr(c.g).encode())"
+        ".hexdigest())")
+    assert run_fresh(code, "1") == run_fresh(code, "2")
