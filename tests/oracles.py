@@ -494,10 +494,10 @@ def log_root_by_bisection(p: ModelParams) -> float:
     I = ``_renorm_integral`` falls as x grows, so f(y) = y + I(Delta e^y) is
     positive at y = 0 and negative at y = -I(0) - 1.  f is tabulated on that
     interval at spacing 1e-3 (40 001 points at most, so coarser where
-    I(0) > 39), from ``ghat`` and
-    ``ghat_slope`` on the whole grid at once, and the last grid cell where f
-    changes sign is halved until its midpoint is one of its ends: the
-    largest root, to the last bit f resolves.  Where the condition has
+    I(0) > 39), from ``ghat`` and ``ghat_slope`` on the whole grid at once,
+    and the last grid cell where f changes sign is halved until its
+    midpoint is one of its ends: the largest root, to the last bit f
+    resolves.  Where the condition has
     three roots, the dip of f below zero between the upper two must be
     wider than 1e-3 (on the small-gap corner it is 0.038 wide at
     delta = 1.48925, 1.4e-4 above the fold, and 0.007 wide at 1.48912).

@@ -250,6 +250,20 @@ class TestChainEvolve:
             assert np.max(np.abs(mu - T[:, 0])) <= 1e-14
             assert np.max(np.abs(nu - T[:, N])) <= 1e-14
 
+    # each table is a product of two smaller ones, at times t_sC + t_r that
+    # round apart from t_k: 1.15 eps max|E t| measured, on 1 to 71 rows
+    @pytest.mark.parametrize("samples", [2, 3, 41, 2001, 5000])
+    def test_split_phase_tables_match_exp(self, samples):
+        energies = np.linspace(-700.0, 1500.0, 739)
+        times = np.linspace(0.0, 1.5, samples)
+        block = math.isqrt(samples - 1) + 1
+        for ts in (times[::block], times[:block]):
+            phase = np.outer(ts, energies)
+            got = rwa._phases(ts, energies)
+            assert got.shape == phase.shape
+            bound = np.finfo(float).eps * (2.0 * np.abs(phase).max() + 4.0)
+            assert np.max(np.abs(got - np.exp(-1j * phase))) <= bound
+
     @pytest.mark.parametrize("x_max", [1e-3, 1.0, 50.0, 700.0])
     def test_gauss_chebyshev_sums_are_bessel_coefficients(self, x_max):
         # the node sums of the propagator: one dct3 of a unit moment gives
