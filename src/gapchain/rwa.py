@@ -417,7 +417,7 @@ def _chebyshev_moments(diag, off, K):
     The vectors are kept _MOMENT_ROWS steps at a time, and their products
     taken per block, so memory stays linear in the chain length.  Against
     a dense recurrence on random tridiagonal H of 1 to 300 sites the moments
-    agree to 3.6e-15, as the full-length loop they replace did.
+    agree to 3.6e-15.
     """
     m, size = K // 2 + 1, diag.size
     width = 2 * size  # u_0, w_N, u_1, w_N-1, ...
@@ -500,8 +500,8 @@ def _phases(ts, energies):
     array.  The product differs from e^{-i E t_k} by its own rounding and
     by that of t_sC + t_r against t_k, as the split of ``_chain_ends``
     does: at the wideband sweep corner it moves A(t) by at most 3e-15 for
-    delta in the band and 3.6e-13 at the band top and above it, where
-    |E t| is largest.
+    delta from 1 to 30, and by 3.6e-13 at the band top (805) and above it
+    (900), where |E t| is largest.
     """
     step = math.isqrt(ts.size - 1) + 1
     coarse, fine = (_cos_sin(t, energies) for t in (ts[::step], ts[:step]))
