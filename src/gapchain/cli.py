@@ -243,7 +243,7 @@ _SCHEMA = {
     "model": _defaults_of(ModelParams, alpha=_as_float, omega_b=_as_float,
                           omega0=_as_float, omega_c=_as_float,
                           delta=_as_float),
-    "chain": {"n_sites": (_at_least(2), None), "n_quad": (_at_least(2), None)},
+    "chain": {"n_sites": (_at_least(2), None)},
     "evolution": _defaults_of(EvolutionConfig, t_max=_as_float, dt=_as_float,
                               d_b=_as_int, chi_max=_as_int,
                               svd_threshold=_as_float, sample_stride=_as_int,
@@ -568,8 +568,7 @@ def _apply_windows(times, values, opts):
 def _cmd_chain_coeffs(cfg):
     """orthogonal-polynomial chain coefficients"""
     p, n = cfg.model, cfg.chain.n_sites
-    m = cfg.chain.n_quad or quadrature_nodes(n)
-    c = map_to_chain(p, n, M=m)
+    c = map_to_chain(p, n)
     meta = [_model_meta(p), f"g: {float(c.g)!r}",
             f"weight_norm: {float(c.weight_norm)!r}",
             "hop: coupling to the next site; nan on the last row"]
@@ -583,8 +582,8 @@ def _cmd_chain_coeffs(cfg):
                 [Series(idx, c.eps, label="eps_n", marker="filled"),
                  Series(idx[:-1], c.t, label="t_n", marker="open")],
                 xlabel="site n", ylabel="frequency",
-                title="chain coefficients", marker_stride=max(1, n // 40)))
-            ], {"n_sites": n, "n_quad": m}, 0
+                title="chain coefficients"))
+            ], {"n_sites": n, "n_quad": quadrature_nodes(n)}, 0
 
 
 def _cmd_rwa(cfg):
@@ -604,9 +603,8 @@ def _cmd_rwa(cfg):
         conv.update(series.checks)
     else:
         n = cfg.chain.n_sites or chain_length_for(p, t_max)
-        m = cfg.chain.n_quad or quadrature_nodes(n)
-        series = chain_evolve(map_to_chain(p, n, M=m), p.delta, t_max, samples=samples)
-        conv["chain_sites"], conv["n_quad"] = n, m
+        series = chain_evolve(map_to_chain(p, n), p.delta, t_max, samples=samples)
+        conv["chain_sites"], conv["n_quad"] = n, quadrature_nodes(n)
     pop = np.abs(series.values) ** 2
     meta = [_model_meta(p), f"solver: {solver}", f"frame: {series.frame}"]
     cols = [("t", series.times), ("re_A", series.values.real),
@@ -625,7 +623,7 @@ def _cmd_evolve(cfg):
     """TEBD of the joint state; pop_excited: the |e> branch's population"""
     p, evo, atom_state = cfg.model, cfg.evolution, cfg.evolve.atom_state
     n = cfg.chain.n_sites or chain_length_for(p, evo.t_max)
-    c = map_to_chain(p, n, M=cfg.chain.n_quad)
+    c = map_to_chain(p, n)
     ts = evolve(c, evo, atom_state=atom_state, delta=p.delta)
     meta = [_model_meta(p), f"mode: {evo.mode}",
             f"atom_state: {atom_state}", f"chain_sites: {n}",
@@ -650,8 +648,7 @@ def _cmd_evolve(cfg):
                         marker="filled"),
                  Series(ts.times, ts.sigma_x.real, label="sigma_x")],
                 xlabel="t", ylabel="emitter observables",
-                title=f"evolve ({evo.mode})",
-                marker_stride=max(1, ts.times.size // 40)))], conv, 0
+                title=f"evolve ({evo.mode})"))], conv, 0
 
 
 def _cmd_polaron(cfg):
@@ -861,15 +858,13 @@ def _cmd_plot(cfg):
                       else ("filled", "open")[k] if k < 2 else "none")
             series_list.append(Series(x, cols[ycol], label=label,
                                       marker=marker))
-    stride = max(1, max(s.x.size for s in series_list) // 40)
 
     def draw():
         try:
             return render_line_plot(
                 series_list,
                 xlabel=(o.x + " * alpha^2") if o.alpha2_time else o.x,
-                ylabel=", ".join(o.y), title=o.title, log_y=o.log_y,
-                marker_stride=stride)
+                ylabel=", ".join(o.y), title=o.title, log_y=o.log_y)
         except ValueError as err:  # the columns hold nothing to draw
             raise ConfigError([f"input: {err}"]) from None
     return [(out_name, "svg", draw)], {}, 0

@@ -10,7 +10,9 @@ Conventions shared with the CLI: one fixed colour palette indexed by
 series order; "filled" circle markers for exact/reference curves and
 "open" circles for approximate/comparison curves; an optional log10 y
 axis for quantities spanning decades (points with y <= 0 are dropped
-from log plots, and a gap is left in the line there).
+from log plots, and a gap is left in the line there).  Every k-th point
+carries a marker, k = max(1, n // 40) for the longest series' length n,
+so that dense series stay legible; the lines join every point.
 """
 
 from __future__ import annotations
@@ -56,17 +58,43 @@ def _fmt(v: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _coord(v: float) -> str:
-    return f"{v:.2f}"
+def _coord(v) -> str:
+    """A coordinate to two decimals; a string is written as it is."""
+    return v if isinstance(v, str) else f"{v:.2f}"
+
+
+def _escape(text) -> str:
+    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;"))
+
+
+def _line(x1, y1, x2, y2, stroke="#222222", width="1") -> str:
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" '
+            f'y2="{_coord(y2)}" stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _circle(cx, cy, color, marker) -> str:
+    fill = color if marker == "filled" else "#ffffff"
+    return (f'<circle cx="{_coord(cx)}" cy="{_coord(cy)}" r="3" fill="{fill}" '
+            f'stroke="{color}" stroke-width="1"/>')
+
+
+def _text(x, y, body, attrs="") -> str:
+    return f'<text x="{_coord(x)}" y="{_coord(y)}"{attrs}>{body}</text>'
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5):
-    """Tick positions at 1/2/5 x 10^k steps covering [lo, hi]."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("axis range is not finite")
-    if hi <= lo:
+    """Tick positions at 1/2/5 x 10^k steps covering [lo, hi].
+
+    A span that ten-digit labels cannot resolve (1e-9 of the larger |end|
+    or less, a flat axis included) is padded to half the larger of |lo|
+    and 1 on each side, so that the ticks step and their labels differ.
+    """
+    if hi - lo <= 1e-9 * max(abs(lo), abs(hi)):
         pad = max(abs(lo), 1.0) * 0.5
         lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise ValueError("axis range is not finite")
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw)
@@ -87,59 +115,38 @@ def _decade_ticks(lo: float, hi: float):
     return [float(d) for d in range(lo_d, hi_d + 1)], float(lo_d), float(hi_d)
 
 
-def _segments(x, y):
-    """Split a curve at non-finite points so gaps stay gaps."""
-    good = np.isfinite(x) & np.isfinite(y)
-    runs = []
-    start = None
-    for i, ok in enumerate(good):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, good.size))
-    return runs
+def _segments(good):
+    """(start, stop) of each run of True in good: the unbroken pieces of a
+    curve whose non-finite points leave gaps."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], good, [0]))))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def render_line_plot(series_list, xlabel="", ylabel="", title="",
-                     log_y=False, marker_stride=1) -> str:
-    """Render curves to a 640 x 440 SVG 1.1 document string.
-
-    marker_stride draws every k-th marker so dense series stay legible;
-    the line itself always uses every point.
-    """
+                     log_y=False) -> str:
+    """Render curves to a 640 x 440 SVG 1.1 document string."""
     series_list = list(series_list)
     if not series_list:
         raise ValueError("nothing to plot: no series given")
-    if marker_stride < 1:
-        raise ValueError("marker_stride must be >= 1")
+    stride = max(1, max(s.x.size for s in series_list) // 40)
 
-    plotted = []
+    plotted = []  # (series, plotted y, finite mask)
     for s in series_list:
-        x, y = s.x.copy(), s.y.copy()
+        y = s.y
         if log_y:
-            y = np.where(y > 0.0, y, np.nan)
             with np.errstate(invalid="ignore"):
-                y = np.log10(y)
-        plotted.append((s, x, y))
+                y = np.log10(np.where(y > 0.0, y, np.nan))
+        plotted.append((s, y, np.isfinite(s.x) & np.isfinite(y)))
 
-    all_x = np.concatenate([x[np.isfinite(x) & np.isfinite(y)]
-                            for _, x, y in plotted])
-    all_y = np.concatenate([y[np.isfinite(x) & np.isfinite(y)]
-                            for _, x, y in plotted])
+    all_x = np.concatenate([s.x[good] for s, _, good in plotted])
+    all_y = np.concatenate([y[good] for _, y, good in plotted])
     if all_y.size == 0:
         raise ValueError("nothing to plot: no finite points"
                          + (" (log scale drops y <= 0)" if log_y else ""))
 
     xticks, x_lo, x_hi = _nice_ticks(float(all_x.min()), float(all_x.max()))
-    if log_y:
-        yticks, y_lo, y_hi = _decade_ticks(float(all_y.min()),
-                                           float(all_y.max()))
-    else:
-        yticks, y_lo, y_hi = _nice_ticks(float(all_y.min()),
-                                         float(all_y.max()))
+    yticks, y_lo, y_hi = (_decade_ticks if log_y else _nice_ticks)(
+        float(all_y.min()), float(all_y.max()))
 
     top = 34.0 if title else 16.0
     px0, px1 = _MARGIN_L, _WIDTH - _MARGIN_R
@@ -160,8 +167,8 @@ def render_line_plot(series_list, xlabel="", ylabel="", title="",
         'fill="#222222">',
     ]
     if title:
-        out.append(f'<text x="{_coord(_WIDTH / 2)}" y="20" '
-                   f'text-anchor="middle" font-size="14">{_escape(title)}</text>')
+        out.append(_text(_WIDTH / 2, "20", _escape(title),
+                         ' text-anchor="middle" font-size="14"'))
 
     # frame and ticks
     out.append(f'<rect x="{_coord(px0)}" y="{_coord(py1)}" '
@@ -169,51 +176,38 @@ def render_line_plot(series_list, xlabel="", ylabel="", title="",
                f'fill="none" stroke="#222222" stroke-width="1"/>')
     for v in xticks:
         gx = sx(v)
-        out.append(f'<line x1="{_coord(gx)}" y1="{_coord(py0)}" '
-                   f'x2="{_coord(gx)}" y2="{_coord(py0 + 4)}" '
-                   f'stroke="#222222" stroke-width="1"/>')
-        out.append(f'<text x="{_coord(gx)}" y="{_coord(py0 + 17)}" '
-                   f'text-anchor="middle">{_fmt(v)}</text>')
+        out += [_line(gx, py0, gx, py0 + 4),
+                _text(gx, py0 + 17, _fmt(v), ' text-anchor="middle"')]
     for v in yticks:
         gy = sy(v)
-        label = f"1e{int(v)}" if log_y else _fmt(v)
-        out.append(f'<line x1="{_coord(px0 - 4)}" y1="{_coord(gy)}" '
-                   f'x2="{_coord(px0)}" y2="{_coord(gy)}" '
-                   f'stroke="#222222" stroke-width="1"/>')
-        out.append(f'<text x="{_coord(px0 - 7)}" y="{_coord(gy + 4)}" '
-                   f'text-anchor="end">{label}</text>')
+        out += [_line(px0 - 4, gy, px0, gy),
+                _text(px0 - 7, gy + 4, f"1e{int(v)}" if log_y else _fmt(v),
+                      ' text-anchor="end"')]
     if xlabel:
-        out.append(f'<text x="{_coord((px0 + px1) / 2)}" '
-                   f'y="{_coord(_HEIGHT - 10)}" '
-                   f'text-anchor="middle">{_escape(xlabel)}</text>')
+        out.append(_text((px0 + px1) / 2, _HEIGHT - 10, _escape(xlabel),
+                         ' text-anchor="middle"'))
     if ylabel:
         cx, cy = 15.0, (py0 + py1) / 2
-        out.append(f'<text x="{_coord(cx)}" y="{_coord(cy)}" '
-                   f'text-anchor="middle" '
-                   f'transform="rotate(-90 {_coord(cx)} {_coord(cy)})">'
-                   f'{_escape(ylabel)}</text>')
+        out.append(_text(cx, cy, _escape(ylabel), ' text-anchor="middle" '
+                         f'transform="rotate(-90 {_coord(cx)} {_coord(cy)})"'))
 
     # curves
-    for i, (s, x, y) in enumerate(plotted):
+    for i, (s, y, good) in enumerate(plotted):
         color = PALETTE[i % len(PALETTE)]
-        for a, b in _segments(x, y):
-            if b - a < 2:
-                continue
-            pts = " ".join(f"{_coord(sx(xv))},{_coord(sy(yv))}"
-                           for xv, yv in zip(x[a:b], y[a:b]))
-            out.append(f'<polyline points="{pts}" fill="none" '
-                       f'stroke="{color}" stroke-width="1.5"/>')
+        px, py = sx(s.x), sy(y)
+        runs = _segments(good)
+        for a, b in runs:
+            if b - a > 1:
+                pts = " ".join(f"{_coord(u)},{_coord(v)}"
+                               for u, v in zip(px[a:b], py[a:b]))
+                out.append(f'<polyline points="{pts}" fill="none" '
+                           f'stroke="{color}" stroke-width="1.5"/>')
         if s.marker != "none":
-            fill = color if s.marker == "filled" else "#ffffff"
-            for a, b in _segments(x, y):
-                for j in range(a, b, marker_stride):
-                    out.append(
-                        f'<circle cx="{_coord(sx(x[j]))}" '
-                        f'cy="{_coord(sy(y[j]))}" r="3" fill="{fill}" '
-                        f'stroke="{color}" stroke-width="1"/>')
+            out += [_circle(px[j], py[j], color, s.marker)
+                    for a, b in runs for j in range(a, b, stride)]
 
     # legend, top-right inside the frame
-    labelled = [(i, s) for i, (s, _, _) in enumerate(plotted) if s.label]
+    labelled = [(i, s) for i, s in enumerate(series_list) if s.label]
     if labelled:
         lw = 12 + 7 * max(len(s.label) for _, s in labelled) + 26
         lx, ly = px1 - lw - 6, py1 + 6
@@ -224,22 +218,11 @@ def render_line_plot(series_list, xlabel="", ylabel="", title="",
         for row, (i, s) in enumerate(labelled):
             color = PALETTE[i % len(PALETTE)]
             yy = ly + 15 + 18 * row
-            out.append(f'<line x1="{_coord(lx + 6)}" y1="{_coord(yy - 4)}" '
-                       f'x2="{_coord(lx + 24)}" y2="{_coord(yy - 4)}" '
-                       f'stroke="{color}" stroke-width="1.5"/>')
+            out.append(_line(lx + 6, yy - 4, lx + 24, yy - 4, color, "1.5"))
             if s.marker != "none":
-                fill = color if s.marker == "filled" else "#ffffff"
-                out.append(f'<circle cx="{_coord(lx + 15)}" '
-                           f'cy="{_coord(yy - 4)}" r="3" fill="{fill}" '
-                           f'stroke="{color}" stroke-width="1"/>')
-            out.append(f'<text x="{_coord(lx + 30)}" y="{_coord(yy)}">'
-                       f'{_escape(s.label)}</text>')
+                out.append(_circle(lx + 15, yy - 4, color, s.marker))
+            out.append(_text(lx + 30, yy, _escape(s.label)))
 
     out.append("</g>")
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _escape(text: str) -> str:
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))

@@ -35,7 +35,7 @@ SAMPLE_VALUES = {
     ("model", "alpha"): "0.5", ("model", "omega_b"): "4.0",
     ("model", "omega0"): "90.0", ("model", "omega_c"): "700.0",
     ("model", "delta"): "2.5",
-    ("chain", "n_sites"): "40", ("chain", "n_quad"): "500",
+    ("chain", "n_sites"): "40",
     ("evolution", "t_max"): "0.7", ("evolution", "dt"): "0.001",
     ("evolution", "d_b"): "5", ("evolution", "chi_max"): "24",
     ("evolution", "svd_threshold"): "1e-9",
@@ -325,10 +325,10 @@ class TestFlagFileParity:
                                  text), (sub, sec, key)
 
     def test_flag_counts(self):
-        # the config flags of each subcommand, 95 in all
+        # the config flags of each subcommand, 92 in all
         counts = {sub: sum(map(len, _reads(sub).values()))
                   for sub in _DISPATCH}
-        assert counts == {"chain-coeffs": 9, "rwa": 14, "evolve": 17,
+        assert counts == {"chain-coeffs": 8, "rwa": 13, "evolve": 16,
                           "polaron": 7, "sweep": 18, "analyze": 14,
                           "plot": 16}
 
@@ -635,12 +635,25 @@ class TestChainCoeffsCommand:
         assert (out / "chain_coeffs.svg").exists()
 
     @pytest.mark.parametrize("argv, n_quad", [(["--n-sites", "60"], 2000),
-                                              (["--n-sites", "700"], 2800),
-                                              (["--n-sites", "60", "--n-quad", "3000"], 3000)])
+                                              (["--n-sites", "700"], 2800)])
     def test_manifest_records_the_node_count_used(self, tmp_path, argv, n_quad):
         out = tmp_path / "out"
         assert main(["chain-coeffs", *model_flags(), *argv, "--out-dir", str(out)]) == 0
         assert manifest(out)["convergence"]["n_quad"] == n_quad
+
+    def test_node_count_is_not_a_setting(self, tmp_path):
+        # every count the recurrence accepts (>= 4N) gives the default
+        # rule's coefficients to 6.5e-14, so neither a flag nor a file sets it
+        ini = tmp_path / "chain.ini"
+        ini.write_text(ini_text({"model": WIDEBAND,
+                                 "chain": {"n_sites": 60, "n_quad": 3000}}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(["chain-coeffs", *model_flags(), "--n-sites", "60",
+                  "--n-quad", "3000", "--out-dir", str(out)])
+        assert stop.value.code == 2
+        assert main(["chain-coeffs", "--config", str(ini), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_manifest_echoes_only_what_it_reads(self, tmp_path):
         ini = tmp_path / "shared.ini"
@@ -1324,6 +1337,18 @@ class TestPlotCommand:
         assert code == 2
         assert "log scale drops y <= 0" in capsys.readouterr().err
         assert not out.exists()  # no plot.svg, no diagnostics.json
+
+    def test_span_finer_than_labels_plots(self, tmp_path, time_limit):
+        # 1e16 + 4 is the next double but one above 1e16: a tick step
+        # scaled to that span would not move a tick at 1e16
+        path = tmp_path / "flat.csv"
+        write_series_csv(path, [0.0, 1.0, 2.0], [1e16, 1e16 + 4, 1e16])
+        out = tmp_path / "out"
+        with time_limit(2):
+            code = main(["plot", "--csv", str(path), "--y", "pop",
+                         "--out-dir", str(out)])
+        assert code == 0
+        assert ">1e+16<" in (out / "plot.svg").read_text()
 
     def test_alpha2_time_needs_alpha(self, tmp_path, capsys):
         a, _ = self.two_series(tmp_path)

@@ -1,12 +1,13 @@
 """Deterministic SVG plot writer: bytes, structure, and scales."""
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from gapchain.svgplot import PALETTE, Series, render_line_plot
+from gapchain.svgplot import PALETTE, Series, _fmt, _nice_ticks, render_line_plot
 
 NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -65,11 +66,17 @@ class TestStructure:
         assert open_markers
 
     def test_marker_stride_thins_markers(self):
-        dense = render_line_plot(two_series(), marker_stride=1)
-        thin = render_line_plot(two_series(), marker_stride=10)
-        n_dense = len(parse(dense).findall(".//svg:circle", NS))
-        n_thin = len(parse(thin).findall(".//svg:circle", NS))
-        assert n_thin < n_dense
+        # every k-th point carries a marker, k = max(1, n // 40) for the
+        # longest series' length n, and a shorter series shares that k
+        for sizes, kept in (((41,), [range(41)]),
+                            ((401, 41), [range(0, 401, 10), range(0, 41, 10)])):
+            series = [Series(np.arange(n, dtype=float), np.arange(n) % 7.0,
+                             marker="filled") for n in sizes]
+            root = parse(render_line_plot(series))
+            cx = [c.get("cx") for c in root.findall(".//svg:circle", NS)]
+            line_x = [[p.split(",")[0] for p in line.get("points").split()]
+                      for line in root.findall(".//svg:polyline", NS)]
+            assert cx == [xs[j] for xs, js in zip(line_x, kept) for j in js]
 
     def test_legend_labels_present(self):
         root = parse(render_line_plot(two_series()))
@@ -132,6 +139,57 @@ class TestScales:
         assert abs((ys[1] - ys[0]) - (ys[2] - ys[1])) < 0.05
 
 
+class TestTicks:
+    @pytest.mark.parametrize("lo, hi", [(1e16, 1e16 + 4), (1.0, 1.0 + 1e-12)])
+    def test_span_finer_than_labels_is_padded(self, time_limit, lo, hi):
+        # a step of 4 cannot move 1e16, and 1e-12 is past ten-digit labels
+        with time_limit(2):
+            ticks, axis_lo, axis_hi = _nice_ticks(lo, hi)
+        labels = [_fmt(v) for v in ticks]
+        assert 3 <= len(set(labels)) == len(labels) <= 7
+        assert axis_lo < lo and hi < axis_hi
+
+
+def pinned_cases():
+    """Plots built from integers, dyadic fractions and powers of ten (whose
+    log10 is exact), so that every coordinate comes from IEEE arithmetic
+    and Python's float formatting alone."""
+    x41 = np.arange(41.0)
+    gap = x41 / 4
+    gap[7] = math.nan
+    decades = np.array([float(10 ** k) for k in range(9)])
+    decades[4] = 0.0  # dropped from the log axis: a gap
+    x401 = np.arange(401.0)
+    return {
+        "two-series-legend-gap": (
+            [Series(x41, (x41 - 20) ** 2 / 16, label="exact", marker="filled"),
+             Series(x41, gap, label="approx & <fit>", marker="open")],
+            dict(xlabel="t", ylabel="p", title="T & <check>")),
+        "log-axis": ([Series(np.arange(9.0), decades, label="pop", marker="filled")],
+                     dict(xlabel="delta", title="decades", log_y=True)),
+        "thinned-markers": ([Series(x401 / 4, np.abs(x401 % 50 - 25) / 4,
+                                    marker="open")], dict(ylabel="y")),
+    }
+
+
+# sha256 of the SVG text of each pinned_cases() plot
+PINNED_SHA256 = {
+    "two-series-legend-gap":
+        "40c2275d8e0517c9caf7efca54086c41d75c587618f2f53c2974d8d10946aee6",
+    "log-axis":
+        "3b27eef10c1acf2f885a424e64bf8f8d718e1fa492f11010c42bf9fc85a8ebbc",
+    "thinned-markers":
+        "bac31de4bfb5bf0da8049bc6bb7313025588261f6e7d90979aab79dd9b04695a",
+}
+
+
+@pytest.mark.parametrize("case", PINNED_SHA256)
+def test_pinned_bytes(case):
+    series, options = pinned_cases()[case]
+    svg = render_line_plot(series, **options)
+    assert hashlib.sha256(svg.encode()).hexdigest() == PINNED_SHA256[case]
+
+
 class TestValidation:
     def test_no_series_rejected(self):
         with pytest.raises(ValueError, match="no series"):
@@ -148,6 +206,10 @@ class TestValidation:
     def test_bad_marker_rejected(self):
         with pytest.raises(ValueError, match="marker"):
             Series(np.arange(3.0), np.arange(3.0), marker="square")
+
+    def test_overflowing_axis_span_rejected(self):
+        with pytest.raises(ValueError, match="axis range is not finite"):
+            render_line_plot([Series([0.0, 1.0], [-1e308, 1e308])])
 
     def test_flat_series_still_renders(self):
         t = np.linspace(0.0, 1.0, 5)
