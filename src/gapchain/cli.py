@@ -67,7 +67,7 @@ import numpy as np
 from . import __version__, analysis
 from .chainmap import chain_length_for, map_to_chain, quadrature_nodes
 from .model import ModelParams
-from .mps import EvolutionConfig, evolve
+from .mps import EvolutionConfig, TimeSeries, evolve
 from .polaron import silbey_harris_solve
 from .rwa import chain_evolve, laplace_invert, volterra_solve
 from .svgplot import MARKERS, Series, render_line_plot
@@ -540,6 +540,14 @@ def _read_csv(path: Path):
     return meta, {name: table[:, j] for j, name in enumerate(header)}
 
 
+def _column(cols, name, key, path):
+    """cols[name], or a ConfigError naming key, path and the columns."""
+    if name not in cols:
+        raise ConfigError([f"{key}: column {name!r} not in {path} "
+                           f"(columns: {', '.join(cols)})"])
+    return cols[name]
+
+
 def _model_meta(p: ModelParams, keys=tuple(_SCHEMA["model"])):
     return "model: " + " ".join(f"{k}={float(getattr(p, k))!r}" for k in keys)
 
@@ -605,7 +613,7 @@ def _cmd_rwa(cfg):
         n = cfg.chain.n_sites or chain_length_for(p, t_max)
         series = chain_evolve(map_to_chain(p, n), p.delta, t_max, samples=samples)
         conv["chain_sites"], conv["n_quad"] = n, quadrature_nodes(n)
-    pop = np.abs(series.values) ** 2
+    pop = series.population()
     meta = [_model_meta(p), f"solver: {solver}", f"frame: {series.frame}"]
     cols = [("t", series.times), ("re_A", series.values.real),
             ("im_A", series.values.imag), ("pop", pop)]
@@ -628,13 +636,9 @@ def _cmd_evolve(cfg):
     meta = [_model_meta(p), f"mode: {evo.mode}",
             f"atom_state: {atom_state}", f"chain_sites: {n}",
             f"dt: {float(ts.dt)!r}"]
-    cols = [("t", ts.times), ("sigma_x", ts.sigma_x.real),
-            ("sigma_y", ts.sigma_y.real), ("sigma_z", ts.sigma_z.real),
-            ("pop_excited", ts.pop_excited), ("norm_drift", ts.norm_drift),
-            ("max_bond", ts.max_bond),
-            ("discarded_weight", ts.discarded_weight),
-            ("conserved_charge", ts.conserved_charge),
-            ("tail_occupation", ts.tail_occupation), ("flag", ts.flags)]
+    names = {"times": "t", "flags": "flag"}  # every field but dt, in order
+    cols = [(names.get(f.name, f.name), np.real(getattr(ts, f.name)))
+            for f in dataclasses.fields(TimeSeries) if f.name != "dt"]
     charge = ts.conserved_charge
     conv = {"chain_sites": n, "dt": ts.dt,
             "flagged_samples": int(ts.flags.sum()),
@@ -655,11 +659,9 @@ def _cmd_polaron(cfg):
     """variational renormalized splitting"""
     p = cfg.model
     sol = silbey_harris_solve(p)
-    doc = {"delta": p.delta, "delta_tilde": sol.delta_tilde, "phi": sol.phi,
-           "p_up_relaxed": sol.p_up_relaxed, "p_up_dressed": sol.p_up_dressed,
-           "iterations": sol.iterations, "residual": sol.residual}
     conv = {"iterations": sol.iterations, "residual": sol.residual}
-    return [("polaron.json", "json", doc)], conv, 0
+    return [("polaron.json", "json",
+             {"delta": p.delta, **dataclasses.asdict(sol)})], conv, 0
 
 
 def _point_name(delta):
@@ -782,10 +784,7 @@ def _cmd_analyze(cfg):
     """estimators over a stored series"""
     o = cfg.analyze
     meta, cols = _read_csv(Path(o.input))
-    if o.x not in cols:
-        raise ConfigError([f"analyze.x: column {o.x!r} not in {o.input} "
-                           f"(columns: {', '.join(cols)})"])
-    x = cols[o.x]
+    x = _column(cols, o.x, "analyze.x", o.input)
     k = analysis.first_bad_time(x)
     if k is not None:
         raise ConfigError([f"input: {o.input} column {o.x!r} must be finite and "
@@ -799,11 +798,8 @@ def _cmd_analyze(cfg):
                                "name the signal explicitly"])
     if signal == "amplitude" and "re_A" in cols and "im_A" in cols:
         values = np.hypot(cols["re_A"], cols["im_A"])
-    elif signal in cols:
-        values = cols[signal]
     else:
-        raise ConfigError([f"analyze.signal: column {signal!r} not in "
-                           f"{o.input} (columns: {', '.join(cols)})"])
+        values = _column(cols, signal, "analyze.signal", o.input)
 
     times, values = _apply_windows(x, values, cfg.analysis)
     results = {}
@@ -820,10 +816,9 @@ def _cmd_analyze(cfg):
            "results": results}
     if cfg.model is not None:
         est = analysis.rwa_pole_estimates(cfg.model)
-        doc["pole_estimate"] = {
-            "regime": est.regime.value, "s_plus": est.s_plus,
-            "s_minus": est.s_minus, "gamma": est.gamma,
-            "frequency": abs(est.s_plus.imag)}
+        doc["pole_estimate"] = {**dataclasses.asdict(est),
+                                "regime": est.regime.value,
+                                "frequency": abs(est.s_plus.imag)}
     conv = {"estimators_failed": failed}
     return [("analysis.json", "json", doc)], conv, 1 if failed else 0
 
@@ -841,23 +836,17 @@ def _cmd_plot(cfg):
     series_list = []
     for path in o.csv:
         _, cols = _read_csv(Path(path))
-        if o.x not in cols:
-            raise ConfigError([f"plot.x: column {o.x!r} not in {path} "
-                               f"(columns: {', '.join(cols)})"])
+        x = _column(cols, o.x, "plot.x", path)
+        if o.alpha2_time:
+            x = x * cfg.model.alpha ** 2
         for ycol in o.y:
-            if ycol not in cols:
-                raise ConfigError([f"plot.y: column {ycol!r} not in {path} "
-                                   f"(columns: {', '.join(cols)})"])
-            x = cols[o.x]
-            if o.alpha2_time:
-                x = x * cfg.model.alpha ** 2
+            y = _column(cols, ycol, "plot.y", path)
             k = len(series_list)
             label = (o.labels[k] if k < len(o.labels)
                      else f"{Path(path).stem}:{ycol}")
             marker = (o.markers[k] if k < len(o.markers)
                       else ("filled", "open")[k] if k < 2 else "none")
-            series_list.append(Series(x, cols[ycol], label=label,
-                                      marker=marker))
+            series_list.append(Series(x, y, label=label, marker=marker))
 
     def draw():
         try:

@@ -83,21 +83,29 @@ def _text(x, y, body, attrs="") -> str:
     return f'<text x="{_coord(x)}" y="{_coord(y)}"{attrs}>{body}</text>'
 
 
+def _step(raw: float) -> float:
+    """The smallest 1/2/5 x 10^k step no finer than raw."""
+    mag = 10.0 ** math.floor(math.log10(raw))
+    return next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5):
     """Tick positions at 1/2/5 x 10^k steps covering [lo, hi].
 
-    A span that ten-digit labels cannot resolve (1e-9 of the larger |end|
-    or less, a flat axis included) is padded to half the larger of |lo|
-    and 1 on each side, so that the ticks step and their labels differ.
+    A span that ten-digit labels cannot resolve is padded to half the
+    larger of |lo| and 1 on each side, so that the ticks step and their
+    labels differ: a span of 1e-9 of the larger |end| or less (a flat axis
+    included), or one whose step is finer than 1e-9 of the larger |end|'s
+    decade.
     """
-    if hi - lo <= 1e-9 * max(abs(lo), abs(hi)):
+    big = max(abs(lo), abs(hi))
+    if hi - lo <= 1e-9 * big or (math.isfinite(hi - lo) and _step(
+            (hi - lo) / target) < 10.0 ** (math.floor(math.log10(big)) - 9)):
         pad = max(abs(lo), 1.0) * 0.5
         lo, hi = lo - pad, hi + pad
     if not math.isfinite(hi - lo):
         raise ValueError("axis range is not finite")
-    raw = (hi - lo) / target
-    mag = 10.0 ** math.floor(math.log10(raw))
-    step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw)
+    step = _step((hi - lo) / target)
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     v = first
@@ -108,11 +116,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
 
 
 def _decade_ticks(lo: float, hi: float):
-    """Integer-decade ticks for a log10 axis, padded to >= 2 ticks."""
+    """Whole-decade ticks for a log10 axis, padded to >= 2 ticks: every
+    decade up to ten, then every 2, 5, 10, 20, ... decades (_step for ten
+    ticks), with the axis ends on ticks."""
     lo_d, hi_d = math.floor(lo), math.ceil(hi)
     if hi_d == lo_d:
         hi_d += 1
-    return [float(d) for d in range(lo_d, hi_d + 1)], float(lo_d), float(hi_d)
+    step = max(1, int(_step((hi_d - lo_d) / 10)))
+    lo_d, hi_d = lo_d // step * step, -(-hi_d // step) * step
+    return [float(d) for d in range(lo_d, hi_d + 1, step)], float(lo_d), float(hi_d)
 
 
 def _segments(good):

@@ -7,6 +7,7 @@ collected validation errors), the per-subcommand artifacts, exit codes
 sweep resume protocol.
 """
 
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -27,6 +28,7 @@ from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _flag_overrides,
                           _parse_args, _reads, main, parse_config)
 from gapchain.model import ModelParams
 from gapchain.mps import EvolutionConfig
+from gapchain.polaron import PolaronSolution
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 
@@ -617,6 +619,14 @@ class TestPolaronCommand:
         assert 0.0 < doc["phi"] <= 1.0
         assert manifest(out)["convergence"]["residual"] < 1e-6
 
+    def test_document_is_delta_and_the_solution(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["polaron", *model_flags(delta=3),
+                     "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "polaron.json").read_text())
+        assert list(doc) == sorted(
+            ["delta", *(f.name for f in dataclasses.fields(PolaronSolution))])
+
 
 class TestChainCoeffsCommand:
     def test_artifacts_and_values(self, tmp_path):
@@ -766,6 +776,16 @@ class TestEvolveCommand:
         assert conv["flagged_samples"] == 0
         assert conv["chain_sites"] == 60
         assert (out / "evolve.svg").exists()
+
+    def test_csv_header(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["evolve", *model_flags(delta=3), "--t-max", "0.01",
+                     "--n-sites", "8", "--out-dir", str(out)]) == 0
+        lines = (out / "evolve.csv").read_text().splitlines()
+        header = next(line for line in lines if not line.startswith("#"))
+        assert header == ("t,sigma_x,sigma_y,sigma_z,pop_excited,norm_drift,"
+                          "max_bond,discarded_weight,conserved_charge,"
+                          "tail_occupation,flag")
 
 
 class TestSweepCommand:

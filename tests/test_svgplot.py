@@ -140,14 +140,31 @@ class TestScales:
 
 
 class TestTicks:
-    @pytest.mark.parametrize("lo, hi", [(1e16, 1e16 + 4), (1.0, 1.0 + 1e-12)])
+    @pytest.mark.parametrize("lo, hi", [(1e16, 1e16 + 4), (1.0, 1.0 + 1e-12),
+                                        (1.0, 1.0 + 2e-9)])
     def test_span_finer_than_labels_is_padded(self, time_limit, lo, hi):
-        # a step of 4 cannot move 1e16, and 1e-12 is past ten-digit labels
+        # a step of 4 cannot move 1e16, and 1e-12 is past ten-digit labels,
+        # as is the step of 5e-10 that a span of 2e-9 takes
         with time_limit(2):
             ticks, axis_lo, axis_hi = _nice_ticks(lo, hi)
         labels = [_fmt(v) for v in ticks]
         assert 3 <= len(set(labels)) == len(labels) <= 7
         assert axis_lo < lo and hi < axis_hi
+
+    def test_step_at_the_label_resolution_keeps_its_ticks(self):
+        # a step of 2e-9 is one that ten-digit labels near 1 resolve
+        ticks, axis_lo, axis_hi = _nice_ticks(1.0, 1.0 + 6e-9)
+        assert [_fmt(v) for v in ticks] == [
+            "1", "1.000000002", "1.000000004", "1.000000006"]
+        assert (axis_lo, axis_hi) == (1.0, 1.0 + 6e-9)
+
+    def test_log_axis_steps_whole_decades(self):
+        # 600 decades: a tick every 100 of them, with the axis ends on ticks
+        svg = render_line_plot([Series([0.0, 1.0, 2.0], [1e-300, 1.0, 1e300])],
+                               log_y=True)
+        labels = [e.text for e in
+                  parse(svg).findall(".//svg:text[@text-anchor='end']", NS)]
+        assert labels == [f"1e{k}" for k in range(-300, 301, 100)]
 
 
 def pinned_cases():
