@@ -39,6 +39,7 @@ __all__ = [
     "decay_rate",
     "rwa_pole_estimates",
     "first_bad_time",
+    "POINT_OUTCOMES",
     "point_settings",
     "crossover_scan",
 ]
@@ -274,6 +275,8 @@ def rwa_pole_estimates(p: ModelParams) -> PoleEstimate:
 
 SWEEP_COLUMNS = ("stationary_pop_rwa", "stationary_pop_full",
                  "freq_rwa", "freq_full", "decay_rwa")
+# the keys a point adds to its settings blocks: what it found, not what it ran
+POINT_OUTCOMES = ("chain_sites",)
 
 
 @dataclass
@@ -337,15 +340,16 @@ def point_settings(methods, base_params, cfgs):
     """What a sweep point's numbers depend on besides the model and delta,
     as its manifest records them and _scan_point runs them: the sorted
     methods, a subset of {"rwa", "full"}, rwa's {t_max: 30 / omega_s,
-    samples: 2001} updated by cfgs["rwa"], and every field of
-    cfgs["full"], an EvolutionConfig."""
+    samples: 2001} updated by the values of cfgs["rwa"] that are not None,
+    and every field of cfgs["full"], an EvolutionConfig."""
     unknown = set(methods) - {"rwa", "full"}
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     settings = {"methods": sorted(methods)}
     if "rwa" in methods:
+        rwa = {k: v for k, v in cfgs.get("rwa", {}).items() if v is not None}
         settings["rwa"] = {"t_max": 30.0 / max(base_params.omega_s, 1e-12),
-                           "samples": 2001, **cfgs.get("rwa", {})}
+                           "samples": 2001, **rwa}
     if "full" in methods:
         fc = cfgs.get("full")
         if not isinstance(fc, EvolutionConfig):

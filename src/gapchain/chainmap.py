@@ -30,11 +30,14 @@ class ChainCoefficients:
     g: float
     eps: np.ndarray
     t: np.ndarray
-    weight_norm: float
 
     @property
     def N(self) -> int:
         return self.eps.size
+
+    @property
+    def weight_norm(self) -> float:
+        return math.pi * self.g ** 2
 
 
 def dct3(v, M: int):
@@ -152,7 +155,6 @@ def map_to_chain(p: ModelParams, N: int, M: int | None = None) -> ChainCoefficie
         g=math.sqrt(beta[0]),
         eps=p.omega_b + p.omega_c * alpha,
         t=p.omega_c * np.sqrt(beta[1:]),
-        weight_norm=math.pi * beta[0],
     )
 
 

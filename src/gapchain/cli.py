@@ -208,19 +208,10 @@ def _as_exclude(value, key, errors):
     return tuple(out)
 
 
-def _est_stationary(signal):
-    v = analysis.stationary_value(signal)
-    return {"value": float(v), "drift_slope": float(v.drift_slope),
-            "nonstationary": bool(v.nonstationary)}
-
-
-_ESTIMATORS = {
-    "frequency": lambda s: {"value": float(analysis.oscillation_frequency(s))},
-    "zero_crossing": lambda s: {
-        "value": float(analysis.zero_crossing_frequency(s))},
-    "stationary": _est_stationary,
-    "decay": lambda s: {"value": float(analysis.decay_rate(s))},
-}
+# each estimator and the analysis function it runs, looked up at each call
+_ESTIMATORS = {"frequency": "oscillation_frequency",
+               "zero_crossing": "zero_crossing_frequency",
+               "stationary": "stationary_value", "decay": "decay_rate"}
 
 
 # The one table of config keys, each entry (validator, default), where a
@@ -672,15 +663,14 @@ def _first_difference(meta, manifest, model_line, settings):
     """(field, recorded, this run's) for the first field in which a point
     CSV's model line or manifest differs from this run's, else None; so
     does a setting only the point records, such as one an older version
-    of this program ran with."""
+    ran with, but not an outcome (analysis.POINT_OUTCOMES)."""
     model = next((m for m in meta if m.startswith("model:")), None)
     pairs = [("model", model, model_line),
              ("methods", manifest.get("methods"), settings["methods"])]
     for m in settings["methods"]:
         block = manifest[m] if isinstance(manifest.get(m), dict) else {}
-        # chain_sites is the point's outcome, not a setting
         keys = [*settings[m], *sorted(block.keys() - settings[m].keys()
-                                      - {"chain_sites"})]
+                                      - set(analysis.POINT_OUTCOMES))]
         pairs += [(f"{m}.{k}", block.get(k), settings[m].get(k)) for k in keys]
     return next((pair for pair in pairs if pair[1] != pair[2]), None)
 
@@ -723,9 +713,9 @@ def _cmd_sweep(cfg):
     """detuning scan with per-point resume"""
     p, o, evo = cfg.model, cfg.sweep, cfg.evolution
     outdir, deltas, methods = Path(cfg.output.directory), o.deltas, o.methods
-    rc = {"t_max": evo.t_max if evo else None, "samples": o.samples}
     settings = analysis.point_settings(methods, p, {
-        "rwa": {k: v for k, v in rc.items() if v is not None}, "full": evo})
+        "rwa": {"t_max": evo.t_max if evo else None, "samples": o.samples},
+        "full": evo})
 
     def model_line(d):  # a point's own model
         return _model_meta(dataclasses.replace(p, delta=d))
@@ -806,7 +796,8 @@ def _cmd_analyze(cfg):
     failed = []
     for name in o.estimators:
         try:
-            results[name] = _ESTIMATORS[name]((times, values))
+            v = getattr(analysis, _ESTIMATORS[name])((times, values))
+            results[name] = {"value": float(v), **getattr(v, "__dict__", {})}
         except ValueError as err:
             results[name] = {"error": str(err)}
             failed.append(name)
@@ -817,7 +808,6 @@ def _cmd_analyze(cfg):
     if cfg.model is not None:
         est = analysis.rwa_pole_estimates(cfg.model)
         doc["pole_estimate"] = {**dataclasses.asdict(est),
-                                "regime": est.regime.value,
                                 "frequency": abs(est.s_plus.imag)}
     conv = {"estimators_failed": failed}
     return [("analysis.json", "json", doc)], conv, 1 if failed else 0

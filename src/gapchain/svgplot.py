@@ -18,6 +18,7 @@ so that dense series stay legible; the lines join every point.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,13 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     A span that ten-digit labels cannot resolve is padded to half the
     larger of |lo| and 1 on each side, so that the ticks step and their
     labels differ: a span of 1e-9 of the larger |end| or less (a flat axis
-    included), or one whose step is finer than 1e-9 of the larger |end|'s
-    decade.
+    included), one whose step is finer than 1e-9 of the larger |end|'s
+    decade, or one whose raw step (hi - lo) / target is below the smallest
+    normal double, where 10^k of its decade would underflow.
     """
-    big = max(abs(lo), abs(hi))
-    if hi - lo <= 1e-9 * big or (math.isfinite(hi - lo) and _step(
-            (hi - lo) / target) < 10.0 ** (math.floor(math.log10(big)) - 9)):
+    big, raw = max(abs(lo), abs(hi)), (hi - lo) / target
+    if raw < sys.float_info.min or hi - lo <= 1e-9 * big or (math.isfinite(
+            raw) and _step(raw) < 10.0 ** (math.floor(math.log10(big)) - 9)):
         pad = max(abs(lo), 1.0) * 0.5
         lo, hi = lo - pad, hi + pad
     if not math.isfinite(hi - lo):

@@ -426,6 +426,12 @@ class TestCrossoverScan:
         with pytest.raises(ValueError, match="EvolutionConfig"):
             point_settings(("full",), ModelParams(**WIDEBAND), {})
 
+    def test_unset_rwa_values_take_their_defaults(self):
+        base = ModelParams(**WIDEBAND)
+        settings = point_settings(("rwa",), base,
+                                  {"rwa": {"t_max": None, "samples": 801}})
+        assert settings["rwa"] == {"t_max": 30.0 / base.omega_s, "samples": 801}
+
     def test_parallel_jobs_match_serial(self):
         base = ModelParams(**WIDEBAND)
         settings = point_settings(("rwa",), base, {"rwa": {"t_max": 1.5, "samples": 801}})

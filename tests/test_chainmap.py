@@ -17,7 +17,7 @@ from gapchain.chainmap import (
     quadrature_nodes,
     stieltjes_recurrence,
 )
-from gapchain.model import ModelParams, spectral_density
+from gapchain.model import ModelParams, bath_correlation, spectral_density
 from oracles import correlation_by_quadrature, head_site_correlation
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
@@ -151,7 +151,17 @@ class TestMapToChain:
         p = params()
         c = map_to_chain(p, 50)
         assert c.g**2 == pytest.approx(correlation_by_quadrature(p, 0.0).real, rel=1e-6)
-        assert c.weight_norm == pytest.approx(math.pi * c.g**2, rel=1e-13)
+
+    @pytest.mark.parametrize("corner", [
+        {}, dict(omega_b=2.0, omega0=20.0, omega_c=100.0),
+        dict(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4),
+        dict(omega_b=1e-3)])
+    def test_weight_norm_is_pi_times_the_closed_form_G0(self, corner):
+        # the recurrence's pi g^2 against pi Re G(0) of model's closed form:
+        # at most 1.8e-16 apart at these corners
+        p = params(**corner)
+        ref = math.pi * bath_correlation(p, 0.0).real
+        assert map_to_chain(p, 50).weight_norm == pytest.approx(ref, rel=1e-14)
 
     def test_alpha_rescaling(self):
         a = map_to_chain(params(alpha=1.0), 80)

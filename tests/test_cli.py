@@ -8,6 +8,7 @@ sweep resume protocol.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import multiprocessing
@@ -114,6 +115,12 @@ def read_csv(path):
 
 def manifest(outdir):
     return json.loads((Path(outdir) / "manifest.json").read_text())
+
+
+def point_manifest(path):
+    meta, _ = read_csv(path)
+    return json.loads(next(m for m in meta if m.startswith("# manifest:"))
+                      .partition(":")[2])
 
 
 _scan_point = analysis._scan_point
@@ -933,6 +940,38 @@ class TestSweepCommand:
                 f"in {field}: ") in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_unset_t_max_and_samples_take_the_sweeps_defaults(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["sweep", *model_flags(), "--deltas", "20", "--jobs", "1",
+                     "--out-dir", str(out)]) == 0
+        recorded = point_manifest(out / "point_delta_20.0.csv")["rwa"]
+        p = ModelParams(**WIDEBAND)
+        assert (recorded["t_max"], recorded["samples"]) == (30.0 / p.omega_s, 2001)
+        assert recorded["chain_sites"] == chain_length_for(p, 30.0 / p.omega_s)
+
+    def test_resume_ignores_outcomes_but_not_other_recorded_keys(
+            self, tmp_path, capsys, monkeypatch):
+        # a key named in analysis.POINT_OUTCOMES is what the point found, so
+        # any value of it is reused; any other key only the point records is
+        # a setting this run did not make
+        out = tmp_path / "out"
+        argv = ["sweep", *model_flags(), "--t-max", "1.5", "--samples", "801",
+                "--jobs", "1", "--deltas", "20", "--out-dir", str(out)]
+        assert main(argv) == 0
+        point = out / "point_delta_20.0.csv"
+        sites = point_manifest(point)["rwa"]["chain_sites"]
+        point.write_text(point.read_text().replace(
+            f'"chain_sites": {sites}', '"chain_sites": 7, "health": 0.5'))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        assert (f"input: {point} differs from this run in rwa.health: "
+                "recorded 0.5, this run None") in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        monkeypatch.setattr(analysis, "POINT_OUTCOMES", ("chain_sites", "health"))
+        assert main(argv + ["--resume"]) == 0
+        assert manifest(out)["convergence"]["resumed_points"] == [20.0]
+
     def test_point_csvs_written_whatever_the_formats(self, tmp_path, capsys):
         # the point CSVs are the resume store: --formats svg keeps them, and
         # a formats list refused before any point leaves them untouched
@@ -1169,6 +1208,19 @@ class TestAnalyzeCommand:
         assert res["stationary"]["value"] == pytest.approx(0.2, abs=2e-3)
         assert res["decay"]["value"] == pytest.approx(0.5, rel=0.05)
         assert doc["signal"] == "pop"
+
+    def test_stationary_entry_is_the_estimate_and_its_attributes(self, tmp_path):
+        path = self.synthetic(tmp_path)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(path), "--estimators",
+                     "stationary", "--out-dir", str(out)]) == 0
+        entry = json.loads((out / "analysis.json").read_text())["results"][
+            "stationary"]
+        fields = inspect.signature(analysis.StationaryEstimate).parameters
+        assert sorted(entry) == sorted(fields)  # value, then what it carries
+        _, cols = read_csv(path)
+        est = analysis.stationary_value((cols["t"], cols["pop"]))
+        assert entry == {"value": float(est), **vars(est)}
 
     def test_fit_window_and_exclusions_trim_the_series(self, tmp_path):
         out = tmp_path / "out"

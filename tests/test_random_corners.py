@@ -1,6 +1,7 @@
-"""Agreement at random corners of the parameter space: the Laplace inverter
-against the exact chain propagator, and the polaron solve against bisection
-of its condition.
+"""Agreement at random corners of the parameter space: the Laplace inverter,
+the Volterra solver and RWA-mode TEBD against the exact chain propagator,
+FULL-mode TEBD against exact propagation on a truncated Fock space, and the
+polaron solve against bisection of its condition.
 
 The corners come from the regions of the solver scan: alpha 0.01-3.2,
 omega_b 0.1-20, omega0 3-320 and omega_c/omega0 4-10, with delta below the
@@ -8,9 +9,21 @@ band, within 1e-6 to 1e-1 of either band end, in the band or above it, and
 omega_c t_max from 10 to 3000 (chains of up to 1550 sites).  That scan read
 1.7e-11 at most between the two RWA solvers at 180 corners.  Hypothesis
 draws four corners in each region with derandomize=True, so every run
-tests the same 20.  They read at most 1.9e-12 between the populations
-(bound 1e-9) and 1.7e-12 relative in log phi (bound 1e-11, that of the
-fold scan in test_polaron.py).
+tests the same corners (three or four distinct ones of four draws).  The
+draws are seeded by each test's code, so an edit to its code draws new
+corners.  The largest differences measured at these corners, and the bounds:
+- Laplace: 1.7e-12 between the populations (bound 1e-9);
+- polaron: 1.7e-12 relative in log phi (bound 1e-11, that of the fold scan
+  in test_polaron.py);
+- Volterra at its default step 0.05/omega0: 1.3e-4 (bound 5e-4; 2.5e-4 at
+  15 other corners), its own second-order error, which falls 4x with each
+  halving of the step;
+- RWA-mode TEBD: 3.3e-6 (bound 1e-5; 4.9e-6 at 20 other corners), the
+  Strang step's dt^2 error;
+- FULL-mode TEBD: sigma_z within 5.0e-6 of the reference at the four
+  tier-1 corners and 5.9e-6 at the 20 extended ones (bound 1e-5).
+The TEBD error grows 4x when the default step doubles, which fails the
+FULL-mode bound at every region.
 """
 
 import dataclasses
@@ -21,15 +34,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapchain import mps
 from gapchain.chainmap import chain_length_for, map_to_chain
 from gapchain.model import ModelParams
+from gapchain.mps import EvolutionConfig
 from gapchain.polaron import silbey_harris_solve
-from gapchain.rwa import chain_evolve, laplace_invert
-from oracles import log_root_by_bisection
+from gapchain.rwa import chain_evolve, laplace_invert, volterra_solve
+from oracles import full_mode_reference, log_root_by_bisection
 
 CORNERS = settings(max_examples=4, derandomize=True, deadline=None,
                    database=None)
 REGIONS = ["below", "edge", "top", "in", "above"]  # edge, top: the band's ends
+# the bounds, kept out of the tests' source, which seeds their draws
+VOLTERRA_BOUND, RWA_BOUND, FULL_BOUND = 5e-4, 1e-5, 1e-5
 
 
 def log_uniform(lo, hi):
@@ -77,3 +94,75 @@ def test_polaron_solve_matches_bisection(region, data):
     p = data.draw(corners(region))
     y = log_root_by_bisection(p)
     assert abs(math.log(silbey_harris_solve(p).phi) - y) <= 1e-11 * abs(y)
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@CORNERS
+@given(data=st.data(), reach=log_uniform(10.0, 300.0))
+def test_volterra_matches_the_exact_chain(region, data, reach):
+    # omega0 t_max stays under 75, so the O(n^2) loop takes under 1500 steps;
+    # the step-halving check would refuse the corners whose error tops 1e-4
+    p = data.draw(corners(region))
+    sv = volterra_solve(p, reach / p.omega_c, self_check=False)
+    t_end = sv.times[-1]
+    sc = chain_evolve(map_to_chain(p, chain_length_for(p, t_end)), p.delta,
+                      t_end, samples=sv.times.size)
+    assert np.max(np.abs(sv.population() - sc.population())) <= VOLTERRA_BOUND
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@CORNERS
+@given(data=st.data(), reach=log_uniform(2.0, 10.0))
+def test_rwa_mode_tebd_matches_the_exact_chain(region, data, reach):
+    p = data.draw(corners(region))
+    t_max = reach / p.omega_c
+    c = map_to_chain(p, chain_length_for(p, t_max))
+    cfg = EvolutionConfig(t_max=t_max, d_b=2, chi_max=8, mode="RWA")
+    # the default step, shortened so that the samples fall on a uniform grid
+    samples = math.ceil(t_max / mps.build_gates(c, p.delta, cfg).dt / cfg.sample_stride)
+    cfg = dataclasses.replace(cfg, dt=t_max / (samples * cfg.sample_stride))
+    ts = mps.evolve(c, cfg, "excited", p.delta)
+    sc = chain_evolve(c, p.delta, t_max, samples=samples + 1)
+    assert not ts.flags.any()
+    assert np.max(np.abs(ts.pop_excited - sc.population())) <= RWA_BOUND
+
+
+def check_full_mode(p, reach):
+    """FULL-mode TEBD (d_b 4, chi_max 32, default step) from |e> to
+    t_max = reach / omega_c against full_mode_reference on the first
+    ceil(reach / 2) + 8 sites, which the front does not leave: four more
+    sites move sigma_z by under 1e-14.  The total-quanta cut K is raised
+    from 4 until one more quantum moves sigma_z by at most FULL_BOUND / 10,
+    and TEBD is compared with that K + 1 reference.  Each quantum moved it
+    20-55x less than the one before (K 7 was needed where K 5 to 6 moved it
+    1.2e-6), so the reference sits well within FULL_BOUND / 10 of its
+    limit."""
+    t_max = reach / p.omega_c
+    c = map_to_chain(p, chain_length_for(p, t_max))
+    cfg = EvolutionConfig(t_max=t_max, d_b=4, chi_max=32, mode="FULL")
+    ts = mps.evolve(c, cfg, "excited", p.delta)
+    assert not ts.flags.any()
+    L = math.ceil(reach / 2.0) + 8
+    ref, _ = full_mode_reference(c, p.delta, ts.times, L=L, K=4)
+    for K in range(5, 9):
+        ref, previous = full_mode_reference(c, p.delta, ts.times, L=L, K=K)[0], ref
+        if np.max(np.abs(ref - previous)) <= FULL_BOUND / 10.0:
+            break
+    else:
+        raise AssertionError(f"the reference has not converged at K = {K}")
+    assert np.max(np.abs(ref - ts.sigma_z.real)) <= FULL_BOUND
+
+
+@CORNERS
+@given(data=st.data())
+def test_full_mode_tebd_matches_the_exact_reference(data):
+    # four small corners, of any region: 18 to 23 samples on 12 sites
+    check_full_mode(data.draw(corners(data.draw(st.sampled_from(REGIONS)))), 8.0)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("region", REGIONS)
+@CORNERS
+@given(data=st.data())
+def test_full_mode_tebd_matches_the_exact_reference_widely(region, data):
+    check_full_mode(data.draw(corners(region)), 12.0)

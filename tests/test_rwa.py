@@ -165,7 +165,7 @@ class TestVolterra:
 class TestChainEvolve:
     def test_decoupled_site_phase(self):
         # g = 0 leaves the emitter evolving under its bare splitting
-        c = ChainCoefficients(g=0.0, eps=np.array([7.0]), t=np.zeros(0), weight_norm=0.0)
+        c = ChainCoefficients(g=0.0, eps=np.array([7.0]), t=np.zeros(0))
         s = chain_evolve(c, 3.0, 2.0, samples=41)
         assert s.frame == "lab"
         np.testing.assert_allclose(s.values, np.exp(-3j * s.times), atol=1e-12)
@@ -184,7 +184,7 @@ class TestChainEvolve:
                                                (60.0, 2.0, 2e-2)])
     @pytest.mark.parametrize("samples", [2, 41, 2001])
     def test_one_site_rabi_closed_form(self, delta, eps, g, samples):
-        c = ChainCoefficients(g=g, eps=np.array([eps]), t=np.zeros(0), weight_norm=0.0)
+        c = ChainCoefficients(g=g, eps=np.array([eps]), t=np.zeros(0))
         s = chain_evolve(c, delta, 2.0, samples=samples)
         rabi = np.sqrt(((delta - eps) / 2.0) ** 2 + g * g)
         t = s.times
@@ -218,7 +218,7 @@ class TestChainEvolve:
             c = map_to_chain(p, n)
         else:
             c = ChainCoefficients(g=0.0, eps=np.linspace(3.0, 90.0, 40),
-                                  t=np.full(39, 20.0), weight_norm=0.0)
+                                  t=np.full(39, 20.0))
         ts = np.linspace(0.0, 1.5, 2001)
         ref = chain_state_amplitudes(c, p.delta, ts, sites=[0, -1])
         amp, last = rwa._chain_ends(c, p.delta, ts)
@@ -316,7 +316,7 @@ class TestChainEvolve:
         assert np.max(np.abs(pv - sc.population())) < 0.02
 
     def test_input_validation(self):
-        c = ChainCoefficients(g=0.0, eps=np.array([1.0]), t=np.zeros(0), weight_norm=0.0)
+        c = ChainCoefficients(g=0.0, eps=np.array([1.0]), t=np.zeros(0))
         with pytest.raises(ValueError):
             chain_evolve(c, 0.0, -1.0)
         with pytest.raises(ValueError):

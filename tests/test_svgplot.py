@@ -141,10 +141,13 @@ class TestScales:
 
 class TestTicks:
     @pytest.mark.parametrize("lo, hi", [(1e16, 1e16 + 4), (1.0, 1.0 + 1e-12),
-                                        (1.0, 1.0 + 2e-9)])
+                                        (1.0, 1.0 + 2e-9), (0.0, 5e-324),
+                                        (0.0, 2e-323), (0.0, 1e-310)])
     def test_span_finer_than_labels_is_padded(self, time_limit, lo, hi):
         # a step of 4 cannot move 1e16, and 1e-12 is past ten-digit labels,
-        # as is the step of 5e-10 that a span of 2e-9 takes
+        # as is the step of 5e-10 that a span of 2e-9 takes; a raw step below
+        # the smallest normal double has none: 5e-324 / 5 is 0, and 10^k of
+        # the decade of 2e-323 / 5 underflows to 0
         with time_limit(2):
             ticks, axis_lo, axis_hi = _nice_ticks(lo, hi)
         labels = [_fmt(v) for v in ticks]
