@@ -290,22 +290,15 @@ def _near_vacuum(B, tol):
             and np.abs(B[0, 1:, 0]).max() <= tol * abs(B[0, 0, 0]))
 
 
-def _layers(gates: Gates, steps):
-    """Gate layers of ``steps`` Strang steps with the inner even half steps
-    merged, as (gates, first bond, closes a step)."""
-    yield gates.half, 0, False
-    for k in range(1, steps + 1):
-        yield gates.full, 1, False
-        yield (gates.full if k < steps else gates.half), 0, True
-
-
 def tebd_step(state: MPSState, gates: Gates, steps=1):
-    """``steps`` Strang steps, run as E/2 (O E)^(steps-1) O E/2.
+    """``steps`` >= 1 Strang steps, run as E/2 (O E)^(steps-1) O E/2.
 
-    Adds each gate's discarded weight to cumulative_discarded_weight.  The
-    truncation-explosion check runs after every step, so it raises in the
-    step where the explosion happens.
+    Adds each gate's discarded weight to cumulative_discarded_weight, and
+    raises (truncation explosion) at the first gate that discards more
+    than 1e-3, so in the step where the explosion happens.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     chi_max, threshold = gates.cfg.chi_max, gates.cfg.svd_threshold
     tol = threshold ** 2
     tensors = state.site_tensors
@@ -314,24 +307,22 @@ def tebd_step(state: MPSState, gates: Gates, steps=1):
     front = n_bonds + 1
     while front > 1 and _near_vacuum(tensors[front - 1], tol):
         front -= 1
-    step_worst = 0.0
-    for layer, first, closes_step in _layers(gates, steps):
+    schedule = ([(gates.half, 0)] + [(gates.full, 1), (gates.full, 0)] * (steps - 1)
+                + [(gates.full, 1), (gates.half, 0)])
+    for layer, first in schedule:
         for j in range(first, min(front, n_bonds), 2):
             w = _apply_gate(state, j, layer[j], chi_max, threshold)
-            step_worst = max(step_worst, w)
             state.cumulative_discarded_weight += w
+            if w > 1e-3:
+                raise RuntimeError(
+                    f"truncation explosion: a single gate discarded weight "
+                    f"{w:.2e} (> 1e-3); raise chi_max or lower dt"
+                )
         # a layer gates no bond past the front, so it moves by one at most
         if front <= n_bonds and not _near_vacuum(tensors[front], tol):
             front += 1
         elif front > 1 and _near_vacuum(tensors[front - 1], tol):
             front -= 1
-        if closes_step:
-            if step_worst > 1e-3:
-                raise RuntimeError(
-                    f"truncation explosion: a single gate discarded weight "
-                    f"{step_worst:.2e} (> 1e-3); raise chi_max or lower dt"
-                )
-            step_worst = 0.0
 
 
 def _left_env(state: MPSState, j, op, dims):

@@ -51,6 +51,7 @@ __all__ = [
     "rwa_coherence",
 ]
 
+_VOLTERRA_HALVINGS = 3  # further halvings of volterra_solve's default step
 _ATOL = 1e-6  # slack of AmplitudeSeries.validate on |A| <= 1 and A(0) = 1
 _FLAG_TOL = 1e-3  # cut-ray disagreement, or sum-rule miss, that flags a Laplace point
 _OFF_CUT = 1e-30  # Re s just right of the cut, where Re G_hat = J to 1e-14
@@ -127,10 +128,13 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
 
     dt defaults to 0.05/omega0 and must satisfy dt <= 0.1/omega0 so the
     kernel's initial scale is resolved.  With self_check the run is
-    repeated at dt/2 and rejected if |A|^2 moved by more than 1e-4.
+    repeated at dt/2 over the same steps and rejected if |A|^2 moved by
+    more than 1e-4; at the default dt a rejected run gives way to its dt/2
+    run, which is checked in turn, up to _VOLTERRA_HALVINGS times.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
+    halvings = _VOLTERRA_HALVINGS if dt is None else 0
     if dt is None:
         dt = 0.05 / p.omega0
     if dt <= 0.0 or dt > 0.1 / p.omega0:
@@ -151,14 +155,17 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
         A[m + 1] = A[m] + 0.5 * dt * (F[m] + f_pred)
         F[m + 1] = -dt * (core + 0.5 * K[0] * A[m + 1])
     series = AmplitudeSeries(times, A, p.delta, frame="interaction")
-    if self_check:
-        fine = volterra_solve(p, t_max, dt=dt / 2.0, self_check=False)
-        dev = np.max(np.abs(series.population() - fine.population()[::2][: n + 1]))
-        if dev >= 1e-4:
+    while self_check:
+        fine = volterra_solve(p, series.times[-1], dt=dt / 2.0, self_check=False)
+        dev = np.max(np.abs(series.population() - fine.population()[::2]))
+        if dev < 1e-4:
+            break
+        if not halvings:
             raise RuntimeError(
                 f"step-size rejection: halving dt moved |A|^2 by {dev:.2e} "
                 f"(>= 1e-4); reduce dt below {dt:g}"
             )
+        series, dt, halvings = fine, dt / 2.0, halvings - 1
     return series.validate()
 
 

@@ -537,8 +537,8 @@ class TestTruncationSafeguards:
             mps.tebd_step(st, gates)
 
     def test_explosion_raises_in_merged_steps(self):
-        # the check runs per step: the merged call raises in step 1, having
-        # applied exactly the gates of that step
+        # the check runs per gate: the merged call raises in step 1, at the
+        # same gate as the single step, having applied the same gates
         rng = np.random.default_rng(7)
         d_b = 12
         c2 = map_to_chain(reduced(), 2)
@@ -553,6 +553,39 @@ class TestTruncationSafeguards:
             mps.tebd_step(merged, gates, 5)
         assert (merged.cumulative_discarded_weight
                 == single.cumulative_discarded_weight)
+
+    def test_explosion_stops_at_the_first_offending_gate(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        d_b = 12
+        c2 = map_to_chain(reduced(), 2)
+        cfg = EvolutionConfig(t_max=0.1, d_b=d_b, chi_max=8, mode="FULL")
+        gates = mps.build_gates(c2, DELTA, cfg)
+        st = random_canonical_state(d_b, rng)
+        ledger = []  # each applied gate's discarded weight, in order
+        apply_gate = mps._apply_gate
+
+        def recorded(*args):
+            ledger.append(apply_gate(*args))
+            return ledger[-1]
+        monkeypatch.setattr(mps, "_apply_gate", recorded)
+        with pytest.raises(RuntimeError, match="truncation explosion") as raised:
+            mps.tebd_step(st, gates, 5)
+        assert ledger[-1] > 1e-3 and max(ledger[:-1], default=0.0) <= 1e-3
+        assert st.cumulative_discarded_weight == sum(ledger)
+        assert f"weight {ledger[-1]:.2e} " in str(raised.value)
+
+    def test_bad_step_counts_are_refused(self, chain):
+        cfg = EvolutionConfig(t_max=T_SHORT, d_b=4, chi_max=16, mode="FULL")
+        gates = mps.build_gates(chain, DELTA, cfg)
+        st = mps.init_state(chain, cfg, "excited")
+        mps.tebd_step(st, gates, 3)
+        arrays = [B.copy() for B in st.site_tensors + st.lambdas]
+        odd, ledger = list(st.odd), st.cumulative_discarded_weight
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="steps must be >= 1"):
+                mps.tebd_step(st, gates, steps)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, st.site_tensors + st.lambdas))
+        assert (st.odd, st.cumulative_discarded_weight) == (odd, ledger)
 
     def test_top_fock_negligible_at_default_depth(self, chain):
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=6, chi_max=32, mode="FULL")

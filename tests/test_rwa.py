@@ -161,6 +161,30 @@ class TestVolterra:
         s = volterra_solve(reduced(delta=1.0), 3.0)
         assert s.frame == "interaction"
 
+    def test_self_check_at_any_t_max(self):
+        # t_max / dt = 1000.6 rounds to 1001 steps, and 2001.2 half steps to
+        # 2001: the check compares the half steps of the coarse run's span
+        p = wideband(delta=3.0)
+        s = volterra_solve(p, 1000.6 * 0.05 / p.omega0)
+        assert s.times.size == 1002
+
+    def test_default_step_halves_until_the_check_passes(self):
+        # 0.05/omega0 moves |A|^2 by 1.46e-4 when halved here, and its half
+        # passes: the default gives way to the half step's run, bit for bit
+        p = ModelParams(alpha=1.0, omega_b=1.0, omega0=3.0, omega_c=12.0, delta=13.13)
+        with pytest.raises(RuntimeError, match="step-size rejection"):
+            volterra_solve(p, 6.67, dt=0.05 / 3.0)
+        s = volterra_solve(p, 6.67)
+        assert s.times[1] - s.times[0] == 0.05 / 3.0 / 2.0
+        half = volterra_solve(p, 6.67, dt=0.05 / 3.0 / 2.0, self_check=False)
+        assert np.array_equal(s.values, half.values)
+
+    def test_default_step_refuses_after_its_last_halving(self, monkeypatch):
+        p = ModelParams(alpha=1.0, omega_b=1.0, omega0=3.0, omega_c=12.0, delta=13.13)
+        monkeypatch.setattr(rwa, "_VOLTERRA_HALVINGS", 0)
+        with pytest.raises(RuntimeError, match=r"reduce dt below 0\.0166667"):
+            volterra_solve(p, 6.67)
+
 
 class TestChainEvolve:
     def test_decoupled_site_phase(self):
