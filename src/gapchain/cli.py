@@ -32,9 +32,11 @@ and parsed exactly like the same value in an INI file.  A switch
 (``--resume``) takes no value and is ``resume = true`` in a file, and
 ``--csv`` repeats.  A manifest (a JSON object with a ``subcommand`` key)
 is itself a valid config: its ``config`` block is unwrapped.
-``rwa.samples`` sets the time grid of the laplace and chain solvers,
-which differ: laplace samples (0, t_max] at samples points, leaving out
-t = 0, and chain [0, t_max] at samples points; volterra steps by dt.
+In rwa, volterra steps by dt; laplace samples (0, t_max] and chain [0, t_max]
+at ``rwa.samples`` points.  rwa's convergence block is the solver and its
+checks: volterra's dt, self_check and, when "passed" (A is then the Richardson
+extrapolation of its dt and dt/2 runs), halvings and step_deviation; laplace's
+poles, sum_rule_residual and flagged_points; chain's chain_sites and n_quad.
 
 Threads: one BLAS thread per process, as the package docstring sets out;
 ``sweep --jobs`` runs points in parallel only through worker processes,
@@ -593,17 +595,13 @@ def _cmd_rwa(cfg):
     if solver == "volterra":
         series = volterra_solve(p, t_max, dt=cfg.evolution.dt,
                                 self_check=not cfg.rwa.no_self_check)
-        conv["dt"] = float(series.times[1] - series.times[0])
-        conv["self_check"] = "skipped" if cfg.rwa.no_self_check else "passed"
     elif solver == "laplace":
-        times = np.linspace(0.0, t_max, samples + 1)[1:]  # inverter needs t>0
-        series = laplace_invert(p, times)
-        conv["flagged_points"] = int(series.flags.sum())
-        conv.update(series.checks)
+        series = laplace_invert(p, np.linspace(0.0, t_max, samples + 1)[1:])  # t > 0
     else:
         n = cfg.chain.n_sites or chain_length_for(p, t_max)
         series = chain_evolve(map_to_chain(p, n), p.delta, t_max, samples=samples)
-        conv["chain_sites"], conv["n_quad"] = n, quadrature_nodes(n)
+        conv.update(chain_sites=n, n_quad=quadrature_nodes(n))
+    conv.update(series.checks)
     pop = series.population()
     meta = [_model_meta(p), f"solver: {solver}", f"frame: {series.frame}"]
     cols = [("t", series.times), ("re_A", series.values.real),

@@ -728,6 +728,21 @@ class TestRwaCommand:
         assert conv["sum_rule_residual"] < 1e-10
         assert [pole["kind"] for pole in conv["poles"]] == ["bound"]
 
+    def test_volterra_convergence_is_the_solvers_checks(self, tmp_path):
+        # the CI corner: the check halves the default step once, and the
+        # manifest records the step, the halving and the check's deviation
+        argv = ["rwa", "--alpha", "1", "--omega-b", "1", "--omega0", "3",
+                "--omega-c", "12", "--delta", "13.13", "--t-max", "6.67"]
+        assert main(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+        conv = manifest(tmp_path / "a")["convergence"]
+        assert conv.keys() == {"solver", "dt", "self_check", "halvings", "step_deviation"}
+        assert conv["dt"] == 0.05 / 3.0 / 2.0 and conv["self_check"] == "passed"
+        assert conv["halvings"] == 1 and conv["step_deviation"] < 1e-4
+        assert main(argv + ["--dt", "0.01", "--no-self-check",
+                            "--out-dir", str(tmp_path / "b")]) == 0
+        assert manifest(tmp_path / "b")["convergence"] == {
+            "solver": "volterra", "dt": 0.01, "self_check": "skipped"}
+
     def test_laplace_weak_coupling_exits_zero(self, tmp_path):
         # weak coupling puts a narrow line in the band; every point must
         # stay contractive (|A| <= 1 + 1e-6) and unflagged

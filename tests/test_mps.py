@@ -591,8 +591,7 @@ class TestTruncationSafeguards:
         cfg = EvolutionConfig(t_max=T_SHORT, d_b=6, chi_max=32, mode="FULL")
         gates = mps.build_gates(chain, DELTA, cfg)
         st = mps.init_state(chain, cfg, "excited")
-        for _ in range(int(round(T_SHORT / gates.dt))):
-            mps.tebd_step(st, gates)
+        mps.tebd_step(st, gates, int(round(T_SHORT / gates.dt)))
         assert top_fock_occupation(st) < 1e-6
 
     def test_top_fock_empty_in_rwa(self, chain):

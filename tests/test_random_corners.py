@@ -17,17 +17,23 @@ measured at these corners, and the bounds:
 - Laplace: 2.3e-11 between the populations (bound 1e-9);
 - polaron: 1.4e-12 relative in log phi (bound 1e-11, that of the fold scan
   in test_polaron.py);
-- Volterra at its default step, self-check on: 1.25e-4 (bound 5e-4).  The
-  check halved the step at two corners; without it, 0.05/omega0 missed by
-  6.7e-4 at the top-edge one (alpha 2.73, omega0 3.0, delta 3.6e-3 below
-  the band top), its own second-order error, which falls 4x with each
-  halving;
+- Volterra at its default step, self-check on: 2.3e-7 (bound 2e-6).  The
+  check halved the step at two corners (twice at the top-edge one: alpha
+  2.73, omega0 3.0, delta 3.6e-3 below the band top), and the result is the
+  Richardson extrapolation of the two runs it compares; the coarse run
+  alone missed by up to 1.25e-4, its own second-order error, and fails the
+  bound in every region;
 - RWA-mode TEBD: 1.7e-6 (bound 1e-5), the Strang step's dt^2 error;
-- FULL-mode TEBD: sigma_z within 3.7e-7 of the reference at the four
-  tier-1 corners and 5.3e-6 at the 20 extended ones (bound 1e-5).
-The TEBD error grows about 4x when the default step doubles: at these
-corners that fails the extended FULL-mode test at one region (edge,
-2.1e-5), while the tier-1 one still passes (1.5e-6).
+- FULL-mode TEBD: sigma_z from |e> within 3.7e-7 of the reference, and
+  sigma_z and sigma_x from (|g> + |e>)/sqrt(2) within 3.8e-7, at the four
+  tier-1 corners (omega_c t_max 8, bound 1e-6); 5.3e-6 and 1.5e-6 at the 20
+  extended ones (omega_c t_max 12, bound 1e-5).  Halving the step cut the
+  |e> error by 3.99-4.01x at the 3 tier-1 and 18 extended corners where
+  the order check applies.
+The TEBD error grows about 4x when the default step doubles: that fails
+the tier-1 FULL-mode test (1.5e-6 at one corner) and the extended one at
+one region (edge, 2.1e-5).  A coupling g off by 2e-6 (a step-independent
+error of 5.8e-8) passes the tier-1 bound and fails the order check.
 """
 
 import dataclasses
@@ -50,7 +56,8 @@ CORNERS = settings(max_examples=1, derandomize=True, deadline=None,
                    database=None)
 REGIONS = ["below", "edge", "top", "in", "above"]  # edge, top: the band's ends
 # the bounds, kept out of the tests' source, which seeds their draws
-VOLTERRA_BOUND, RWA_BOUND, FULL_BOUND = 5e-4, 1e-5, 1e-5
+VOLTERRA_BOUND, RWA_BOUND = 2e-6, 1e-5
+FULL_BOUND = {8.0: 1e-6, 12.0: 1e-5}  # by omega_c t_max: tier-1, extended
 
 
 def log_uniform(lo, hi):
@@ -123,29 +130,44 @@ def check_rwa_mode(p, reach):
 
 
 def check_full_mode(p, reach):
-    """FULL-mode TEBD (d_b 4, chi_max 32, default step) from |e> to
-    t_max = reach / omega_c against full_mode_reference on the first
-    ceil(reach / 2) + 8 sites, which the front does not leave: four more
-    sites move sigma_z by under 1e-14.  The total-quanta cut K is raised
-    from 4 until one more quantum moves sigma_z by at most FULL_BOUND / 10,
-    and TEBD is compared with that K + 1 reference.  Each quantum moved it
-    20-55x less than the one before (K 7 was needed where K 5 to 6 moved it
-    1.2e-6), so the reference sits well within FULL_BOUND / 10 of its
-    limit."""
+    """FULL-mode TEBD (d_b 4, chi_max 32, default step) from |e> and from
+    (|g> + |e>)/sqrt(2) to t_max = reach / omega_c, against
+    full_mode_reference on the first ceil(reach / 2) + 8 sites, which the
+    front does not leave: four more sites move sigma_z by under 1e-14.  The
+    total-quanta cut K is raised from 4 until one more quantum moves sigma_z
+    and sigma_x by at most a tenth of the bound, FULL_BOUND[reach], and TEBD
+    is compared with that K + 1 reference.  Each quantum moved it 20-55x
+    less than the one before (K 7 was needed where K 5 to 6 moved it
+    1.2e-6), so the reference sits well within a tenth of the bound of its
+    limit.  The order check: the |e> run is repeated at dt/2 over the same
+    steps and samples, and where the default step's error is at least 100x
+    the reference's last move in K, the dt/2 error is at most a third of it
+    (the Strang step's dt^2 error gives a quarter)."""
     t_max = reach / p.omega_c
     c = map_to_chain(p, chain_length_for(p, t_max))
     cfg = EvolutionConfig(t_max=t_max, d_b=4, chi_max=32, mode="FULL")
-    ts = mps.evolve(c, cfg, "excited", p.delta)
-    assert not ts.flags.any()
-    L = math.ceil(reach / 2.0) + 8
-    ref, _ = full_mode_reference(c, p.delta, ts.times, L=L, K=4)
-    for K in range(5, 9):
-        ref, previous = full_mode_reference(c, p.delta, ts.times, L=L, K=K)[0], ref
-        if np.max(np.abs(ref - previous)) <= FULL_BOUND / 10.0:
-            break
-    else:
-        raise AssertionError(f"the reference has not converged at K = {K}")
-    assert np.max(np.abs(ref - ts.sigma_z.real)) <= FULL_BOUND
+    L, bound = math.ceil(reach / 2.0) + 8, FULL_BOUND[reach]
+    for atom_state in ("excited", "plus_superposition"):
+        ts = mps.evolve(c, cfg, atom_state, p.delta)
+        assert not ts.flags.any()
+        ref = full_mode_reference(c, p.delta, ts.times, L=L, K=4, atom_state=atom_state)
+        for K in range(5, 9):
+            ref, previous = full_mode_reference(c, p.delta, ts.times, L=L, K=K,
+                                                atom_state=atom_state), ref
+            moved = max(np.max(np.abs(a - b)) for a, b in zip(ref, previous))
+            if moved <= bound / 10.0:
+                break
+        else:
+            raise AssertionError(f"the reference has not converged at K = {K}")
+        error = max(np.max(np.abs(ref[0] - ts.sigma_z.real)),
+                    np.max(np.abs(ref[1] - ts.sigma_x.real)))
+        assert error <= bound
+        if atom_state == "excited" and error >= 100.0 * moved:
+            half = mps.evolve(c, dataclasses.replace(
+                cfg, t_max=ts.times[-1], dt=ts.dt / 2.0, sample_stride=2 * cfg.sample_stride),
+                atom_state, p.delta)
+            assert np.array_equal(half.times, ts.times)
+            assert np.max(np.abs(ref[0] - half.sigma_z.real)) <= error / 3.0
 
 
 @pytest.mark.parametrize("region", REGIONS)

@@ -49,6 +49,8 @@ WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
 BROAD = dict(alpha=0.2, omega_b=1.0, omega0=1e4, omega_c=4e4)
 # the broad corner at alpha = 1, with a bound pole 1.6e-7 above the hard band top
 HARD_TOP = ModelParams(**{**BROAD, "alpha": 1.0}, delta=39960.999)
+# the CI corner, t_max 6.67: Volterra's check halves the default step 0.05/omega0 once
+CI_CORNER = ModelParams(alpha=1.0, omega_b=1.0, omega0=3.0, omega_c=12.0, delta=13.13)
 
 
 def pole_residual(p, nu):
@@ -170,17 +172,52 @@ class TestVolterra:
 
     def test_default_step_halves_until_the_check_passes(self):
         # 0.05/omega0 moves |A|^2 by 1.46e-4 when halved here, and its half
-        # passes: the default gives way to the half step's run, bit for bit
-        p = ModelParams(alpha=1.0, omega_b=1.0, omega0=3.0, omega_c=12.0, delta=13.13)
+        # passes: the default gives way to the half step's run, and returns
+        # its extrapolation with the quarter step's, bit for bit
+        p = CI_CORNER
         with pytest.raises(RuntimeError, match="step-size rejection"):
             volterra_solve(p, 6.67, dt=0.05 / 3.0)
         s = volterra_solve(p, 6.67)
-        assert s.times[1] - s.times[0] == 0.05 / 3.0 / 2.0
-        half = volterra_solve(p, 6.67, dt=0.05 / 3.0 / 2.0, self_check=False)
-        assert np.array_equal(s.values, half.values)
+        times, values = richardson_volterra(p, 6.67, dt=0.05 / 3.0 / 2.0)
+        assert np.array_equal(s.times, times) and np.array_equal(s.values, values)
+        assert s.checks.keys() == {"dt", "self_check", "halvings", "step_deviation"}
+        assert s.checks["dt"] == 0.05 / 3.0 / 2.0 and s.checks["self_check"] == "passed"
+        assert s.checks["halvings"] == 1 and s.checks["step_deviation"] < 1e-4
+
+    # the CI corner at an explicit step, a bound state at the band edge,
+    # in-band decay, the wideband corner, and a decoupled emitter
+    @pytest.mark.parametrize("p, t_max, dt", [
+        (CI_CORNER, 6.67, 0.05 / 3.0 / 4.0),
+        (reduced(delta=2.0), 2.0, 2.5e-3), (reduced(delta=30.0), 1.0, 1e-3),
+        (wideband(delta=3.0), 0.3, 5e-4), (reduced(alpha=0.0, delta=2.0), 1.0, 1e-3),
+    ], ids=["ci", "edge", "band", "wideband", "decoupled"])
+    def test_checked_run_is_the_richardson_extrapolation(self, p, t_max, dt):
+        s = volterra_solve(p, t_max, dt=dt)
+        times, values = richardson_volterra(p, t_max, dt)
+        assert np.array_equal(s.times, times) and np.array_equal(s.values, values)
+        assert s.checks["halvings"] == 0 and s.checks["dt"] == dt
+        unchecked = volterra_solve(p, t_max, dt=dt, self_check=False)
+        assert unchecked.checks == {"dt": dt, "self_check": "skipped"}
+
+    def test_one_stepper_runs_both_runs(self, monkeypatch):
+        # the check's fine run is exactly 2n steps of dt/2, from the stepper,
+        # never a call of volterra_solve through the module
+        p = CI_CORNER
+        runs, stepper = [], rwa._volterra_steps
+
+        def steps(p, n, dt):
+            runs.append((n, dt))
+            return stepper(p, n, dt)
+
+        monkeypatch.setattr(rwa, "_volterra_steps", steps)
+        solves = count_calls(monkeypatch, "volterra_solve")
+        rwa.volterra_solve(p, 6.67)
+        dt = 0.05 / 3.0
+        assert runs == [(400, dt), (800, dt / 2.0), (1600, dt / 4.0)]
+        assert len(solves) == 1
 
     def test_default_step_refuses_after_its_last_halving(self, monkeypatch):
-        p = ModelParams(alpha=1.0, omega_b=1.0, omega0=3.0, omega_c=12.0, delta=13.13)
+        p = CI_CORNER
         monkeypatch.setattr(rwa, "_VOLTERRA_HALVINGS", 0)
         with pytest.raises(RuntimeError, match=r"reduce dt below 0\.0166667"):
             volterra_solve(p, 6.67)
@@ -419,6 +456,7 @@ class TestLaplaceInvert:
         monkeypatch.setattr(rwa, "_PEAK_OCTAVES", np.arange(0))
         s = laplace_invert(reduced(delta=50.0), np.linspace(0.2, 2.0, 7))
         assert s.flags.all()
+        assert s.checks["flagged_points"] == s.flags.sum() == 7
 
     def test_sum_rule_flags_a_missed_real_pole(self, monkeypatch):
         # the real-axis poles are the one part both inverters share; without
@@ -445,6 +483,7 @@ class TestLaplaceInvert:
     def test_checks_record_poles_and_sum_rule(self):
         s = laplace_invert(reduced(delta=50.0), np.linspace(0.1, 1.5, 8))
         assert s.checks["sum_rule_residual"] < 1e-10
+        assert s.checks["flagged_points"] == s.flags.sum() == 0
         [(nu, z)] = _second_sheet_zeros(reduced(delta=50.0))
         assert s.checks["poles"] == [{"nu": nu, "weight": z, "kind": "resonance"}]
 
