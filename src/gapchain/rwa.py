@@ -333,6 +333,11 @@ def _ray_term(p: ModelParams, times, zeros, top):
     with f_- = 1/(s + G_hat) and f_+ = 1/(s + G_II).  Each zero nu_p adds
     breakpoints -Im nu_p +- d 2^k, d = |Re nu_p - nu_e| its distance from
     the ray, as ``_PEAK_OCTAVES`` do for a peak on the band.
+
+    The sum over nodes is one real product of the (times x nodes) table
+    e^{-y t} with the (nodes x 2) real and imaginary parts of the weights:
+    a product of a real array with a complex one would first copy the
+    whole table to complex.
     """
     end = p.band_top - p.delta if top else p.omega_b - p.delta
     breaks = [-nu.imag + sign * abs(nu.real - end) * 2.0**_PEAK_OCTAVES
@@ -343,7 +348,8 @@ def _ray_term(p: ModelParams, times, zeros, top):
     wh = -w * j / (math.pi * a * (a + 2.0 * j))  # weights times h
     decay = np.outer(times, -y)  # times x nodes: one table, exponentiated in place
     np.exp(decay, out=decay)
-    return (1j if top else -1j) * np.exp(-1j * end * times) * (decay @ wh)
+    total = (decay @ wh.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    return (1j if top else -1j) * np.exp(-1j * end * times) * total
 
 
 def ray_invert(p: ModelParams, times, bound):

@@ -10,7 +10,9 @@ The model's: each integrates the band measure J/pi directly with
 ``complex_quad`` in u = sqrt(omega - omega_b), so it shares no algebra with
 ``bath_correlation`` or ``ghat``, the closed forms it checks.  The derived
 scales (``derived_scales``, ``delta_L_tilde``) collect omega_s, the
-environmental energy shift E_en and the shifted detuning.
+environmental energy shift E_en and the shifted detuning.  Weideman's
+Faddeeva expansion by FFT (``weideman_rule``) generates the literal
+coefficients of the model's ``erfcx``.
 
 The chain's: the head-site propagator, which must reproduce the bath
 correlation kernel.  The MPS engine's: two-site expectation values and the
@@ -119,6 +121,18 @@ def laplace_of_G(p: ModelParams, s):
     if s.real <= 0:
         raise ValueError(f"laplace_of_G requires Re(s) > 0, got s = {s}")
     return laplace_integral(p, s)
+
+
+def weideman_rule(n=40):
+    """Weideman's n-term expansion of the Faddeeva function (SIAM J. Numer.
+    Anal. 31 (1994) 1497) by FFT: (L, coefficients highest power first), the
+    generator of ``model._W_L`` and ``model._W_COEF``."""
+    m = 2 * n
+    L = math.sqrt(n / math.sqrt(2.0))
+    t = L * np.tan(np.arange(-m + 1, m) * (0.5 * math.pi / m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return L, a[n:0:-1].tolist()
 
 
 def delta_L_tilde(p: ModelParams):

@@ -1586,13 +1586,14 @@ class TestManifest:
 
 def test_import_loads_only_what_every_run_uses():
     # no scipy or mpmath (test oracles only), no process pool (sweep --jobs
-    # imports it when it starts workers) and no numpy.polynomial (the
-    # Gauss-Legendre tables are literals)
+    # imports it when it starts workers), no numpy.polynomial (the
+    # Gauss-Legendre tables are literals) and no numpy.fft (nor are
+    # Weideman's erfcx coefficients; the chain map loads it at its first dct3)
     src = str(Path(gapchain.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import gapchain.cli; "
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('scipy', 'mpmath', 'concurrent', 'multiprocessing')"
-            " or m.startswith('numpy.polynomial')))"
+            " or m.startswith(('numpy.polynomial', 'numpy.fft'))))"
             % src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)

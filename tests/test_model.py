@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import erfc, gammainc
 
+from gapchain import model
 from gapchain.model import (
     ModelParams,
     _exp_e1,
@@ -24,6 +25,7 @@ from oracles import (
     derived_scales,
     laplace_integral,
     laplace_of_G,
+    weideman_rule,
 )
 
 WIDEBAND = dict(alpha=1.0, omega_b=5.0, omega0=100.0, omega_c=800.0)
@@ -363,6 +365,11 @@ class TestSpecialFunctions:
         # a point gives the same bits alone as in an array
         assert all(complex(erfcx(v)) == g for v, g in zip(y[::97], got[::97]))
         assert np.array_equal(erfcx(y[:3]), got[:3])
+
+    def test_weideman_literals_equal_their_generator(self):
+        # the literal table stands in for the FFT bit for bit: a last-bit
+        # difference moves ghat and every Laplace output
+        assert (model._W_L, model._W_COEF) == weideman_rule()
 
     def test_exp_e1_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")

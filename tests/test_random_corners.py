@@ -12,39 +12,49 @@ draws the four corners of a region as one list of distinct models, its
 single example, with derandomize=True, so every run tests the same four
 corners.  The draws are seeded by each test's code (comments and
 decorators aside), so an edit to that code draws new corners; the checks
-live in the check_* helpers for that reason.  The largest differences
-measured at these corners, and the bounds:
+live in the check_* helpers for that reason.  Hypothesis also mixes the
+literal constants of the loaded local modules into its draws, so a new
+literal in src/ can draw new corners (the erfcx coefficients did), and
+running this file alone draws other corners for some tests than the whole
+suite does.  The largest differences measured at the whole suite's
+corners, and the bounds:
 - Laplace: 2.3e-11 between the populations (bound 1e-9);
 - polaron: 1.4e-12 relative in log phi (bound 1e-11, that of the fold scan
   in test_polaron.py);
-- Volterra at its default step, self-check on: 2.3e-7 (bound 2e-6).  The
-  check halved the step at two corners (twice at the top-edge one: alpha
-  2.73, omega0 3.0, delta 3.6e-3 below the band top), and the result is the
-  Richardson extrapolation of the two runs it compares; the coarse run
-  alone missed by up to 1.25e-4, its own second-order error, and fails the
-  bound in every region;
+- Volterra at its default step, self-check on: 2.4e-7 (bound 2e-6), and
+  1.75e-6 at an above-band corner of this file's own run (alpha 2.59,
+  omega0 210, delta 1800).  The check halved the step at three corners
+  (twice at a top-edge one), and the result is the Richardson
+  extrapolation of the two runs it compares; the coarse run alone missed
+  by up to 6.7e-4, its own second-order error, and fails the bound in
+  every region;
 - RWA-mode TEBD: 1.7e-6 (bound 1e-5), the Strang step's dt^2 error;
-- FULL-mode TEBD: sigma_z from |e> within 3.7e-7 of the reference, and
-  sigma_z and sigma_x from (|g> + |e>)/sqrt(2) within 3.8e-7, at the four
+- FULL-mode TEBD: sigma_z from |e> within 5.5e-7 of the reference, and
+  sigma_z and sigma_x from (|g> + |e>)/sqrt(2) within 5.4e-7, at the four
   tier-1 corners (omega_c t_max 8, bound 1e-6); 5.3e-6 and 1.5e-6 at the 20
   extended ones (omega_c t_max 12, bound 1e-5).  Halving the step cut the
-  |e> error by 3.99-4.01x at the 3 tier-1 and 18 extended corners where
+  |e> error by 4.00-4.01x at the 3 tier-1 and 15 extended corners where
   the order check applies.
 The TEBD error grows about 4x when the default step doubles: that fails
-the tier-1 FULL-mode test (1.5e-6 at one corner) and the extended one at
-one region (edge, 2.1e-5).  A coupling g off by 2e-6 (a step-independent
-error of 5.8e-8) passes the tier-1 bound and fails the order check.
+the tier-1 FULL-mode test at two of its four corners.  A coupling g off
+by 2e-6 (a step-independent error of 5.8e-8) passed the tier-1 bound and
+failed the order check at the corners drawn before the erfcx literals.
+test_each_check_fails_under_its_mutation (extended) makes four mutations
+through module attributes, at the corners the tier-1 tests draw, and
+asserts that the check_* helper each names fails.
 """
 
 import dataclasses
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapchain import mps
+from gapchain import mps, rwa
 from gapchain.chainmap import chain_length_for, map_to_chain
 from gapchain.model import ModelParams
 from gapchain.mps import EvolutionConfig
@@ -217,3 +227,77 @@ def test_full_mode_tebd_matches_the_exact_reference(data):
 def test_full_mode_tebd_matches_the_exact_reference_widely(region, data):
     for p, _ in data.draw(four(corners(region))):
         check_full_mode(p, 12.0)
+
+
+def _doubled_step(monkeypatch):
+    """mps.evolve at twice the default step, as an explicit dt."""
+    evolve = mps.evolve
+
+    def doubled(c, cfg, atom_state, delta):
+        if cfg.dt is None:
+            cfg = dataclasses.replace(cfg, dt=2.0 * mps.build_gates(c, delta, cfg).dt)
+        return evolve(c, cfg, atom_state, delta)
+
+    monkeypatch.setattr(mps, "evolve", doubled)
+
+
+def _flipped_slope(monkeypatch):
+    """rwa.ghat_slope with its sign flipped."""
+    slope = rwa.ghat_slope
+    monkeypatch.setattr(rwa, "ghat_slope", lambda *args: -slope(*args))
+
+
+def _short_prefix(monkeypatch):
+    """rwa._chebyshev_moments with each step's prefix one step short, so
+    every u_n misses its front site."""
+    source = inspect.getsource(rwa._chebyshev_moments)
+    line = "P = min(2 * (n0 + i + 1), width)"
+    assert source.count(line) == 1
+    scope = dict(vars(rwa))
+    exec(source.replace(line, "P = min(2 * (n0 + i), width)"), scope)
+    monkeypatch.setattr(rwa, "_chebyshev_moments", scope["_chebyshev_moments"])
+
+
+def _scaled_kernel(monkeypatch):
+    """Volterra's kernel rwa.bath_correlation scaled by 1 + 1e-3."""
+    kernel = rwa.bath_correlation
+    monkeypatch.setattr(rwa, "bath_correlation", lambda *args: (1.0 + 1e-3) * kernel(*args))
+
+
+def _fails(check, args):
+    """Whether check(*args) fails: a comparison of the check, a series'
+    own validation or a search that stops."""
+    try:
+        check(*args)
+    except (AssertionError, ValueError, RuntimeError):
+        return True
+    return False
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("mutate, helper, test, regions", [
+    (_doubled_step, "check_full_mode", "test_full_mode_tebd_matches_the_exact_reference",
+     [None]),
+    (_flipped_slope, "check_laplace", "test_laplace_inverter_matches_the_exact_chain", REGIONS),
+    (_short_prefix, "check_laplace", "test_laplace_inverter_matches_the_exact_chain", REGIONS),
+    (_scaled_kernel, "check_volterra", "test_volterra_matches_the_exact_chain", REGIONS),
+], ids=["doubled-tebd-step", "flipped-ghat-slope", "short-moment-prefix", "scaled-kernel"])
+def test_each_check_fails_under_its_mutation(monkeypatch, mutate, helper, test, regions):
+    """Each mutation, made through a module attribute, fails the check_*
+    helper it names at one or more of the four corners that the named
+    tier-1 test draws, in each of its regions; the corners are recorded by
+    running that test with the helper replaced.  Failed corners of 4 when
+    this test was written: the doubled step 2 (the bound, 1.46e-6 > 1e-6);
+    the flipped slope 4, 4, 4, 1 and 4 by region (below, edge, top, in,
+    above); the short prefix 4 in each; the scaled kernel 4, 4, 3, 4 and 2."""
+    module = sys.modules[__name__]
+    cases = {region: [] for region in regions}
+    with monkeypatch.context() as m:
+        for region, seen in cases.items():
+            m.setattr(module, helper, lambda *args, seen=seen: seen.append(args))
+            getattr(module, test)(**({} if region is None else {"region": region}))
+    check = getattr(module, helper)
+    mutate(monkeypatch)
+    for region, seen in cases.items():
+        assert len(seen) == 4
+        assert any(_fails(check, args) for args in seen), region
