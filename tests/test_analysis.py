@@ -143,6 +143,22 @@ class TestStationaryValue:
         assert float(sv) == pytest.approx(0.5 + 0.01 * 38.0, abs=0.01)
 
 
+class TestSlope:
+    def test_matches_polyfit_at_the_sweep_corner(self, monkeypatch):
+        # every fit of the sweep-rwa corner (t_max 1.5, 2001 samples): the
+        # tail of |A|^2 in stationary_value and the log envelope of |A| in
+        # decay_rate, at each of the five deltas
+        fits, slope = [], analysis._slope
+        monkeypatch.setattr(analysis, "_slope", lambda x, y: fits.append((x, y)) or slope(x, y))
+        base = ModelParams(**WIDEBAND)
+        list(crossover_scan([1.0, 3.0, 8.0, 20.0, 30.0], base,
+                            point_settings(("rwa",), base, {"rwa": {"t_max": 1.5}})))
+        assert len(fits) == 10
+        for x, y in fits:
+            want = np.polyfit(x, y, 1)[0]
+            assert abs(slope(x, y) - want) <= 1e-12 * abs(want)
+
+
 class TestDecayRate:
     def test_oscillating_envelope(self):
         t = np.linspace(0.0, 12.0, 6001)

@@ -2,6 +2,8 @@
 exact single-excitation chain solver and, in FULL mode, vs exact
 propagation on a truncated Fock space, truncation safeguards."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,13 @@ class TestEvolutionConfig:
             EvolutionConfig(t_max=1.0, dt=-0.1)
         with pytest.raises(ValueError, match="sample_stride"):
             EvolutionConfig(t_max=1.0, sample_stride=0)
+
+    # NaN and inf pass the comparisons with 0, so each is refused by name
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["t_max", "dt"])
+    def test_non_finite_times_refused(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must be finite, got {value!r}$"):
+            EvolutionConfig(**{"t_max": 1.0, key: value})
 
 
 class TestInitState:

@@ -155,6 +155,11 @@ class TestVolterra:
         with pytest.raises(ValueError):
             volterra_solve(p, -1.0)
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_max_refused(self, t_max):
+        with pytest.raises(ValueError, match=rf"^t_max must be finite, got {t_max!r}$"):
+            volterra_solve(reduced(delta=1.0), t_max)
+
     def test_step_size_rejection_fires_at_coarse_dt(self):
         # at the dt cap the halving check moves |A|^2 by >= 1e-4
         with pytest.raises(RuntimeError, match="step-size rejection"):
@@ -292,6 +297,23 @@ class TestChainEvolve:
             np.testing.assert_allclose(amp, np.exp(-3j * ts), rtol=0.0, atol=1e-12)
             assert not last.any()
 
+    # the sweep corner, from a bound state to above the band top: the moment
+    # recurrence's 690 KB block is freed before the first phase table exists,
+    # and the tables are built 256 energies at a time; one call traces a peak
+    # of 0.84 MB (1.21 MB when a block's tables outlive it, 1.9-2.1 MB with
+    # the full samples x M tables)
+    @pytest.mark.parametrize("delta", [1.0, 30.0, 805.0, 900.0])
+    def test_working_set_is_bounded(self, delta):
+        c = map_to_chain(wideband(), 650)
+        chain_evolve(c, delta, 1.5, samples=2001)  # warm
+        tracemalloc.start()
+        try:
+            chain_evolve(c, delta, 1.5, samples=2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6
+
     # the recurrence stops each vector at its light cone; K from 0 to past 4N
     # lets the two supports meet (2n >= N) and then fill the chain
     @pytest.mark.parametrize("size", [1, 2, 3, 10, 41, 300])
@@ -383,6 +405,12 @@ class TestChainEvolve:
             chain_evolve(c, 0.0, -1.0)
         with pytest.raises(ValueError):
             chain_evolve(c, 0.0, 1.0, samples=1)
+
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_max_refused(self, t_max):
+        c = ChainCoefficients(g=0.0, eps=np.array([1.0]), t=np.zeros(0))
+        with pytest.raises(ValueError, match=rf"^t_max must be finite, got {t_max!r}$"):
+            chain_evolve(c, 0.0, t_max)
 
 
 class TestLaplaceInvert:
@@ -494,6 +522,11 @@ class TestLaplaceInvert:
             laplace_invert(p, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             laplace_invert(p, np.array([]))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_refused(self, t):
+        with pytest.raises(ValueError, match=rf"^times must be finite, got {t!r}$"):
+            laplace_invert(reduced(delta=1.0), np.array([0.5, t, 1.0]))
 
 
 # next to the band edge (reduced delta 3.5, 4.5 and wideband 10 fail when
