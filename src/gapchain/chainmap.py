@@ -167,6 +167,17 @@ def chain_length_for(p: ModelParams, t_max: float) -> int:
     """Light-cone chain length: the one-way reach ceil(omega_c*t_max/2) of the
     front at the group velocity bound 2*max(t_n) -> omega_c/2, plus 50 sites that
     keep the last site's occupation below LIGHT_CONE_TAIL."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if not 0.0 <= t_max < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"t_max must be finite and >= 0, got {t_max}")
     return math.ceil(p.omega_c * t_max / 2.0) + 50
+
+
+def check_positive_times(name, times):
+    """ValueError unless each of ``times`` (a float or an array) is finite and
+    positive; NaN and inf pass a comparison with 0, so they are named first."""
+    times = np.asarray(times, dtype=float)
+    bad = ~np.isfinite(times)
+    if bad.any():
+        raise ValueError(f"{name} must be finite, got {float(times[bad][0])!r}")
+    if (times <= 0.0).any():
+        raise ValueError(f"{name} must be positive")

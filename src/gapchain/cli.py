@@ -33,10 +33,13 @@ and parsed exactly like the same value in an INI file.  A switch
 ``--csv`` repeats.  A manifest (a JSON object with a ``subcommand`` key)
 is itself a valid config: its ``config`` block is unwrapped.
 In rwa, volterra steps by dt; laplace samples (0, t_max] and chain [0, t_max]
-at ``rwa.samples`` points.  rwa's convergence block is the solver and its
-checks: volterra's dt, self_check and, when "passed" (A is then the Richardson
-extrapolation of its dt and dt/2 runs), halvings and step_deviation; laplace's
-poles, sum_rule_residual and flagged_points; chain's chain_sites and n_quad.
+at ``rwa.samples`` points.  For every solver, ``rwa.csv``'s re_A and im_A hold
+the interaction-picture amplitude A (the lab frame's is A e^{-i delta t}), as
+its ``frame: interaction`` line says.  rwa's convergence block is the solver
+and its checks: volterra's dt, self_check and, when "passed" (A is then the
+Richardson extrapolation of its dt and dt/2 runs), halvings and
+step_deviation; laplace's poles, sum_rule_residual and flagged_points;
+chain's chain_sites and n_quad.
 
 Threads: one BLAS thread per process, as the package docstring sets out;
 ``sweep --jobs`` runs points in parallel only through worker processes,
@@ -603,7 +606,7 @@ def _cmd_rwa(cfg):
         conv.update(chain_sites=n, n_quad=quadrature_nodes(n))
     conv.update(series.checks)
     pop = series.population()
-    meta = [_model_meta(p), f"solver: {solver}", f"frame: {series.frame}"]
+    meta = [_model_meta(p), f"solver: {solver}", "frame: interaction"]
     cols = [("t", series.times), ("re_A", series.values.real),
             ("im_A", series.values.imag), ("pop", pop)]
     if series.flags is not None:

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chainmap import LIGHT_CONE_TAIL, ChainCoefficients
+from .chainmap import LIGHT_CONE_TAIL, ChainCoefficients, check_positive_times
 
 __all__ = [
     "EvolutionConfig",
@@ -100,14 +100,9 @@ class EvolutionConfig:
             raise ValueError("chi_max >= 8 required")
         if not 0.0 < self.svd_threshold <= 1e-6:
             raise ValueError("svd_threshold must lie in (0, 1e-6]")
-        for name in ("t_max", "dt"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        check_positive_times("t_max", self.t_max)
+        if self.dt is not None:
+            check_positive_times("dt", self.dt)
         if self.sample_stride < 1:
             raise ValueError("sample_stride >= 1 required")
 

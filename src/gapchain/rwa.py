@@ -22,20 +22,20 @@ integral becomes the second-sheet resonance poles plus two
 steepest-descent rays from the band ends, an independent quadrature
 that checks every point.
 
-Frames: the memory equation above propagates the interaction-picture
-amplitude (A = 1 for all t when alpha = 0).  The lab-frame amplitude
-carries the extra free phase exp(-i delta t); the chain propagator
-produces it directly because the emitter splitting sits in the chain
-Hamiltonian.  Every series records its frame and converts to the lab
-frame on demand; populations |A|^2 are frame-independent.
+Frame: every solver returns the interaction-picture amplitude that the
+memory equation above propagates (A = 1 for all t when alpha = 0); the
+chain propagators get it by measuring the chain's energies from delta
+(``_chain_matrix``).  The lab-frame amplitude carries the extra free phase
+exp(-i delta t) (``AmplitudeSeries.to_lab``); populations |A|^2 are the
+same in both.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chainmap import LIGHT_CONE_TAIL, ChainCoefficients, dct3
+from .chainmap import LIGHT_CONE_TAIL, ChainCoefficients, check_positive_times, dct3
 from .invlaplace import filon_fourier, ray_rule
 from .model import ModelParams, bath_correlation, ghat, ghat_slope
 
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 _VOLTERRA_HALVINGS = 3  # further halvings of volterra_solve's default step
-_ATOL = 1e-6  # slack of AmplitudeSeries.validate on |A| <= 1 and A(0) = 1
+_ATOL = 1e-6  # slack of AmplitudeSeries' checks |A| <= 1 and A(0) = 1
 _FLAG_TOL = 1e-3  # cut-ray disagreement, or sum-rule miss, that flags a Laplace point
 _OFF_CUT = 1e-30  # Re s just right of the cut, where Re G_hat = J to 1e-14
 # Panel breakpoints of the cut integral, fixed by the model alone:
@@ -73,19 +73,19 @@ _ENERGY_BLOCK = 256  # Chebyshev energies per block of ``_chain_ends``' phase ta
 
 @dataclass
 class AmplitudeSeries:
-    """Excited-state amplitude A(t_j) at splitting delta, in one frame.
+    """Interaction-picture excited-state amplitude A(t_j) at splitting delta.
 
-    flags marks points where the solver's internal cross-check failed
-    (only the Laplace inverter sets them); flagged points are exempt
-    from the contractivity invariant since they are reported as
-    unreliable rather than silently dropped.  checks holds what the
-    cross-check used and found, for the run's manifest.
+    A series is checked when made: |A| <= 1 and, at t = 0, A = 1 must hold
+    to _ATOL, or ValueError.  flags marks points where the solver's
+    internal cross-check failed (only the Laplace inverter sets them);
+    flagged points are exempt from the contractivity invariant since they
+    are reported as unreliable rather than silently dropped.  checks holds
+    what the cross-check used and found, for the run's manifest.
     """
 
     times: np.ndarray
     values: np.ndarray
     delta: float
-    frame: str = "interaction"  # interaction | lab
     flags: np.ndarray | None = None
     checks: dict = field(default_factory=dict)
 
@@ -94,11 +94,6 @@ class AmplitudeSeries:
         self.values = np.asarray(self.values, dtype=complex)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have matching shapes")
-        if self.frame not in ("interaction", "lab"):
-            raise ValueError(f"unknown frame {self.frame!r}")
-
-    def validate(self):
-        """self if |A| <= 1 and A(0) = 1 hold to 1e-6; ValueError if not."""
         mod = np.abs(self.values)
         ok = mod <= 1.0 + _ATOL
         if self.flags is not None:
@@ -111,16 +106,13 @@ class AmplitudeSeries:
         if self.times.size and self.times[0] == 0.0:
             if abs(self.values[0] - 1.0) > _ATOL:
                 raise ValueError(f"A(0) = {self.values[0]:.6g}, expected 1")
-        return self
 
     def to_lab(self):
-        if self.frame == "lab":
-            return self
-        vals = self.values * np.exp(-1j * self.delta * self.times)
-        return replace(self, values=vals, frame="lab")
+        """The lab-frame amplitude A(t) e^{-i delta t}."""
+        return self.values * np.exp(-1j * self.delta * self.times)
 
     def population(self):
-        """|A(t)|^2, frame-independent."""
+        """|A(t)|^2, the same in both frames."""
         return np.abs(self.values) ** 2
 
 
@@ -153,10 +145,7 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
     210, 307 (1911)).  ``checks`` holds dt, self_check and, if checked, the
     halvings taken and the passing check's step_deviation.
     """
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max!r}")
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    check_positive_times("t_max", t_max)
     halvings = _VOLTERRA_HALVINGS if dt is None else 0
     if dt is None:
         dt = 0.05 / p.omega0
@@ -177,8 +166,7 @@ def volterra_solve(p: ModelParams, t_max, dt=None, self_check=True):
             A, n, dt = fine, 2 * n, dt / 2.0
         A = (4.0 * fine[::2] - A) / 3.0
         checks = {"self_check": "passed", "halvings": halved, "step_deviation": dev}
-    return AmplitudeSeries(np.arange(n + 1) * dt, A, p.delta, frame="interaction",
-                           checks={"dt": dt, **checks}).validate()
+    return AmplitudeSeries(np.arange(n + 1) * dt, A, p.delta, checks={"dt": dt, **checks})
 
 
 def find_bound_pole(p: ModelParams):
@@ -389,11 +377,7 @@ def laplace_invert(p: ModelParams, times):
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("empty time grid")
-    finite = np.isfinite(times)
-    if not finite.all():
-        raise ValueError(f"times must be finite, got {float(times[~finite][0])!r}")
-    if times.min() <= 0.0:
-        raise ValueError("laplace_invert requires all times > 0")
+    check_positive_times("times", times)
     bound = find_bound_pole(p)
     values = cut_invert(p, np.concatenate(([0.0], times)), bound)
     residual = float(abs(values[0] - 1.0))
@@ -401,23 +385,24 @@ def laplace_invert(p: ModelParams, times):
     flags = (np.abs(values[1:] - ref) > _FLAG_TOL) | (residual > _FLAG_TOL)
     poles = ([{"nu": 1j * loc, "weight": res, "kind": "bound"} for loc, res in bound]
              + [{"nu": nu, "weight": z, "kind": "resonance"} for nu, z in resonances])
-    return AmplitudeSeries(times, values[1:], p.delta, frame="interaction", flags=flags,
+    return AmplitudeSeries(times, values[1:], p.delta, flags=flags,
                            checks={"poles": poles, "sum_rule_residual": residual,
-                                   "flagged_points": int(flags.sum())}).validate()
+                                   "flagged_points": int(flags.sum())})
 
 
 def _chain_matrix(c: ChainCoefficients, delta):
-    """Diagonal (delta, eps_0, ...) and off-diagonal (g, t_0, ...) of the
-    single-excitation chain Hamiltonian."""
-    return np.concatenate(([delta], c.eps)), np.concatenate(([c.g], c.t))
+    """Diagonal (0, eps_0 - delta, ...) and off-diagonal (g, t_0, ...) of the
+    single-excitation chain Hamiltonian in the interaction picture."""
+    return np.concatenate(([0.0], c.eps - delta)), np.concatenate(([c.g], c.t))
 
 
 def chain_state_amplitudes(c: ChainCoefficients, delta, times,
                            sites=slice(None)):
     """Amplitude matrix of e^{-iHt}|site 0> in the site basis, rows = times.
 
-    Column 0 is the emitter amplitude A(t) (lab frame); the remaining
-    columns are the chain-mode photon amplitudes.  ``sites`` (a slice or
+    H is ``_chain_matrix``'s, so column 0 is the interaction-picture
+    emitter amplitude A(t); the remaining columns are the chain-mode
+    photon amplitudes, in the same picture.  ``sites`` (a slice or
     an index list into the sites 0..N) keeps only those columns.  Any time
     grid is allowed; this direct sum over the dense eigendecomposition of
     H shares no code with ``chain_evolve``, and is the reference that the
@@ -485,9 +470,10 @@ def _chebyshev_moments(diag, off, K):
 
 
 def _chain_ends(c: ChainCoefficients, delta, times):
-    """Lab-frame amplitudes of e^{-iHt}|site 0> on the emitter and on the
-    last site, at uniform times from 0, by a Chebyshev expansion of the
-    propagator (Tal-Ezer & Kosloff, J. Chem. Phys. 81 (1984) 3967).
+    """Amplitudes of e^{-iHt}|site 0> on the emitter and on the last site, H
+    of ``_chain_matrix`` (the interaction picture), at uniform times from 0,
+    by a Chebyshev expansion of the propagator (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81 (1984) 3967).
 
     With H's spectrum inside its Gershgorin interval [b - a, b + a],
     e^{-iHt} = e^{-ibt} sum_n (2 - [n = 0]) (-i)^n J_n(a t) T_n((H - b)/a),
@@ -540,9 +526,10 @@ def _phases(ts, energies):
     and sin of one table of -E t, written into the two halves of a complex
     array.  The product differs from e^{-i E t_k} by its own rounding and
     by that of t_sC + t_r against t_k, as the split of ``_chain_ends``
-    does: at the wideband sweep corner it moves A(t) by at most 3e-15 for
-    delta from 1 to 30, and by 3.6e-13 at the band top (805) and above it
-    (900), where |E t| is largest.
+    does: at the wideband sweep corner it moves A(t) by at most 2.0e-15 for
+    delta from 1 to 900.  The energies are measured from delta, so A's
+    weight sits near E = 0, where |E t| is small; measured from 0 they moved
+    it by 3.6e-13 at the band top (805) and above it (900).
     """
     step = math.isqrt(ts.size - 1) + 1
     coarse, fine = (_cos_sin(t, energies) for t in (ts[::step], ts[:step]))
@@ -559,20 +546,17 @@ def _cos_sin(ts, energies):
 
 
 def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
-    """Exact lab-frame amplitude on ``samples`` uniform times in [0, t_max],
-    from the Chebyshev propagator of ``_chain_ends``.
+    """Exact interaction-picture amplitude on ``samples`` uniform times in
+    [0, t_max], from the Chebyshev propagator of ``_chain_ends``.
 
     At the wideband sweep corner (N = 650, 2001 samples, delta from a bound
     state to above the band top) A(t) agrees with ``chain_state_amplitudes``
-    to 4.6e-13 and the last-site amplitude to 2.1e-15.  A light-cone check
+    to 6.8e-14 and the last-site amplitude to 2.2e-15.  A light-cone check
     requires the last-site occupation to stay below
     ``chainmap.LIGHT_CONE_TAIL`` and reports the first violating time
     otherwise.
     """
-    if not math.isfinite(t_max):
-        raise ValueError(f"t_max must be finite, got {t_max!r}")
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    check_positive_times("t_max", t_max)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     times = np.linspace(0.0, t_max, samples)
@@ -585,7 +569,7 @@ def chain_evolve(c: ChainCoefficients, delta, t_max, samples=301):
             f"light-cone violation: last-site occupation {tail[j]:.2e} at "
             f"t = {times[j]:g}; extend the chain"
         )
-    return AmplitudeSeries(times, amp, delta, frame="lab").validate()
+    return AmplitudeSeries(times, amp, delta)
 
 
 def rwa_coherence(series: AmplitudeSeries) -> np.ndarray:
@@ -594,4 +578,4 @@ def rwa_coherence(series: AmplitudeSeries) -> np.ndarray:
     Under the rotating-wave coupling the ground component is inert, so
     the coherence is Re A_lab, the real part of the lab-frame amplitude.
     """
-    return np.real(series.to_lab().values)
+    return np.real(series.to_lab())

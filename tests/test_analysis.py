@@ -432,10 +432,10 @@ class TestCrossoverScan:
         settings = {"methods": ["rwa"], "rwa": {"t_max": 1.5, "samples": 801}}
         _, row, manifest = _scan_point(20.0, base, settings, {1.5: c})
         assert manifest["failures"] == {}
-        a = chain_evolve(c, 20.0, 1.5, samples=801).to_lab()
+        a = chain_evolve(c, 20.0, 1.5, samples=801)
         assert row["stationary_pop_rwa"] == float(
             stationary_value((a.times, np.abs(a.values) ** 2)))
-        assert row["freq_rwa"] == oscillation_frequency((a.times, a.values.real))
+        assert row["freq_rwa"] == oscillation_frequency((a.times, a.to_lab().real))
         assert row["decay_rwa"] == decay_rate((a.times, np.abs(a.values)))
 
     def test_unknown_method_rejected(self):
@@ -448,6 +448,16 @@ class TestCrossoverScan:
             [], base, point_settings(("rwa",), base, {})))
         assert res.delta_grid.size == 0
         assert res.columns["stationary_pop_rwa"].size == 0
+
+    # chain_length_for(p, inf) raised OverflowError, which escaped the scan,
+    # and NaN was recorded as "cannot convert float NaN to integer"
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_t_max_is_recorded_by_name(self, t_max):
+        base = ModelParams(**WIDEBAND)
+        [(_, row, m)] = crossover_scan(
+            [3.0], base, point_settings(("rwa",), base, {"rwa": {"t_max": t_max}}))
+        assert m["failures"] == {"rwa": f"t_max must be finite and >= 0, got {t_max}"}
+        assert math.isnan(row["stationary_pop_rwa"])
 
     def test_full_method_requires_evolution_config(self):
         with pytest.raises(ValueError, match="EvolutionConfig"):

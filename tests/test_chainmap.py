@@ -12,6 +12,7 @@ from gapchain.chainmap import (
     ChainCoefficients,
     _sqrt_rule,
     chain_length_for,
+    check_positive_times,
     discretize_weight,
     map_to_chain,
     quadrature_nodes,
@@ -283,3 +284,20 @@ class TestChainLength:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             chain_length_for(params(), -1.0)
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t_max):
+        with pytest.raises(ValueError, match=rf"^t_max must be finite and >= 0, got {t_max}$"):
+            chain_length_for(params(), t_max)
+
+
+class TestPositiveTimes:
+    # the one refusal of EvolutionConfig, volterra_solve, chain_evolve and
+    # laplace_invert, whose own tests pin its messages: a non-finite time is
+    # named even where a negative one comes first
+    def test_non_finite_named_before_sign(self):
+        with pytest.raises(ValueError, match=r"^t must be finite, got inf$"):
+            check_positive_times("t", np.array([0.5, -1.0, math.inf]))
+        with pytest.raises(ValueError, match=r"^t must be positive$"):
+            check_positive_times("t", np.array([0.5, -1.0]))
+        check_positive_times("t", np.array([5e-324, 1e3]))

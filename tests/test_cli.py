@@ -777,6 +777,19 @@ class TestRwaCommand:
         pv = np.interp(cc["t"], cv["t"], cv["pop"])
         assert np.max(np.abs(pv - cc["pop"])) < 0.02
 
+    def test_every_solver_writes_the_interaction_picture(self, tmp_path):
+        # the rwa-laplace corner: laplace's 100 times are the chain's rows 1:,
+        # and both write A in the interaction picture, where they agree to 1e-13
+        base = model_flags(delta=3) + ["--t-max", "2"]
+        for solver, samples in (("laplace", "100"), ("chain", "101")):
+            assert main(["rwa", "--solver", solver, *base, "--samples", samples,
+                         "--out-dir", str(tmp_path / solver)]) == 0
+        (ml, cl), (mc, cc) = (read_csv(tmp_path / s / "rwa.csv") for s in ("laplace", "chain"))
+        assert "# frame: interaction" in ml and "# frame: interaction" in mc
+        assert np.array_equal(cl["t"], cc["t"][1:])
+        amp_l, amp_c = (c["re_A"] + 1j * c["im_A"] for c in (cl, cc))
+        assert np.max(np.abs(amp_l - amp_c[1:])) <= 1e-12
+
 
 class TestEvolveCommand:
     def test_rwa_mode_run_and_conservation(self, tmp_path):

@@ -314,6 +314,20 @@ class TestGhatClosedForm:
                 each = np.array([complex(ghat(p, s)) for s in pts])
                 assert np.all(np.isfinite(batch)) and np.all(np.isfinite(each))
                 assert np.max(np.abs(each - batch) / np.abs(batch)) <= 1e-14
+        # and a grid about both band ends, up to Re s = omega_c, on three
+        # corners (delta does not move it): at most 3.4e-15 apart, and 1.4e-15
+        # within 1e-3 omega_c of the cut
+        for p in GHAT_CORNERS + [ModelParams(alpha=0.2, omega_b=1.0, omega0=1e4,
+                                             omega_c=4e4, delta=0.5)]:
+            ends = np.array([p.omega_b - p.delta, p.band_top - p.delta])
+            gaps = p.omega_c * np.logspace(-12.0, 0.0, 13)
+            nu = np.concatenate([(ends[:, None] + np.concatenate([-gaps, gaps])).ravel(),
+                                 np.linspace(*ends, 17)])
+            re = 1e-30 + p.omega_c * np.array([0.0, 1e-6, 1e-3, 1.0])
+            pts = (re[:, None] - 1j * nu).ravel()
+            batch = ghat(p, pts)
+            each = np.array([complex(ghat(p, s)) for s in pts])
+            assert np.max(np.abs(each - batch) / np.abs(each)) <= 1e-14
 
     @pytest.mark.parametrize("p", GHAT_CORNERS, ids=["wc8w0", "wc5w0"])
     def test_slope_matches_quadrature(self, p):

@@ -97,42 +97,37 @@ def richardson_volterra(p, t_max, dt=5e-4):
 
 
 class TestAmplitudeSeries:
-    def test_shape_and_frame_validation(self):
+    def test_shape_validation(self):
         with pytest.raises(ValueError):
             AmplitudeSeries(np.zeros(3), np.zeros(2), 0.0)
-        with pytest.raises(ValueError):
-            AmplitudeSeries(np.zeros(2), np.zeros(2), 0.0, frame="rotating")
 
+    # a series is checked when it is made: no record escapes the checks
     def test_contractivity_check(self):
         t = np.array([0.0, 1.0])
-        good = AmplitudeSeries(t, np.array([1.0, 0.5 + 0.1j]), 0.0)
-        good.validate()
-        bad = AmplitudeSeries(t, np.array([1.0, 1.2]), 0.0)
-        with pytest.raises(ValueError, match="contractivity"):
-            bad.validate()
+        AmplitudeSeries(t, np.array([1.0, 0.5 + 0.1j]), 0.0)
+        AmplitudeSeries(t, np.array([1.0, 1.0 + 1e-6]), 0.0)  # within the slack
+        with pytest.raises(ValueError, match=r"^contractivity violated: \|A\(1\)\| = 1\.2$"):
+            AmplitudeSeries(t, np.array([1.0, 1.2]), 0.0)
 
     def test_flagged_points_are_exempt(self):
         t = np.array([0.0, 1.0])
-        s = AmplitudeSeries(t, np.array([1.0, 1.2]), 0.0,
-                            flags=np.array([False, True]))
-        s.validate()
+        AmplitudeSeries(t, np.array([1.0, 1.2]), 0.0, flags=np.array([False, True]))
+        with pytest.raises(ValueError, match="contractivity"):
+            AmplitudeSeries(t, np.array([1.0, 1.2]), 0.0, flags=np.array([True, False]))
 
     def test_initial_value_check(self):
         t = np.array([0.0, 1.0])
-        s = AmplitudeSeries(t, np.array([0.9, 0.5]), 0.0)
         with pytest.raises(ValueError, match="A\\(0\\)"):
-            s.validate()
+            AmplitudeSeries(t, np.array([0.9, 0.5]), 0.0)
+        AmplitudeSeries(t[1:], np.array([0.5]), 0.0)  # no t = 0, nothing to check
 
     def test_frame_round_trip(self):
         t = np.linspace(0.0, 2.0, 9)
         vals = np.exp(-0.3 * t) * np.exp(0.7j * t)
         s = AmplitudeSeries(t, vals, delta=1.3)
         lab = s.to_lab()
-        assert lab.frame == "lab"
-        back = lab.values * np.exp(1j * lab.delta * lab.times)
-        np.testing.assert_allclose(back, vals, atol=1e-14)
-        np.testing.assert_allclose(s.to_lab().population(), s.population(),
-                                   atol=1e-14)
+        np.testing.assert_allclose(lab * np.exp(1j * s.delta * s.times), vals, atol=1e-14)
+        np.testing.assert_allclose(np.abs(lab) ** 2, s.population(), atol=1e-14)
 
 
 class TestVolterra:
@@ -167,7 +162,7 @@ class TestVolterra:
 
     def test_default_step_passes_self_check(self):
         s = volterra_solve(reduced(delta=1.0), 3.0)
-        assert s.frame == "interaction"
+        assert s.checks["self_check"] == "passed" and s.checks["halvings"] == 0
 
     def test_self_check_at_any_t_max(self):
         # t_max / dt = 1000.6 rounds to 1001 steps, and 2001.2 half steps to
@@ -231,11 +226,12 @@ class TestVolterra:
 
 class TestChainEvolve:
     def test_decoupled_site_phase(self):
-        # g = 0 leaves the emitter evolving under its bare splitting
+        # g = 0 leaves the emitter evolving under its bare splitting, which
+        # the interaction picture removes: A = 1, and its lab value e^{-i delta t}
         c = ChainCoefficients(g=0.0, eps=np.array([7.0]), t=np.zeros(0))
         s = chain_evolve(c, 3.0, 2.0, samples=41)
-        assert s.frame == "lab"
-        np.testing.assert_allclose(s.values, np.exp(-3j * s.times), atol=1e-12)
+        np.testing.assert_allclose(s.values, 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(s.to_lab(), np.exp(-3j * s.times), rtol=0.0, atol=1e-12)
 
     def test_unitarity_of_site_amplitudes(self):
         p = reduced(delta=1.0)
@@ -246,7 +242,8 @@ class TestChainEvolve:
 
     # the one chain site is also the last, so g keeps its occupation
     # g^2/Omega^2 under the light-cone limit 1e-6; A still moves from the
-    # bare phase e^{-i delta t} by 4e-7 to 1.4e-5
+    # bare phase by 4e-7 to 1.4e-5; in the interaction picture the closed
+    # form's lab phase e^{-i (delta + eps) t/2} becomes e^{i (delta - eps) t/2}
     @pytest.mark.parametrize("delta, eps, g", [(3.0, 7.0, 1e-3), (-5.0, 30.0, 1e-2),
                                                (60.0, 2.0, 2e-2)])
     @pytest.mark.parametrize("samples", [2, 41, 2001])
@@ -255,7 +252,7 @@ class TestChainEvolve:
         s = chain_evolve(c, delta, 2.0, samples=samples)
         rabi = np.sqrt(((delta - eps) / 2.0) ** 2 + g * g)
         t = s.times
-        exact = np.exp(-0.5j * (delta + eps) * t) * (
+        exact = np.exp(0.5j * (delta - eps) * t) * (
             np.cos(rabi * t) - 0.5j * (delta - eps) / rabi * np.sin(rabi * t))
         np.testing.assert_allclose(s.values, exact, rtol=0.0, atol=1e-12)
 
@@ -276,10 +273,11 @@ class TestChainEvolve:
     # in band, the hard band top and above it, and a chain whose emitter is
     # cut off (g = 0, so A is the bare phase and the last site stays empty)
     @pytest.mark.parametrize("p, n", [(wideband(delta=d), 650)
-                                      for d in (1.0, 5.0, 30.0, 805.0, 900.0)]
+                                      for d in (1.0, 3.0, 5.0, 8.0, 20.0, 30.0, 805.0, 900.0)]
                              + [(reduced(delta=1.0), 125), (reduced(delta=3.0), 0)],
-                             ids=["wideband-bound", "wideband-edge", "wideband-band",
-                                  "wideband-top", "wideband-above-top", "reduced", "uncoupled"])
+                             ids=["wideband-bound", "wideband-bound-3", "wideband-edge",
+                                  "wideband-8", "wideband-20", "wideband-band", "wideband-top",
+                                  "wideband-above-top", "reduced", "uncoupled"])
     def test_end_weights_match_full_eigendecomposition(self, p, n):
         if n:
             c = map_to_chain(p, n)
@@ -293,8 +291,8 @@ class TestChainEvolve:
         assert np.max(np.abs(last - ref[:, 1])) <= 1e-12
         s = chain_evolve(c, p.delta, 1.5, samples=ts.size)
         assert np.array_equal(s.values, amp)
-        if not n:
-            np.testing.assert_allclose(amp, np.exp(-3j * ts), rtol=0.0, atol=1e-12)
+        if not n:  # the bare phase, which the interaction picture removes
+            np.testing.assert_allclose(amp, 1.0, rtol=0.0, atol=1e-12)
             assert not last.any()
 
     # the sweep corner, from a bound state to above the band top: the moment
@@ -469,10 +467,8 @@ class TestLaplaceInvert:
         t_max = 1.5
         sc = chain_evolve(map_to_chain(p, chain_length_for(p, t_max)), p.delta,
                           t_max, samples=31)
-        assert sc.frame == "lab"
-        interaction = sc.values * np.exp(1j * p.delta * sc.times)
-        sl = laplace_invert(p, sc.times[1:])
-        assert np.max(np.abs(sl.values - interaction[1:])) <= 1e-10
+        sl = laplace_invert(p, sc.times[1:])  # both in the interaction picture
+        assert np.max(np.abs(sl.values - sc.values[1:])) <= 1e-10
         assert not sl.flags.any()
         # the pole weights and the band integral of the density sum to 1
         assert abs(cut_invert(p, [0.0], find_bound_pole(p))[0] - 1.0) <= 1e-10
@@ -518,7 +514,7 @@ class TestLaplaceInvert:
 
     def test_input_validation(self):
         p = reduced(delta=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^times must be positive$"):
             laplace_invert(p, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             laplace_invert(p, np.array([]))
@@ -865,8 +861,8 @@ class TestCoherence:
         np.testing.assert_allclose(rwa_coherence(s), np.cos(3.0 * s.times), atol=1e-12)
 
     def test_frame_consistency_between_solvers(self):
-        # volterra works in the interaction picture, the chain in the
-        # lab frame; the coherence traces must nevertheless agree
+        # volterra steps the memory equation, the chain propagates with its
+        # energies measured from delta; their lab-frame coherences agree
         p = reduced(delta=1.0)
         sv = volterra_solve(p, 1.5)
         c = map_to_chain(p, chain_length_for(p, 1.5))
