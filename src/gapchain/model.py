@@ -328,7 +328,7 @@ def ghat(p: ModelParams, s):
     switches to a band quadrature.
 
     s is a complex scalar, whose tail sum is one dot product (a 0-d running
-    sum takes 4x as long), or an ndarray, whose running sum keeps the
+    sum takes about 3x as long), or an ndarray, whose running sum keeps the
     temporaries the size of s.  The two differ by rounding: by at most
     3.4e-15 relative on a grid about both band ends (1.4e-15 within 1e-3
     omega_c of the cut); the Laplace inverter runs both.  Just right of the

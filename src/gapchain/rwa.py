@@ -527,9 +527,8 @@ def _phases(ts, energies):
     array.  The product differs from e^{-i E t_k} by its own rounding and
     by that of t_sC + t_r against t_k, as the split of ``_chain_ends``
     does: at the wideband sweep corner it moves A(t) by at most 2.0e-15 for
-    delta from 1 to 900.  The energies are measured from delta, so A's
-    weight sits near E = 0, where |E t| is small; measured from 0 they moved
-    it by 3.6e-13 at the band top (805) and above it (900).
+    delta from 1 to 900, since the energies are measured from delta and A's
+    weight sits near E = 0, where |E t| is small.
     """
     step = math.isqrt(ts.size - 1) + 1
     coarse, fine = (_cos_sin(t, energies) for t in (ts[::step], ts[:step]))

@@ -449,8 +449,8 @@ class TestCrossoverScan:
         assert res.delta_grid.size == 0
         assert res.columns["stationary_pop_rwa"].size == 0
 
-    # chain_length_for(p, inf) raised OverflowError, which escaped the scan,
-    # and NaN was recorded as "cannot convert float NaN to integer"
+    # chain_length_for refuses a non-finite t_max by name, as a ValueError
+    # that the scan records as the point's failure
     @pytest.mark.parametrize("t_max", [math.inf, math.nan])
     def test_non_finite_t_max_is_recorded_by_name(self, t_max):
         base = ModelParams(**WIDEBAND)
