@@ -12,7 +12,7 @@ which are hopelessly ill-conditioned for this weight beyond n ~ 20).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,13 +146,16 @@ def quadrature_nodes(N: int) -> int:
 
 def map_to_chain(p: ModelParams, N: int, M: int | None = None) -> ChainCoefficients:
     """Chain coefficients for a length-N truncation of the semi-infinite chain,
-    from M Fejer nodes (``quadrature_nodes(N)`` by default)."""
+    from M Fejer nodes (``quadrature_nodes(N)`` by default).  The recurrence
+    normalizes the weights, so eps and t are the band shape's and alpha scales
+    g alone: alpha = 0 maps the alpha = 1 shape and gives g = 0."""
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
-    nodes, weights = discretize_weight(p, quadrature_nodes(N) if M is None else M)
+    shape = replace(p, alpha=p.alpha or 1.0)
+    nodes, weights = discretize_weight(shape, quadrature_nodes(N) if M is None else M)
     alpha, beta = stieltjes_recurrence(nodes, weights, N)
     return ChainCoefficients(
-        g=math.sqrt(beta[0]),
+        g=math.sqrt(beta[0]) if p.alpha else 0.0,
         eps=p.omega_b + p.omega_c * alpha,
         t=p.omega_c * np.sqrt(beta[1:]),
     )

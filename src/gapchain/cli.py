@@ -872,7 +872,7 @@ _DISPATCH = {
 
 
 def _parse_args(argv):
-    """Parse argv; only a subcommand named in argv gets its configuration flags."""
+    """Parse argv; of the subcommands, only the one argv starts with is built."""
     parser = argparse.ArgumentParser(
         prog="gapchain", allow_abbrev=False,
         description="Dissipative dynamics of a two-level emitter in a "
@@ -880,10 +880,11 @@ def _parse_args(argv):
     parser.add_argument("--version", action="version",
                         version=f"gapchain {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for sub, (cmd, _, _) in _DISPATCH.items():
-        subparser = subs.add_parser(sub, help=cmd.__doc__, allow_abbrev=False)
-        if sub not in argv:
-            continue  # argparse never reaches a subcommand that argv does not name
+    named = [word for word in argv[:1] if word in _DISPATCH]
+    for sub in named or _DISPATCH:  # or all, flagless, so -h and a bad word list them
+        subparser = subs.add_parser(sub, help=_DISPATCH[sub][0].__doc__, allow_abbrev=False)
+        if not named:
+            continue
         g = subparser.add_argument_group("configuration")
         g.add_argument("--config", metavar="FILE",
                        help="INI or JSON config file (flags override it)")

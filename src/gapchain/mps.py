@@ -192,22 +192,18 @@ def _bond_hamiltonians(c: ChainCoefficients, delta, cfg):
 
 
 def _propagator(h, tau):
-    """e^{-i h tau} = V diag(e^{-i w tau}) V^dag of the Hermitian h = V diag(w) V^dag.
-
-    h leaves the span of each connected component of its nonzero pattern
-    invariant, so every entry of the gate between two components is set to
-    exactly zero (one ``eigh`` of all of h leaves rounding there), and a
-    component of one state gets its phase e^{-i h_ii tau} exactly: the
-    parity blocks that the SVDs of ``_apply_gate`` rely on stay exact, and
-    so does the vacuum pair, which H|00> = 0 leaves alone.
-    """
-    reach = (h != 0) | np.eye(len(h), dtype=bool)
-    for _ in range(len(h).bit_length()):  # transitive closure by squaring
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
-    w, v = np.linalg.eigh(h)
-    u = np.where(reach, (v * np.exp(-1j * tau * w)) @ v.conj().T, 0.0)
-    lone = np.flatnonzero(reach.sum(axis=1) == 1)
-    u[lone, lone] = np.exp(-1j * tau * h[lone, lone])
+    """e^{-i h tau}: the degree-18 Taylor polynomial of A = -i h tau / 2^k, with
+    ||A||_1 < 1/4 (tail below 3.1e-29), squared k times (Moler & Van Loan, SIAM
+    Rev. 45, 3 (2003)).  Only products of h make it, so an entry that no path of
+    nonzero entries of h joins is exactly zero (``_apply_gate``'s parity blocks),
+    and a column that h annihilates, |00> on a chain bond, is exactly e_0."""
+    k = max(0, math.frexp(4.0 * tau * np.abs(h).sum(axis=0).max())[1])
+    a = (-1j * tau / 2.0 ** k) * h
+    eye = u = np.eye(len(h), dtype=complex)
+    for n in range(18, 0, -1):  # Horner: I + A (I + A/2 (I + A/3 (...)))
+        u = eye + a @ u / n
+    for _ in range(k):
+        u = u @ u
     return u
 
 

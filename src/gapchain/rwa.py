@@ -23,11 +23,11 @@ steepest-descent rays from the band ends, an independent quadrature
 that checks every point.
 
 Frame: every solver returns the interaction-picture amplitude that the
-memory equation above propagates (A = 1 for all t when alpha = 0); the
-chain propagators get it by measuring the chain's energies from delta
-(``_chain_matrix``).  The lab-frame amplitude carries the extra free phase
-exp(-i delta t) (``AmplitudeSeries.to_lab``); populations |A|^2 are the
-same in both.
+memory equation above propagates (A = 1 for all t when alpha = 0, where
+the mapped chain has g = 0); the chain propagators get it by measuring the
+chain's energies from delta (``_chain_matrix``).  The lab-frame amplitude
+carries the extra free phase exp(-i delta t) (``AmplitudeSeries.to_lab``);
+populations |A|^2 are the same in both.
 """
 
 import math

@@ -171,6 +171,14 @@ class TestMapToChain:
         assert np.allclose(b.eps, a.eps, rtol=1e-12)
         assert np.allclose(b.t, a.t, rtol=1e-12)
 
+    def test_zero_coupling_maps_the_shape_with_no_head_coupling(self):
+        # eps and t are the band shape's alone, so alpha = 0 keeps them, g = 0
+        a = map_to_chain(params(alpha=1.0), 80)
+        b = map_to_chain(params(alpha=0.0), 80)
+        assert b.g == 0.0 and b.weight_norm == 0.0
+        np.testing.assert_array_equal(b.eps, a.eps)
+        np.testing.assert_array_equal(b.t, a.t)
+
     def test_coefficients_converged_in_M(self):
         a = map_to_chain(params(), 200, M=4000)
         b = map_to_chain(params(), 200, M=8000)

@@ -7,6 +7,7 @@ collected validation errors), the per-subcommand artifacts, exit codes
 sweep resume protocol.
 """
 
+import argparse
 import dataclasses
 import inspect
 import json
@@ -24,7 +25,8 @@ import pytest
 
 import gapchain
 from gapchain import analysis
-from gapchain.chainmap import chain_length_for
+from gapchain.chainmap import (chain_length_for, discretize_weight, map_to_chain,
+                               quadrature_nodes)
 from gapchain.cli import (_DISPATCH, _SCHEMA, ConfigError, _flag_overrides,
                           _parse_args, _reads, main, parse_config)
 from gapchain.model import ModelParams
@@ -332,6 +334,25 @@ class TestFlagFileParity:
             if read:
                 assert re.search(re.escape(flag_for(sec, key)) + r"\b",
                                  text), (sub, sec, key)
+
+    def test_only_the_named_subparser_is_built(self, monkeypatch, capsys):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        assert _parse_args(["rwa", *model_flags(delta=2)]).subcommand == "rwa"
+        assert built == ["rwa"]
+        for argv in (["-h"], ["bogus"]):  # help and the invalid choice list all
+            built.clear()
+            with pytest.raises(SystemExit):
+                _parse_args(argv)
+            assert built == list(_DISPATCH)
+            text = "".join(capsys.readouterr())
+            assert all(sub in text for sub in _DISPATCH), argv
 
     def test_flag_counts(self):
         # the config flags of each subcommand, 92 in all
@@ -672,6 +693,15 @@ class TestChainCoeffsCommand:
         assert main(["chain-coeffs", "--config", str(ini), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_zero_coupling_maps_the_band_shape(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["chain-coeffs", *model_flags(alpha=0.0), "--n-sites", "60",
+                     "--out-dir", str(out)]) == 0
+        meta, cols = read_csv(out / "chain_coeffs.csv")
+        assert "# g: 0.0" in meta
+        shape = map_to_chain(ModelParams(**WIDEBAND), 60)
+        np.testing.assert_array_equal(cols["eps"], shape.eps)
+
     def test_manifest_echoes_only_what_it_reads(self, tmp_path):
         ini = tmp_path / "shared.ini"
         ini.write_text(ini_text({"model": WIDEBAND, "chain": {"n_sites": 60},
@@ -766,6 +796,14 @@ class TestRwaCommand:
         _, cols = read_csv(out / "rwa.csv")
         assert cols["pop"][0] == pytest.approx(1.0)
 
+    def test_chain_solver_at_zero_coupling(self, tmp_path):
+        # the rwa-laplace corner: the emitter couples to nothing, so A = 1
+        out = tmp_path / "out"
+        assert main(["rwa", "--solver", "chain", *model_flags(delta=3, alpha=0.0),
+                     "--t-max", "2", "--samples", "100", "--out-dir", str(out)]) == 0
+        _, cols = read_csv(out / "rwa.csv")
+        assert np.max(np.abs(cols["re_A"] + 1j * cols["im_A"] - 1.0)) <= 1e-12
+
     def test_solvers_agree(self, tmp_path):
         out_v, out_c = tmp_path / "v", tmp_path / "c"
         base = model_flags(delta=2) + ["--t-max", "0.5"]
@@ -811,6 +849,23 @@ class TestEvolveCommand:
         assert conv["flagged_samples"] == 0
         assert conv["chain_sites"] == 60
         assert (out / "evolve.svg").exists()
+
+    @pytest.mark.parametrize("state", ["excited", "plus_superposition"])
+    def test_zero_coupling_leaves_the_emitter_alone(self, tmp_path, state):
+        # the tebd-full corner: no gate entangles, and the emitter keeps its
+        # population and precesses at delta
+        out = tmp_path / "out"
+        assert main(["evolve", "--mode", "FULL", "--d-b", "4", "--chi-max", "32",
+                     "--t-max", "0.15", *model_flags(delta=3, alpha=0.0, omega_b=2,
+                                                     omega0=20, omega_c=100),
+                     "--atom-state", state, "--out-dir", str(out)]) == 0
+        _, cols = read_csv(out / "evolve.csv")
+        conv = manifest(out)["convergence"]
+        assert conv["final_max_bond"] == 1 and conv["flagged_samples"] == 0
+        if state == "excited":
+            assert np.max(np.abs(cols["sigma_z"] - 1.0)) <= 1e-12
+        else:
+            assert np.max(np.abs(cols["sigma_x"] - np.cos(3.0 * cols["t"]))) <= 1e-12
 
     def test_csv_header(self, tmp_path):
         out = tmp_path / "out"
@@ -1191,7 +1246,11 @@ class TestSweepCommand:
                                         for t in (0.1, 0.5))
         assert pid_log("map_to_chain") == [os.getpid()] * 2
 
-    def test_mapping_failure_recorded_at_every_point(self, tmp_path):
+    def test_mapping_failure_recorded_at_every_point(self, tmp_path, monkeypatch):
+        # the parent maps the chain for any --jobs; this map raises as
+        # discretize_weight refuses alpha = 0
+        monkeypatch.setattr(analysis, "map_to_chain",
+                            lambda p, N: discretize_weight(p, quadrature_nodes(N)))
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
             assert main(["sweep", *model_flags(alpha=0.0), "--t-max", "1.5",

@@ -252,6 +252,28 @@ class TestBuildGates:
         assert np.abs(h @ q - q @ h).max() > 1e-3
 
 
+class TestGateZeros:
+    @pytest.mark.parametrize("mode, d_b", [("RWA", 2), ("RWA", 3), ("FULL", 4), ("FULL", 6)])
+    @pytest.mark.parametrize("cap", [False, True], ids=["default-dt", "cap-dt"])
+    def test_gates_vanish_where_the_charge_forbids(self, chain, mode, d_b, cap):
+        # the parity-blocked SVDs need every entry between two sectors of a
+        # bond's conserved charge to be exactly zero, not rounding: parity on
+        # the FULL emitter bond, e + n on the RWA one, n_l + n_r on chain bonds
+        scale = max(DELTA, chain.eps.max() + 2 * chain.t.max())
+        dt = 0.5 / scale if cap else None  # the cap dt * max onsite = 0.5
+        gates = mps.build_gates(chain, DELTA, EvolutionConfig(t_max=1.0, dt=dt, d_b=d_b,
+                                                              mode=mode))
+        for j in range(chain.N):
+            dl = 2 if j == 0 else d_b
+            q = np.add.outer(np.arange(dl), np.arange(d_b)).ravel()
+            if j == 0 and mode == "FULL":
+                q %= 2
+            for batch in (gates.half, gates.full):
+                if batch[j] is not None:
+                    m = batch[j].reshape(dl * d_b, dl * d_b)
+                    assert not np.any(m[q[:, None] != q]), (j, mode, d_b)
+
+
 class TestAccuracy:
     def test_rwa_matches_exact_chain(self, chain, rwa_run):
         exact = np.abs(chain_state_amplitudes(chain, DELTA, rwa_run.times)[:, 0]) ** 2
